@@ -314,33 +314,26 @@ def induced_collineation(s: TernionMatrix, sigma: FieldAutomorphism) -> Semiline
     return SemilinearMap(s.field, 6, block6_rows(s), sigma)
 
 
-def check_collineation_conditions(f: SemilinearMap, cat: Catalog) -> Dict[str, bool]:
-    """The three set conditions of the characterization:
-      ii: f permutes the X and Y planes together,
-      iii: f permutes the X planes,
-      iv: f fixes J setwise and the quadric H setwise."""
-    gx = set(cat.g_x)
-    gxy = gx | set(cat.g_y)
-    ok_iv = f.apply(cat.j_solid) == cat.j_solid
-    if ok_iv:
-        hpts = cat.quadric.point_set
-        ok_iv = all(f.apply(p) in hpts for p in cat.quadric.points)
-    ok_iii = all(f.apply(m) in gx for m in cat.g_x)
-    ok_ii = ok_iii and all(f.apply(m) in gxy for m in cat.g_y)
-    if not ok_iii:
-        ok_ii = all(f.apply(m) in gxy for m in cat.planes)
-    return {"ii": ok_ii, "iii": ok_iii, "iv": ok_iv}
+def _fixes_j_and_h(f: SemilinearMap, cat: Catalog) -> bool:
+    """Condition iv: f fixes the solid J and the quadric H setwise."""
+    if f.apply(cat.j_solid) != cat.j_solid:
+        return False
+    hpts = cat.quadric.point_set
+    for p in cat.quadric.points:
+        if f.apply(p) not in hpts:
+            return False
+    return True
 
 
 def first_failed_condition(f: SemilinearMap, cat: Catalog) -> Optional[str]:
     """Name of the first violated condition, or None when all hold; cheap on
-    maps that fail early, which is the common case for random controls."""
-    if f.apply(cat.j_solid) != cat.j_solid:
+    maps that fail early, which is the common case for random controls.
+    The conditions, checked in this order:
+      iv: f fixes J setwise and the quadric H setwise,
+      iii: f permutes the X planes,
+      ii: f permutes the X and Y planes together."""
+    if not _fixes_j_and_h(f, cat):
         return "iv"
-    hpts = cat.quadric.point_set
-    for p in cat.quadric.points:
-        if f.apply(p) not in hpts:
-            return "iv"
     gx = set(cat.g_x)
     for m in cat.g_x:
         if f.apply(m) not in gx:
@@ -362,31 +355,6 @@ def random_nonblock_invertible(field: Field, rng: random.Random) -> tuple:
             continue
         if kern.rank(rows) == 6:
             return rows
-
-
-def theorem1_check(
-    s: TernionMatrix,
-    sigma: FieldAutomorphism,
-    cat: Catalog,
-    rng: Optional[random.Random] = None,
-) -> Dict[str, object]:
-    """Positive direction of the characterization for one (S, sigma), plus
-    one negative control: a random invertible non-pattern matrix must fail
-    a condition or be flagged as accidentally admissible."""
-    f = induced_collineation(s, sigma)
-    pos = check_collineation_conditions(f, cat)
-    report: Dict[str, object] = {
-        "positive": pos,
-        "positive_ok": all(pos.values()),
-    }
-    if rng is not None:
-        rows = random_nonblock_invertible(cat.field, rng)
-        g = SemilinearMap(cat.field, 6, rows, sigma)
-        failed = first_failed_condition(g, cat)
-        report["control_failed"] = failed
-        report["control_failed_some"] = failed is not None
-        report["control_accidentally_admissible"] = failed is None
-    return report
 
 
 @dataclass
@@ -452,8 +420,7 @@ def decompose_semilinear(f: SemilinearMap, cat: Catalog) -> Decomposition:
     and rebuild the module map it came from.  Raises when f does not fix J
     and H setwise, or when no decomposition exists."""
     field = f.field
-    cond = check_collineation_conditions(f, cat)
-    if not cond["iv"]:
+    if not _fixes_j_and_h(f, cat):
         raise ValueError("decomposition requires f(J) = J and f(H) = H")
     sigma = extract_automorphism(f)
     f1 = SemilinearMap(field, 6, full_space(field, 6).basis, sigma)
@@ -720,20 +687,23 @@ def xi_report(
 # -- graph export -------------------------------------------------------------------
 
 
-def graph_to_dot(graph: AdjacencyGraph) -> str:
-    """Deterministic DOT text with orbit type and clique-class labels; the
-    class of a Y plane P+L is that of the regulus line P."""
+def _vertex_classes(graph: AdjacencyGraph) -> List[int]:
+    """Clique-class label per vertex: the index of an X plane's K-trace in
+    the alpha regulus; the class of a Y plane P+L is that of the line P."""
     cat = graph.catalog
-    lines = ["graph adjacency {"]
     alpha_index = {p: i for i, p in enumerate(cat.g_alpha)}
     y_class = {join(p, cat.l_line): i for i, p in enumerate(cat.g_alpha)}
-    for i, v in enumerate(graph.vertices):
-        t = graph.types[i]
-        if t is SubmoduleType.X:
-            cls = alpha_index[meet(v, cat.k_solid)]
-            lines.append(f'  v{i} [type="X" class="{cls}"];')
-        else:
-            lines.append(f'  v{i} [type="Y" class="{y_class[v]}"];')
+    return [
+        alpha_index[meet(v, cat.k_solid)] if t is SubmoduleType.X else y_class[v]
+        for v, t in zip(graph.vertices, graph.types)
+    ]
+
+
+def graph_to_dot(graph: AdjacencyGraph) -> str:
+    """Deterministic DOT text with orbit type and clique-class labels."""
+    lines = ["graph adjacency {"]
+    for i, cls in enumerate(_vertex_classes(graph)):
+        lines.append(f'  v{i} [type="{graph.types[i].value}" class="{cls}"];')
     for i in range(graph.n):
         for j in sorted(graph.neighbours[i]):
             if j > i:
@@ -743,25 +713,16 @@ def graph_to_dot(graph: AdjacencyGraph) -> str:
 
 
 def graph_to_json(graph: AdjacencyGraph) -> Dict[str, object]:
-    cat = graph.catalog
-    alpha_index = {p: i for i, p in enumerate(cat.g_alpha)}
-    y_class = {join(p, cat.l_line): i for i, p in enumerate(cat.g_alpha)}
-
-    def cls(i, v):
-        if graph.types[i] is SubmoduleType.X:
-            return alpha_index[meet(v, cat.k_solid)]
-        return y_class[v]
-
     return {
-        "q": cat.field.q,
+        "q": graph.catalog.field.q,
         "vertices": [
             {
                 "index": i,
                 "type": graph.types[i].value,
-                "class": cls(i, v),
+                "class": cls,
                 "basis": [list(r) for r in v.basis],
             }
-            for i, v in enumerate(graph.vertices)
+            for i, (v, cls) in enumerate(zip(graph.vertices, _vertex_classes(graph)))
         ],
         "edges": [
             [i, j]

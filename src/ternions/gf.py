@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .kernels import Kernel
 
@@ -226,97 +226,6 @@ class Field:
     def codes(self) -> range:
         return range(self.q)
 
-    # -- element-level API -----------------------------------------------------
-
-    def scalar(self, code: int) -> "Scalar":
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} out of range for {self!r}")
-        return Scalar(self, code)
-
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar(self, 0)
-
-    @property
-    def one(self) -> "Scalar":
-        return Scalar(self, 1)
-
-    def elements(self) -> Iterator["Scalar"]:
-        for c in range(self.q):
-            yield Scalar(self, c)
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> "Scalar":
-        """Element with the given coefficients of 1, x, x^2, ... (low first)."""
-        if len(coeffs) != self.k:
-            raise ValueError(f"expected {self.k} coefficients")
-        return Scalar(self, self._coeffs_code(coeffs))
-
-    def coeffs(self, code: int) -> tuple:
-        """Coefficient tuple of a code, low degree first."""
-        return tuple(self._code_coeffs(code))
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """One field element: a code bound to its field."""
-
-    field: Field
-    code: int
-
-    @property
-    def rep(self):
-        """Canonical representative: the residue for prime fields, else the
-        coefficient tuple written highest degree first."""
-        if self.field.k == 1:
-            return self.code
-        return tuple(reversed(self.field.coeffs(self.code)))
-
-    def _check(self, other):
-        if not isinstance(other, Scalar):
-            return None
-        if self.field != other.field:
-            raise ValueError("elements of different fields")
-        return other
-
-    def __add__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.field, self.field.add(self.code, o.code))
-
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.field, self.field.sub(self.code, o.code))
-
-    def __mul__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.field, self.field.mul(self.code, o.code))
-
-    def __truediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.field, self.field.mul(self.code, self.field.inv(o.code)))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e: int):
-        return Scalar(self.field, self.field.pow(self.code, e))
-
-    def inverse(self) -> "Scalar":
-        return Scalar(self.field, self.field.inv(self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"{self.rep}:GF({self.field.q})"
-
 
 @dataclass(frozen=True)
 class FieldAutomorphism:
@@ -325,9 +234,6 @@ class FieldAutomorphism:
     field: Field
     power: int
     table: tuple
-
-    def __call__(self, x: Scalar) -> Scalar:
-        return Scalar(self.field, self.table[x.code])
 
     def on_code(self, c: int) -> int:
         return self.table[c]

@@ -11,7 +11,7 @@ doubles as the memory guard for the big Grassmannian scans.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, List, Optional, Sequence
 
@@ -30,9 +30,15 @@ def enumeration_budget(override: Optional[int] = None) -> int:
     if override is not None:
         return override
     env = os.environ.get(BUDGET_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = None
+    if budget is None or budget < 1:
+        raise ValueError(f"{BUDGET_ENV} must be an integer >= 1, got {env!r}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -53,9 +59,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Sub({self.n},{self.dim}){list(self.basis)}"
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "k": self.dim, "basis": [list(r) for r in self.basis]}
 
 
 def canonicalize(field: Field, n: int, rows: Sequence[Sequence[int]]) -> Subspace:
@@ -189,18 +192,21 @@ def enumerate_subspaces(
             yield Subspace(field, n, tuple(tuple(r) for r in rows))
 
 
+def projective_vectors(field: Field, n: int) -> Iterator[tuple]:
+    """One normalized vector per point of PG(n-1, q): the leading 1 moves
+    right, and the entries after it run through all codes."""
+    for lead in range(n):
+        for tail in product(range(field.q), repeat=n - 1 - lead):
+            yield (0,) * lead + (1,) + tail
+
+
 def projective_points(u: Subspace) -> List[Subspace]:
     """The 1-subspaces of u, in a fixed order (normalized coefficient rows)."""
-    field, n, d = u.field, u.n, u.dim
-    kern = field.kernel
-    q = field.q
-    out = []
-    for lead in range(d):
-        for tail in product(range(q), repeat=d - 1 - lead):
-            coeff = (0,) * lead + (1,) + tail
-            vec = kern.vec_apply(coeff, u.basis)
-            out.append(Subspace(field, n, kern.rref((vec,))))
-    return out
+    kern = u.field.kernel
+    return [
+        Subspace(u.field, u.n, kern.rref((kern.vec_apply(coeff, u.basis),)))
+        for coeff in projective_vectors(u.field, u.dim)
+    ]
 
 
 def subspaces_within(u: Subspace, k: int, budget: Optional[int] = None) -> List[Subspace]:

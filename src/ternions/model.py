@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .gf import Field, automorphisms
 from .linalg import (
@@ -39,11 +39,10 @@ from .linalg import (
     enumerate_subspaces,
     enumeration_budget,
     gaussian_binomial,
-    join,
-    meet,
     meet_dim,
     pencil,
     projective_points,
+    projective_vectors,
     subspaces_within,
     SemilinearMap,
 )
@@ -56,7 +55,6 @@ from .ternion import (
     e22,
     enumerate_pairs,
     scale_left,
-    t_one,
 )
 
 
@@ -437,7 +435,7 @@ def scan_planes_for_x(
                 found.add(m)
         return frozenset(found), "full"
     for line in cat.g_alpha:
-        for w in _projective_vectors(field, 6):
+        for w in projective_vectors(field, 6):
             if kern.stack_rank(line.basis, (w,)) == 2:
                 continue
             m = Subspace(field, 6, kern.rref(line.basis + (w,)))
@@ -451,16 +449,6 @@ def scan_planes_for_x(
                 continue
             found.add(m)
     return frozenset(found), "targeted"
-
-
-def _projective_vectors(field: Field, n: int) -> Iterator[tuple]:
-    """One normalized vector per point of PG(n-1, q)."""
-    from itertools import product as _product
-
-    q = field.q
-    for lead in range(n):
-        for tail in _product(range(q), repeat=n - 1 - lead):
-            yield (0,) * lead + (1,) + tail
 
 
 def validate_catalog(

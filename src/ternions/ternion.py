@@ -10,7 +10,7 @@ matrices (x, 0, x).
 2x2 matrices over this ring act on generator pairs from the right; their
 invertibility is decided by the two 2x2 determinant factors of the induced
 4x4 matrix over the base field (corner entries and diagonal entries
-separately), which is also used to count the unit group.
+separately).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
-from .gf import Field, FieldAutomorphism
+from .gf import Field
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,6 @@ class Ternion:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0 and self.z == 0
 
-    def inverse(self) -> "Ternion":
-        """[[x,y],[0,z]]^-1 = [[1/x, -y/(xz)], [0, 1/z]]."""
-        if not self.is_unit:
-            raise ZeroDivisionError(f"{self} is not a unit")
-        f = self.field
-        xi, zi = f.inv(self.x), f.inv(self.z)
-        return Ternion(f, xi, f.neg(f.mul(f.mul(xi, self.y), zi)), zi)
-
     def triple(self) -> Tuple[int, int, int]:
         return (self.x, self.y, self.z)
 
@@ -127,83 +119,14 @@ def random_ternion(field: Field, rng: random.Random) -> Ternion:
     return Ternion(field, rng.randrange(q), rng.randrange(q), rng.randrange(q))
 
 
-def random_unit(field: Field, rng: random.Random) -> Ternion:
-    q = field.q
-    return Ternion(field, rng.randrange(1, q), rng.randrange(q), rng.randrange(1, q))
-
-
-# -- ring maps -----------------------------------------------------------------
-
-
-class RingMap:
-    """A unital additive-multiplicative map of the ternion ring.
-
-    ``reverses`` records whether the map reverses products (an
-    antiautomorphism) or preserves them (an automorphism).  Composition
-    tracks that flag through xor.
-    """
-
-    def __init__(self, field: Field, fn: Callable[[Ternion], Ternion], reverses: bool, name: str):
-        self.field = field
-        self.fn = fn
-        self.reverses = reverses
-        self.name = name
-
-    def __call__(self, t: Ternion) -> Ternion:
-        return self.fn(t)
-
-    def compose(self, other: "RingMap") -> "RingMap":
-        """self after other."""
-        if self.field != other.field:
-            raise ValueError("maps over different fields")
-        return RingMap(
-            self.field,
-            lambda t: self.fn(other.fn(t)),
-            self.reverses != other.reverses,
-            f"{self.name}*{other.name}",
-        )
-
-    def __repr__(self):
-        return f"RingMap({self.name})"
-
-    @staticmethod
-    def entrywise(sigma: FieldAutomorphism) -> "RingMap":
-        """Apply a field automorphism to each coordinate."""
-        f = sigma.field
-        t_map = sigma.table
-
-        def fn(t: Ternion) -> Ternion:
-            return Ternion(f, t_map[t.x], t_map[t.y], t_map[t.z])
-
-        return RingMap(f, fn, False, f"entrywise({sigma!r})")
-
-    @staticmethod
-    def inner(u: Ternion) -> "RingMap":
-        """Conjugation t -> u t u^-1 by a unit."""
-        if not u.is_unit:
-            raise ValueError("inner maps require a unit")
-        ui = u.inverse()
-        return RingMap(u.field, lambda t: u * t * ui, False, f"inner({u!r})")
-
-    @staticmethod
-    def iota(field: Field) -> "RingMap":
-        """The coordinate-swap antiautomorphism (x, y, z) -> (z, y, x)."""
-        return RingMap(field, lambda t: Ternion(field, t.z, t.y, t.x), True, "iota")
-
-
-def apply_ring_map(m: RingMap, t: Ternion) -> Ternion:
-    return m(t)
+def iota(t: Ternion) -> Ternion:
+    """The coordinate-swap antiautomorphism (x, y, z) -> (z, y, x)."""
+    return Ternion(t.field, t.z, t.y, t.x)
 
 
 # -- pairs and 2x2 matrices ------------------------------------------------------
 
 TernionPair = Tuple[Ternion, Ternion]
-
-
-def pair(a: Ternion, b: Ternion) -> TernionPair:
-    if a.field != b.field:
-        raise ValueError("pair components over different fields")
-    return (a, b)
 
 
 def scale_left(t: Ternion, v: TernionPair) -> TernionPair:
@@ -259,11 +182,6 @@ class TernionMatrix:
         lower, upper = self.det_factors()
         return lower != 0 and upper != 0
 
-    def det_value(self) -> int:
-        """Product of the two determinant factors; equals the 4x4 determinant."""
-        lower, upper = self.det_factors()
-        return self.field.mul(lower, upper)
-
     def to_f4_rows(self):
         """The matrix as a 4x4 coded matrix over the base field, each ternion
         block placed literally (structural zeros at (2,1), (2,3), (4,1), (4,3))."""
@@ -275,30 +193,8 @@ class TernionMatrix:
             (0, c.z, 0, d.z),
         )
 
-    def inverse(self) -> "TernionMatrix":
-        """Invert through the 4x4 embedding."""
-        if not self.is_invertible:
-            raise ZeroDivisionError("matrix is not invertible")
-        inv4 = self.field.kernel.matinv(self.to_f4_rows())
-        assert inv4 is not None
-        return from_f4_rows(self.field, inv4)
-
     def __repr__(self):
         return f"TM[{self.a!r},{self.b!r};{self.c!r},{self.d!r}]"
-
-
-def from_f4_rows(field: Field, rows) -> TernionMatrix:
-    """Rebuild a ternion 2x2 matrix from its 4x4 block form.
-
-    The block positions (2,1), (2,3), (4,1), (4,3) must be zero."""
-    if rows[1][0] or rows[1][2] or rows[3][0] or rows[3][2]:
-        raise ValueError("rows do not have the block structure")
-    return TernionMatrix(
-        Ternion(field, rows[0][0], rows[0][1], rows[1][1]),
-        Ternion(field, rows[0][2], rows[0][3], rows[1][3]),
-        Ternion(field, rows[2][0], rows[2][1], rows[3][1]),
-        Ternion(field, rows[2][2], rows[2][3], rows[3][3]),
-    )
 
 
 def matrix_identity(field: Field) -> TernionMatrix:
@@ -309,42 +205,6 @@ def act_right(v: TernionPair, s: TernionMatrix) -> TernionPair:
     """(a, b) . [[a',b'],[c',d']] = (a a' + b c', a b' + b d')."""
     a, b = v
     return (a * s.a + b * s.c, a * s.b + b * s.d)
-
-
-def enumerate_matrices(field: Field) -> Iterator[TernionMatrix]:
-    """All q^12 matrices; only sensible for tiny q."""
-    for aa in enumerate_ternions(field):
-        for bb in enumerate_ternions(field):
-            for cc in enumerate_ternions(field):
-                for dd in enumerate_ternions(field):
-                    yield TernionMatrix(aa, bb, cc, dd)
-
-
-def enumerate_invertible(field: Field) -> Iterator[TernionMatrix]:
-    """All invertible 2x2 ternion matrices (the lifted collineation group)."""
-    for m in enumerate_matrices(field):
-        if m.is_invertible:
-            yield m
-
-
-def count_invertible(field: Field) -> int:
-    """Exhaustive count of invertible matrices over the raw 12-tuples."""
-    f = field
-    n = 0
-    codes = range(f.q)
-    for az, bz, cz, dz in product(codes, repeat=4):
-        if f.sub(f.mul(az, dz), f.mul(bz, cz)) == 0:
-            continue
-        for ax, bx, cx, dx in product(codes, repeat=4):
-            if f.sub(f.mul(ax, dx), f.mul(bx, cx)) != 0:
-                n += 1
-    return n * f.q**4
-
-
-def invertible_order(field: Field) -> int:
-    """Closed form ((q^2-1)(q^2-q))^2 q^4 for the unit group of the matrix ring."""
-    q = field.q
-    return ((q * q - 1) * (q * q - q)) ** 2 * q**4
 
 
 def random_invertible(field: Field, rng: random.Random) -> TernionMatrix:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,14 @@ def test_env_budget_respected():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_malformed_env_budget_exit_2(value):
+    r = run_cli("verify", "--q", "2", env_extra={"TERNION_BUDGET": value})
+    assert r.returncode == 2
+    assert "TERNION_BUDGET" in r.stderr
+    assert repr(value) in r.stderr
+
+
 def test_allow_large_lifts_budget():
     r = run_cli(
         "verify",
@@ -156,3 +165,25 @@ def test_seed_changes_report_but_not_verdict():
     b = run_cli("verify", "--q", "2", "--suite", "thm1", "--seed", "2")
     assert a.returncode == b.returncode == 0
     assert json.loads(a.stdout)["summary"] == json.loads(b.stdout)["summary"]
+
+
+# Reports pinned byte for byte; tests/golden/README.md says how the files
+# were made.  The backend key is set aside because it names the kernel.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_verify_matches_golden(q):
+    r = run_cli("verify", "--q", str(q), "--seed", "0")
+    assert r.returncode == 0
+    report = json.loads(r.stdout)
+    report.pop("backend")
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert text == (GOLDEN / f"verify_q{q}.json").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_graph_matches_golden(fmt):
+    r = run_cli("graph", "--q", "2", "--format", fmt)
+    assert r.returncode == 0
+    assert r.stdout == (GOLDEN / f"graph_q2.{fmt}").read_text()

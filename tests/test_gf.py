@@ -68,33 +68,21 @@ def test_gf9_table():
     assert f.mul(3, x_cubed) == f.pow(3, 4)
 
 
-def test_scalar_ops():
-    f = make_field(3, 1)
-    a, b = f.scalar(2), f.scalar(2)
-    assert (a + b).code == 1
-    assert (a * b).code == 1
-    assert (-a).code == 1
-    assert (a - b).code == 0
-    assert a.inverse().code == 2
-    assert bool(f.scalar(0)) is False
-
-
 def test_scalar_rep_and_order():
     f9 = make_field(3, 2)
-    reps = [s.rep for s in f9.elements()]
-    # ascending code order is lexicographic on the high-first tuple rep
+    reps = [tuple(reversed(f9._code_coeffs(c))) for c in f9.codes()]
+    # ascending code order is lexicographic on the high-first coefficients
     assert reps == sorted(reps)
-    assert f9.scalar(0).rep == (0, 0)
-    assert f9.scalar(1).rep == (0, 1)
-    assert f9.scalar(3).rep == (1, 0)
-    f5 = make_field(5, 1)
-    assert f5.scalar(4).rep == 4
+    assert reps[0] == (0, 0)
+    assert reps[1] == (0, 1)
+    assert reps[3] == (1, 0)
+    assert make_field(5, 1)._code_coeffs(4) == [4]
 
 
 def test_coeff_round_trip():
     f = make_field(2, 4)
     for c in f.codes():
-        assert f.from_coeffs(f.coeffs(c)).code == c
+        assert f._coeffs_code(f._code_coeffs(c)) == c
 
 
 def test_automorphism_group():

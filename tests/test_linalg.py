@@ -237,6 +237,5 @@ def test_correlation_rejects_singular(f2):
 
 def test_subspace_json_and_key(f2):
     u = coordinate_subspace(f2, 4, [1, 3])
-    j = u.to_json()
-    assert j == {"n": 4, "k": 2, "basis": [[0, 1, 0, 0], [0, 0, 0, 1]]}
+    assert u.basis == ((0, 1, 0, 0), (0, 0, 0, 1))
     assert zero_subspace(f2, 4).key() < u.key()

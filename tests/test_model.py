@@ -39,8 +39,8 @@ from ternions.model import (
 )
 from ternions.ternion import (
     Ternion,
+    TernionMatrix,
     act_right,
-    enumerate_invertible,
     enumerate_pairs,
     random_invertible,
     random_ternion,
@@ -281,7 +281,10 @@ def test_orbits_are_transitive_q2(cat2):
         SubmoduleType.GAMMA: cat2.g_gamma[0],
     }
     reach = {t: set() for t in base}
-    for s in enumerate_invertible(f):
+    for codes in product(f.codes(), repeat=12):
+        s = TernionMatrix(*(Ternion(f, *codes[i:i + 3]) for i in range(0, 12, 3)))
+        if not s.is_invertible:
+            continue
         lift = block6_lift(s)
         for t, rep in base.items():
             reach[t].add(lift.apply(rep))

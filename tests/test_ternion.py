@@ -3,27 +3,20 @@ from itertools import product
 
 import pytest
 
-from ternions.gf import automorphisms, make_field
+from ternions.gf import make_field
 from ternions.ternion import (
-    RingMap,
     Ternion,
     TernionMatrix,
     act_right,
-    count_invertible,
     e11,
     e12,
     e22,
-    enumerate_invertible,
-    enumerate_matrices,
     enumerate_pairs,
     enumerate_ternions,
-    from_f4_rows,
-    invertible_order,
+    iota,
     matrix_identity,
-    pair,
     random_invertible,
     random_ternion,
-    random_unit,
     scale_left,
     t_one,
     t_zero,
@@ -86,24 +79,11 @@ def test_units(f2, f3):
     for f in (f2, f3):
         units = [t for t in enumerate_ternions(f) if t.is_unit]
         assert len(units) == (f.q - 1) ** 2 * f.q
-        for u in units:
-            assert u * u.inverse() == t_one(f)
-            assert u.inverse() * u == t_one(f)
-    with pytest.raises(ZeroDivisionError):
-        e12(f2).inverse()
 
 
 def test_mixed_fields_rejected(f2, f3):
     with pytest.raises(ValueError):
         t_one(f2) + t_one(f3)
-    with pytest.raises(ValueError):
-        pair(t_one(f2), t_one(f3))
-
-
-def test_random_unit(f4):
-    rng = random.Random(0)
-    for _ in range(50):
-        assert random_unit(f4, rng).is_unit
 
 
 def center(f):
@@ -124,52 +104,16 @@ def test_center_is_scalar_diagonal(f2, f3):
 @pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (2, 2)])
 def test_iota_antiautomorphism(q, k):
     f = make_field(q, k)
-    io = RingMap.iota(f)
-    assert io.reverses
     ts = all_triples(f)
     for a in ts:
-        assert io(io(a)) == a
+        assert iota(iota(a)) == a
         for b in ts:
-            assert io(a + b) == io(a) + io(b)
-            assert io(a * b) == io(b) * io(a)
+            assert iota(a + b) == iota(a) + iota(b)
+            assert iota(a * b) == iota(b) * iota(a)
     # center elements are fixed points
     for c in f.codes():
         z = Ternion(f, c, 0, c)
-        assert io(z) == z
-
-
-def test_inner_automorphism(f3):
-    rng = random.Random(3)
-    u = random_unit(f3, rng)
-    m = RingMap.inner(u)
-    assert not m.reverses
-    for _ in range(100):
-        a = random_ternion(f3, rng)
-        b = random_ternion(f3, rng)
-        assert m(a * b) == m(a) * m(b)
-        assert m(a + b) == m(a) + m(b)
-    assert m(t_one(f3)) == t_one(f3)
-    with pytest.raises(ValueError):
-        RingMap.inner(e11(f3))
-
-
-def test_entrywise_automorphism():
-    f = make_field(2, 2)
-    frob = automorphisms(f)[1]
-    m = RingMap.entrywise(frob)
-    ts = all_triples(f)
-    for a in ts:
-        for b in ts:
-            assert m(a * b) == m(a) * m(b)
-            assert m(a + b) == m(a) + m(b)
-
-
-def test_ring_map_compose_tracks_reversal(f2):
-    io = RingMap.iota(f2)
-    m = io.compose(io)
-    assert not m.reverses
-    a, b = e11(f2), e12(f2)
-    assert m(a * b) == m(a) * m(b)
+        assert iota(z) == z
 
 
 def test_scale_left_action(f3):
@@ -192,38 +136,21 @@ def test_enumerate_pairs_count(f2):
 
 
 def test_det_factors_match_rank_exhaustive_q2(f2):
-    # invertibility of the 2x2 ternion matrix == full rank of its 4x4 form
+    # invertibility of the 2x2 ternion matrix == full rank of its 4x4 form,
+    # over all 4096 matrices; the 4x4 determinant is the product of the
+    # two factors, and the unit group has ((q^2-1)(q^2-q))^2 q^4 elements
     k = f2.kernel
     n_inv = 0
-    for m in enumerate_matrices(f2):
-        rank4 = k.rank(m.to_f4_rows())
-        assert m.is_invertible == (rank4 == 4)
-        assert (k.det(m.to_f4_rows()) != 0) == m.is_invertible
-        assert m.det_value() == k.det(m.to_f4_rows())
+    for codes in product(f2.codes(), repeat=12):
+        m = TernionMatrix(*(Ternion(f2, *codes[i:i + 3]) for i in range(0, 12, 3)))
+        rows = m.to_f4_rows()
+        assert m.is_invertible == (k.rank(rows) == 4)
+        assert (k.det(rows) != 0) == m.is_invertible
+        assert f2.mul(*m.det_factors()) == k.det(rows)
         if m.is_invertible:
             n_inv += 1
-    assert n_inv == invertible_order(f2)
-
-
-def test_f4_round_trip(f3):
-    rng = random.Random(9)
-    for _ in range(50):
-        m = random_invertible(f3, rng)
-        assert from_f4_rows(f3, m.to_f4_rows()) == m
-    with pytest.raises(ValueError):
-        from_f4_rows(f3, ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)))
-
-
-def test_matrix_inverse(f3):
-    rng = random.Random(13)
-    ident = matrix_identity(f3)
-    for _ in range(50):
-        m = random_invertible(f3, rng)
-        assert m * m.inverse() == ident
-        assert m.inverse() * m == ident
-    z = t_zero(f3)
-    with pytest.raises(ZeroDivisionError):
-        TernionMatrix(z, z, z, z).inverse()
+    q = f2.q
+    assert n_inv == ((q * q - 1) * (q * q - q)) ** 2 * q**4 == 576
 
 
 def test_act_right_is_action(f3):
@@ -244,19 +171,6 @@ def test_act_right_commutes_with_scale(f2):
         v = (random_ternion(f2, rng), random_ternion(f2, rng))
         s = random_invertible(f2, rng)
         assert act_right(scale_left(c, v), s) == scale_left(c, act_right(v, s))
-
-
-def test_invertible_counts(f2, f3):
-    assert count_invertible(f2) == 576
-    assert invertible_order(f2) == 576
-    assert count_invertible(f3) == 186624
-    assert invertible_order(f3) == 186624
-
-
-def test_enumerate_invertible_q2(f2):
-    ms = list(enumerate_invertible(f2))
-    assert len(ms) == 576
-    assert all(m.is_invertible for m in ms)
 
 
 def test_random_invertible(f5):
