@@ -24,14 +24,15 @@ from .linalg import (
     SemilinearMap,
     Subspace,
     canonicalize,
+    check_budget,
     contains,
-    enumerate_subspaces,
     full_space,
     incident,
     join,
     meet,
     meet_dim,
     pencil,
+    subspaces_within,
 )
 from .model import (
     Catalog,
@@ -178,9 +179,9 @@ def k_trace_classes(cat: Catalog) -> Dict[Subspace, List[Subspace]]:
     return groups
 
 
-def clique_interval(cat: Catalog, p: Subspace) -> List[Subspace]:
-    """The planes between a regulus line P and the hyperplane P + J."""
-    return pencil(p, join(p, cat.j_solid), 3)
+def clique_interval(cat: Catalog, p: Subspace) -> Tuple[Subspace, ...]:
+    """The planes between an alpha regulus line P and the hyperplane P + J."""
+    return cat.clique_intervals[p]
 
 
 def expected_cliques(cat: Catalog) -> List[FrozenSet[Subspace]]:
@@ -247,28 +248,42 @@ def count_geodesics(graph: AdjacencyGraph, start: int, goal: int) -> Tuple[int, 
 # -- transversal scans ------------------------------------------------------------
 
 
-def scan_lines(cat: Catalog, budget: Optional[int] = None) -> List[Subspace]:
-    """All lines meeting every X plane in exactly one point."""
+def _anchored_scan(cat: Catalog, k: int, budget: Optional[int]) -> List[Subspace]:
+    """All k-flats (k = 2 or 4) meeting every X plane in dimension k/2,
+    sorted by key.
+
+    Anchor at two skew X planes M0 and M1 (M0 ^ M1 = 0).  Such a flat
+    meets each of them in a (k/2)-flat, and those two are skew, so the flat
+    is their join: the (q^2+q+1)^2 joins of a (k/2)-flat of M0 with one of
+    M1 are an exhaustive candidate list.  The budget guards that count."""
+    m0 = cat.g_x[0]
+    m1 = next((m for m in cat.g_x[1:] if meet_dim(m0, m) == 0), None)
+    if m1 is None:
+        raise AssertionError("no X plane is skew to the first one")
+    parts0 = subspaces_within(m0, k // 2, budget)
+    parts1 = subspaces_within(m1, k // 2, budget)
+    what = f"anchored scan candidates (k={k}, q={cat.field.q})"
+    check_budget(len(parts0) * len(parts1), what, budget)
     kern = cat.field.kernel
+    rank = k + 3 - k // 2  # dim(flat + M) when dim(flat ^ M) = k/2
     xs = [m.basis for m in cat.g_x]
     out = []
-    for line in enumerate_subspaces(cat.field, 6, 2, budget):
-        lb = line.basis
-        if all(kern.stack_rank(lb, mb) == 4 for mb in xs):  # 2 + 3 - 1
-            out.append(line)
-    return out
+    for a in parts0:
+        for b in parts1:
+            rows = a.basis + b.basis
+            if all(kern.stack_rank(rows, mb) == rank for mb in xs):
+                out.append(Subspace(cat.field, 6, kern.rref(rows)))
+    return sorted(out, key=Subspace.key)
+
+
+def scan_lines(cat: Catalog, budget: Optional[int] = None) -> List[Subspace]:
+    """All lines meeting every X plane in exactly one point."""
+    return _anchored_scan(cat, 2, budget)
 
 
 def scan_solids(cat: Catalog, budget: Optional[int] = None) -> List[Subspace]:
     """All solids meeting every X plane in exactly a line."""
-    kern = cat.field.kernel
-    xs = [m.basis for m in cat.g_x]
-    out = []
-    for solid in enumerate_subspaces(cat.field, 6, 4, budget):
-        sb = solid.basis
-        if all(kern.stack_rank(sb, mb) == 5 for mb in xs):  # 4 + 3 - 2
-            out.append(solid)
-    return out
+    return _anchored_scan(cat, 4, budget)
 
 
 def certificate_from_counts(n_lines: int, n_solids: int) -> Dict[str, object]:

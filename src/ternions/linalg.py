@@ -41,6 +41,17 @@ def enumeration_budget(override: Optional[int] = None) -> int:
     return budget
 
 
+def check_budget(count: int, what: str, budget: Optional[int] = None) -> None:
+    """Raise BudgetError when enumerating `count` objects, described by
+    `what`, would exceed the effective budget."""
+    limit = enumeration_budget(budget)
+    if count > limit:
+        raise BudgetError(
+            f"enumerating {count} {what} exceeds the budget {limit}; "
+            f"raise {BUDGET_ENV} or pass a larger budget"
+        )
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F^n, held by its canonical (RREF) basis rows."""
@@ -161,17 +172,11 @@ def enumerate_subspaces(
 ) -> Iterator[Subspace]:
     """All k-subspaces of F^n in a fixed order (pivot patterns, then free
     entries).  Raises BudgetError when the count exceeds the budget."""
-    total = gaussian_binomial(n, k, field.q)
-    limit = enumeration_budget(budget)
-    if total > limit:
-        raise BudgetError(
-            f"enumerating {total} subspaces (n={n}, k={k}, q={field.q}) "
-            f"exceeds the budget {limit}; raise {BUDGET_ENV} or pass a larger budget"
-        )
+    q = field.q
+    check_budget(gaussian_binomial(n, k, q), f"subspaces (n={n}, k={k}, q={q})", budget)
     if k == 0:
         yield zero_subspace(field, n)
         return
-    q = field.q
     for pivots in combinations(range(n), k):
         pivot_set = set(pivots)
         free_pos = [

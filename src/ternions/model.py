@@ -31,14 +31,15 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from .gf import Field, automorphisms
 from .linalg import (
-    BudgetError,
     Subspace,
     canonicalize,
+    check_budget,
     contains,
     coordinate_subspace,
     enumerate_subspaces,
     enumeration_budget,
     gaussian_binomial,
+    join,
     meet_dim,
     pencil,
     projective_points,
@@ -158,10 +159,7 @@ class QuadricGeometry:
     points: tuple
     regulus_alpha: tuple
     regulus_opposite: tuple
-
-    @property
-    def point_set(self) -> FrozenSet[Subspace]:
-        return frozenset(self.points)
+    point_set: FrozenSet[Subspace]
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +188,9 @@ def quadric(field: Field) -> QuadricGeometry:
     }
     if param != set(alpha):
         raise AssertionError("alpha regulus does not match its parametric form")
-    return QuadricGeometry(tuple(sorted(pts, key=Subspace.key)), tuple(alpha), tuple(opposite))
+    return QuadricGeometry(
+        tuple(sorted(pts, key=Subspace.key)), tuple(alpha), tuple(opposite), pt_set
+    )
 
 
 def _projective_parameters(field: Field):
@@ -325,6 +325,15 @@ class Catalog:
             self._index = idx
         return self._index
 
+    @property
+    def clique_intervals(self) -> Dict[Subspace, Tuple[Subspace, ...]]:
+        """Per alpha regulus line P, the planes between P and P + J."""
+        if not hasattr(self, "_clique_intervals"):
+            self._clique_intervals = {
+                p: tuple(pencil(p, join(p, self.j_solid), 3)) for p in self.g_alpha
+            }
+        return self._clique_intervals
+
     def type_of(self, s: Subspace) -> Optional[SubmoduleType]:
         hit = self.index.get(s)
         return hit[0] if hit else None
@@ -367,11 +376,7 @@ def build_catalog(
     full_plane_scan forces / forbids the whole-Grassmannian X check; by
     default it runs when the plane count fits the budget and otherwise
     falls back to the targeted scan over planes through regulus lines."""
-    limit = enumeration_budget(budget)
-    if field.q**6 > limit:
-        raise BudgetError(
-            f"enumerating {field.q**6} generator pairs exceeds the budget {limit}"
-        )
+    check_budget(field.q**6, "generator pairs", budget)
     buckets: Dict[SubmoduleType, Dict[Subspace, TernionPair]] = {
         t: {} for t in SubmoduleType if t is not SubmoduleType.ZERO
     }

@@ -240,7 +240,7 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
     # each class is the clique interval of its regulus line minus P+L
     classes_ok = True
     for p, members in groups.items():
-        interval = set(geo.clique_interval(cat, p))
+        interval = set(cat.clique_intervals.get(p, ()))
         marked = geo.join(p, cat.l_line)
         if set(members) != interval - {marked}:
             classes_ok = False

@@ -40,6 +40,11 @@ def cat4(f4):
 
 
 @pytest.fixture(scope="session")
+def cat5(f5):
+    return build_catalog(f5)
+
+
+@pytest.fixture(scope="session")
 def graph2(cat2):
     from ternions.geometry import build_graph
 

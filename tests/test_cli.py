@@ -111,15 +111,22 @@ def test_out_file_matches_stdout(tmp_path):
 
 
 def test_budget_guard_exit_2():
-    # q = 7 lemma scans blow the default budget
-    r = run_cli("verify", "--q", "7", "--suite", "lemmas")
+    # the q^6 = 262,144 generator pairs at q = 8 blow the default budget
+    r = run_cli("verify", "--q", "8", "--suite", "lemmas")
     assert r.returncode == 2
     assert "budget" in r.stderr.lower()
 
 
+def test_lemmas_q5_pass_under_default_budget():
+    r = run_cli("verify", "--q", "5", "--suite", "lemmas")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["summary"]["ok"] is True
+
+
 def test_env_budget_respected():
+    # 40 is below the 64 generator pairs and the 49 anchored scan candidates
     r = run_cli(
-        "verify", "--q", "2", "--suite", "lemmas", env_extra={"TERNION_BUDGET": "100"}
+        "verify", "--q", "2", "--suite", "lemmas", env_extra={"TERNION_BUDGET": "40"}
     )
     assert r.returncode == 2
 
@@ -140,7 +147,7 @@ def test_allow_large_lifts_budget():
         "--suite",
         "lemmas",
         "--allow-large",
-        env_extra={"TERNION_BUDGET": "100"},
+        env_extra={"TERNION_BUDGET": "40"},
     )
     assert r.returncode == 0
 
@@ -172,7 +179,7 @@ def test_seed_changes_report_but_not_verdict():
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_verify_matches_golden(q):
     r = run_cli("verify", "--q", str(q), "--seed", "0")
     assert r.returncode == 0

@@ -1,9 +1,17 @@
+import dataclasses
 import random
 
 import pytest
 
 from ternions.gf import automorphisms
-from ternions.linalg import SemilinearMap, contains, full_space, meet_dim
+from ternions.linalg import (
+    BudgetError,
+    SemilinearMap,
+    contains,
+    enumerate_subspaces,
+    full_space,
+    meet_dim,
+)
 from ternions.geometry import (
     TYPE_ORDER,
     adjacent,
@@ -253,9 +261,9 @@ def test_geodesic_is_companion_path(graph2):
 # -- transversal scans and the duality certificate -----------------------------
 
 
-@pytest.mark.parametrize("which", [2, 3])
-def test_scans(which, cat2, cat3):
-    cat = {2: cat2, 3: cat3}[which]
+@pytest.mark.parametrize("which", [2, 3, 5])
+def test_scans(which, cat2, cat3, cat5):
+    cat = {2: cat2, 3: cat3, 5: cat5}[which]
     q = cat.field.q
     lines = scan_lines(cat)
     solids = scan_solids(cat)
@@ -268,6 +276,40 @@ def test_scans(which, cat2, cat3):
     assert cert["counts_match"] is True
     assert cert["lines_are_opposite_regulus"] is True
     assert cert["solids_are_j_and_k"] is True
+
+
+def _sweep(cat, k):
+    """Reference: every k-subspace of F^6 meeting each X plane in k/2
+    dimensions (lines in a point, solids in a line), in key order."""
+    return sorted(
+        (s for s in enumerate_subspaces(cat.field, 6, k, budget=10**6)
+         if all(meet_dim(s, m) == k // 2 for m in cat.g_x)),
+        key=lambda s: s.key(),
+    )
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_anchored_scans_match_full_sweep(which, cat2, cat3):
+    cat = {2: cat2, 3: cat3}[which]
+    assert scan_lines(cat) == _sweep(cat, 2)
+    assert scan_solids(cat) == _sweep(cat, 4)
+
+
+def test_scan_budget_counts_anchored_candidates(cat2):
+    # 7 x 7 = 49 candidate joins at q = 2
+    assert len(scan_lines(cat2, budget=49)) == 3
+    with pytest.raises(BudgetError, match="49"):
+        scan_lines(cat2, budget=48)
+    with pytest.raises(BudgetError, match="49"):
+        scan_solids(cat2, budget=48)
+
+
+def test_scan_needs_skew_anchor(cat2):
+    lone = dataclasses.replace(cat2, g_x=cat2.g_x[:1])
+    with pytest.raises(AssertionError, match="skew"):
+        scan_lines(lone)
+    with pytest.raises(AssertionError, match="skew"):
+        scan_solids(lone)
 
 
 def test_certificate_needs_unequal_counts():
