@@ -333,11 +333,9 @@ def _fixes_j_and_h(f: SemilinearMap, cat: Catalog) -> bool:
     """Condition iv: f fixes the solid J and the quadric H setwise."""
     if f.apply(cat.j_solid) != cat.j_solid:
         return False
-    hpts = cat.quadric.point_set
-    for p in cat.quadric.points:
-        if f.apply(p) not in hpts:
-            return False
-    return True
+    hvecs = cat.quadric.point_vectors
+    norm = f.field.normalize
+    return all(norm(f.apply_vector(v)) in hvecs for v in hvecs)
 
 
 def first_failed_condition(f: SemilinearMap, cat: Catalog) -> Optional[str]:
@@ -346,17 +344,36 @@ def first_failed_condition(f: SemilinearMap, cat: Catalog) -> Optional[str]:
     The conditions, checked in this order:
       iv: f fixes J setwise and the quadric H setwise,
       iii: f permutes the X planes,
-      ii: f permutes the X and Y planes together."""
+      ii: f permutes the X and Y planes together.
+
+    No image plane is row-reduced.  f is invertible (SemilinearMap rejects
+    a singular matrix), so the images of the three basis rows of a plane M
+    are three independent points, and the only plane containing all three
+    is f(M).  The catalog planes through f(M) are therefore the common bits
+    of the three points' masks in `cat.point_planes`: one bit when f(M) is
+    a catalog plane, none otherwise.  For a singular map the three images
+    could span a line, which lies on several planes, and the test would
+    accept it wrongly."""
     if not _fixes_j_and_h(f, cat):
         return "iv"
-    gx = set(cat.g_x)
-    for m in cat.g_x:
-        if f.apply(m) not in gx:
-            return "iii"
-    gxy = gx | set(cat.g_y)
-    for m in cat.g_y:
-        if f.apply(m) not in gxy:
-            return "ii"
+    masks = cat.point_planes
+    norm = f.field.normalize
+    memo: Dict[tuple, int] = {}  # planes share basis rows
+
+    def planes_through_image(m: Subspace) -> int:
+        bits = -1
+        for r in m.basis:
+            b = memo.get(r)
+            if b is None:
+                b = memo[r] = masks.get(norm(f.apply_vector(r)), 0)
+            bits &= b
+        return bits
+
+    x_bits = (1 << len(cat.g_x)) - 1
+    if any(not planes_through_image(m) & x_bits for m in cat.g_x):
+        return "iii"
+    if any(not planes_through_image(m) for m in cat.g_y):
+        return "ii"
     return None
 
 

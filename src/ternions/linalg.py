@@ -11,7 +11,7 @@ doubles as the memory guard for the big Grassmannian scans.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
 from typing import Iterator, List, Optional, Sequence
 
@@ -56,7 +56,7 @@ def check_budget(count: int, what: str, budget: Optional[int] = None) -> None:
 class Subspace:
     """A subspace of F^n, held by its canonical (RREF) basis rows."""
 
-    field: Field
+    field: Field = dc_field(hash=False)  # compared, but kept out of the hash
     n: int
     basis: tuple
 

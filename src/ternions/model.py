@@ -159,7 +159,7 @@ class QuadricGeometry:
     points: tuple
     regulus_alpha: tuple
     regulus_opposite: tuple
-    point_set: FrozenSet[Subspace]
+    point_vectors: FrozenSet[tuple]  # the normalised vector of each point
 
 
 @lru_cache(maxsize=None)
@@ -171,10 +171,10 @@ def quadric(field: Field) -> QuadricGeometry:
     pts = [p for p in projective_points(k) if quadric_value(field, p.basis[0]) == 0]
     if len(pts) != (q + 1) ** 2:
         raise AssertionError("hyperbolic quadric has the wrong number of points")
-    pt_set = frozenset(pts)
+    vecs = frozenset(p.basis[0] for p in pts)
     lines = [
         m for m in subspaces_within(k, 2)
-        if all(p in pt_set for p in projective_points(m))
+        if all(p.basis[0] in vecs for p in projective_points(m))
     ]
     if len(lines) != 2 * (q + 1):
         raise AssertionError("hyperbolic quadric has the wrong number of lines")
@@ -189,7 +189,7 @@ def quadric(field: Field) -> QuadricGeometry:
     if param != set(alpha):
         raise AssertionError("alpha regulus does not match its parametric form")
     return QuadricGeometry(
-        tuple(sorted(pts, key=Subspace.key)), tuple(alpha), tuple(opposite), pt_set
+        tuple(sorted(pts, key=Subspace.key)), tuple(alpha), tuple(opposite), vecs
     )
 
 
@@ -333,6 +333,19 @@ class Catalog:
                 p: tuple(pencil(p, join(p, self.j_solid), 3)) for p in self.g_alpha
             }
         return self._clique_intervals
+
+    @property
+    def point_planes(self) -> Dict[tuple, int]:
+        """Per normalised point vector, the bitmask over `planes` of the
+        planes through that point; the X planes are the low len(g_x) bits."""
+        if not hasattr(self, "_point_planes"):
+            masks: Dict[tuple, int] = {}
+            for i, m in enumerate(self.planes):
+                for p in projective_points(m):
+                    v = p.basis[0]
+                    masks[v] = masks.get(v, 0) | (1 << i)
+            self._point_planes = masks
+        return self._point_planes
 
     def type_of(self, s: Subspace) -> Optional[SubmoduleType]:
         hit = self.index.get(s)

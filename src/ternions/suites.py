@@ -247,6 +247,7 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
     claims.append(_claim("adjacency", "adj:classes", classes_ok, {}))
 
     # companion: the unique Y neighbour, constant on classes
+    companion = {m: geo.companion_y(m, cat) for m in cat.g_x}
     comp_ok = True
     for m in cat.g_x:
         i = graph.vindex[m]
@@ -255,11 +256,9 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
             for j in graph.neighbours[i]
             if graph.types[j] is SubmoduleType.Y
         ]
-        if len(y_nbrs) != 1 or y_nbrs[0] != geo.companion_y(m, cat):
+        if len(y_nbrs) != 1 or y_nbrs[0] != companion[m]:
             comp_ok = False
-    const_ok = all(
-        len({geo.companion_y(m, cat) for m in members}) == 1 for members in groups.values()
-    )
+    const_ok = all(len({companion[m] for m in members}) == 1 for members in groups.values())
     claims.append(
         _claim("adjacency", "adj:companion", comp_ok and const_ok, {"constant_on_classes": const_ok})
     )
@@ -302,6 +301,8 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
     # distances: connected, X-X in {1,3}, companion path geodesic and unique
     # at q = 2, X to non-companion Y at distance 2
     xs = [graph.vindex[m] for m in cat.g_x]
+    comp_index = {graph.vindex[m]: graph.vindex[y] for m, y in companion.items()}
+    adj = graph.are_adjacent
     connected = True
     dist_ok = True
     via_ok = True
@@ -312,8 +313,7 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
         dist = geo.distances_from(graph, i)
         if any(d < 0 for d in dist):
             connected = False
-        m1 = graph.vertices[i]
-        y1 = geo.companion_y(m1, cat)
+        ci = comp_index[i]
         for j in xs:
             if j <= i:
                 continue
@@ -321,13 +321,11 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
             if d not in (1, 3):
                 dist_ok = False
             if d == 3:
-                m2 = graph.vertices[j]
-                y2 = geo.companion_y(m2, cat)
-                if not (geo.adjacent(m1, y1) and geo.adjacent(y1, y2) and geo.adjacent(y2, m2)):
+                cj = comp_index[j]
+                if not (adj(i, ci) and adj(ci, cj) and adj(cj, j)):
                     via_ok = False
                 if check_unique and geo.count_geodesics(graph, i, j)[1] != 1:
                     unique_ok = False
-        ci = graph.vindex[y1]
         for j in range(graph.n):
             if graph.types[j] is SubmoduleType.Y and j != ci:
                 if dist[j] != 2:

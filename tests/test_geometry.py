@@ -7,10 +7,13 @@ from ternions.gf import automorphisms
 from ternions.linalg import (
     BudgetError,
     SemilinearMap,
+    Subspace,
     contains,
     enumerate_subspaces,
     full_space,
     meet_dim,
+    projective_points,
+    projective_vectors,
 )
 from ternions.geometry import (
     TYPE_ORDER,
@@ -340,6 +343,84 @@ def test_coordinate_swap_fails_iv(cat2):
         perm[i][j] = 1
     f = SemilinearMap(f2, 6, tuple(tuple(r) for r in perm), automorphisms(f2)[0])
     assert first_failed_condition(f, cat2) == "iv"
+
+
+def _reference_first_failed(f, cat):
+    """Reference: apply f to J, to each quadric point and to each plane,
+    row-reduce the image and look it up."""
+    if f.apply(cat.j_solid) != cat.j_solid:
+        return "iv"
+    hpts = set(cat.quadric.points)
+    if any(f.apply(p) not in hpts for p in cat.quadric.points):
+        return "iv"
+    gx = set(cat.g_x)
+    if any(f.apply(m) not in gx for m in cat.g_x):
+        return "iii"
+    gxy = gx | set(cat.g_y)
+    if any(f.apply(m) not in gxy for m in cat.g_y):
+        return "ii"
+    return None
+
+
+def _random_positive(cat, rng):
+    auts = automorphisms(cat.field)
+    return induced_collineation(random_invertible(cat.field, rng), rng.choice(auts))
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_first_failed_condition_matches_reference(which, cat2, cat3, cat4):
+    cat = {2: cat2, 3: cat3, 4: cat4}[which]
+    field = cat.field
+    auts = automorphisms(field)
+    rng = random.Random(which)
+    maps = [_random_positive(cat, rng) for _ in range(200)]
+    maps += [
+        SemilinearMap(field, 6, random_nonblock_invertible(field, rng), rng.choice(auts))
+        for _ in range(200)
+    ]
+    got = [first_failed_condition(f, cat) for f in maps]
+    assert got == [_reference_first_failed(f, cat) for f in maps]
+    assert got[:200] == [None] * 200
+
+
+def _moving_positive(cat, rng, planes):
+    """A positive map and the image D != P of the first plane P it moves."""
+    while True:
+        f = _random_positive(cat, rng)
+        img = f.apply(planes[0])
+        if img != planes[0]:
+            return f, img
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_doctored_catalogs_reach_iii_and_ii(which, cat2, cat3, cat4):
+    # f sends a kept plane onto the dropped one, so the conditions on the
+    # planes fail while iv, which reads only J and H, still holds
+    cat = {2: cat2, 3: cat3, 4: cat4}[which]
+    rng = random.Random(10 + which)
+    f, img = _moving_positive(cat, rng, cat.g_x)
+    no_x = dataclasses.replace(cat, g_x=tuple(m for m in cat.g_x if m != img))
+    assert first_failed_condition(f, no_x) == _reference_first_failed(f, no_x) == "iii"
+    as_y = dataclasses.replace(no_x, g_y=cat.g_y + (img,))
+    assert first_failed_condition(f, as_y) == _reference_first_failed(f, as_y) == "iii"
+    f, img = _moving_positive(cat, rng, cat.g_y)
+    no_y = dataclasses.replace(cat, g_y=tuple(m for m in cat.g_y if m != img))
+    assert first_failed_condition(f, no_y) == _reference_first_failed(f, no_y) == "ii"
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_point_planes_index(which, cat2, cat3):
+    cat = {2: cat2, 3: cat3}[which]
+    q = cat.field.q
+    masks = cat.point_planes
+    for i, m in enumerate(cat.planes):
+        on = {v for v, bits in masks.items() if bits >> i & 1}
+        assert on == {p.basis[0] for p in projective_points(m)}
+        assert len(on) == q * q + q + 1
+    for v in projective_vectors(cat.field, 6):
+        pt = Subspace(cat.field, 6, (v,))
+        through = sum(1 for m in cat.planes if contains(m, pt))
+        assert masks.get(v, 0).bit_count() == through
 
 
 def test_random_nonblock_is_invertible_nonpattern(f3):

@@ -1,5 +1,7 @@
 """Field layer: table correctness, ring laws, automorphisms, conventions."""
 
+from itertools import product
+
 import pytest
 
 from ternions.gf import (
@@ -147,3 +149,11 @@ def test_custom_modulus_still_a_field():
         if a:
             assert f.mul(a, f.inv(a)) == 1
     assert f != make_field(2, 3)
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_normalize_matches_one_row_rref(q):
+    f = field_of_order(q)
+    for vec in product(range(q), repeat=3):
+        if any(vec):
+            assert f.normalize(vec) == f.kernel.rref((vec,))[0]

@@ -60,6 +60,16 @@ def test_different_seed_changes_witness_payloads(f2):
     assert [c["id"] for c in a] == [c["id"] for c in b]
 
 
+def test_thm1_q5_default_params(cat5):
+    ctx = VerifyContext(field=cat5.field, seed=0)
+    ctx.catalog = cat5  # reuse the session catalog
+    claims = run_suites(ctx, ["thm1"])
+    assert [c["id"] for c in claims] == ["thm1:positive", "thm1:decompose", "thm1:negative"]
+    assert all(c["ok"] for c in claims)
+    assert claims[0]["detail"] == {"maps_checked": 1000, "failures": 0}
+    assert claims[2]["detail"]["controls"] == 2000
+
+
 def test_unknown_suite_raises(f2):
     with pytest.raises(ValueError):
         run_suites(VerifyContext(field=f2), ["nonsense"])
