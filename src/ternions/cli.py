@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from typing import Optional
 
 from . import geometry as geo
@@ -81,12 +82,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(text: str, out: Optional[str]):
+@contextmanager
+def _output(out: Optional[str]):
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _emit(text: str, out: Optional[str]):
+    with _output(out) as fh:
+        fh.write(text)
+
+
+def _emit_json(payload, out: Optional[str]):
+    """The bytes of json.dumps(payload, sort_keys=True, indent=2) plus a
+    newline, written chunk by chunk so the whole text is never held."""
+    with _output(out) as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _field(args):
@@ -108,10 +123,6 @@ def _config(args, field, extra=None) -> dict:
     if extra:
         cfg.update(extra)
     return cfg
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def cmd_verify(args) -> int:
@@ -144,7 +155,7 @@ def cmd_verify(args) -> int:
         "summary": summary,
     }
     if args.format == "json":
-        _emit(_json_text(report), args.out)
+        _emit_json(report, args.out)
     elif names == ["incidence"]:
         _emit(_incidence_csv(claims), args.out)
     else:
@@ -191,7 +202,7 @@ def cmd_enumerate(args) -> int:
             "count": len(members),
             "members": members,
         }
-        _emit(_json_text(payload), args.out)
+        _emit_json(payload, args.out)
     else:
         rows = ["set,type,dim,basis,generator"]
         for m in members:
@@ -209,7 +220,7 @@ def cmd_graph(args) -> int:
     if args.format == "dot":
         _emit(geo.graph_to_dot(graph), args.out)
     else:
-        _emit(_json_text(geo.graph_to_json(graph)), args.out)
+        _emit_json(geo.graph_to_json(graph), args.out)
     return 0
 
 

@@ -32,6 +32,7 @@ from .linalg import (
     meet,
     meet_dim,
     pencil,
+    projective_vectors,
     subspaces_within,
 )
 from .model import (
@@ -141,18 +142,38 @@ class AdjacencyGraph:
 
 
 def build_graph(cat: Catalog) -> AdjacencyGraph:
+    """Adjacency by point sets: each plane gets a bitmask of its q^2+q+1
+    points, a point's bit being its rank in projective_vectors(field, 6)
+    order: the number of points with an earlier leading 1 plus the base-q
+    value of the digits after it, so a mask has (q^6-1)/(q-1) bits, not
+    q^6.  Distinct planes share no point, one point, or the q+1 points of a
+    common line, so they are adjacent exactly when their masks share q+1
+    bits.  The masks are local, so they are freed before any export."""
     verts = cat.planes
     types = tuple(
         SubmoduleType.X if i < len(cat.g_x) else SubmoduleType.Y
         for i in range(len(verts))
     )
     vindex = {s: i for i, s in enumerate(verts)}
-    kern = cat.field.kernel
+    field = cat.field
+    q, kern = field.q, field.kernel
+    coeffs = tuple(projective_vectors(field, 3))
+    before = [(q**6 - q ** (6 - lead)) // (q - 1) for lead in range(6)]
+    masks = []
+    for m in verts:
+        mask = 0
+        for c in coeffs:
+            v = field.normalize(kern.vec_apply(c, m.basis))
+            lead = v.index(1)
+            bit = 0
+            for d in v[lead + 1:]:
+                bit = bit * q + d
+            mask |= 1 << (before[lead] + bit)
+        masks.append(mask)
     nbrs = [set() for _ in verts]
-    for i in range(len(verts)):
-        bi = verts[i].basis
-        for j in range(i + 1, len(verts)):
-            if kern.stack_rank(bi, verts[j].basis) == 4:  # 3 + 3 - 2
+    for i, mi in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if (mi & masks[j]).bit_count() == q + 1:
                 nbrs[i].add(j)
                 nbrs[j].add(i)
     return AdjacencyGraph(

@@ -207,10 +207,11 @@ def projective_vectors(field: Field, n: int) -> Iterator[tuple]:
 
 def projective_points(u: Subspace) -> List[Subspace]:
     """The 1-subspaces of u, in a fixed order (normalized coefficient rows)."""
-    kern = u.field.kernel
+    field = u.field
+    vec_apply = field.kernel.vec_apply
     return [
-        Subspace(u.field, u.n, kern.rref((kern.vec_apply(coeff, u.basis),)))
-        for coeff in projective_vectors(u.field, u.dim)
+        Subspace(field, u.n, (field.normalize(vec_apply(coeff, u.basis)),))
+        for coeff in projective_vectors(field, u.dim)
     ]
 
 

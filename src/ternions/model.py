@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from .gf import Field, automorphisms
 from .linalg import (
@@ -54,8 +54,6 @@ from .ternion import (
     e11,
     e12,
     e22,
-    enumerate_pairs,
-    scale_left,
 )
 
 
@@ -82,14 +80,15 @@ def phi_inverse(field: Field, vec) -> TernionPair:
 
 def cyclic_span(v: TernionPair) -> Subspace:
     """Image of the cyclic submodule generated by the pair: the span of the
-    images of its left multiples by the three matrix units."""
-    field = v[0].field
+    images of its left multiples by the three matrix units, written out as
+    e11 (a, b), e12 (a, b) and e22 (a, b)."""
+    a, b = v
     rows = (
-        phi(scale_left(e11(field), v)),
-        phi(scale_left(e12(field), v)),
-        phi(scale_left(e22(field), v)),
+        (a.x, a.y, 0, b.x, b.y, 0),
+        (0, a.z, 0, 0, b.z, 0),
+        (0, 0, a.z, 0, 0, b.z),
     )
-    return Subspace(field, 6, field.kernel.rref(rows))
+    return Subspace(a.field, 6, a.field.kernel.rref(rows))
 
 
 def classify(v: TernionPair) -> SubmoduleType:
@@ -377,28 +376,64 @@ def expected_counts(q: int) -> Dict[str, int]:
     }
 
 
+def _unit_orbit_normal_forms(field: Field) -> Iterator[TernionPair]:
+    """One generator pair per orbit of the left unit group on nonzero pairs.
+
+    A unit u = (ux, uy, uz) sends (a11, a12, a22, b11, b12, b22) to
+    (ux a11, ux a12 + uy a22, uz a22, ux b11, ux b12 + uy b22, uz b22).  So
+    uz scales the tail (a22, b22) to a first nonzero entry 1; uy then clears
+    a12 if a22 != 0, else b12; ux scales the head (a11, a12, b11, b12) to a
+    first nonzero entry 1.  The forms are the zero tail with a normalised
+    head, and each normalised tail with a zero or normalised head:
+    (q^3+q^2+q+1) + (q+1)(q^2+q+2) pairs.  Each step puts the least code the
+    orbit allows at the first coordinate it moves, so a normal form is the
+    first pair of its orbit in enumerate_pairs order.
+
+    The pairs that generate one submodule form exactly one unit orbit.  For
+    a free T v, T w = T v gives w = s v and v = t w, so t s v = v forces
+    t s = 1 and s is a unit.  For alpha, beta and gamma, writing out s v
+    shows that every generator of T v is a unit multiple of v.  Hence the
+    witness kept here is the first pair of the q^6 walk in enumerate_pairs
+    order that generates the same submodule."""
+    heads = [(0, 0, 0)] + list(projective_vectors(field, 3))
+    for a11, a12, b11, b12 in projective_vectors(field, 4):
+        yield phi_inverse(field, (a11, a12, 0, b11, b12, 0))
+    for a22, b22 in projective_vectors(field, 2):
+        for x, y, z in heads:
+            if a22:  # (a11, 0, b11, b12)
+                vec = (x, 0, a22, y, z, b22)
+            else:  # (a11, a12, b11, 0)
+                vec = (x, y, a22, z, 0, b22)
+            yield phi_inverse(field, vec)
+
+
 def build_catalog(
     field: Field,
     validate: bool = True,
     budget: Optional[int] = None,
     full_plane_scan: Optional[bool] = None,
 ) -> Catalog:
-    """Enumerate all generator pairs, classify, dedup spans, and (by default)
-    validate every orbit list against its independent geometric description.
+    """Classify one generator pair per left-unit orbit, keep its span with
+    the pair as witness, and (by default) validate every orbit list against
+    its independent geometric description.
 
     full_plane_scan forces / forbids the whole-Grassmannian X check; by
     default it runs when the plane count fits the budget and otherwise
     falls back to the targeted scan over planes through regulus lines."""
+    # Only O(q^3) pairs are visited, but the q^6 guard stays the model-size
+    # wall: the q^6 pair walks of the counts and remark suites, the
+    # incidence sample, the point index of Theorem 1 and the O(V^2) graph
+    # all rely on it and have no guard of their own.
     check_budget(field.q**6, "generator pairs", budget)
     buckets: Dict[SubmoduleType, Dict[Subspace, TernionPair]] = {
         t: {} for t in SubmoduleType if t is not SubmoduleType.ZERO
     }
-    for v in enumerate_pairs(field):
-        t = classify(v)
-        if t is SubmoduleType.ZERO:
-            continue
+    for v in _unit_orbit_normal_forms(field):
         span = cyclic_span(v)
-        buckets[t].setdefault(span, v)
+        bucket = buckets[classify(v)]
+        if span in bucket:
+            raise AssertionError("two unit orbits generate one submodule")
+        bucket[span] = v
     j, k, l = distinguished_flats(field)
     quad = quadric(field)
     witness: Dict[Subspace, TernionPair] = {}

@@ -110,9 +110,25 @@ def test_out_file_matches_stdout(tmp_path):
     assert path.read_text() == direct.stdout
 
 
+def test_graph_out_file_matches_stdout(tmp_path):
+    direct = run_cli("graph", "--q", "3", "--format", "json")
+    path = tmp_path / "graph.json"
+    r = run_cli("graph", "--q", "3", "--format", "json", "--out", str(path))
+    assert r.returncode == 0
+    assert r.stdout == ""
+    assert path.read_bytes() == direct.stdout.encode()
+
+
 def test_budget_guard_exit_2():
     # the q^6 = 262,144 generator pairs at q = 8 blow the default budget
     r = run_cli("verify", "--q", "8", "--suite", "lemmas")
+    assert r.returncode == 2
+    assert "budget" in r.stderr.lower()
+
+
+def test_graph_budget_guard_exit_2():
+    # the catalog keeps the q^6 generator-pair wall although it visits fewer
+    r = run_cli("graph", "--q", "8")
     assert r.returncode == 2
     assert "budget" in r.stderr.lower()
 
@@ -194,3 +210,10 @@ def test_graph_matches_golden(fmt):
     r = run_cli("graph", "--q", "2", "--format", fmt)
     assert r.returncode == 0
     assert r.stdout == (GOLDEN / f"graph_q2.{fmt}").read_text()
+
+
+def test_enumerate_matches_golden():
+    # pins the catalog order and the witness of every member
+    r = run_cli("enumerate", "--q", "3", "--set", "all")
+    assert r.returncode == 0
+    assert r.stdout == (GOLDEN / "enumerate_q3.json").read_text()

@@ -109,6 +109,22 @@ def test_graph_counts(graph2, graph3):
     assert graph3.edge_count() == expected_edges(3)
 
 
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_graph_matches_stack_rank_reference(which, cat2, cat3, cat4):
+    # the rank test the point masks replaced: two planes meet in a line
+    # exactly when they span a solid
+    cat = {2: cat2, 3: cat3, 4: cat4}[which]
+    kern = cat.field.kernel
+    verts = cat.planes
+    nbrs = [set() for _ in verts]
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            if kern.stack_rank(verts[i].basis, verts[j].basis) == 4:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+    assert build_graph(cat).neighbours == tuple(frozenset(s) for s in nbrs)
+
+
 def test_vertex_order_and_types(graph2):
     cat = graph2.catalog
     assert graph2.vertices == cat.planes

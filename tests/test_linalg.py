@@ -24,9 +24,12 @@ from ternions.linalg import (
     meet_dim,
     pencil,
     projective_points,
+    projective_vectors,
     subspaces_within,
     zero_subspace,
 )
+from ternions.model import SubmoduleType, classify, cyclic_span, distinguished_flats
+from ternions.ternion import Ternion
 
 
 def rand_subspace(field, n, k, rng):
@@ -83,6 +86,22 @@ def test_projective_points(f3):
     assert len(projective_points(line)) == 4
     for p in projective_points(line):
         assert contains(line, p)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_projective_points_match_one_row_rref(p, k):
+    f = make_field(p, k)
+    q = f.q
+    kern = f.kernel
+    j, k_solid, _ = distinguished_flats(f)
+    v = (Ternion(f, q - 1, 1, 2 % q), Ternion(f, 1, q - 1, 1))
+    assert classify(v) is SubmoduleType.X
+    for u in (j, k_solid, cyclic_span(v)):
+        old = [
+            Subspace(f, 6, kern.rref((kern.vec_apply(c, u.basis),)))
+            for c in projective_vectors(f, u.dim)
+        ]
+        assert projective_points(u) == old
 
 
 def test_meet_join_dims(f2):

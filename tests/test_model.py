@@ -3,9 +3,10 @@ from itertools import product
 
 import pytest
 
-from ternions.gf import make_field
+from ternions.gf import field_of_order, make_field
 from ternions.linalg import (
     BudgetError,
+    Subspace,
     canonicalize,
     contains,
     coordinate_subspace,
@@ -36,14 +37,19 @@ from ternions.model import (
     quadric_value,
     scan_planes_for_x,
     validate_catalog,
+    _unit_orbit_normal_forms,
 )
 from ternions.ternion import (
     Ternion,
     TernionMatrix,
     act_right,
+    e11,
+    e12,
+    e22,
     enumerate_pairs,
     random_invertible,
     random_ternion,
+    scale_left,
 )
 
 
@@ -92,6 +98,19 @@ def test_classifiers_agree_exhaustive(q):
         t = classify(v)
         assert classify_by_rank(v) is t
         assert is_unimodular(v) == (t is SubmoduleType.X)
+
+
+def _matrix_unit_span(v):
+    """The span of e11 v, e12 v and e22 v, multiplied out with scale_left."""
+    f = v[0].field
+    return canonicalize(f, 6, [phi(scale_left(e(f), v)) for e in (e11, e12, e22)])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_cyclic_span_rows_are_matrix_unit_products(q):
+    f = make_field(q, 1)
+    for v in enumerate_pairs(f):
+        assert cyclic_span(v) == _matrix_unit_span(v)
 
 
 def test_span_is_left_module(f2):
@@ -263,6 +282,43 @@ def test_scan_modes_agree(q, cat2, cat3):
     targeted, mode_t = scan_planes_for_x(cat, full=False)
     assert (mode_f, mode_t) == ("full", "targeted")
     assert full == targeted == frozenset(cat.g_x)
+
+
+def _pair_walk_catalog(field):
+    """The catalog by the q^6 walk: per span, the first generator pair in
+    enumerate_pairs order, bucketed by type."""
+    buckets = {t: {} for t in SubmoduleType if t is not SubmoduleType.ZERO}
+    for v in enumerate_pairs(field):
+        t = classify(v)
+        if t is not SubmoduleType.ZERO:
+            buckets[t].setdefault(_matrix_unit_span(v), v)
+    return buckets
+
+
+@pytest.mark.parametrize("which", [2, 3, 4, 5])
+def test_catalog_matches_pair_walk(which, cat2, cat3, cat4, cat5):
+    cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
+    walk = _pair_walk_catalog(cat.field)
+    for t, spans in walk.items():
+        assert cat.members(t) == tuple(sorted(spans, key=Subspace.key)), t.value
+    assert cat.witness == {s: v for spans in walk.values() for s, v in spans.items()}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_normal_form_count(q):
+    forms = list(_unit_orbit_normal_forms(field_of_order(q)))
+    assert len(forms) == (q**3 + q**2 + q + 1) + (q + 1) * (q**2 + q + 2)
+    assert len(forms) == sum(expected_counts(q).values())
+    assert len(set(map(phi, forms))) == len(forms)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_normal_forms_are_orbit_minima(q):
+    # enumerate_pairs order is the lexicographic order of phi
+    f = field_of_order(q)
+    units = [Ternion(f, x, y, z) for x, y, z in product(f.codes(), repeat=3) if x and z]
+    for v in _unit_orbit_normal_forms(f):
+        assert min(phi(scale_left(u, v)) for u in units) == phi(v)
 
 
 def test_build_catalog_budget(f4):
