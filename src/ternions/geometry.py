@@ -15,7 +15,9 @@ Conventions used throughout:
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .gf import Field, FieldAutomorphism, automorphisms
@@ -142,13 +144,14 @@ class AdjacencyGraph:
 
 
 def build_graph(cat: Catalog) -> AdjacencyGraph:
-    """Adjacency by point sets: each plane gets a bitmask of its q^2+q+1
-    points, a point's bit being its rank in projective_vectors(field, 6)
-    order: the number of points with an earlier leading 1 plus the base-q
-    value of the digits after it, so a mask has (q^6-1)/(q-1) bits, not
-    q^6.  Distinct planes share no point, one point, or the q+1 points of a
-    common line, so they are adjacent exactly when their masks share q+1
-    bits.  The masks are local, so they are freed before any export."""
+    """Adjacency by shared points.  Each plane's q^2+q+1 points get their
+    rank in projective_vectors(field, 6) order (the number of points with
+    an earlier leading 1 plus the base-q value of the digits after it), and
+    each point rank a bitmask of the planes through it.  Two distinct
+    planes that share two points share the line through them, so plane i
+    is adjacent to the planes that occur in the masks of at least two of
+    its points.  The masks are local, so they are freed before any export;
+    the catalog's budget guards the V (q^2+q+1) plane-point incidences."""
     verts = cat.planes
     types = tuple(
         SubmoduleType.X if i < len(cat.g_x) else SubmoduleType.Y
@@ -158,31 +161,48 @@ def build_graph(cat: Catalog) -> AdjacencyGraph:
     field = cat.field
     q, kern = field.q, field.kernel
     coeffs = tuple(projective_vectors(field, 3))
+    check_budget(len(verts) * len(coeffs), f"plane-point incidences (q={q})", cat.budget)
     before = [(q**6 - q ** (6 - lead)) // (q - 1) for lead in range(6)]
-    masks = []
-    for m in verts:
-        mask = 0
+    ranks = []
+    point_planes: Dict[int, int] = {}
+    for i, m in enumerate(verts):
+        row = []
         for c in coeffs:
             v = field.normalize(kern.vec_apply(c, m.basis))
             lead = v.index(1)
-            bit = 0
+            rank = 0
             for d in v[lead + 1:]:
-                bit = bit * q + d
-            mask |= 1 << (before[lead] + bit)
-        masks.append(mask)
-    nbrs = [set() for _ in verts]
-    for i, mi in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            if (mi & masks[j]).bit_count() == q + 1:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
+                rank = rank * q + d
+            rank += before[lead]
+            row.append(rank)
+            point_planes[rank] = point_planes.get(rank, 0) | (1 << i)
+        ranks.append(row)
+    nbrs = []
+    for i, row in enumerate(ranks):
+        own = ~(1 << i)
+        once = twice = 0
+        for rank in row:
+            others = point_planes[rank] & own
+            twice |= once & others
+            once |= others
+        nbrs.append(_bit_indices(twice))
     return AdjacencyGraph(
         catalog=cat,
         vertices=verts,
         types=types,
         vindex=vindex,
-        neighbours=tuple(frozenset(s) for s in nbrs),
+        neighbours=tuple(nbrs),
     )
+
+
+def _bit_indices(mask: int) -> FrozenSet[int]:
+    """The positions of the set bits of a non-negative int."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 def companion_y(m: Subspace, cat: Catalog) -> Subspace:
@@ -350,9 +370,18 @@ def induced_collineation(s: TernionMatrix, sigma: FieldAutomorphism) -> Semiline
     return SemilinearMap(s.field, 6, block6_rows(s), sigma)
 
 
+def _fixes_j(f: SemilinearMap) -> bool:
+    """Whether f(J) = J, read off the matrix.  J = <e1, e2, e4, e5>, and
+    sigma fixes the codes 0 and 1, so f(e_i) is row i of the matrix and
+    f(J) is spanned by rows 0, 1, 3 and 4.  They lie in J when they are zero
+    in columns 2 and 5 (x3 = x6 = 0), and f is invertible, so the four rows
+    then span all of J."""
+    return not any(f.matrix[i][c] for i in (0, 1, 3, 4) for c in (2, 5))
+
+
 def _fixes_j_and_h(f: SemilinearMap, cat: Catalog) -> bool:
     """Condition iv: f fixes the solid J and the quadric H setwise."""
-    if f.apply(cat.j_solid) != cat.j_solid:
+    if not _fixes_j(f):
         return False
     hvecs = cat.quadric.point_vectors
     norm = f.field.normalize
@@ -693,6 +722,18 @@ def xi_map(m: Subspace, cat: Catalog) -> Subspace:
     return join(line6, through[0])
 
 
+def _sample_pairs(n: int, k: int, rng: random.Random) -> List[Tuple[int, int]]:
+    """rng.sample(list(combinations(range(n), 2)), k), without the list:
+    sample draws the same indices from a range of the same length, and the
+    pair at index t is decoded from the row offsets."""
+    starts = [i * n - i * (i + 1) // 2 for i in range(n)]
+    out = []
+    for t in rng.sample(range(n * (n - 1) // 2), k):
+        i = bisect_right(starts, t) - 1
+        out.append((i, i + 1 + t - starts[i]))
+    return out
+
+
 def xi_report(
     cat: Catalog,
     skew_sample: Optional[int] = None,
@@ -707,11 +748,14 @@ def xi_report(
     beta_set = set(cat.g_beta)
     witness = None
     xs = list(cat.g_x)
-    pairs = [(i, j) for i in range(len(xs)) for j in range(i + 1, len(xs))]
-    if skew_sample is not None and len(pairs) > skew_sample:
+    n = len(xs)
+    n_pairs = n * (n - 1) // 2
+    pairs = combinations(range(n), 2)
+    if skew_sample is not None and n_pairs > skew_sample:
         if rng is None:
             raise ValueError("sampling requires an rng")
-        pairs = rng.sample(pairs, skew_sample)
+        pairs = _sample_pairs(n, skew_sample, rng)
+        n_pairs = skew_sample
     skew_ok = True
     for i, j in pairs:
         m1, m2 = xs[i], xs[j]
@@ -733,7 +777,7 @@ def xi_report(
         "adjacency_witness": witness,
         "breaks_adjacency": witness is not None,
         "skew_preserved_both_ways": skew_ok,
-        "pairs_checked": len(pairs),
+        "pairs_checked": n_pairs,
     }
 
 

@@ -36,15 +36,11 @@ from .linalg import (
     check_budget,
     contains,
     coordinate_subspace,
-    enumerate_subspaces,
-    enumeration_budget,
-    gaussian_binomial,
     join,
     meet_dim,
     pencil,
     projective_points,
     projective_vectors,
-    subspaces_within,
     SemilinearMap,
 )
 from .ternion import (
@@ -164,17 +160,24 @@ class QuadricGeometry:
 @lru_cache(maxsize=None)
 def quadric(field: Field) -> QuadricGeometry:
     """Compute H, split its lines into the two reguli, and cross-check the
-    alpha family against its parametric form."""
+    alpha family against its parametric form.
+
+    The lines of H through a point r of H lie in its tangent plane
+    T_r = {y in K : B(r, y) = 0}, B being the polar form of x2 x6 - x3 x5,
+    and they are the two of the q+1 lines through r in T_r whose points all
+    lie on H.  Every point of the two lines through one point lies on one
+    line of each regulus, so the lines through those points are all of
+    them."""
     j, k, l = distinguished_flats(field)
     q = field.q
     pts = [p for p in projective_points(k) if quadric_value(field, p.basis[0]) == 0]
     if len(pts) != (q + 1) ** 2:
         raise AssertionError("hyperbolic quadric has the wrong number of points")
     vecs = frozenset(p.basis[0] for p in pts)
-    lines = [
-        m for m in subspaces_within(k, 2)
-        if all(p.basis[0] in vecs for p in projective_points(m))
-    ]
+    first = _lines_of_h_through(pts[0], vecs)
+    lines = set()
+    for r in {p for m in first for p in projective_points(m)}:
+        lines.update(_lines_of_h_through(r, vecs))
     if len(lines) != 2 * (q + 1):
         raise AssertionError("hyperbolic quadric has the wrong number of lines")
     opposite = sorted(
@@ -190,6 +193,20 @@ def quadric(field: Field) -> QuadricGeometry:
     return QuadricGeometry(
         tuple(sorted(pts, key=Subspace.key)), tuple(alpha), tuple(opposite), vecs
     )
+
+
+def _lines_of_h_through(r: Subspace, vecs: FrozenSet[tuple]) -> list:
+    """The lines of H through its point r, found in the tangent plane T_r."""
+    field = r.field
+    x = r.basis[0]
+    polar = (0, x[5], field.neg(x[4]), 0, field.neg(x[2]), x[1])  # y -> B(x, y)
+    tangent = Subspace(
+        field, 6, field.kernel.nullspace(((1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), polar), 6)
+    )
+    return [
+        m for m in pencil(r, tangent, 2)
+        if all(p.basis[0] in vecs for p in projective_points(m))
+    ]
 
 
 def _projective_parameters(field: Field):
@@ -298,6 +315,7 @@ class Catalog:
     k_solid: Subspace
     l_line: Subspace
     quadric: QuadricGeometry
+    budget: Optional[int] = None  # guards the point index
 
     def members(self, t: SubmoduleType) -> tuple:
         return {
@@ -336,8 +354,12 @@ class Catalog:
     @property
     def point_planes(self) -> Dict[tuple, int]:
         """Per normalised point vector, the bitmask over `planes` of the
-        planes through that point; the X planes are the low len(g_x) bits."""
+        planes through that point; the X planes are the low len(g_x) bits.
+        The budget guards the V (q^2+q+1) plane-point incidences."""
         if not hasattr(self, "_point_planes"):
+            q = self.field.q
+            what = f"plane-point incidences (q={q})"
+            check_budget(len(self.planes) * (q * q + q + 1), what, self.budget)
             masks: Dict[tuple, int] = {}
             for i, m in enumerate(self.planes):
                 for p in projective_points(m):
@@ -407,24 +429,18 @@ def _unit_orbit_normal_forms(field: Field) -> Iterator[TernionPair]:
             yield phi_inverse(field, vec)
 
 
-def build_catalog(
-    field: Field,
-    validate: bool = True,
-    budget: Optional[int] = None,
-    full_plane_scan: Optional[bool] = None,
-) -> Catalog:
+def normal_form_count(q: int) -> int:
+    """How many pairs _unit_orbit_normal_forms yields."""
+    return (q**3 + q**2 + q + 1) + (q + 1) * (q**2 + q + 2)
+
+
+def build_catalog(field: Field, validate: bool = True, budget: Optional[int] = None) -> Catalog:
     """Classify one generator pair per left-unit orbit, keep its span with
     the pair as witness, and (by default) validate every orbit list against
-    its independent geometric description.
-
-    full_plane_scan forces / forbids the whole-Grassmannian X check; by
-    default it runs when the plane count fits the budget and otherwise
-    falls back to the targeted scan over planes through regulus lines."""
-    # Only O(q^3) pairs are visited, but the q^6 guard stays the model-size
-    # wall: the q^6 pair walks of the counts and remark suites, the
-    # incidence sample, the point index of Theorem 1 and the O(V^2) graph
-    # all rely on it and have no guard of their own.
-    check_budget(field.q**6, "generator pairs", budget)
+    its independent geometric description.  The budget guards the normal
+    forms here and is kept on the catalog for its point index."""
+    q = field.q
+    check_budget(normal_form_count(q), f"unit-orbit normal forms (q={q})", budget)
     buckets: Dict[SubmoduleType, Dict[Subspace, TernionPair]] = {
         t: {} for t in SubmoduleType if t is not SubmoduleType.ZERO
     }
@@ -451,69 +467,56 @@ def build_catalog(
         k_solid=k,
         l_line=l,
         quadric=quad,
+        budget=budget,
     )
     if validate:
-        report = validate_catalog(cat, budget=budget, full_plane_scan=full_plane_scan)
+        report = validate_catalog(cat, budget=budget)
         bad = [k_ for k_, ok in report.items() if ok is False]
         if bad:
             raise AssertionError(f"catalog validation failed: {bad}")
     return cat
 
 
-def scan_planes_for_x(
-    cat: Catalog, budget: Optional[int] = None, full: Optional[bool] = None
-) -> Tuple[FrozenSet[Subspace], str]:
+def scan_planes_for_x(cat: Catalog, budget: Optional[int] = None) -> FrozenSet[Subspace]:
     """The X planes found geometrically: planes whose J-trace is a line
     other than L and whose K-trace is an alpha regulus line.
 
-    Returns (set, mode) where mode records whether the whole Grassmannian
-    was scanned or only the planes through regulus lines."""
+    The planes through an alpha line P form a PG(3,q): each is P + <w> for
+    exactly one normalised w that is zero on the pivot columns of P's rref.
+    P lies in K, so M = P + <w> lies in K when w does (w1 = w4 = 0), and
+    otherwise M ^ K = P.  The scan keeps the M outside K with
+    dim(M ^ J) = 2.  Such an M does not contain L: P meets L in a point,
+    so L <= M would make M = P + L, which lies in K.  The budget guards
+    the (q+1)(q^3+q^2+q+1) candidates."""
     field = cat.field
-    j, k, l = cat.j_solid, cat.k_solid, cat.l_line
+    q = field.q
     kern = field.kernel
-    alpha_set = set(cat.g_alpha)
-    total = gaussian_binomial(6, 3, field.q)
-    limit = enumeration_budget(budget)
-    use_full = full if full is not None else total <= limit
+    j_rows = cat.j_solid.basis
+    count = len(cat.g_alpha) * (q**3 + q**2 + q + 1)
+    check_budget(count, f"X-scan candidates (q={q})", budget)
     found = set()
-    if use_full:
-        for m in enumerate_subspaces(field, 6, 3, budget if full is None else total):
-            if kern.stack_rank(m.basis, j.basis) != 5:  # dim(M ^ J) == 2
+    for p in cat.g_alpha:
+        pivots = {row.index(1) for row in p.basis}
+        free = [c for c in range(6) if c not in pivots]
+        for w in projective_vectors(field, 4):
+            vec = [0] * 6
+            for c, x in zip(free, w):
+                vec[c] = x
+            if not (vec[0] or vec[3]):
                 continue
-            if kern.stack_rank(m.basis, l.basis) == 3:  # L <= M, so M ^ J = L
-                continue
-            if kern.stack_rank(m.basis, k.basis) != 5:  # dim(M ^ K) == 2
-                continue
-            if Subspace(field, 6, kern.meet(m.basis, k.basis, 6)) in alpha_set:
-                found.add(m)
-        return frozenset(found), "full"
-    for line in cat.g_alpha:
-        for w in projective_vectors(field, 6):
-            if kern.stack_rank(line.basis, (w,)) == 2:
-                continue
-            m = Subspace(field, 6, kern.rref(line.basis + (w,)))
-            if m in found:
-                continue
-            if contains(k, m):
-                continue
-            if kern.stack_rank(m.basis, j.basis) != 5:
-                continue
-            if kern.stack_rank(m.basis, l.basis) == 3:
-                continue
-            found.add(m)
-    return frozenset(found), "targeted"
+            m = kern.rref(p.basis + (tuple(vec),))
+            if kern.stack_rank(m, j_rows) == 5:  # dim(M ^ J) == 2
+                found.add(Subspace(field, 6, m))
+    return frozenset(found)
 
 
-def validate_catalog(
-    cat: Catalog, budget: Optional[int] = None, full_plane_scan: Optional[bool] = None
-) -> Dict[str, object]:
+def validate_catalog(cat: Catalog, budget: Optional[int] = None) -> Dict[str, bool]:
     """Check each orbit list against its geometric characterization and the
-    closed-form counts; returns a flat dict of booleans (plus the X-scan
-    mode under 'x_scan_mode')."""
+    closed-form counts; returns a flat dict of booleans."""
     field = cat.field
     q = field.q
     j, k, l = cat.j_solid, cat.k_solid, cat.l_line
-    report: Dict[str, object] = {}
+    report: Dict[str, bool] = {}
     exp = expected_counts(q)
     got = cat.counts()
     report["counts"] = got == exp
@@ -523,7 +526,5 @@ def validate_catalog(
     report["beta_is_j_minus_l"] = set(cat.g_beta) == j_points - l_points
     report["alpha_is_regulus"] = set(cat.g_alpha) == set(cat.quadric.regulus_alpha)
     report["y_is_pencil"] = set(cat.g_y) == set(pencil(l, k, 3))
-    x_set, mode = scan_planes_for_x(cat, budget=budget, full=full_plane_scan)
-    report["x_scan_mode"] = mode
-    report["x_is_scan"] = set(cat.g_x) == x_set
+    report["x_is_scan"] = set(cat.g_x) == scan_planes_for_x(cat, budget=budget)
     return report

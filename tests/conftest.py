@@ -1,6 +1,7 @@
 import pytest
 
 from ternions.gf import make_field
+from ternions.linalg import enumerate_subspaces, meet
 from ternions.model import build_catalog
 
 
@@ -56,6 +57,23 @@ def graph3(cat3):
     from ternions.geometry import build_graph
 
     return build_graph(cat3)
+
+
+def x_plane_sweep(cat):
+    """Reference X scan over all of G(6,3): the planes whose J-trace is a
+    line other than L and whose K-trace is an alpha regulus line."""
+    kern = cat.field.kernel
+    j, k, l = cat.j_solid, cat.k_solid, cat.l_line
+    alpha = set(cat.g_alpha)
+    found = set()
+    for m in enumerate_subspaces(cat.field, 6, 3, budget=10**6):
+        if kern.stack_rank(m.basis, j.basis) != 5:  # dim(M ^ J) == 2
+            continue
+        if kern.stack_rank(m.basis, l.basis) == 3:  # L <= M, so M ^ J = L
+            continue
+        if meet(m, k) in alpha:
+            found.add(m)
+    return frozenset(found)
 
 
 # acceptance tests append (criterion, verdict, note) rows here; the hook

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 
-from conftest import ACCEPTANCE_LOG
+from conftest import ACCEPTANCE_LOG, x_plane_sweep
 
 from ternions.gf import automorphisms, make_field
 from ternions.linalg import SemilinearMap, full_space, join, meet, meet_dim
@@ -22,6 +22,7 @@ from ternions.model import (
     cyclic_span,
     expected_counts,
     is_unimodular,
+    scan_planes_for_x,
     validate_catalog,
 )
 from ternions.ternion import enumerate_pairs, random_invertible
@@ -119,11 +120,14 @@ def test_criterion_03_characterizations(cat2, cat3):
     ok = True
     notes = []
     for cat in (cat2, cat3):
-        report = validate_catalog(cat, full_plane_scan=True)
-        ok = ok and report["x_scan_mode"] == "full"
-        flags = {k: v for k, v in report.items() if k != "x_scan_mode"}
-        ok = ok and all(flags.values())
-        notes.append(f"q={cat.field.q} full scan {sum(flags.values())}/{len(flags)}")
+        report = validate_catalog(cat)
+        ok = ok and all(report.values())
+        sweep = x_plane_sweep(cat) == scan_planes_for_x(cat)
+        ok = ok and sweep
+        notes.append(
+            f"q={cat.field.q} {sum(report.values())}/{len(report)}, "
+            f"X scan equals the G(6,3) sweep: {sweep}"
+        )
     _record(3, ok, "; ".join(notes))
 
 

@@ -120,17 +120,58 @@ def test_graph_out_file_matches_stdout(tmp_path):
 
 
 def test_budget_guard_exit_2():
-    # the q^6 = 262,144 generator pairs at q = 8 blow the default budget
-    r = run_cli("verify", "--q", "8", "--suite", "lemmas")
+    # the point index of Theorem 1: 1,596 planes x 133 points at q = 11
+    r = run_cli("verify", "--q", "11", "--suite", "thm1")
     assert r.returncode == 2
     assert "budget" in r.stderr.lower()
+    assert "212268 plane-point incidences" in r.stderr
 
 
 def test_graph_budget_guard_exit_2():
-    # the catalog keeps the q^6 generator-pair wall although it visits fewer
-    r = run_cli("graph", "--q", "8")
+    r = run_cli("graph", "--q", "11")
     assert r.returncode == 2
     assert "budget" in r.stderr.lower()
+    assert "212268 plane-point incidences" in r.stderr
+
+
+def test_counts_q8_pass_under_default_budget():
+    r = run_cli("verify", "--q", "8", "--suite", "counts")
+    assert r.returncode == 0
+    report = json.loads(r.stdout)
+    assert report["summary"]["ok"] is True
+    walk = next(c for c in report["claims"] if c["id"] == "model:classifier-agreement")
+    assert walk["detail"]["mode"] == "unit-orbit normal forms"
+
+
+# Each guard at q = 2, just below and at its count: 21 planes x 7 points
+# for the point index and the graph, 15 + 3 x 8 = 39 normal forms for the
+# catalog.
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (("verify", "--q", "2", "--suite", "thm1"), 147),
+        (("graph", "--q", "2"), 147),
+        (("enumerate", "--q", "2"), 39),
+    ],
+)
+def test_stage_guard_at_its_count(argv, count):
+    below = run_cli(*argv, env_extra={"TERNION_BUDGET": str(count - 1)})
+    assert below.returncode == 2
+    assert f"enumerating {count} " in below.stderr
+    assert run_cli(*argv, env_extra={"TERNION_BUDGET": str(count)}).returncode == 0
+
+
+def test_classifier_walk_switches_mode_below_q6():
+    # 63 < 2^6: the walk covers the normal forms instead of exiting
+    r = run_cli("verify", "--q", "2", "--suite", "counts", env_extra={"TERNION_BUDGET": "63"})
+    assert r.returncode == 0
+    details = {c["id"]: c["detail"] for c in json.loads(r.stdout)["claims"]}
+    for cid in ("model:classifier-agreement", "model:unimodular"):
+        assert details[cid] == {
+            "mode": "unit-orbit normal forms",
+            "normal_forms": 39,
+            "mismatches": 0,
+        }
 
 
 def test_lemmas_q5_pass_under_default_budget():
@@ -140,7 +181,7 @@ def test_lemmas_q5_pass_under_default_budget():
 
 
 def test_env_budget_respected():
-    # 40 is below the 64 generator pairs and the 49 anchored scan candidates
+    # 40 is below the 49 anchored scan candidates
     r = run_cli(
         "verify", "--q", "2", "--suite", "lemmas", env_extra={"TERNION_BUDGET": "40"}
     )

@@ -49,7 +49,9 @@ from ternions.geometry import (
     build_preserver,
     xi_map,
     xi_report,
+    _fixes_j,
     _homothety_rows,
+    _sample_pairs,
 )
 from ternions.model import SubmoduleType, block6_lift
 from ternions.ternion import matrix_identity, random_invertible
@@ -383,6 +385,35 @@ def _random_positive(cat, rng):
     return induced_collineation(random_invertible(cat.field, rng), rng.choice(auts))
 
 
+def _random_j_fixing(field, rng):
+    """A random invertible matrix whose rows 0, 1, 3, 4 vanish in columns 2, 5."""
+    while True:
+        rows = tuple(
+            tuple(
+                0 if i in (0, 1, 3, 4) and j in (2, 5) else rng.randrange(field.q)
+                for j in range(6)
+            )
+            for i in range(6)
+        )
+        if field.kernel.rank(rows) == 6:
+            return rows
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_j_test_from_matrix_entries(which, cat2, cat3, cat4):
+    cat = {2: cat2, 3: cat3, 4: cat4}[which]
+    field = cat.field
+    auts = automorphisms(field)
+    rng = random.Random(20 + which)
+    maps = [_random_positive(cat, rng) for _ in range(100)]
+    for make in (random_nonblock_invertible, _random_j_fixing):
+        maps += [SemilinearMap(field, 6, make(field, rng), rng.choice(auts)) for _ in range(100)]
+    got = [_fixes_j(f) for f in maps]
+    assert got == [f.apply(cat.j_solid) == cat.j_solid for f in maps]
+    assert all(got[:100]) and all(got[200:])
+    assert not all(got[100:200])
+
+
 @pytest.mark.parametrize("which", [2, 3, 4])
 def test_first_failed_condition_matches_reference(which, cat2, cat3, cat4):
     cat = {2: cat2, 3: cat3, 4: cat4}[which]
@@ -650,3 +681,9 @@ def test_graph_to_json(graph3):
         assert len(v["basis"]) == 3
     for i, j in data["edges"]:
         assert graph3.are_adjacent(i, j)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (5, 3), (48, 100), (300, 2000)])
+def test_sample_pairs_matches_sampling_the_list(n, k):
+    want = random.Random(n).sample([(i, j) for i in range(n) for j in range(i + 1, n)], k)
+    assert _sample_pairs(n, k, random.Random(n)) == want

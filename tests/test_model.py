@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from conftest import x_plane_sweep
 from ternions.gf import field_of_order, make_field
 from ternions.linalg import (
     BudgetError,
@@ -15,6 +16,7 @@ from ternions.linalg import (
     meet,
     meet_dim,
     projective_points,
+    subspaces_within,
 )
 from ternions.model import (
     LINE_MODEL_AXIS_COORDS,
@@ -31,6 +33,7 @@ from ternions.model import (
     is_unimodular,
     line_model,
     matrix2_from_block6,
+    normal_form_count,
     phi,
     phi_inverse,
     quadric,
@@ -268,20 +271,27 @@ def test_catalog_index_and_witness(cat2):
 
 def test_validate_catalog_report(cat3):
     report = validate_catalog(cat3)
-    assert report["x_scan_mode"] in ("full", "targeted")
     for key, val in report.items():
-        if key == "x_scan_mode":
-            continue
         assert val is True, key
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_scan_modes_agree(q, cat2, cat3):
+def test_x_scan_matches_grassmannian_sweep(q, cat2, cat3):
     cat = {2: cat2, 3: cat3}[q]
-    full, mode_f = scan_planes_for_x(cat, full=True)
-    targeted, mode_t = scan_planes_for_x(cat, full=False)
-    assert (mode_f, mode_t) == ("full", "targeted")
-    assert full == targeted == frozenset(cat.g_x)
+    assert scan_planes_for_x(cat) == x_plane_sweep(cat) == frozenset(cat.g_x)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_x_scan_matches_catalog(q):
+    cat = build_catalog(field_of_order(q), validate=False)
+    assert scan_planes_for_x(cat) == frozenset(cat.g_x)
+
+
+def test_x_scan_budget_counts_candidates(cat2):
+    # 3 alpha lines x 15 points of the quotient PG(3,2)
+    assert len(scan_planes_for_x(cat2, budget=45)) == 18
+    with pytest.raises(BudgetError, match="45"):
+        scan_planes_for_x(cat2, budget=44)
 
 
 def _pair_walk_catalog(field):
@@ -322,8 +332,11 @@ def test_normal_forms_are_orbit_minima(q):
 
 
 def test_build_catalog_budget(f4):
-    with pytest.raises(BudgetError):
-        build_catalog(f4, budget=1000)
+    # 85 + 5 * 22 = 195 normal forms at q = 4
+    assert normal_form_count(4) == 195
+    assert build_catalog(f4, validate=False, budget=195).counts() == expected_counts(4)
+    with pytest.raises(BudgetError, match="195"):
+        build_catalog(f4, validate=False, budget=194)
 
 
 def test_orbits_are_transitive_q2(cat2):
@@ -346,6 +359,22 @@ def test_orbits_are_transitive_q2(cat2):
             reach[t].add(lift.apply(rep))
     for t, got in reach.items():
         assert got == set(cat2.members(t)), t.value
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_quadric_lines_match_k_line_sweep(q):
+    # reference: every line of K whose points all lie on H
+    f = field_of_order(q)
+    j, k, l = distinguished_flats(f)
+    geo = quadric(f)
+    vecs = geo.point_vectors
+    lines = {
+        m for m in subspaces_within(k, 2)
+        if all(p.basis[0] in vecs for p in projective_points(m))
+    }
+    opposite = {m for m in lines if m == l or meet_dim(m, l) == 0}
+    assert geo.regulus_opposite == tuple(sorted(opposite, key=Subspace.key))
+    assert geo.regulus_alpha == tuple(sorted(lines - opposite, key=Subspace.key))
 
 
 def test_quadric_alpha_matches_catalog(cat2, cat3):

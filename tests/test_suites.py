@@ -2,13 +2,16 @@ import json
 
 import pytest
 
+from ternions.gf import make_field
 from ternions.suites import (
     SUITE_NAMES,
     SuiteParams,
     VerifyContext,
+    is_linear_involutive_antiautomorphism,
     run_suites,
     summarize,
 )
+from ternions.ternion import Ternion, enumerate_ternions, iota
 
 
 def small_params():
@@ -91,3 +94,57 @@ def test_summarize_counts():
     ]
     s = summarize(claims)
     assert s == {"claims": 2, "passed": 1, "failed": 1, "ok": False}
+
+
+def _antiauto_all_pairs(field, anti):
+    """Reference: additivity and reversal on all q^6 pairs, involutivity on
+    all q^3 elements.  Over a prime field additivity is linearity."""
+    elements = list(enumerate_ternions(field))
+    for s in elements:
+        if anti(anti(s)) != s:
+            return False
+        for t in elements:
+            if anti(s * t) != anti(t) * anti(s) or anti(s + t) != anti(s) + anti(t):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_antiauto_by_bilinearity_matches_all_pairs(q):
+    f = make_field(q, 1)
+    maps = {
+        "iota": iota,
+        "identity": lambda t: t,
+        "iota, y scaled by -1": lambda t: Ternion(f, t.z, f.neg(t.y), t.x),
+        "iota, y scaled by 2": lambda t: Ternion(f, t.z, f.mul(2 % q, t.y), t.x),
+        "iota, y -> y + x": lambda t: Ternion(f, t.z, f.add(t.y, t.x), t.x),
+        "iota, y squared": lambda t: Ternion(f, t.z, f.mul(t.y, t.y), t.x),
+        "x <-> y": lambda t: Ternion(f, t.y, t.x, t.z),
+    }
+    got = {name: is_linear_involutive_antiautomorphism(f, m) for name, m in maps.items()}
+    assert got == {name: _antiauto_all_pairs(f, m) for name, m in maps.items()}
+    assert got["iota"] and not got["identity"] and not got["iota, y -> y + x"]
+    # reverses products but is not involutive where 2^2 != 1
+    assert got["iota, y scaled by 2"] is (q == 3)
+
+
+def _wrong_off_normal_forms(right, wrong):
+    """A stand-in that is right on every unit-orbit normal form but answers
+    `wrong` where a22 and a12 are both nonzero, which no normal form has."""
+    return lambda v: wrong if v[0].z and v[0].y else right(v)
+
+
+@pytest.mark.parametrize("budget", [63, 64])
+def test_classifier_walk_catches_orbit_dependence(f2, budget, monkeypatch):
+    # both modes of the walk see an error that only the unit images expose
+    import ternions.suites as suites
+    from ternions.model import SubmoduleType
+
+    assert suites._classifier_walk(f2, budget)[:2] == (0, 0)
+    wrong = _wrong_off_normal_forms(suites.classify, SubmoduleType.BETA)
+    monkeypatch.setattr(suites, "classify", wrong)
+    assert suites._classifier_walk(f2, budget)[0] > 0
+    monkeypatch.undo()
+    wrong = _wrong_off_normal_forms(suites.is_unimodular, False)
+    monkeypatch.setattr(suites, "is_unimodular", wrong)
+    assert suites._classifier_walk(f2, budget)[1] > 0
