@@ -34,7 +34,6 @@ from .linalg import (
     meet,
     meet_dim,
     pencil,
-    projective_vectors,
     subspaces_within,
 )
 from .model import (
@@ -144,54 +143,31 @@ class AdjacencyGraph:
 
 
 def build_graph(cat: Catalog) -> AdjacencyGraph:
-    """Adjacency by shared points.  Each plane's q^2+q+1 points get their
-    rank in projective_vectors(field, 6) order (the number of points with
-    an earlier leading 1 plus the base-q value of the digits after it), and
-    each point rank a bitmask of the planes through it.  Two distinct
-    planes that share two points share the line through them, so plane i
-    is adjacent to the planes that occur in the masks of at least two of
-    its points.  The masks are local, so they are freed before any export;
-    the catalog's budget guards the V (q^2+q+1) plane-point incidences."""
+    """Adjacency by shared points, read off the catalog's point index
+    `cat.point_planes`.  Two distinct planes that share two points share
+    the line through them, so plane i is adjacent to the planes that occur
+    with it in the masks of at least two points.  The index guards its
+    V (q^2+q+1) plane-point incidences with the catalog's budget."""
     verts = cat.planes
     types = tuple(
         SubmoduleType.X if i < len(cat.g_x) else SubmoduleType.Y
         for i in range(len(verts))
     )
     vindex = {s: i for i, s in enumerate(verts)}
-    field = cat.field
-    q, kern = field.q, field.kernel
-    coeffs = tuple(projective_vectors(field, 3))
-    check_budget(len(verts) * len(coeffs), f"plane-point incidences (q={q})", cat.budget)
-    before = [(q**6 - q ** (6 - lead)) // (q - 1) for lead in range(6)]
-    ranks = []
-    point_planes: Dict[int, int] = {}
-    for i, m in enumerate(verts):
-        row = []
-        for c in coeffs:
-            v = field.normalize(kern.vec_apply(c, m.basis))
-            lead = v.index(1)
-            rank = 0
-            for d in v[lead + 1:]:
-                rank = rank * q + d
-            rank += before[lead]
-            row.append(rank)
-            point_planes[rank] = point_planes.get(rank, 0) | (1 << i)
-        ranks.append(row)
-    nbrs = []
-    for i, row in enumerate(ranks):
-        own = ~(1 << i)
-        once = twice = 0
-        for rank in row:
-            others = point_planes[rank] & own
-            twice |= once & others
-            once |= others
-        nbrs.append(_bit_indices(twice))
+    once = [0] * len(verts)
+    twice = [0] * len(verts)
+    for mask in cat.point_planes.values():
+        if mask & (mask - 1):  # on two planes or more
+            for i in _bit_indices(mask):
+                others = mask & ~(1 << i)
+                twice[i] |= once[i] & others
+                once[i] |= others
     return AdjacencyGraph(
         catalog=cat,
         vertices=verts,
         types=types,
         vindex=vindex,
-        neighbours=tuple(nbrs),
+        neighbours=tuple(_bit_indices(t) for t in twice),
     )
 
 

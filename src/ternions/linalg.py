@@ -205,14 +205,20 @@ def projective_vectors(field: Field, n: int) -> Iterator[tuple]:
             yield (0,) * lead + (1,) + tail
 
 
-def projective_points(u: Subspace) -> List[Subspace]:
-    """The 1-subspaces of u, in a fixed order (normalized coefficient rows)."""
+def point_vectors(u: Subspace) -> List[tuple]:
+    """The normalized vectors of the points of u, in a fixed order
+    (normalized coefficient rows)."""
     field = u.field
     vec_apply = field.kernel.vec_apply
     return [
-        Subspace(field, u.n, (field.normalize(vec_apply(coeff, u.basis)),))
+        field.normalize(vec_apply(coeff, u.basis))
         for coeff in projective_vectors(field, u.dim)
     ]
+
+
+def projective_points(u: Subspace) -> List[Subspace]:
+    """The 1-subspaces of u, in the order of point_vectors."""
+    return [Subspace(u.field, u.n, (v,)) for v in point_vectors(u)]
 
 
 def subspaces_within(u: Subspace, k: int, budget: Optional[int] = None) -> List[Subspace]:

@@ -39,6 +39,7 @@ from .linalg import (
     join,
     meet_dim,
     pencil,
+    point_vectors,
     projective_points,
     projective_vectors,
     SemilinearMap,
@@ -205,7 +206,7 @@ def _lines_of_h_through(r: Subspace, vecs: FrozenSet[tuple]) -> list:
     )
     return [
         m for m in pencil(r, tangent, 2)
-        if all(p.basis[0] in vecs for p in projective_points(m))
+        if all(v in vecs for v in point_vectors(m))
     ]
 
 
@@ -362,8 +363,7 @@ class Catalog:
             check_budget(len(self.planes) * (q * q + q + 1), what, self.budget)
             masks: Dict[tuple, int] = {}
             for i, m in enumerate(self.planes):
-                for p in projective_points(m):
-                    v = p.basis[0]
+                for v in point_vectors(m):
                     masks[v] = masks.get(v, 0) | (1 << i)
             self._point_planes = masks
         return self._point_planes

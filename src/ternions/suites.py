@@ -21,7 +21,6 @@ from .linalg import (
     Subspace,
     coordinate_subspace,
     enumerate_subspaces,
-    enumeration_budget,
     identity_map,
     meet_dim,
 )
@@ -129,7 +128,7 @@ def suite_counts(ctx: VerifyContext) -> List[Dict[str, object]]:
     ):
         claims.append(_claim("counts", cid, report[key], {}))
 
-    mismatches, unimod_bad, walked = _classifier_walk(field, ctx.budget)
+    mismatches, unimod_bad, walked = _classifier_walk(field)
     for cid, bad in (
         ("model:classifier-agreement", mismatches),
         ("model:unimodular", unimod_bad),
@@ -179,34 +178,28 @@ def suite_counts(ctx: VerifyContext) -> List[Dict[str, object]]:
     return claims
 
 
-def _classifier_walk(field: Field, budget: Optional[int]) -> Tuple[int, int, Dict[str, object]]:
+def _classifier_walk(field: Field) -> Tuple[int, int, Dict[str, object]]:
     """Count the pairs where classify and classify_by_rank disagree, and
     those where is_unimodular disagrees with the X type; return both counts
     and what was walked.
 
-    All q^6 pairs are walked when q^6 fits the budget.  Above it, the walk
-    covers one pair per left-unit orbit, which covers every pair because
-    the three functions are constant on these orbits.  A unit u = (x, y, z)
-    sends (a11, a12, a22) to (x a11, x a12 + y a22, z a22) in both halves.
-    classify reads whether (a11, b11), (a22, b22) and, when (a22, b22) = 0,
-    (a12, b12) vanish, and whether a22 b12 - b22 a12 vanishes, which u
-    multiplies by x z != 0.  classify_by_rank reads only the span, and
-    T u v = T v.  And u v is unimodular exactly when v is: u (a s + b t) = 1
-    gives a (s u) + b (t u) = 1.  The walk checks this invariance on each
-    normal form times (g, 0, 1), (1, 0, g) and (1, 1, 1), g a primitive
-    element, which generate the unit group."""
-    q = field.q
-    if q**6 <= enumeration_budget(budget):
-        pairs, units = enumerate_pairs(field), ()
-        walked: Dict[str, object] = {"pairs": q**6}
-    else:
-        g = _primitive_element(field)
-        pairs = _unit_orbit_normal_forms(field)
-        units = (Ternion(field, g, 0, 1), Ternion(field, 1, 0, g), Ternion(field, 1, 1, 1))
-        walked = {"mode": "unit-orbit normal forms", "normal_forms": normal_form_count(q)}
+    The walk covers one pair per left-unit orbit.  That covers every pair
+    because the three functions are constant on these orbits, which the
+    following argument proves.  A unit u = (x, y, z) sends (a11, a12, a22)
+    to (x a11, x a12 + y a22, z a22) in both halves.  classify reads whether
+    (a11, b11), (a22, b22) and, when (a22, b22) = 0, (a12, b12) vanish, and
+    whether a22 b12 - b22 a12 vanishes, which u multiplies by x z != 0.
+    classify_by_rank reads only the span, and T u v = T v.  And u v is
+    unimodular exactly when v is: u (a s + b t) = 1 gives
+    a (s u) + b (t u) = 1.  Each normal form is also checked against its
+    images under (g, 0, 1), (1, 0, g) and (1, 1, 1), g a primitive element,
+    which generate the unit group; one step per generator is a spot check
+    of the invariance, not a proof of it."""
+    g = _primitive_element(field)
+    units = (Ternion(field, g, 0, 1), Ternion(field, 1, 0, g), Ternion(field, 1, 1, 1))
     mismatches = 0
     unimod_bad = 0
-    for v in pairs:
+    for v in _unit_orbit_normal_forms(field):
         t = classify(v)
         u_ok = is_unimodular(v)
         if t is not classify_by_rank(v):
@@ -219,6 +212,7 @@ def _classifier_walk(field: Field, budget: Optional[int]) -> Tuple[int, int, Dic
                 mismatches += 1
             if is_unimodular(w) != u_ok:
                 unimod_bad += 1
+    walked = {"method": "unit-orbit normal forms", "normal_forms": normal_form_count(field.q)}
     return mismatches, unimod_bad, walked
 
 

@@ -134,17 +134,56 @@ def _wrong_off_normal_forms(right, wrong):
     return lambda v: wrong if v[0].z and v[0].y else right(v)
 
 
-@pytest.mark.parametrize("budget", [63, 64])
-def test_classifier_walk_catches_orbit_dependence(f2, budget, monkeypatch):
-    # both modes of the walk see an error that only the unit images expose
+def test_classifier_walk_catches_orbit_dependence(f2, monkeypatch):
+    # the walk sees an error that only the unit images expose
     import ternions.suites as suites
     from ternions.model import SubmoduleType
 
-    assert suites._classifier_walk(f2, budget)[:2] == (0, 0)
+    assert suites._classifier_walk(f2)[:2] == (0, 0)
     wrong = _wrong_off_normal_forms(suites.classify, SubmoduleType.BETA)
     monkeypatch.setattr(suites, "classify", wrong)
-    assert suites._classifier_walk(f2, budget)[0] > 0
+    assert suites._classifier_walk(f2)[0] > 0
     monkeypatch.undo()
     wrong = _wrong_off_normal_forms(suites.is_unimodular, False)
     monkeypatch.setattr(suites, "is_unimodular", wrong)
-    assert suites._classifier_walk(f2, budget)[1] > 0
+    assert suites._classifier_walk(f2)[1] > 0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_classifier_walk_covers_whole_orbits(q):
+    # the invariance the walk rests on, orbit by orbit: closing each normal
+    # form under the three generating units partitions the q^6 - 1 nonzero
+    # pairs, and the three functions agree with the normal form's type on
+    # every pair of its orbit
+    from ternions.model import (
+        SubmoduleType,
+        _unit_orbit_normal_forms,
+        classify,
+        classify_by_rank,
+        is_unimodular,
+    )
+    from ternions.suites import _classifier_walk, _primitive_element
+    from ternions.ternion import enumerate_pairs, scale_left
+
+    f = make_field(q, 1)
+    g = _primitive_element(f)
+    units = (Ternion(f, g, 0, 1), Ternion(f, 1, 0, g), Ternion(f, 1, 1, 1))
+    seen = set()
+    for nf in _unit_orbit_normal_forms(f):
+        t = classify(nf)
+        orbit, todo = {nf}, [nf]
+        while todo:
+            v = todo.pop()
+            for u in units:
+                w = scale_left(u, v)
+                if w not in orbit:
+                    orbit.add(w)
+                    todo.append(w)
+        assert seen.isdisjoint(orbit)
+        seen |= orbit
+        for v in orbit:
+            assert classify(v) is t and classify_by_rank(v) is t
+            assert is_unimodular(v) is (t is SubmoduleType.X)
+    zero = Ternion(f, 0, 0, 0)
+    assert seen == set(enumerate_pairs(f)) - {(zero, zero)}
+    assert _classifier_walk(f)[:2] == (0, 0)
