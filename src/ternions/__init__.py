@@ -3,11 +3,9 @@ matrices, realized as a plane set in PG(5,q), with a verification CLI."""
 
 __version__ = "0.1.0"
 
-from .kernels import BACKEND
 from .gf import Field, FieldAutomorphism, automorphisms, make_field, field_of_order
 
 __all__ = [
-    "BACKEND",
     "Field",
     "FieldAutomorphism",
     "automorphisms",

@@ -1,17 +1,15 @@
-"""Pure-Python kernel: exact dense linear algebra over GF(q).
+"""The kernel: exact dense linear algebra over GF(q).
 
 Matrices are tuples of equal-length rows whose entries are integer element
 codes in [0, q).  All arithmetic is table driven: ``add`` and ``mul`` are
 flat row-major tables of length q*q, ``neg`` and ``inv`` have length q.
 Code 0 is the additive identity and code 1 the multiplicative identity.
 
-The compiled extension ``_fastcore`` implements the same class with the
-same semantics; ``kernels`` picks the backend at import time.  Keep the
-two implementations behaviourally identical: canonical outputs (reduced
-row echelon form, zero rows dropped) must agree bit for bit.
+Outputs that name a row space are canonical: its reduced row echelon form
+with zero rows dropped, so equal spaces give equal tuples.  The kernel
+does not check element codes: codes and row shapes that arrive from
+outside the package are checked once, in ``linalg.canonicalize``.
 """
-
-MAX_DIM = 16
 
 
 class Kernel:
@@ -34,9 +32,6 @@ class Kernel:
 
     def _eliminate(self, m, ncols):
         """Reduce a list of row lists to RREF in place; return the rank."""
-        # same working-buffer limit as the compiled backend
-        if len(m) > 2 * MAX_DIM or ncols > 2 * MAX_DIM:
-            raise ValueError("matrix exceeds kernel buffer size")
         q, add, mul, neg, inv = self.q, self.add, self.mul, self.neg, self.inv
         nrows = len(m)
         r = 0
@@ -126,8 +121,6 @@ class Kernel:
         if k != len(rows_b):
             raise ValueError("inner dimensions differ")
         n = len(rows_b[0]) if rows_b else 0
-        if len(rows_a) > 2 * MAX_DIM or k > 2 * MAX_DIM or n > 2 * MAX_DIM:
-            raise ValueError("matrix exceeds kernel buffer size")
         out = []
         for ra in rows_a:
             acc = [0] * n
@@ -167,8 +160,6 @@ class Kernel:
             return 1
         if len(rows[0]) != n:
             raise ValueError("matrix is not square")
-        if n > 2 * MAX_DIM:
-            raise ValueError("matrix exceeds kernel buffer size")
         q, add, mul, neg, inv = self.q, self.add, self.mul, self.neg, self.inv
         m = [list(r) for r in rows]
         d = 1
@@ -228,8 +219,6 @@ class Kernel:
             vec = [sigma[v] for v in vec]
         q, add, mul = self.q, self.add, self.mul
         n = len(rows_m[0])
-        if len(rows_m) > 2 * MAX_DIM or n > 2 * MAX_DIM:
-            raise ValueError("matrix exceeds kernel buffer size")
         acc = [0] * n
         for t, v in enumerate(vec):
             if v:

@@ -17,7 +17,6 @@ from typing import Optional
 
 from . import geometry as geo
 from .gf import field_of_order
-from .kernels import BACKEND
 from .linalg import BudgetError
 from .model import SubmoduleType
 from .suites import SUITES, SUITE_NAMES, VerifyContext, summarize
@@ -145,11 +144,10 @@ def cmd_verify(args) -> int:
     summary = summarize(claims)
     print(
         f"total: {summary['passed']}/{summary['claims']} passed "
-        f"in {time.time()-t_all:.2f}s [{BACKEND} backend]",
+        f"in {time.time()-t_all:.2f}s",
         file=sys.stderr,
     )
     report = {
-        "backend": BACKEND,
         "claims": claims,
         "config": _config(args, field, {"seed": args.seed, "suites": sorted(names)}),
         "summary": summary,

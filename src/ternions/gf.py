@@ -9,7 +9,7 @@ field, and enumeration by ascending code is the fixed element order
 
 All operations are table lookups after construction, which keeps the rest
 of the package representation-free: matrices over the field are plain
-tuples of codes fed to the kernel backend.
+tuples of codes fed to the kernel in ``_pycore``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .kernels import Kernel
+from ._pycore import Kernel
 
 MAX_ORDER = 27
 

@@ -219,7 +219,7 @@ def test_seed_changes_report_but_not_verdict():
 
 
 # Reports pinned byte for byte; tests/golden/README.md says how the files
-# were made.  The backend key is set aside because it names the kernel.
+# were made.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -227,10 +227,7 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_verify_matches_golden(q):
     r = run_cli("verify", "--q", str(q), "--seed", "0")
     assert r.returncode == 0
-    report = json.loads(r.stdout)
-    report.pop("backend")
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    assert text == (GOLDEN / f"verify_q{q}.json").read_text()
+    assert r.stdout == (GOLDEN / f"verify_q{q}.json").read_text()
 
 
 @pytest.mark.parametrize("fmt", ["dot", "json"])

@@ -1,0 +1,192 @@
+"""Property tests: every kernel operation against a naive reference.
+
+The reference is a plain Gaussian eliminator written here with the field's
+scalar operations (``Field.add``, ``mul``, ``neg``, ``inv``), never with the
+kernel's tables.  Reduced row echelon form is unique, so every output that
+names a row space must match the reference bit for bit.  Every field of
+order <= 27 is covered: the primes up to 23 and each built-in extension.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from ternions.gf import DEFAULT_MODULI, automorphisms, field_of_order  # noqa: E402
+
+ORDERS = sorted([2, 3, 5, 7, 11, 13, 17, 19, 23, *DEFAULT_MODULI])
+FIELDS = [field_of_order(q) for q in ORDERS]
+MAX_SIDE = 7
+
+PROPERTY = settings(
+    derandomize=True,
+    max_examples=25,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+each_field = pytest.mark.parametrize("f", FIELDS, ids=lambda f: f"q{f.q}")
+
+
+# -- the reference -----------------------------------------------------------
+
+
+def ref_rref(f, rows, ncols):
+    """Reduced row echelon form with zero rows dropped."""
+    m = [list(r) for r in rows]
+    rank = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        scale = f.inv(m[rank][c])
+        m[rank] = [f.mul(scale, x) for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                factor = f.neg(m[i][c])
+                m[i] = [f.add(x, f.mul(factor, y)) for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return tuple(tuple(r) for r in m[:rank])
+
+
+def ref_nullspace(f, rows, ncols):
+    """Canonical basis of {w : rows . w^T = 0}."""
+    red = ref_rref(f, rows, ncols)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in red]
+    vecs = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [0] * ncols
+        vec[j] = 1
+        for row, p in zip(red, pivots):
+            vec[p] = f.neg(row[j])
+        vecs.append(vec)
+    return ref_rref(f, vecs, ncols)
+
+
+def ref_vec_mat(f, vec, rows):
+    out = [0] * len(rows[0])
+    for v, row in zip(vec, rows):
+        out = [f.add(x, f.mul(v, y)) for x, y in zip(out, row)]
+    return tuple(out)
+
+
+def ref_meet(f, a, b, ncols):
+    """Span of x.A over the left kernel (x, y) of [A; B]: x.A = -y.B."""
+    if not a or not b:
+        return ()
+    stacked = a + b
+    transposed = [[r[j] for r in stacked] for j in range(ncols)]
+    kernel = ref_nullspace(f, transposed, len(stacked))
+    return ref_rref(f, [ref_vec_mat(f, x[: len(a)], a) for x in kernel], ncols)
+
+
+def ref_det(f, rows):
+    m = [list(r) for r in rows]
+    n = len(m)
+    d = 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            d = f.neg(d)
+        d = f.mul(d, m[c][c])
+        scale = f.inv(m[c][c])
+        for i in range(c + 1, n):
+            factor = f.neg(f.mul(m[i][c], scale))
+            m[i] = [f.add(x, f.mul(factor, y)) for x, y in zip(m[i], m[c])]
+    return d
+
+
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+# -- strategies --------------------------------------------------------------
+
+
+def matrices(f, nrows, ncols):
+    row = st.tuples(*[st.integers(0, f.q - 1)] * ncols)
+    return st.lists(row, min_size=nrows[0], max_size=nrows[1]).map(tuple)
+
+
+sides = st.integers(1, MAX_SIDE)
+
+
+# -- the properties ----------------------------------------------------------
+
+
+@each_field
+@PROPERTY
+@given(data=st.data(), ncols=sides)
+def test_rref_rank_match_reference(f, data, ncols):
+    rows = data.draw(matrices(f, (0, MAX_SIDE), ncols))
+    want = ref_rref(f, rows, ncols)
+    assert f.kernel.rref(rows) == want
+    assert f.kernel.rank(rows) == len(want)
+
+
+@each_field
+@PROPERTY
+@given(data=st.data(), ncols=sides)
+def test_stack_rank_meet_match_reference(f, data, ncols):
+    a = data.draw(matrices(f, (0, 4), ncols))
+    b = data.draw(matrices(f, (0, 4), ncols))
+    assert f.kernel.stack_rank(a, b) == len(ref_rref(f, a + b, ncols))
+    assert f.kernel.meet(a, b, ncols) == ref_meet(f, a, b, ncols)
+
+
+@each_field
+@PROPERTY
+@given(data=st.data(), m=sides, k=sides, n=sides)
+def test_matmul_matches_reference(f, data, m, k, n):
+    a = data.draw(matrices(f, (m, m), k))
+    b = data.draw(matrices(f, (k, k), n))
+    want = tuple(ref_vec_mat(f, row, b) for row in a)
+    assert f.kernel.matmul(a, b) == want
+
+
+@each_field
+@PROPERTY
+@given(data=st.data(), n=sides)
+def test_det_matinv_match_reference(f, data, n):
+    m = data.draw(matrices(f, (n, n), n))
+    assert f.kernel.det(m) == ref_det(f, m)
+    eye = identity(n)
+    red = ref_rref(f, [row + e for row, e in zip(m, eye)], 2 * n)
+    if tuple(row[:n] for row in red) == eye:
+        want = tuple(row[n:] for row in red)
+    else:
+        want = None
+    assert f.kernel.matinv(m) == want
+
+
+@each_field
+@PROPERTY
+@given(data=st.data(), ncols=sides)
+def test_nullspace_matches_reference(f, data, ncols):
+    rows = data.draw(matrices(f, (0, MAX_SIDE), ncols))
+    assert f.kernel.nullspace(rows, ncols) == ref_nullspace(f, rows, ncols)
+
+
+@each_field
+@PROPERTY
+@given(data=st.data(), k=sides, n=sides)
+def test_vec_apply_apply_rows_match_reference(f, data, k, n):
+    autos = automorphisms(f)
+    sigma = data.draw(st.sampled_from([None] + [a.table for a in autos]))
+    mat = data.draw(matrices(f, (k, k), n))
+    rows = data.draw(matrices(f, (0, 4), k))
+    images = [
+        ref_vec_mat(f, row if sigma is None else [sigma[x] for x in row], mat)
+        for row in rows
+    ]
+    for row, image in zip(rows, images):
+        assert f.kernel.vec_apply(row, mat, sigma) == image
+    assert f.kernel.apply_rows(rows, mat, sigma) == ref_rref(f, images, n)

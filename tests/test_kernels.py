@@ -1,32 +1,13 @@
-"""Exact linear algebra kernels: correctness against brute force, and
-agreement between the compiled and pure backends on identical inputs."""
+"""Exact linear algebra kernel: correctness against brute force."""
 
 import random
 from itertools import permutations, product
 
 import pytest
 
-from ternions import _pycore
 from ternions.gf import make_field
-from ternions.kernels import BACKEND
-
-try:
-    from ternions import _fastcore
-except ImportError:
-    _fastcore = None
 
 FIELDS = [make_field(2, 1), make_field(3, 1), make_field(2, 2), make_field(3, 2)]
-
-
-def pure_kernel(f):
-    return _pycore.Kernel(f.q, f._add_t, f._mul_t, f._neg_t, f._inv_t)
-
-
-def kernels_for(f):
-    ks = [pure_kernel(f)]
-    if _fastcore is not None:
-        ks.append(_fastcore.Kernel(f.q, f._add_t, f._mul_t, f._neg_t, f._inv_t))
-    return ks
 
 
 def rand_rows(rng, q, r, c):
@@ -35,7 +16,6 @@ def rand_rows(rng, q, r, c):
 
 def span_vectors(f, rows):
     """All vectors in the row span, by brute force over coefficients."""
-    kern = pure_kernel(f)
     out = set()
     for coeffs in product(range(f.q), repeat=len(rows)):
         v = [0] * len(rows[0]) if rows else []
@@ -47,27 +27,23 @@ def span_vectors(f, rows):
     return out
 
 
-def test_backend_selected():
-    assert BACKEND in ("cython", "python")
-
-
 @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f"q{f.q}")
 def test_rref_properties(f):
     rng = random.Random(f.q)
-    for kern in kernels_for(f):
-        for _ in range(60):
-            rows = rand_rows(rng, f.q, rng.randrange(1, 5), 6)
-            r = kern.rref(rows)
-            assert kern.rref(r) == r  # idempotent
-            assert kern.rank(rows) == len(r)
-            if f.q <= 3:
-                assert span_vectors(f, rows) == span_vectors(f, r)
+    kern = f.kernel
+    for _ in range(60):
+        rows = rand_rows(rng, f.q, rng.randrange(1, 5), 6)
+        r = kern.rref(rows)
+        assert kern.rref(r) == r  # idempotent
+        assert kern.rank(rows) == len(r)
+        if f.q <= 3:
+            assert span_vectors(f, rows) == span_vectors(f, r)
 
 
 @pytest.mark.parametrize("f", FIELDS[:2], ids=lambda f: f"q{f.q}")
 def test_meet_is_intersection(f):
     rng = random.Random(7)
-    kern = pure_kernel(f)
+    kern = f.kernel
     for _ in range(40):
         a = kern.rref(rand_rows(rng, f.q, 2, 4))
         b = kern.rref(rand_rows(rng, f.q, 2, 4))
@@ -98,46 +74,46 @@ def brute_det(f, rows):
 @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f"q{f.q}")
 def test_det_and_inverse(f):
     rng = random.Random(13)
-    for kern in kernels_for(f):
-        for _ in range(50):
-            n = rng.randrange(1, 5)
-            m = rand_rows(rng, f.q, n, n)
-            d = kern.det(m)
-            assert d == brute_det(f, m)
-            inv = kern.matinv(m)
-            if d == 0:
-                assert inv is None
-            else:
-                ident = tuple(
-                    tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-                )
-                assert kern.matmul(m, inv) == ident
-                assert kern.matmul(inv, m) == ident
+    kern = f.kernel
+    for _ in range(50):
+        n = rng.randrange(1, 5)
+        m = rand_rows(rng, f.q, n, n)
+        d = kern.det(m)
+        assert d == brute_det(f, m)
+        inv = kern.matinv(m)
+        if d == 0:
+            assert inv is None
+        else:
+            ident = tuple(
+                tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
+            )
+            assert kern.matmul(m, inv) == ident
+            assert kern.matmul(inv, m) == ident
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f"q{f.q}")
 def test_nullspace(f):
     rng = random.Random(3)
-    for kern in kernels_for(f):
-        for _ in range(40):
-            rows = rand_rows(rng, f.q, rng.randrange(1, 4), 5)
-            ns = kern.nullspace(rows, 5)
-            assert len(ns) == 5 - kern.rank(rows)
-            for v in ns:
-                for row in rows:
-                    acc = 0
-                    for a, b in zip(row, v):
-                        acc = f.add(acc, f.mul(a, b))
-                    assert acc == 0
+    kern = f.kernel
+    for _ in range(40):
+        rows = rand_rows(rng, f.q, rng.randrange(1, 4), 5)
+        ns = kern.nullspace(rows, 5)
+        assert len(ns) == 5 - kern.rank(rows)
+        for v in ns:
+            for row in rows:
+                acc = 0
+                for a, b in zip(row, v):
+                    acc = f.add(acc, f.mul(a, b))
+                assert acc == 0
 
 
 def test_stack_rank_matches_concatenation(f2=make_field(2, 1)):
     rng = random.Random(5)
-    for kern in kernels_for(f2):
-        for _ in range(40):
-            a = rand_rows(rng, 2, 2, 6)
-            b = rand_rows(rng, 2, 3, 6)
-            assert kern.stack_rank(a, b) == kern.rank(a + b)
+    kern = f2.kernel
+    for _ in range(40):
+        a = rand_rows(rng, 2, 2, 6)
+        b = rand_rows(rng, 2, 3, 6)
+        assert kern.stack_rank(a, b) == kern.rank(a + b)
 
 
 def test_vec_apply_with_automorphism():
@@ -146,44 +122,10 @@ def test_vec_apply_with_automorphism():
 
     frob = automorphisms(f)[1]
     rng = random.Random(2)
-    for kern in kernels_for(f):
-        for _ in range(30):
-            v = tuple(rng.randrange(4) for _ in range(4))
-            m = rand_rows(rng, 4, 4, 4)
-            got = kern.vec_apply(v, m, frob.table)
-            tv = tuple(frob.table[c] for c in v)
-            assert got == kern.vec_apply(tv, m, None)
-
-
-@pytest.mark.skipif(_fastcore is None, reason="compiled backend unavailable")
-def test_backends_agree_everywhere():
-    rng = random.Random(99)
-    for f in FIELDS:
-        pk = pure_kernel(f)
-        fk = _fastcore.Kernel(f.q, f._add_t, f._mul_t, f._neg_t, f._inv_t)
-        for _ in range(120):
-            r, c = rng.randrange(1, 7), rng.randrange(1, 7)
-            m = rand_rows(rng, f.q, r, c)
-            assert pk.rref(m) == fk.rref(m)
-            assert pk.rank(m) == fk.rank(m)
-            assert pk.nullspace(m, c) == fk.nullspace(m, c)
-            n = min(r, c)
-            sq = tuple(row[:n] for row in m[:n])
-            assert pk.det(sq) == fk.det(sq)
-            assert pk.matinv(sq) == fk.matinv(sq)
-            other = rand_rows(rng, f.q, rng.randrange(1, 4), c)
-            assert pk.stack_rank(m, other) == fk.stack_rank(m, other)
-            assert pk.meet(m, other, c) == fk.meet(m, other, c)
-            v = tuple(rng.randrange(f.q) for _ in range(r))
-            mm = rand_rows(rng, f.q, r, c)
-            assert pk.vec_apply(v, mm, None) == fk.vec_apply(v, mm, None)
-            square = rand_rows(rng, f.q, c, c)
-            assert pk.apply_rows(m[:2], square, None) == fk.apply_rows(m[:2], square, None)
-
-
-def test_buffer_guard():
-    f = make_field(2, 1)
-    big = tuple(tuple(0 for _ in range(40)) for _ in range(2))
-    for kern in kernels_for(f):
-        with pytest.raises(ValueError):
-            kern.rref(big)
+    kern = f.kernel
+    for _ in range(30):
+        v = tuple(rng.randrange(4) for _ in range(4))
+        m = rand_rows(rng, 4, 4, 4)
+        got = kern.vec_apply(v, m, frob.table)
+        tv = tuple(frob.table[c] for c in v)
+        assert got == kern.vec_apply(tv, m, None)
