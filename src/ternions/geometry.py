@@ -15,9 +15,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .gf import Field, FieldAutomorphism, automorphisms
@@ -29,14 +27,15 @@ from .linalg import (
     check_budget,
     contains,
     full_space,
-    incident,
     join,
     meet,
     meet_dim,
     pencil,
+    point_vectors,
     subspaces_within,
 )
 from .model import (
+    TYPE_ORDER,
     Catalog,
     SubmoduleType,
     block6_rows,
@@ -47,24 +46,7 @@ from .model import (
 )
 from .ternion import Ternion, TernionMatrix, TernionPair, act_right
 
-TYPE_ORDER = (
-    SubmoduleType.X,
-    SubmoduleType.Y,
-    SubmoduleType.ALPHA,
-    SubmoduleType.BETA,
-    SubmoduleType.GAMMA,
-)
-
-
 # -- incidence -------------------------------------------------------------------
-
-
-def incidence_counts(p0: Subspace, cat: Catalog) -> Tuple[int, int, int, int, int]:
-    """How many members of each orbit list are incident with p0,
-    ordered (X, Y, alpha, beta, gamma)."""
-    return tuple(
-        sum(1 for s in cat.members(t) if incident(p0, s)) for t in TYPE_ORDER
-    )
 
 
 def expected_incidence_row(t: SubmoduleType, q: int) -> Tuple[int, int, int, int, int]:
@@ -79,31 +61,55 @@ def expected_incidence_row(t: SubmoduleType, q: int) -> Tuple[int, int, int, int
     return rows[t]
 
 
-def incidence_table(
-    cat: Catalog, sample_per_type: Optional[int] = None, rng: Optional[random.Random] = None
-) -> Dict[str, object]:
-    """Verify the incidence counts of every catalog member (or a sample per
-    orbit) against the closed forms; return the table plus a verdict."""
+def incidence_table(cat: Catalog) -> Dict[str, object]:
+    """Verify the incidence counts of every catalog member against the
+    closed forms; return the table plus a verdict.  The counts are read off
+    the point index, ordered (X, Y, alpha, beta, gamma):
+
+      * flats of one dimension are incident exactly when they are equal;
+      * a line or point lies on the planes whose bits survive ANDing the
+        `cat.point_planes` masks of its basis rows (rref rows are
+        normalised point vectors);
+      * a point lies on a line when it is one of the line's points."""
     q = cat.field.q
+    masks = cat.point_planes
+    planes = cat.planes
+    n_x = len(cat.g_x)
+    x_bits = (1 << n_x) - 1
+    counts: Dict[Subspace, List[int]] = {}
+    points: Dict[tuple, List[Tuple[Subspace, int]]] = {}
+    for c, t in enumerate(TYPE_ORDER):
+        for s in cat.members(t):
+            counts.setdefault(s, [0] * 5)[c] += 1
+            if s.dim == 1:
+                points.setdefault(s.basis[0], []).append((s, c))
+    for c, t in enumerate(TYPE_ORDER):
+        for s in cat.members(t):
+            if s.dim == 3:
+                continue
+            bits = -1
+            for r in s.basis:
+                bits &= masks.get(r, 0)
+            counts[s][0] += (bits & x_bits).bit_count()
+            counts[s][1] += (bits >> n_x).bit_count()
+            for i in _bit_indices(bits):
+                counts[planes[i]][c] += 1
+            if s.dim == 2:
+                for v in point_vectors(s):
+                    for p, cp in points.get(v, ()):
+                        counts[s][cp] += 1
+                        counts[p][c] += 1
     table = {}
-    ok = True
     first_bad = None
     for t in TYPE_ORDER:
-        members = list(cat.members(t))
-        if sample_per_type is not None and len(members) > sample_per_type:
-            if rng is None:
-                raise ValueError("sampling requires an rng")
-            members = rng.sample(members, sample_per_type)
         expect = expected_incidence_row(t, q)
-        for p0 in members:
-            got = incidence_counts(p0, cat)
-            if got != expect:
-                ok = False
-                if first_bad is None:
-                    first_bad = {"type": t.value, "expected": expect, "got": got}
         table[t.value] = list(expect)
+        for s in cat.members(t):
+            got = tuple(counts[s])
+            if first_bad is None and got != expect:
+                first_bad = {"type": t.value, "expected": expect, "got": got}
     return {
-        "ok": ok,
+        "ok": first_bad is None,
         "rows": table,
         "column_order": [t.value for t in TYPE_ORDER],
         "first_mismatch": first_bad,
@@ -130,6 +136,7 @@ class AdjacencyGraph:
     types: tuple
     vindex: Dict[Subspace, int]
     neighbours: tuple  # tuple of frozensets of vertex indices
+    meets: tuple  # per vertex, the int mask of the other planes sharing a point
 
     @property
     def n(self) -> int:
@@ -146,7 +153,8 @@ def build_graph(cat: Catalog) -> AdjacencyGraph:
     """Adjacency by shared points, read off the catalog's point index
     `cat.point_planes`.  Two distinct planes that share two points share
     the line through them, so plane i is adjacent to the planes that occur
-    with it in the masks of at least two points.  The index guards its
+    with it in the masks of at least two points; those that occur with it
+    in at least one are kept as `meets`.  The index guards its
     V (q^2+q+1) plane-point incidences with the catalog's budget."""
     verts = cat.planes
     types = tuple(
@@ -168,6 +176,7 @@ def build_graph(cat: Catalog) -> AdjacencyGraph:
         types=types,
         vindex=vindex,
         neighbours=tuple(_bit_indices(t) for t in twice),
+        meets=tuple(once),
     )
 
 
@@ -196,16 +205,11 @@ def k_trace_classes(cat: Catalog) -> Dict[Subspace, List[Subspace]]:
     return groups
 
 
-def clique_interval(cat: Catalog, p: Subspace) -> Tuple[Subspace, ...]:
-    """The planes between an alpha regulus line P and the hyperplane P + J."""
-    return cat.clique_intervals[p]
-
-
 def expected_cliques(cat: Catalog) -> List[FrozenSet[Subspace]]:
     """[L, K]_3 and, per alpha regulus line P, the interval [P, P+J]_3."""
     out = [frozenset(pencil(cat.l_line, cat.k_solid, 3))]
     for p in cat.g_alpha:
-        out.append(frozenset(clique_interval(cat, p)))
+        out.append(frozenset(cat.clique_intervals[p]))
     return out
 
 
@@ -315,18 +319,11 @@ def certificate_from_counts(n_lines: int, n_solids: int) -> Dict[str, object]:
 
 
 def no_duality_certificate(
-    cat: Catalog,
-    lines: Optional[Sequence[Subspace]] = None,
-    solids: Optional[Sequence[Subspace]] = None,
-    budget: Optional[int] = None,
+    cat: Catalog, lines: Sequence[Subspace], solids: Sequence[Subspace]
 ) -> Dict[str, object]:
     """Certificate that no duality of PG(5,q) fixes the X planes setwise:
     the scans give q+1 transversal lines but only 2 transversal solids."""
     q = cat.field.q
-    if lines is None:
-        lines = scan_lines(cat, budget)
-    if solids is None:
-        solids = scan_solids(cat, budget)
     cert = certificate_from_counts(len(lines), len(solids))
     cert["lines_are_opposite_regulus"] = set(lines) == set(cat.quadric.regulus_opposite)
     cert["solids_are_j_and_k"] = set(solids) == {cat.j_solid, cat.k_solid}
@@ -555,8 +552,8 @@ def make_recipe(
     if set(mu.keys()) != alpha or set(mu.values()) != alpha:
         raise ValueError("mu must permute the alpha regulus lines")
     for p in cat.g_alpha:
-        dom = frozenset(clique_interval(cat, p))
-        cod = frozenset(clique_interval(cat, mu[p]))
+        dom = frozenset(cat.clique_intervals[p])
+        cod = frozenset(cat.clique_intervals[mu[p]])
         pp = psi.get(p)
         if pp is None or set(pp.keys()) != dom:
             raise ValueError("psi_P must be defined on the clique of P")
@@ -577,8 +574,8 @@ def random_recipe(cat: Catalog, rng: random.Random) -> PreserverRecipe:
     mu = dict(zip(alpha, shuffled))
     psi = {}
     for p in alpha:
-        dom = sorted(clique_interval(cat, p), key=Subspace.key)
-        cod = sorted(clique_interval(cat, mu[p]), key=Subspace.key)
+        dom = sorted(cat.clique_intervals[p], key=Subspace.key)
+        cod = sorted(cat.clique_intervals[mu[p]], key=Subspace.key)
         marked_src = join(p, cat.l_line)
         marked_dst = join(mu[p], cat.l_line)
         dom.remove(marked_src)
@@ -653,7 +650,7 @@ def extract_recipe(mapping: Dict[Subspace, Subspace], cat: Catalog) -> Preserver
         mu[p] = line
     psi = {}
     for p in cat.g_alpha:
-        psi[p] = {z: mapping[z] for z in clique_interval(cat, p)}
+        psi[p] = {z: mapping[z] for z in cat.clique_intervals[p]}
     return make_recipe(cat, mu, psi)
 
 
@@ -698,63 +695,62 @@ def xi_map(m: Subspace, cat: Catalog) -> Subspace:
     return join(line6, through[0])
 
 
-def _sample_pairs(n: int, k: int, rng: random.Random) -> List[Tuple[int, int]]:
-    """rng.sample(list(combinations(range(n), 2)), k), without the list:
-    sample draws the same indices from a range of the same length, and the
-    pair at index t is decoded from the row offsets."""
-    starts = [i * n - i * (i + 1) // 2 for i in range(n)]
-    out = []
-    for t in rng.sample(range(n * (n - 1) // 2), k):
-        i = bisect_right(starts, t) - 1
-        out.append((i, i + 1 + t - starts[i]))
-    return out
+def xi_report(graph: AdjacencyGraph) -> Dict[str, object]:
+    """Everything checked about xi, on all pairs of X planes: it permutes
+    the X planes, some adjacent pair maps to a pair meeting in a single beta
+    point (so adjacency is not preserved), and skew pairs map to skew pairs
+    in both directions.
 
-
-def xi_report(
-    cat: Catalog,
-    skew_sample: Optional[int] = None,
-    rng: Optional[random.Random] = None,
-) -> Dict[str, object]:
-    """Everything checked about xi: it permutes the X planes, some adjacent
-    pair maps to a pair meeting in a single beta point (so adjacency is not
-    preserved), and skew pairs map to skew pairs in both directions."""
-    field = cat.field
-    images = {m: xi_map(m, cat) for m in cat.g_x}
-    is_permutation = set(images.values()) == set(cat.g_x)
-    beta_set = set(cat.g_beta)
-    witness = None
-    xs = list(cat.g_x)
+    Read off the graph's shared-point masks: a permutation keeps skewness
+    both ways exactly when it maps the skew set of each X plane (the X
+    planes sharing no point with it) onto the skew set of its image.  The
+    witness is the first adjacent pair (i < j, in catalog order) whose
+    images share a point but not a line, and that point is a beta point.
+    An image outside the X planes fails the first and the last check."""
+    cat = graph.catalog
+    xs = cat.g_x
     n = len(xs)
-    n_pairs = n * (n - 1) // 2
-    pairs = combinations(range(n), 2)
-    if skew_sample is not None and n_pairs > skew_sample:
-        if rng is None:
-            raise ValueError("sampling requires an rng")
-        pairs = _sample_pairs(n, skew_sample, rng)
-        n_pairs = skew_sample
-    skew_ok = True
-    for i, j in pairs:
-        m1, m2 = xs[i], xs[j]
-        d12 = meet_dim(m1, m2)
-        i1, i2 = images[m1], images[m2]
-        e12_ = meet_dim(i1, i2)
-        if witness is None and d12 == 2:
-            cut = meet(i1, i2)
-            if cut.dim == 1 and cut in beta_set:
-                witness = {
-                    "m1": m1,
-                    "m2": m2,
-                    "images_meet": cut,
-                }
-        if (d12 == 0) != (e12_ == 0):
-            skew_ok = False
+    x_bits = (1 << n) - 1
+    meets = graph.meets
+    images = [graph.vindex.get(xi_map(m, cat)) for m in xs]
+    is_permutation = set(images) == set(range(n))
+
+    def skew(i: int) -> int:
+        return x_bits & ~meets[i] & ~(1 << i)
+
+    skew_ok = is_permutation and all(
+        sum(1 << images[j] for j in _bit_indices(skew(i))) == skew(images[i])
+        for i in range(n)
+    )
+    witness = _xi_witness(graph, images)
     return {
         "is_permutation": is_permutation,
         "adjacency_witness": witness,
         "breaks_adjacency": witness is not None,
         "skew_preserved_both_ways": skew_ok,
-        "pairs_checked": n_pairs,
+        "pairs_checked": n * (n - 1) // 2,
     }
+
+
+def _xi_witness(graph: AdjacencyGraph, images: List[Optional[int]]) -> Optional[dict]:
+    """The first adjacent pair of X planes (i < j, in catalog order) whose
+    images, given as vertex indices, share a point but not a line, when
+    that point is a beta point; None when there is no such pair."""
+    cat = graph.catalog
+    n = len(cat.g_x)
+    nbrs, meets = graph.neighbours, graph.meets
+    beta = set(cat.g_beta)
+    for i in range(n):
+        for j in sorted(nbrs[i]):
+            if not i < j < n:
+                continue
+            a, b = images[i], images[j]
+            if a is None or b is None or b in nbrs[a] or not meets[a] >> b & 1:
+                continue
+            cut = meet(graph.vertices[a], graph.vertices[b])
+            if cut in beta:
+                return {"m1": cat.g_x[i], "m2": cat.g_x[j], "images_meet": cut}
+    return None
 
 
 # -- graph export -------------------------------------------------------------------

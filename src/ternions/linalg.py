@@ -128,15 +128,6 @@ def meet_dim(u: Subspace, v: Subspace) -> int:
     return u.dim + v.dim - u.field.kernel.stack_rank(u.basis, v.basis)
 
 
-def incident(u: Subspace, v: Subspace) -> bool:
-    """Containment one way or the other (reflexive)."""
-    if u.dim == v.dim:
-        return u == v
-    if u.dim < v.dim:
-        return contains(v, u)
-    return contains(u, v)
-
-
 def complement_in(u: Subspace, w: Subspace) -> List[tuple]:
     """Rows extending a basis of u to one of w (u <= w); deterministic."""
     _same_space(u, w)
@@ -161,10 +152,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
-
-
-def count_subspaces(field: Field, n: int, k: int) -> int:
-    return gaussian_binomial(n, k, field.q)
 
 
 def enumerate_subspaces(
@@ -273,10 +260,6 @@ class SemilinearMap:
             raise ValueError("automorphism field mismatch")
         if self.field.kernel.rank(self.matrix) != self.n:
             raise ValueError("singular matrix does not define a collineation")
-
-    @property
-    def is_linear(self) -> bool:
-        return self.sigma.is_identity
 
     def _sigma_table(self):
         return None if self.sigma.is_identity else self.sigma.table

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from .gf import Field, automorphisms
@@ -61,6 +61,15 @@ class SubmoduleType(Enum):
     ALPHA = "alpha"
     BETA = "beta"
     GAMMA = "gamma"
+
+
+TYPE_ORDER = (
+    SubmoduleType.X,
+    SubmoduleType.Y,
+    SubmoduleType.ALPHA,
+    SubmoduleType.BETA,
+    SubmoduleType.GAMMA,
+)
 
 
 def phi(v: TernionPair) -> tuple:
@@ -327,46 +336,28 @@ class Catalog:
             SubmoduleType.GAMMA: self.g_gamma,
         }[t]
 
-    @property
+    @cached_property
     def index(self) -> Dict[Subspace, Tuple[SubmoduleType, int]]:
-        if not hasattr(self, "_index"):
-            idx = {}
-            for t in (
-                SubmoduleType.X,
-                SubmoduleType.Y,
-                SubmoduleType.ALPHA,
-                SubmoduleType.BETA,
-                SubmoduleType.GAMMA,
-            ):
-                for i, s in enumerate(self.members(t)):
-                    idx[s] = (t, i)
-            self._index = idx
-        return self._index
+        return {s: (t, i) for t in TYPE_ORDER for i, s in enumerate(self.members(t))}
 
-    @property
+    @cached_property
     def clique_intervals(self) -> Dict[Subspace, Tuple[Subspace, ...]]:
         """Per alpha regulus line P, the planes between P and P + J."""
-        if not hasattr(self, "_clique_intervals"):
-            self._clique_intervals = {
-                p: tuple(pencil(p, join(p, self.j_solid), 3)) for p in self.g_alpha
-            }
-        return self._clique_intervals
+        return {p: tuple(pencil(p, join(p, self.j_solid), 3)) for p in self.g_alpha}
 
-    @property
+    @cached_property
     def point_planes(self) -> Dict[tuple, int]:
         """Per normalised point vector, the bitmask over `planes` of the
         planes through that point; the X planes are the low len(g_x) bits.
         The budget guards the V (q^2+q+1) plane-point incidences."""
-        if not hasattr(self, "_point_planes"):
-            q = self.field.q
-            what = f"plane-point incidences (q={q})"
-            check_budget(len(self.planes) * (q * q + q + 1), what, self.budget)
-            masks: Dict[tuple, int] = {}
-            for i, m in enumerate(self.planes):
-                for v in point_vectors(m):
-                    masks[v] = masks.get(v, 0) | (1 << i)
-            self._point_planes = masks
-        return self._point_planes
+        q = self.field.q
+        what = f"plane-point incidences (q={q})"
+        check_budget(len(self.planes) * (q * q + q + 1), what, self.budget)
+        masks: Dict[tuple, int] = {}
+        for i, m in enumerate(self.planes):
+            for v in point_vectors(m):
+                masks[v] = masks.get(v, 0) | (1 << i)
+        return masks
 
     def type_of(self, s: Subspace) -> Optional[SubmoduleType]:
         hit = self.index.get(s)

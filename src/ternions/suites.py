@@ -54,16 +54,14 @@ from .ternion import (
 
 @dataclass
 class SuiteParams:
-    """Work sizes for the randomized and sampled checks.  The defaults are
-    what the command line runs; the heavyweight acceptance sweeps call the
-    library with larger numbers."""
+    """Work sizes for the randomized checks of `thm1` and `adj:preservers`.
+    Every other claim is exhaustive.  The defaults are what the command
+    line runs; the tests call the library with smaller numbers."""
 
     thm1_positives: int = 1000
     thm1_controls: int = 2000
     thm1_decompositions: int = 10
     recipes: int = 100
-    incidence_sample: Optional[int] = None  # None: exhaustive for q<=4, 100 at q=5
-    xi_pair_limit: int = 20000
 
 
 @dataclass
@@ -232,16 +230,11 @@ def _primitive_element(field: Field) -> int:
 
 
 def suite_incidence(ctx: VerifyContext) -> List[Dict[str, object]]:
-    q = ctx.field.q
-    sample = ctx.params.incidence_sample
-    if sample is None and q >= 5:
-        sample = 100
-    rng = ctx.rng("incidence") if sample is not None else None
-    table = geo.incidence_table(ctx.catalog, sample_per_type=sample, rng=rng)
+    table = geo.incidence_table(ctx.catalog)
     detail = {
         "rows": table["rows"],
         "column_order": table["column_order"],
-        "sample_per_type": sample,
+        "sample_per_type": None,  # every member is checked
     }
     if table["first_mismatch"] is not None:
         fm = table["first_mismatch"]
@@ -588,7 +581,6 @@ def suite_remark(ctx: VerifyContext) -> List[Dict[str, object]]:
     cat = ctx.catalog
     field = ctx.field
     q = field.q
-    rng = ctx.rng("remark")
     claims = []
 
     # the reversing ring involution, exact for all q^6 pairs by bilinearity
@@ -608,16 +600,13 @@ def suite_remark(ctx: VerifyContext) -> List[Dict[str, object]]:
         )
     )
 
-    n_x = len(cat.g_x)
-    n_pairs = n_x * (n_x - 1) // 2
-    sample = None if n_pairs <= ctx.params.xi_pair_limit else ctx.params.xi_pair_limit
-    report = geo.xi_report(cat, skew_sample=sample, rng=rng if sample else None)
+    report = geo.xi_report(ctx.graph)
     claims.append(
         _claim(
             "remark",
             "remark:xi-bijection",
             report["is_permutation"],
-            {"planes": n_x},
+            {"planes": len(cat.g_x)},
         )
     )
     wit = report["adjacency_witness"]
@@ -634,7 +623,7 @@ def suite_remark(ctx: VerifyContext) -> List[Dict[str, object]]:
             "remark",
             "remark:xi-skew-pairs",
             report["skew_preserved_both_ways"],
-            {"pairs_checked": report["pairs_checked"], "exhaustive": sample is None},
+            {"pairs_checked": report["pairs_checked"], "exhaustive": True},
         )
     )
     return claims

@@ -80,10 +80,6 @@ class Ternion:
     def triple(self) -> Tuple[int, int, int]:
         return (self.x, self.y, self.z)
 
-    def matrix_rows(self):
-        """The element as a 2x2 coded matrix, structural zero included."""
-        return ((self.x, self.y), (0, self.z))
-
     def __repr__(self):
         return f"T{(self.x, self.y, self.z)}"
 
@@ -181,17 +177,6 @@ class TernionMatrix:
     def is_invertible(self) -> bool:
         lower, upper = self.det_factors()
         return lower != 0 and upper != 0
-
-    def to_f4_rows(self):
-        """The matrix as a 4x4 coded matrix over the base field, each ternion
-        block placed literally (structural zeros at (2,1), (2,3), (4,1), (4,3))."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return (
-            (a.x, a.y, b.x, b.y),
-            (0, a.z, 0, b.z),
-            (c.x, c.y, d.x, d.y),
-            (0, c.z, 0, d.z),
-        )
 
     def __repr__(self):
         return f"TM[{self.a!r},{self.b!r};{self.c!r},{self.d!r}]"

@@ -1,8 +1,25 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from ternions.gf import make_field
-from ternions.linalg import enumerate_subspaces, meet
-from ternions.model import build_catalog
+from ternions.linalg import contains, enumerate_subspaces, meet
+from ternions.model import TYPE_ORDER, build_catalog
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def cli_env(extra=None):
+    """The environment for a `python -m ternions.cli` subprocess: the
+    caller's, without TERNION_BUDGET, with src/ first on PYTHONPATH so a
+    fresh checkout needs no install."""
+    env = dict(os.environ)
+    env.pop("TERNION_BUDGET", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    if extra:
+        env.update(extra)
+    return env
 
 
 @pytest.fixture(scope="session")
@@ -74,6 +91,22 @@ def x_plane_sweep(cat):
         if meet(m, k) in alpha:
             found.add(m)
     return frozenset(found)
+
+
+def incident(u, v):
+    """Containment one way or the other (reflexive)."""
+    if u.dim == v.dim:
+        return u == v
+    if u.dim < v.dim:
+        return contains(v, u)
+    return contains(u, v)
+
+
+def incidence_counts(p0, cat):
+    """Reference for `incidence_table`, by O(N^2) containment tests: how
+    many members of each orbit list are incident with p0, ordered
+    (X, Y, alpha, beta, gamma)."""
+    return tuple(sum(1 for s in cat.members(t) if incident(p0, s)) for t in TYPE_ORDER)
 
 
 # acceptance tests append (criterion, verdict, note) rows here; the hook

@@ -3,13 +3,12 @@ summary.  These restate checks from the unit files at full scale and with
 time bounds; keep them independent of each other where possible."""
 
 import json
-import os
 import random
 import subprocess
 import sys
 import time
 
-from conftest import ACCEPTANCE_LOG, x_plane_sweep
+from conftest import ACCEPTANCE_LOG, cli_env, incidence_counts, x_plane_sweep
 
 from ternions.gf import automorphisms, make_field
 from ternions.linalg import SemilinearMap, full_space, join, meet, meet_dim
@@ -30,7 +29,6 @@ from ternions.geometry import (
     _homothety_rows,
     adjacent,
     build_preserver,
-    clique_interval,
     companion_y,
     count_geodesics,
     decompose_semilinear,
@@ -39,7 +37,7 @@ from ternions.geometry import (
     expected_incidence_row,
     extract_recipe,
     first_failed_condition,
-    incidence_counts,
+    incidence_table,
     induced_collineation,
     k_trace_classes,
     maximal_cliques,
@@ -147,7 +145,7 @@ def test_criterion_04_incidence_table(cat2, cat3, cat4):
                 if incidence_counts(p0, cat) != expect:
                     bad += 1
         dt = time.perf_counter() - t0
-        ok = ok and bad == 0
+        ok = ok and bad == 0 and incidence_table(cat)["ok"]
         if q == 4:
             ok = ok and dt < 300.0
         notes.append(f"q={q} exhaustive ({dt:.1f}s)")
@@ -161,7 +159,7 @@ def test_criterion_05_adjacency_and_cliques(cat2, cat3, graph2, graph3):
         want_classes = set()
         for p in cat.g_alpha:
             marked = join(p, cat.l_line)
-            want_classes.add(frozenset(clique_interval(cat, p)) - {marked})
+            want_classes.add(frozenset(cat.clique_intervals[p]) - {marked})
         ok = ok and {frozenset(ms) for ms in classes.values()} == want_classes
         # X-X adjacency holds exactly within a class
         by_plane = {}
@@ -301,11 +299,12 @@ def test_criterion_09_preservers(cat2, cat3, graph2, graph3):
     _record(9, ok, "100 recipes per q=2,3 pass both ways; extraction rebuilds lifts")
 
 
-def test_criterion_10_xi(cat2, cat3):
+def test_criterion_10_xi(graph2, graph3):
     ok = True
     notes = []
-    for cat in (cat2, cat3):
-        rep = xi_report(cat)
+    for graph in (graph2, graph3):
+        cat = graph.catalog
+        rep = xi_report(graph)
         ok = ok and rep["is_permutation"]
         ok = ok and rep["breaks_adjacency"]
         w = rep["adjacency_witness"]
@@ -317,8 +316,7 @@ def test_criterion_10_xi(cat2, cat3):
 
 
 def test_criterion_11_byte_identical_reports(tmp_path):
-    env = dict(os.environ)
-    env.pop("TERNION_BUDGET", None)
+    env = cli_env()
     argv = [sys.executable, "-m", "ternions.cli", "verify", "--q", "2", "--seed", "0"]
     a = subprocess.run(argv, capture_output=True, env=env, timeout=300)
     b = subprocess.run(argv, capture_output=True, env=env, timeout=300)

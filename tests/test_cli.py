@@ -1,21 +1,17 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import cli_env
 
 CLI = [sys.executable, "-m", "ternions.cli"]
 
 
 def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    env.pop("TERNION_BUDGET", None)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
-        CLI + list(argv), capture_output=True, text=True, env=env, timeout=300
+        CLI + list(argv), capture_output=True, text=True, env=cli_env(env_extra), timeout=300
     )
 
 
@@ -124,6 +120,14 @@ def test_budget_guard_exit_2():
     r = run_cli("verify", "--q", "11", "--suite", "thm1")
     assert r.returncode == 2
     assert "budget" in r.stderr.lower()
+    assert "212268 plane-point incidences" in r.stderr
+
+
+@pytest.mark.parametrize("suite", ["incidence", "remark"])
+def test_point_index_suites_guard_exit_2(suite):
+    # both read the point index, so they stop at its guard like thm1
+    r = run_cli("verify", "--q", "11", "--suite", suite)
+    assert r.returncode == 2
     assert "212268 plane-point incidences" in r.stderr
 
 

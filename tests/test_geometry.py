@@ -2,7 +2,9 @@ import dataclasses
 import random
 
 import pytest
+from conftest import incidence_counts
 
+import ternions.geometry as geometry
 from ternions.gf import automorphisms
 from ternions.linalg import (
     BudgetError,
@@ -11,16 +13,16 @@ from ternions.linalg import (
     contains,
     enumerate_subspaces,
     full_space,
+    join,
+    meet,
     meet_dim,
     projective_points,
     projective_vectors,
 )
 from ternions.geometry import (
-    TYPE_ORDER,
     adjacent,
     build_graph,
     certificate_from_counts,
-    clique_interval,
     companion_y,
     count_geodesics,
     decompose_semilinear,
@@ -32,7 +34,6 @@ from ternions.geometry import (
     first_failed_condition,
     graph_to_dot,
     graph_to_json,
-    incidence_counts,
     incidence_table,
     induced_collineation,
     k_trace_classes,
@@ -51,9 +52,8 @@ from ternions.geometry import (
     xi_report,
     _fixes_j,
     _homothety_rows,
-    _sample_pairs,
 )
-from ternions.model import SubmoduleType, block6_lift
+from ternions.model import TYPE_ORDER, SubmoduleType, block6_lift
 from ternions.ternion import matrix_identity, random_invertible
 
 
@@ -78,12 +78,37 @@ def test_incidence_table_verdict(cat2):
     assert rep["rows"]["gamma"] == [6, 3, 1, 0, 1]
 
 
-def test_incidence_table_sampling(cat3):
-    rng = random.Random(1)
-    rep = incidence_table(cat3, sample_per_type=3, rng=rng)
-    assert rep["ok"] is True
-    with pytest.raises(ValueError):
-        incidence_table(cat3, sample_per_type=3)
+def _first_mismatch_reference(cat):
+    for t in TYPE_ORDER:
+        expect = expected_incidence_row(t, cat.field.q)
+        for p0 in cat.members(t):
+            got = incidence_counts(p0, cat)
+            if got != expect:
+                return {"type": t.value, "expected": expect, "got": got}
+    return None
+
+
+def _doctored(cat, how):
+    if how == "drop a beta point":
+        return dataclasses.replace(cat, g_beta=cat.g_beta[1:])
+    if how == "move an X plane into g_y":
+        return dataclasses.replace(cat, g_x=cat.g_x[1:], g_y=cat.g_y + cat.g_x[:1])
+    return dataclasses.replace(cat, g_alpha=cat.g_alpha[1:])  # drop an alpha line
+
+
+@pytest.mark.parametrize(
+    "how", ["drop a beta point", "move an X plane into g_y", "drop an alpha line"]
+)
+@pytest.mark.parametrize("which", [2, 3])
+def test_incidence_table_mismatch_matches_reference(which, how, cat2, cat3):
+    # the point-index counts and the containment reference find the same
+    # first bad member on catalogs that break the closed forms
+    bad = _doctored({2: cat2, 3: cat3}[which], how)
+    want = _first_mismatch_reference(bad)
+    assert want is not None
+    rep = incidence_table(bad)
+    assert rep["ok"] is False
+    assert rep["first_mismatch"] == want
 
 
 # -- the adjacency graph -----------------------------------------------------
@@ -124,7 +149,18 @@ def test_graph_matches_stack_rank_reference(which, cat2, cat3, cat4):
             if kern.stack_rank(verts[i].basis, verts[j].basis) == 4:
                 nbrs[i].add(j)
                 nbrs[j].add(i)
-    assert build_graph(cat).neighbours == tuple(frozenset(s) for s in nbrs)
+    graph = build_graph(cat)
+    assert graph.neighbours == tuple(frozenset(s) for s in nbrs)
+    # and two planes share a point exactly when they span at most a hyperplane
+    meets = [
+        sum(
+            1 << j
+            for j, w in enumerate(verts)
+            if j != i and kern.stack_rank(v.basis, w.basis) <= 5
+        )
+        for i, v in enumerate(verts)
+    ]
+    assert graph.meets == tuple(meets)
 
 
 def test_vertex_order_and_types(graph2):
@@ -161,8 +197,6 @@ def test_companion(cat2, graph2):
 
 
 def test_k_trace_classes(cat3):
-    from ternions.linalg import meet
-
     q = 3
     classes = k_trace_classes(cat3)
     assert set(classes.keys()) == set(cat3.g_alpha)
@@ -174,8 +208,6 @@ def test_k_trace_classes(cat3):
 
 
 def test_companion_constant_on_classes(cat2):
-    from ternions.linalg import join
-
     classes = k_trace_classes(cat2)
     for p, members in classes.items():
         want = join(p, cat2.l_line)
@@ -218,7 +250,7 @@ def test_maximal_cliques_match(which, graph2, graph3):
 
 def test_clique_interval_content(cat2):
     for p in cat2.g_alpha:
-        members = clique_interval(cat2, p)
+        members = cat2.clique_intervals[p]
         assert len(members) == 7
         for z in members:
             assert contains(z, p)
@@ -496,7 +528,7 @@ def test_decompose_identity(cat2):
     ident = SemilinearMap(field, 6, full_space(field, 6).basis, automorphisms(field)[0])
     dec = decompose_semilinear(ident, cat2)
     assert dec.homothety_params == (0, 1)
-    assert dec.f1.is_linear
+    assert dec.f1.sigma.is_identity
     assert dec.module_map.matrix == matrix_identity(field)
     assert dec.module_map.unit.triple() == (1, 0, 1)
     assert verify_decomposition(ident, dec, random.Random(0))
@@ -571,8 +603,6 @@ def test_random_recipe_builds_preserver(cat2, graph2):
 
 
 def test_make_recipe_rejects_bad_marked_element(cat2):
-    from ternions.linalg import join
-
     rng = random.Random(19)
     recipe = random_recipe(cat2, rng)
     p0 = cat2.g_alpha[0]
@@ -625,8 +655,9 @@ def test_xi_rejects_non_x(cat2):
         xi_map(cat2.g_y[0], cat2)
 
 
-def test_xi_report_q2(cat2):
-    rep = xi_report(cat2)
+def test_xi_report_q2(graph2):
+    cat2 = graph2.catalog
+    rep = xi_report(graph2)
     assert rep["is_permutation"] is True
     assert rep["breaks_adjacency"] is True
     assert rep["skew_preserved_both_ways"] is True
@@ -640,18 +671,70 @@ def test_xi_report_q2(cat2):
     assert meet_dim(xi_map(w["m1"], cat2), xi_map(w["m2"], cat2)) == 1
 
 
-def test_xi_witness_images_not_adjacent(cat2):
-    rep = xi_report(cat2)
-    w = rep["adjacency_witness"]
+def test_xi_witness_images_not_adjacent(graph2):
+    cat2 = graph2.catalog
+    w = xi_report(graph2)["adjacency_witness"]
     assert not adjacent(xi_map(w["m1"], cat2), xi_map(w["m2"], cat2))
 
 
-def test_xi_sampled_needs_rng(cat3):
-    with pytest.raises(ValueError):
-        xi_report(cat3, skew_sample=10)
-    rep = xi_report(cat3, skew_sample=50, rng=random.Random(1))
-    assert rep["pairs_checked"] == 50
+def _xi_pairs_reference(cat, xi):
+    """The pairwise loop xi_report replaced: whether skewness is kept both
+    ways over all pairs of X planes, and the first adjacent pair whose
+    images meet in a beta point."""
+    xs = cat.g_x
+    images = [xi(m, cat) for m in xs]
+    beta = set(cat.g_beta)
+    skew_ok = True
+    witness = None
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            d = meet_dim(xs[i], xs[j])
+            if witness is None and d == 2:
+                cut = meet(images[i], images[j])
+                if cut.dim == 1 and cut in beta:
+                    witness = {"m1": xs[i], "m2": xs[j], "images_meet": cut}
+            if (d == 0) != (meet_dim(images[i], images[j]) == 0):
+                skew_ok = False
+    return skew_ok, witness
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_xi_report_matches_pairwise_reference(which, graph2, graph3):
+    graph = {2: graph2, 3: graph3}[which]
+    rep = xi_report(graph)
+    want = _xi_pairs_reference(graph.catalog, xi_map)
+    assert (rep["skew_preserved_both_ways"], rep["adjacency_witness"]) == want
+
+
+def test_xi_swapped_images_break_skewness(graph2, monkeypatch):
+    cat = graph2.catalog
+    xs, real = cat.g_x, xi_map
+    swap = {xs[0]: xs[1], xs[1]: xs[0]}
+
+    def swapped(m, c):
+        return real(swap.get(m, m), c)
+
+    assert _xi_pairs_reference(cat, swapped)[0] is False
+    monkeypatch.setattr(geometry, "xi_map", swapped)
+    rep = xi_report(graph2)
     assert rep["is_permutation"] is True
+    assert rep["skew_preserved_both_ways"] is False
+
+
+@pytest.mark.parametrize("how", ["two planes to one", "onto a Y plane", "off the catalog"])
+def test_xi_not_a_permutation_does_not_raise(how, graph2, monkeypatch):
+    cat = graph2.catalog
+    xs, real = cat.g_x, xi_map
+    stray = {
+        "two planes to one": real(xs[0], cat),
+        "onto a Y plane": cat.g_y[0],
+        "off the catalog": join(cat.l_line, cat.g_beta[0]),  # in J, on L
+    }[how]
+    assert (cat.type_of(stray) is None) == (how == "off the catalog")
+    monkeypatch.setattr(geometry, "xi_map", lambda m, c: stray if m == xs[1] else real(m, c))
+    rep = xi_report(graph2)
+    assert rep["is_permutation"] is False
+    assert rep["skew_preserved_both_ways"] is False
 
 
 # -- export -----------------------------------------------------------------------
@@ -681,9 +764,3 @@ def test_graph_to_json(graph3):
         assert len(v["basis"]) == 3
     for i, j in data["edges"]:
         assert graph3.are_adjacent(i, j)
-
-
-@pytest.mark.parametrize("n,k", [(2, 1), (5, 3), (48, 100), (300, 2000)])
-def test_sample_pairs_matches_sampling_the_list(n, k):
-    want = random.Random(n).sample([(i, j) for i in range(n) for j in range(i + 1, n)], k)
-    assert _sample_pairs(n, k, random.Random(n)) == want

@@ -73,6 +73,16 @@ def test_thm1_q5_default_params(cat5):
     assert claims[2]["detail"]["controls"] == 2000
 
 
+def test_incidence_and_remark_exhaustive_q5(cat5):
+    ctx = VerifyContext(field=cat5.field, seed=0)
+    ctx.catalog = cat5  # reuse the session catalog
+    claims = {c["id"]: c for c in run_suites(ctx, ["incidence", "remark"])}
+    assert all(c["ok"] for c in claims.values())
+    assert claims["incidence:table"]["detail"]["sample_per_type"] is None
+    skew = claims["remark:xi-skew-pairs"]["detail"]
+    assert skew == {"pairs_checked": 16110, "exhaustive": True}  # 180 X planes
+
+
 def test_unknown_suite_raises(f2):
     with pytest.raises(ValueError):
         run_suites(VerifyContext(field=f2), ["nonsense"])
