@@ -352,13 +352,23 @@ def _fixes_j(f: SemilinearMap) -> bool:
     return not any(f.matrix[i][c] for i in (0, 1, 3, 4) for c in (2, 5))
 
 
+def _point_images(f: SemilinearMap, rows: Sequence[tuple]) -> List[tuple]:
+    """The normalised images of nonzero row vectors under f: sigma applied
+    entrywise, then one matrix product (f is invertible, so no image is
+    zero)."""
+    if not f.sigma.is_identity:
+        st = f.sigma.table
+        rows = [tuple([st[c] for c in r]) for r in rows]
+    norm = f.field.normalize
+    return [norm(img) for img in f.field.kernel.matmul(rows, f.matrix)]
+
+
 def _fixes_j_and_h(f: SemilinearMap, cat: Catalog) -> bool:
     """Condition iv: f fixes the solid J and the quadric H setwise."""
     if not _fixes_j(f):
         return False
     hvecs = cat.quadric.point_vectors
-    norm = f.field.normalize
-    return all(norm(f.apply_vector(v)) in hvecs for v in hvecs)
+    return all(v in hvecs for v in _point_images(f, tuple(hvecs)))
 
 
 def first_failed_condition(f: SemilinearMap, cat: Catalog) -> Optional[str]:
@@ -376,36 +386,36 @@ def first_failed_condition(f: SemilinearMap, cat: Catalog) -> Optional[str]:
     of the three points' masks in `cat.point_planes`: one bit when f(M) is
     a catalog plane, none otherwise.  For a singular map the three images
     could span a line, which lies on several planes, and the test would
-    accept it wrongly."""
+    accept it wrongly.  The rows are imaged once per map, from
+    `cat.plane_rows`, since planes share them."""
     if not _fixes_j_and_h(f, cat):
         return "iv"
-    masks = cat.point_planes
-    norm = f.field.normalize
-    memo: Dict[tuple, int] = {}  # planes share basis rows
-
-    def planes_through_image(m: Subspace) -> int:
-        bits = -1
-        for r in m.basis:
-            b = memo.get(r)
-            if b is None:
-                b = memo[r] = masks.get(norm(f.apply_vector(r)), 0)
-            bits &= b
-        return bits
-
-    x_bits = (1 << len(cat.g_x)) - 1
-    if any(not planes_through_image(m) & x_bits for m in cat.g_x):
+    through = _planes_through_images(f, cat)
+    n_x = len(cat.g_x)
+    x_bits = (1 << n_x) - 1
+    if any(not bits & x_bits for bits in through[:n_x]):
         return "iii"
-    if any(not planes_through_image(m) for m in cat.g_y):
+    if not all(through[n_x:]):
         return "ii"
     return None
+
+
+def _planes_through_images(f: SemilinearMap, cat: Catalog) -> List[int]:
+    """Per plane of `cat.planes`, the mask of the catalog planes through the
+    images of its basis rows (see first_failed_condition)."""
+    rows, per_plane = cat.plane_rows
+    masks = cat.point_planes
+    bits = [masks.get(v, 0) for v in _point_images(f, rows)]
+    return [bits[a] & bits[b] & bits[c] for a, b, c in per_plane]
 
 
 def random_nonblock_invertible(field: Field, rng: random.Random) -> tuple:
     """A random invertible 6x6 matrix that does not match the lift pattern."""
     kern = field.kernel
     q = field.q
+    draw = rng.randrange
     while True:
-        rows = tuple(tuple(rng.randrange(q) for _ in range(6)) for _ in range(6))
+        rows = tuple([tuple([draw(q) for _ in range(6)]) for _ in range(6)])
         if is_block6_patterned(rows):
             continue
         if kern.rank(rows) == 6:
@@ -559,9 +569,7 @@ def make_recipe(
             raise ValueError("psi_P must be defined on the clique of P")
         if set(pp.values()) != cod or len(set(pp.values())) != len(pp):
             raise ValueError("psi_P must biject onto the clique of mu(P)")
-        marked_src = join(p, cat.l_line)
-        marked_dst = join(mu[p], cat.l_line)
-        if pp[marked_src] != marked_dst:
+        if pp[cat.marked_planes[p]] != cat.marked_planes[mu[p]]:
             raise ValueError("psi_P must send P+L to mu(P)+L")
     return PreserverRecipe(mu=dict(mu), psi={p: dict(d) for p, d in psi.items()})
 
@@ -576,8 +584,8 @@ def random_recipe(cat: Catalog, rng: random.Random) -> PreserverRecipe:
     for p in alpha:
         dom = sorted(cat.clique_intervals[p], key=Subspace.key)
         cod = sorted(cat.clique_intervals[mu[p]], key=Subspace.key)
-        marked_src = join(p, cat.l_line)
-        marked_dst = join(mu[p], cat.l_line)
+        marked_src = cat.marked_planes[p]
+        marked_dst = cat.marked_planes[mu[p]]
         dom.remove(marked_src)
         cod.remove(marked_dst)
         rng.shuffle(cod)
@@ -600,51 +608,40 @@ def build_preserver(recipe: PreserverRecipe, cat: Catalog) -> Dict[Subspace, Sub
 
 
 def verify_preserver(mapping: Dict[Subspace, Subspace], graph: AdjacencyGraph) -> bool:
-    """Bijectivity plus adjacency preservation in both directions."""
-    verts = graph.vertices
-    if set(mapping.keys()) != set(verts) or set(mapping.values()) != set(verts):
+    """Whether the mapping permutes the vertices and preserves adjacency in
+    both directions.  For a permutation perm of the vertex indices, the
+    image of N(i) equals N(perm i) for every i exactly when adjacent planes
+    have adjacent images (image of N(i) inside N(perm i)) and planes with
+    adjacent images are adjacent (N(perm i) inside the image of N(i)), so
+    each neighbour set is walked once."""
+    vindex = graph.vindex
+    if mapping.keys() != vindex.keys() or set(mapping.values()) != vindex.keys():
         return False
-    perm = [graph.vindex[mapping[v]] for v in verts]
-    if len(set(perm)) != len(perm):
-        return False
-    for i in range(graph.n):
-        pi = perm[i]
-        for j in graph.neighbours[i]:
-            if perm[j] not in graph.neighbours[pi]:
-                return False
-    # A bijection preserving adjacency forward on a finite graph with equal
-    # edge images preserves it backward too; check explicitly regardless.
-    inv = [0] * graph.n
-    for i, pi in enumerate(perm):
-        inv[pi] = i
-    for i in range(graph.n):
-        ii = inv[i]
-        for j in graph.neighbours[i]:
-            if inv[j] not in graph.neighbours[ii]:
-                return False
-    return True
+    perm = [vindex[mapping[v]] for v in graph.vertices]
+    nbrs = graph.neighbours
+    return all({perm[j] for j in nbrs[i]} == nbrs[perm[i]] for i in range(graph.n))
 
 
 def preserver_from_collineation(f: SemilinearMap, cat: Catalog) -> Dict[Subspace, Subspace]:
-    """The plane permutation induced by a collineation satisfying (ii)."""
+    """The plane permutation induced by a collineation satisfying (ii): the
+    image of a plane is the single catalog plane through the images of its
+    basis rows (see first_failed_condition)."""
+    planes = cat.planes
     mapping = {}
-    planes = set(cat.planes)
-    for z in cat.planes:
-        img = f.apply(z)
-        if img not in planes:
+    for z, bits in zip(planes, _planes_through_images(f, cat)):
+        if not bits:
             raise ValueError("collineation does not preserve the plane set")
-        mapping[z] = img
+        mapping[z] = planes[bits.bit_length() - 1]
     return mapping
 
 
 def extract_recipe(mapping: Dict[Subspace, Subspace], cat: Catalog) -> PreserverRecipe:
     """Read (mu, psi) off a preserver: mu from the Y planes P+L, psi from the
     restriction to each clique."""
-    y_to_line = {join(p, cat.l_line): p for p in cat.g_alpha}
+    y_to_line = {y: p for p, y in cat.marked_planes.items()}
     mu = {}
-    for p in cat.g_alpha:
-        img = mapping[join(p, cat.l_line)]
-        line = y_to_line.get(img)
+    for p, y in cat.marked_planes.items():
+        line = y_to_line.get(mapping[y])
         if line is None:
             raise ValueError("mapping does not permute the Y planes")
         mu[p] = line
@@ -761,7 +758,7 @@ def _vertex_classes(graph: AdjacencyGraph) -> List[int]:
     the alpha regulus; the class of a Y plane P+L is that of the line P."""
     cat = graph.catalog
     alpha_index = {p: i for i, p in enumerate(cat.g_alpha)}
-    y_class = {join(p, cat.l_line): i for i, p in enumerate(cat.g_alpha)}
+    y_class = {cat.marked_planes[p]: i for i, p in enumerate(cat.g_alpha)}
     return [
         alpha_index[meet(v, cat.k_solid)] if t is SubmoduleType.X else y_class[v]
         for v, t in zip(graph.vertices, graph.types)

@@ -229,12 +229,16 @@ class Field:
     def normalize(self, vec) -> tuple:
         """A nonzero vector scaled so that its first nonzero entry is 1: the
         representative of its projective point, as a one-row rref gives it."""
-        lead = next(c for c in vec if c)
+        for lead in vec:
+            if lead:
+                break
+        else:
+            raise ValueError("the zero vector is not a point")
         if lead == 1:
             return tuple(vec)
         f = self._inv_t[lead] * self.q
         mul = self._mul_t
-        return tuple(mul[f + c] for c in vec)
+        return tuple([mul[f + c] for c in vec])
 
 
 @dataclass(frozen=True)

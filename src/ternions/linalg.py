@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterator, List, Optional, Sequence
 
@@ -67,6 +68,16 @@ class Subspace:
     def key(self):
         """Deterministic sort key."""
         return (self.n, len(self.basis), self.basis)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.basis))
+
+    def __hash__(self):
+        # The hash the dataclass would generate, kept after its first use:
+        # the basis is a tuple of tuples, rehashed on every lookup otherwise.
+        # Lazy, because most subspaces the scans build are never hashed.
+        return self._hash
 
     def __repr__(self):
         return f"Sub({self.n},{self.dim}){list(self.basis)}"

@@ -359,6 +359,23 @@ class Catalog:
                 masks[v] = masks.get(v, 0) | (1 << i)
         return masks
 
+    @cached_property
+    def plane_rows(self) -> Tuple[tuple, tuple]:
+        """(rows, per_plane): the distinct basis rows of `planes` in
+        first-seen order, and per plane the indices of its three rows in
+        `rows`.  Planes share rows, so a map's images of all planes are
+        read off its images of these rows."""
+        index: Dict[tuple, int] = {}
+        per_plane = tuple(
+            tuple(index.setdefault(r, len(index)) for r in m.basis) for m in self.planes
+        )
+        return tuple(index), per_plane
+
+    @cached_property
+    def marked_planes(self) -> Dict[Subspace, Subspace]:
+        """Per alpha regulus line P, its marked Y plane P + L."""
+        return {p: join(p, self.l_line) for p in self.g_alpha}
+
     def type_of(self, s: Subspace) -> Optional[SubmoduleType]:
         hit = self.index.get(s)
         return hit[0] if hit else None

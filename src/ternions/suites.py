@@ -274,8 +274,7 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
     classes_ok = True
     for p, members in groups.items():
         interval = set(cat.clique_intervals.get(p, ()))
-        marked = geo.join(p, cat.l_line)
-        if set(members) != interval - {marked}:
+        if set(members) != interval - {cat.marked_planes.get(p)}:
             classes_ok = False
     claims.append(_claim("adjacency", "adj:classes", classes_ok, {}))
 

@@ -193,15 +193,19 @@ def act_right(v: TernionPair, s: TernionMatrix) -> TernionPair:
 
 
 def random_invertible(field: Field, rng: random.Random) -> TernionMatrix:
-    """Uniform invertible matrix by rejection on the two determinant factors."""
+    """Uniform invertible matrix by rejection on the two determinant factors
+    (see TernionMatrix.det_factors), tested on the 12 drawn codes before any
+    ternion is built: a22 d22 - b22 c22 is nonzero exactly when the two
+    products differ, and likewise for the 11 entries."""
     q = field.q
+    mul = field.mul
+    draw = rng.randrange
     while True:
-        codes = [rng.randrange(q) for _ in range(12)]
-        m = TernionMatrix(
-            Ternion(field, *codes[0:3]),
-            Ternion(field, *codes[3:6]),
-            Ternion(field, *codes[6:9]),
-            Ternion(field, *codes[9:12]),
-        )
-        if m.is_invertible:
-            return m
+        c = [draw(q) for _ in range(12)]
+        if mul(c[2], c[11]) != mul(c[5], c[8]) and mul(c[0], c[9]) != mul(c[3], c[6]):
+            return TernionMatrix(
+                Ternion(field, c[0], c[1], c[2]),
+                Ternion(field, c[3], c[4], c[5]),
+                Ternion(field, c[6], c[7], c[8]),
+                Ternion(field, c[9], c[10], c[11]),
+            )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -239,6 +240,17 @@ def test_graph_matches_golden(fmt):
     r = run_cli("graph", "--q", "2", "--format", fmt)
     assert r.returncode == 0
     assert r.stdout == (GOLDEN / f"graph_q2.{fmt}").read_text()
+
+
+# sha256 of `graph --q 7 --format json` (605,772 bytes, too large to keep
+# as a golden file); see tests/golden/README.md for the command
+GRAPH_Q7_JSON_SHA256 = "2b6fb0bf895f94c070ffb9d8920c2d0321114f58143bbb5aea2274fa9fd0ef87"
+
+
+def test_graph_q7_json_matches_pinned_hash():
+    r = run_cli("graph", "--q", "7", "--format", "json")
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == GRAPH_Q7_JSON_SHA256
 
 
 def test_enumerate_matches_golden():

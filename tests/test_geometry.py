@@ -5,6 +5,7 @@ import pytest
 from conftest import incidence_counts
 
 import ternions.geometry as geometry
+from ternions._pycore import Kernel
 from ternions.gf import automorphisms
 from ternions.linalg import (
     BudgetError,
@@ -53,7 +54,7 @@ from ternions.geometry import (
     _fixes_j,
     _homothety_rows,
 )
-from ternions.model import TYPE_ORDER, SubmoduleType, block6_lift
+from ternions.model import TYPE_ORDER, SubmoduleType, block6_lift, is_block6_patterned
 from ternions.ternion import matrix_identity, random_invertible
 
 
@@ -502,9 +503,45 @@ def test_point_planes_index(which, cat2, cat3):
         assert masks.get(v, 0).bit_count() == through
 
 
-def test_random_nonblock_is_invertible_nonpattern(f3):
-    from ternions.model import is_block6_patterned
+def test_first_failed_condition_makes_no_elimination(cat3, monkeypatch):
+    rng = random.Random(41)
+    maps = [_random_positive(cat3, rng) for _ in range(50)]
+    cat3.point_planes, cat3.plane_rows  # the per-catalog tables, built once
+    calls = []
+    for name in ("rref", "rank", "vec_apply"):
+        real = getattr(Kernel, name)
 
+        def counted(self, *args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(Kernel, name, counted)
+    assert [first_failed_condition(f, cat3) for f in maps] == [None] * 50
+    assert calls == []
+
+
+def _reference_random_nonblock_invertible(field, rng):
+    """The draw loop random_nonblock_invertible replaced."""
+    q = field.q
+    while True:
+        rows = tuple(tuple(rng.randrange(q) for _ in range(6)) for _ in range(6))
+        if is_block6_patterned(rows):
+            continue
+        if field.kernel.rank(rows) == 6:
+            return rows
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_random_nonblock_matches_reference_stream(which, seed, f2, f3, f4):
+    field = {2: f2, 3: f3, 4: f4}[which]
+    a, b = random.Random(seed), random.Random(seed)
+    got = [random_nonblock_invertible(field, a) for _ in range(200)]
+    assert got == [_reference_random_nonblock_invertible(field, b) for _ in range(200)]
+    assert a.random() == b.random()
+
+
+def test_random_nonblock_is_invertible_nonpattern(f3):
     rng = random.Random(9)
     for _ in range(20):
         rows = random_nonblock_invertible(f3, rng)
@@ -645,6 +682,63 @@ def test_preserver_from_collineation(cat2, graph2):
     assert verify_preserver(mapping, graph2)
     recipe = extract_recipe(mapping, cat2)
     assert build_preserver(recipe, cat2) == mapping
+
+
+def _reference_preserver(f, cat):
+    """The image of each plane by row reduction, as preserver_from_collineation
+    computed it before reading the point index."""
+    planes = set(cat.planes)
+    mapping = {}
+    for z in cat.planes:
+        img = f.apply(z)
+        if img not in planes:
+            raise ValueError("collineation does not preserve the plane set")
+        mapping[z] = img
+    return mapping
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_preserver_from_collineation_matches_reference(which, cat2, cat3):
+    cat = {2: cat2, 3: cat3}[which]
+    rng = random.Random(37 + which)
+    for _ in range(10):
+        f = _random_positive(cat, rng)
+        assert preserver_from_collineation(f, cat) == _reference_preserver(f, cat)
+    f, img = _moving_positive(cat, rng, cat.g_x)
+    doctored = dataclasses.replace(cat, g_x=tuple(m for m in cat.g_x if m != img))
+    for get in (preserver_from_collineation, _reference_preserver):
+        with pytest.raises(ValueError):
+            get(f, doctored)
+
+
+def test_verify_preserver_rejects_non_bijections(cat2, graph2):
+    mapping = build_preserver(random_recipe(cat2, random.Random(43)), cat2)
+    assert verify_preserver(mapping, graph2)
+    missing = dict(mapping)
+    del missing[cat2.g_x[0]]
+    assert not verify_preserver(missing, graph2)
+    repeated = dict(mapping)
+    repeated[cat2.g_x[0]] = repeated[cat2.g_x[1]]
+    assert not verify_preserver(repeated, graph2)
+
+
+class _CountingSet(frozenset):
+    """A neighbour set that counts how often it is iterated."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_verify_preserver_walks_each_neighbour_set_once(cat3, graph3):
+    counted = dataclasses.replace(
+        graph3, neighbours=tuple(_CountingSet(s) for s in graph3.neighbours)
+    )
+    mapping = build_preserver(random_recipe(cat3, random.Random(47)), cat3)
+    assert verify_preserver(mapping, counted)
+    assert [s.walks for s in counted.neighbours] == [1] * graph3.n
 
 
 # -- xi ---------------------------------------------------------------------------

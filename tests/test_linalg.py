@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from itertools import product
 
@@ -257,3 +259,21 @@ def test_subspace_json_and_key(f2):
     u = coordinate_subspace(f2, 4, [1, 3])
     assert u.basis == ((0, 1, 0, 0), (0, 0, 0, 1))
     assert zero_subspace(f2, 4).key() < u.key()
+
+
+def test_subspace_hash_is_cached_dataclass_hash(f3):
+    s = canonicalize(f3, 6, [[1, 2, 0, 0, 1, 0], [0, 0, 1, 1, 0, 2]])
+    want = hash((s.n, s.basis))
+    assert hash(s) == want
+    assert {s: 1}[s] == 1
+    assert hash(s) == want
+    # built separately, equal and equally hashed
+    t = canonicalize(f3, 6, [[1, 2, 1, 1, 1, 2], [0, 0, 2, 2, 0, 1]])
+    assert t == s and hash(t) == want
+    # a replaced basis is hashed afresh
+    u = dataclasses.replace(s, basis=s.basis[:1])
+    assert hash(u) == hash((u.n, u.basis)) != want
+    assert [f.name for f in dataclasses.fields(Subspace)] == ["field", "n", "basis"]
+    assert repr(s) == "Sub(6,2)[(1, 2, 0, 0, 1, 0), (0, 0, 1, 1, 0, 2)]"
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and hash(back) == want

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import product
 
@@ -13,6 +14,7 @@ from ternions.linalg import (
     coordinate_subspace,
     enumerate_subspaces,
     gaussian_binomial,
+    join,
     meet,
     meet_dim,
     projective_points,
@@ -267,6 +269,36 @@ def test_catalog_index_and_witness(cat2):
         SubmoduleType.BETA,
         None,
     )
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_plane_rows(which, cat2, cat3, cat4):
+    cat = {2: cat2, 3: cat3, 4: cat4}[which]
+    rows, per_plane = cat.plane_rows
+    assert len(set(rows)) == len(rows)
+    assert len(per_plane) == len(cat.planes)
+    for m, idx in zip(cat.planes, per_plane):
+        assert len(idx) == 3
+        assert tuple(rows[i] for i in idx) == m.basis
+
+
+def test_doctored_catalog_gets_fresh_plane_rows(cat2):
+    rows, per_plane = cat2.plane_rows
+    fewer = dataclasses.replace(cat2, g_x=cat2.g_x[1:])
+    rows2, per_plane2 = fewer.plane_rows
+    assert len(per_plane2) == len(per_plane) - 1
+    for m, idx in zip(fewer.planes, per_plane2):
+        assert tuple(rows2[i] for i in idx) == m.basis
+    assert cat2.plane_rows == (rows, per_plane)
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_marked_planes(which, cat2, cat3):
+    cat = {2: cat2, 3: cat3}[which]
+    assert list(cat.marked_planes) == list(cat.g_alpha)
+    for p in cat.g_alpha:
+        assert cat.marked_planes[p] == join(p, cat.l_line)
+        assert cat.marked_planes[p] in cat.g_y
 
 
 def test_validate_catalog_report(cat3):

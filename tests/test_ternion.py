@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from ternions.gf import make_field
+from ternions.gf import field_of_order, make_field
 from ternions.ternion import (
     Ternion,
     TernionMatrix,
@@ -183,6 +183,31 @@ def test_random_invertible(f5):
     for _ in range(40):
         m = random_invertible(f5, rng)
         assert m.is_invertible
+
+
+def _reference_random_invertible(field, rng):
+    """The draw loop random_invertible replaced: build the matrix, then test."""
+    q = field.q
+    while True:
+        codes = [rng.randrange(q) for _ in range(12)]
+        m = TernionMatrix(
+            Ternion(field, *codes[0:3]),
+            Ternion(field, *codes[3:6]),
+            Ternion(field, *codes[6:9]),
+            Ternion(field, *codes[9:12]),
+        )
+        if m.is_invertible:
+            return m
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_random_invertible_matches_reference_stream(q, seed):
+    field = field_of_order(q)
+    a, b = random.Random(seed), random.Random(seed)
+    got = [random_invertible(field, a) for _ in range(200)]
+    assert got == [_reference_random_invertible(field, b) for _ in range(200)]
+    assert a.random() == b.random()
 
 
 def test_e_basis(f2):
