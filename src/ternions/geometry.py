@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .gf import Field, FieldAutomorphism, automorphisms
@@ -148,6 +149,18 @@ class AdjacencyGraph:
     def are_adjacent(self, i: int, j: int) -> bool:
         return j in self.neighbours[i]
 
+    @cached_property
+    def cliques(self) -> Tuple[Tuple[FrozenSet[int], ...], Tuple[int, ...]]:
+        """(members, marked): per alpha regulus line P, in `g_alpha` order,
+        the vertices of the clique [P, P+J]_3 and of its marked Y plane P+L.
+        Built on first use, so `build_graph` does not pay for the pencils."""
+        cat = self.catalog
+        vindex = self.vindex
+        members = tuple(
+            frozenset(vindex[z] for z in cat.clique_intervals[p]) for p in cat.g_alpha
+        )
+        return members, tuple(vindex[cat.marked_planes[p]] for p in cat.g_alpha)
+
 
 def build_graph(cat: Catalog) -> AdjacencyGraph:
     """Adjacency by shared points, read off the catalog's point index
@@ -251,40 +264,25 @@ def distances_from(graph: AdjacencyGraph, start: int) -> List[int]:
     return dist
 
 
-def count_geodesics(graph: AdjacencyGraph, start: int, goal: int) -> Tuple[int, int]:
-    """(distance, number of shortest paths) via layered BFS counting."""
-    dist = distances_from(graph, start)
-    if dist[goal] < 0:
-        return (-1, 0)
-    counts = [0] * graph.n
-    counts[start] = 1
-    order = sorted(range(graph.n), key=lambda v: dist[v] if dist[v] >= 0 else 1 << 30)
-    for v in order:
-        if v == start or dist[v] < 0:
-            continue
-        counts[v] = sum(counts[w] for w in graph.neighbours[v] if dist[w] == dist[v] - 1)
-    return (dist[goal], counts[goal])
-
-
 # -- transversal scans ------------------------------------------------------------
 
 
-def _anchored_scan(cat: Catalog, k: int, budget: Optional[int]) -> List[Subspace]:
+def _anchored_scan(cat: Catalog, k: int) -> List[Subspace]:
     """All k-flats (k = 2 or 4) meeting every X plane in dimension k/2,
     sorted by key.
 
     Anchor at two skew X planes M0 and M1 (M0 ^ M1 = 0).  Such a flat
     meets each of them in a (k/2)-flat, and those two are skew, so the flat
     is their join: the (q^2+q+1)^2 joins of a (k/2)-flat of M0 with one of
-    M1 are an exhaustive candidate list.  The budget guards that count."""
+    M1 are an exhaustive candidate list, guarded by the catalog's budget."""
     m0 = cat.g_x[0]
     m1 = next((m for m in cat.g_x[1:] if meet_dim(m0, m) == 0), None)
     if m1 is None:
         raise AssertionError("no X plane is skew to the first one")
-    parts0 = subspaces_within(m0, k // 2, budget)
-    parts1 = subspaces_within(m1, k // 2, budget)
+    parts0 = subspaces_within(m0, k // 2, cat.budget)
+    parts1 = subspaces_within(m1, k // 2, cat.budget)
     what = f"anchored scan candidates (k={k}, q={cat.field.q})"
-    check_budget(len(parts0) * len(parts1), what, budget)
+    check_budget(len(parts0) * len(parts1), what, cat.budget)
     kern = cat.field.kernel
     rank = k + 3 - k // 2  # dim(flat + M) when dim(flat ^ M) = k/2
     xs = [m.basis for m in cat.g_x]
@@ -297,14 +295,14 @@ def _anchored_scan(cat: Catalog, k: int, budget: Optional[int]) -> List[Subspace
     return sorted(out, key=Subspace.key)
 
 
-def scan_lines(cat: Catalog, budget: Optional[int] = None) -> List[Subspace]:
+def scan_lines(cat: Catalog) -> List[Subspace]:
     """All lines meeting every X plane in exactly one point."""
-    return _anchored_scan(cat, 2, budget)
+    return _anchored_scan(cat, 2)
 
 
-def scan_solids(cat: Catalog, budget: Optional[int] = None) -> List[Subspace]:
+def scan_solids(cat: Catalog) -> List[Subspace]:
     """All solids meeting every X plane in exactly a line."""
-    return _anchored_scan(cat, 4, budget)
+    return _anchored_scan(cat, 4)
 
 
 def certificate_from_counts(n_lines: int, n_solids: int) -> Dict[str, object]:
@@ -545,110 +543,94 @@ def verify_decomposition(
 
 @dataclass
 class PreserverRecipe:
-    """The data of an adjacency preserver: a permutation mu of the alpha
-    regulus lines and, per line P, a bijection psi_P of the clique
-    [P, P+J]_3 onto [mu(P), mu(P)+J]_3 sending P+L to mu(P)+L."""
+    """The data of an adjacency preserver, on vertex indices: a permutation
+    mu of the positions of the alpha regulus lines in `g_alpha` and, per
+    line P, a bijection psi_P of the clique [P, P+J]_3 onto
+    [mu(P), mu(P)+J]_3 sending P+L to mu(P)+L."""
 
-    mu: Dict[Subspace, Subspace]
-    psi: Dict[Subspace, Dict[Subspace, Subspace]]
+    mu: Tuple[int, ...]
+    psi: Tuple[Dict[int, int], ...]
 
 
 def make_recipe(
-    cat: Catalog, mu: Dict[Subspace, Subspace], psi: Dict[Subspace, Dict[Subspace, Subspace]]
+    graph: AdjacencyGraph, mu: Sequence[int], psi: Sequence[Dict[int, int]]
 ) -> PreserverRecipe:
     """Validate recipe data: mu permutes the regulus, each psi_P is a clique
     bijection with the marked Y plane matched."""
-    alpha = set(cat.g_alpha)
-    if set(mu.keys()) != alpha or set(mu.values()) != alpha:
+    members, marked = graph.cliques
+    n = len(members)
+    if len(mu) != n or set(mu) != set(range(n)):
         raise ValueError("mu must permute the alpha regulus lines")
-    for p in cat.g_alpha:
-        dom = frozenset(cat.clique_intervals[p])
-        cod = frozenset(cat.clique_intervals[mu[p]])
-        pp = psi.get(p)
-        if pp is None or set(pp.keys()) != dom:
-            raise ValueError("psi_P must be defined on the clique of P")
-        if set(pp.values()) != cod or len(set(pp.values())) != len(pp):
+    if len(psi) != n or any(pp.keys() != c for pp, c in zip(psi, members)):
+        raise ValueError("psi_P must be defined on the clique of P")
+    for a, pp in enumerate(psi):
+        if set(pp.values()) != members[mu[a]] or len(set(pp.values())) != len(pp):
             raise ValueError("psi_P must biject onto the clique of mu(P)")
-        if pp[cat.marked_planes[p]] != cat.marked_planes[mu[p]]:
+        if pp[marked[a]] != marked[mu[a]]:
             raise ValueError("psi_P must send P+L to mu(P)+L")
-    return PreserverRecipe(mu=dict(mu), psi={p: dict(d) for p, d in psi.items()})
+    return PreserverRecipe(mu=tuple(mu), psi=tuple(dict(d) for d in psi))
 
 
-def random_recipe(cat: Catalog, rng: random.Random) -> PreserverRecipe:
+def random_recipe(graph: AdjacencyGraph, rng: random.Random) -> PreserverRecipe:
     """A uniformly scrambled valid recipe."""
-    alpha = list(cat.g_alpha)
-    shuffled = alpha[:]
-    rng.shuffle(shuffled)
-    mu = dict(zip(alpha, shuffled))
-    psi = {}
-    for p in alpha:
-        dom = sorted(cat.clique_intervals[p], key=Subspace.key)
-        cod = sorted(cat.clique_intervals[mu[p]], key=Subspace.key)
-        marked_src = cat.marked_planes[p]
-        marked_dst = cat.marked_planes[mu[p]]
-        dom.remove(marked_src)
-        cod.remove(marked_dst)
+    members, marked = graph.cliques
+    mu = list(range(len(members)))
+    rng.shuffle(mu)
+    psi = []
+    for a, b in enumerate(mu):
+        dom = sorted(members[a] - {marked[a]})
+        cod = sorted(members[b] - {marked[b]})
         rng.shuffle(cod)
         table = dict(zip(dom, cod))
-        table[marked_src] = marked_dst
-        psi[p] = table
-    return make_recipe(cat, mu, psi)
+        table[marked[a]] = marked[b]
+        psi.append(table)
+    return make_recipe(graph, mu, psi)
 
 
-def build_preserver(recipe: PreserverRecipe, cat: Catalog) -> Dict[Subspace, Subspace]:
-    """The total map on the X and Y planes defined by a recipe: an X plane
-    moves inside the clique of its K-trace, the Y plane P+L follows mu."""
-    out: Dict[Subspace, Subspace] = {}
-    for p, table in recipe.psi.items():
-        for src, dst in table.items():
-            out[src] = dst
-    if len(out) != len(cat.g_x) + len(cat.g_y):
+def build_preserver(recipe: PreserverRecipe, graph: AdjacencyGraph) -> Tuple[int, ...]:
+    """The vertex permutation defined by a recipe: an X plane moves inside
+    the clique of its K-trace, the Y plane P+L follows mu."""
+    perm = {src: dst for table in recipe.psi for src, dst in table.items()}
+    if perm.keys() != set(range(graph.n)):
         raise AssertionError("recipe does not cover the planes exactly once")
-    return out
+    return tuple(perm[i] for i in range(graph.n))
 
 
-def verify_preserver(mapping: Dict[Subspace, Subspace], graph: AdjacencyGraph) -> bool:
-    """Whether the mapping permutes the vertices and preserves adjacency in
-    both directions.  For a permutation perm of the vertex indices, the
-    image of N(i) equals N(perm i) for every i exactly when adjacent planes
-    have adjacent images (image of N(i) inside N(perm i)) and planes with
-    adjacent images are adjacent (N(perm i) inside the image of N(i)), so
-    each neighbour set is walked once."""
-    vindex = graph.vindex
-    if mapping.keys() != vindex.keys() or set(mapping.values()) != vindex.keys():
+def verify_preserver(perm: Sequence[int], graph: AdjacencyGraph) -> bool:
+    """Whether perm permutes the vertex indices and preserves adjacency in
+    both directions.  The image of N(i) equals N(perm i) for every i
+    exactly when adjacent planes have adjacent images (image of N(i) inside
+    N(perm i)) and planes with adjacent images are adjacent (N(perm i)
+    inside the image of N(i)), so each neighbour set is walked once."""
+    n = graph.n
+    if len(perm) != n or set(perm) != set(range(n)):
         return False
-    perm = [vindex[mapping[v]] for v in graph.vertices]
     nbrs = graph.neighbours
-    return all({perm[j] for j in nbrs[i]} == nbrs[perm[i]] for i in range(graph.n))
+    return all({perm[j] for j in nbrs[i]} == nbrs[perm[i]] for i in range(n))
 
 
-def preserver_from_collineation(f: SemilinearMap, cat: Catalog) -> Dict[Subspace, Subspace]:
-    """The plane permutation induced by a collineation satisfying (ii): the
+def preserver_from_collineation(f: SemilinearMap, cat: Catalog) -> Tuple[int, ...]:
+    """The vertex permutation induced by a collineation satisfying (ii): the
     image of a plane is the single catalog plane through the images of its
-    basis rows (see first_failed_condition)."""
-    planes = cat.planes
-    mapping = {}
-    for z, bits in zip(planes, _planes_through_images(f, cat)):
-        if not bits:
-            raise ValueError("collineation does not preserve the plane set")
-        mapping[z] = planes[bits.bit_length() - 1]
-    return mapping
+    basis rows (see first_failed_condition); an empty mask gives -1."""
+    perm = tuple(bits.bit_length() - 1 for bits in _planes_through_images(f, cat))
+    if -1 in perm:
+        raise ValueError("collineation does not preserve the plane set")
+    return perm
 
 
-def extract_recipe(mapping: Dict[Subspace, Subspace], cat: Catalog) -> PreserverRecipe:
+def extract_recipe(perm: Sequence[int], graph: AdjacencyGraph) -> PreserverRecipe:
     """Read (mu, psi) off a preserver: mu from the Y planes P+L, psi from the
     restriction to each clique."""
-    y_to_line = {y: p for p, y in cat.marked_planes.items()}
-    mu = {}
-    for p, y in cat.marked_planes.items():
-        line = y_to_line.get(mapping[y])
-        if line is None:
+    members, marked = graph.cliques
+    position = {y: a for a, y in enumerate(marked)}
+    mu = []
+    for y in marked:
+        b = position.get(perm[y])
+        if b is None:
             raise ValueError("mapping does not permute the Y planes")
-        mu[p] = line
-    psi = {}
-    for p in cat.g_alpha:
-        psi[p] = {z: mapping[z] for z in cat.clique_intervals[p]}
-    return make_recipe(cat, mu, psi)
+        mu.append(b)
+    return make_recipe(graph, mu, [{z: perm[z] for z in c} for c in members])
 
 
 # -- the correlation-based bijection xi ----------------------------------------------

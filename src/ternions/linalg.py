@@ -230,7 +230,7 @@ def subspaces_within(u: Subspace, k: int, budget: Optional[int] = None) -> List[
     return out
 
 
-def pencil(v: Subspace, w: Subspace, k: int, budget: Optional[int] = None) -> List[Subspace]:
+def pencil(v: Subspace, w: Subspace, k: int) -> List[Subspace]:
     """The interval [v, w]_k: all k-subspaces between v and w.
 
     The proper pencil case is dim v = k-1, dim w = k+1; the general
@@ -246,7 +246,7 @@ def pencil(v: Subspace, w: Subspace, k: int, budget: Optional[int] = None) -> Li
     c = len(comp)
     kk = k - v.dim
     out = []
-    for s in enumerate_subspaces(field, c, kk, budget):
+    for s in enumerate_subspaces(field, c, kk):
         lifted = kern.matmul(s.basis, tuple(comp)) if s.basis else ()
         out.append(Subspace(field, n, kern.rref(v.basis + lifted)))
     return out

@@ -325,7 +325,7 @@ class Catalog:
     k_solid: Subspace
     l_line: Subspace
     quadric: QuadricGeometry
-    budget: Optional[int] = None  # guards the point index
+    budget: Optional[int] = None  # guards the point index and the scans
 
     def members(self, t: SubmoduleType) -> tuple:
         return {
@@ -446,7 +446,7 @@ def build_catalog(field: Field, validate: bool = True, budget: Optional[int] = N
     """Classify one generator pair per left-unit orbit, keep its span with
     the pair as witness, and (by default) validate every orbit list against
     its independent geometric description.  The budget guards the normal
-    forms here and is kept on the catalog for its point index."""
+    forms here and is kept on the catalog for its point index and scans."""
     q = field.q
     check_budget(normal_form_count(q), f"unit-orbit normal forms (q={q})", budget)
     buckets: Dict[SubmoduleType, Dict[Subspace, TernionPair]] = {
@@ -478,14 +478,14 @@ def build_catalog(field: Field, validate: bool = True, budget: Optional[int] = N
         budget=budget,
     )
     if validate:
-        report = validate_catalog(cat, budget=budget)
+        report = validate_catalog(cat)
         bad = [k_ for k_, ok in report.items() if ok is False]
         if bad:
             raise AssertionError(f"catalog validation failed: {bad}")
     return cat
 
 
-def scan_planes_for_x(cat: Catalog, budget: Optional[int] = None) -> FrozenSet[Subspace]:
+def scan_planes_for_x(cat: Catalog) -> FrozenSet[Subspace]:
     """The X planes found geometrically: planes whose J-trace is a line
     other than L and whose K-trace is an alpha regulus line.
 
@@ -494,14 +494,14 @@ def scan_planes_for_x(cat: Catalog, budget: Optional[int] = None) -> FrozenSet[S
     P lies in K, so M = P + <w> lies in K when w does (w1 = w4 = 0), and
     otherwise M ^ K = P.  The scan keeps the M outside K with
     dim(M ^ J) = 2.  Such an M does not contain L: P meets L in a point,
-    so L <= M would make M = P + L, which lies in K.  The budget guards
-    the (q+1)(q^3+q^2+q+1) candidates."""
+    so L <= M would make M = P + L, which lies in K.  The catalog's budget
+    guards the (q+1)(q^3+q^2+q+1) candidates."""
     field = cat.field
     q = field.q
     kern = field.kernel
     j_rows = cat.j_solid.basis
     count = len(cat.g_alpha) * (q**3 + q**2 + q + 1)
-    check_budget(count, f"X-scan candidates (q={q})", budget)
+    check_budget(count, f"X-scan candidates (q={q})", cat.budget)
     found = set()
     for p in cat.g_alpha:
         pivots = {row.index(1) for row in p.basis}
@@ -518,7 +518,7 @@ def scan_planes_for_x(cat: Catalog, budget: Optional[int] = None) -> FrozenSet[S
     return frozenset(found)
 
 
-def validate_catalog(cat: Catalog, budget: Optional[int] = None) -> Dict[str, bool]:
+def validate_catalog(cat: Catalog) -> Dict[str, bool]:
     """Check each orbit list against its geometric characterization and the
     closed-form counts; returns a flat dict of booleans."""
     field = cat.field
@@ -534,5 +534,5 @@ def validate_catalog(cat: Catalog, budget: Optional[int] = None) -> Dict[str, bo
     report["beta_is_j_minus_l"] = set(cat.g_beta) == j_points - l_points
     report["alpha_is_regulus"] = set(cat.g_alpha) == set(cat.quadric.regulus_alpha)
     report["y_is_pencil"] = set(cat.g_y) == set(pencil(l, k, 3))
-    report["x_is_scan"] = set(cat.g_x) == scan_planes_for_x(cat, budget=budget)
+    report["x_is_scan"] = set(cat.g_x) == scan_planes_for_x(cat)
     return report

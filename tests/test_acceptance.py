@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 
-from conftest import ACCEPTANCE_LOG, cli_env, incidence_counts, x_plane_sweep
+from conftest import ACCEPTANCE_LOG, cli_env, count_geodesics, incidence_counts, x_plane_sweep
 
 from ternions.gf import automorphisms, make_field
 from ternions.linalg import SemilinearMap, full_space, join, meet, meet_dim
@@ -30,7 +30,6 @@ from ternions.geometry import (
     adjacent,
     build_preserver,
     companion_y,
-    count_geodesics,
     decompose_semilinear,
     distances_from,
     expected_cliques,
@@ -283,19 +282,19 @@ def test_criterion_09_preservers(cat2, cat3, graph2, graph3):
     for cat, graph in ((cat2, graph2), (cat3, graph3)):
         nx = len(cat.g_x)
         for _ in range(100):
-            recipe = random_recipe(cat, rng)
-            mapping = build_preserver(recipe, cat)
-            ok = ok and verify_preserver(mapping, graph)
+            recipe = random_recipe(graph, rng)
+            perm = build_preserver(recipe, graph)
+            ok = ok and verify_preserver(perm, graph)
             # the orbit sets must be fixed setwise, not merely permuted together
-            xs = {mapping[m] for m in cat.g_x}
-            ys = {mapping[m] for m in cat.g_y}
+            xs = {graph.vertices[perm[i]] for i in range(nx)}
+            ys = {graph.vertices[perm[i]] for i in range(nx, graph.n)}
             ok = ok and xs == set(cat.g_x) and ys == set(cat.g_y)
         for _ in range(10):
             s = random_invertible(cat.field, rng)
             f = induced_collineation(s, automorphisms(cat.field)[0])
-            mapping = preserver_from_collineation(f, cat)
-            recipe = extract_recipe(mapping, cat)
-            ok = ok and build_preserver(recipe, cat) == mapping
+            perm = preserver_from_collineation(f, cat)
+            recipe = extract_recipe(perm, graph)
+            ok = ok and build_preserver(recipe, graph) == perm
     _record(9, ok, "100 recipes per q=2,3 pass both ways; extraction rebuilds lifts")
 
 

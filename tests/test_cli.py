@@ -253,6 +253,17 @@ def test_graph_q7_json_matches_pinned_hash():
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == GRAPH_Q7_JSON_SHA256
 
 
+# sha256 of `verify --q 5 --seed 0` (the first q the golden files do not
+# pin); see tests/golden/README.md for the command
+VERIFY_Q5_SHA256 = "5101f858a9767294cef675b7a50bd0160f069a1652a48224f56c97993e95e0f3"
+
+
+def test_verify_q5_matches_pinned_hash():
+    r = run_cli("verify", "--q", "5", "--seed", "0")
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == VERIFY_Q5_SHA256
+
+
 def test_enumerate_matches_golden():
     # pins the catalog order and the witness of every member
     r = run_cli("enumerate", "--q", "3", "--set", "all")

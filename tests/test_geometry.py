@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from conftest import incidence_counts
+from conftest import count_geodesics, incidence_counts
 
 import ternions.geometry as geometry
 from ternions._pycore import Kernel
@@ -25,7 +25,6 @@ from ternions.geometry import (
     build_graph,
     certificate_from_counts,
     companion_y,
-    count_geodesics,
     decompose_semilinear,
     distances_from,
     expected_cliques,
@@ -351,11 +350,11 @@ def test_anchored_scans_match_full_sweep(which, cat2, cat3):
 
 def test_scan_budget_counts_anchored_candidates(cat2):
     # 7 x 7 = 49 candidate joins at q = 2
-    assert len(scan_lines(cat2, budget=49)) == 3
+    assert len(scan_lines(dataclasses.replace(cat2, budget=49))) == 3
     with pytest.raises(BudgetError, match="49"):
-        scan_lines(cat2, budget=48)
+        scan_lines(dataclasses.replace(cat2, budget=48))
     with pytest.raises(BudgetError, match="49"):
-        scan_solids(cat2, budget=48)
+        scan_solids(dataclasses.replace(cat2, budget=48))
 
 
 def test_scan_needs_skew_anchor(cat2):
@@ -628,73 +627,148 @@ def test_extract_automorphism(cat4):
 # -- adjacency preservers ---------------------------------------------------------
 
 
-def test_random_recipe_builds_preserver(cat2, graph2):
+@pytest.mark.parametrize("which", [2, 3])
+def test_cliques_table(which, graph2, graph3):
+    # per alpha line P: the planes through P inside P+J, and the plane P+L;
+    # built on first use, not by build_graph
+    graph = {2: graph2, 3: graph3}[which]
+    cat = graph.catalog
+    assert "cliques" not in build_graph(cat).__dict__
+    members, marked = graph.cliques
+    for a, p in enumerate(cat.g_alpha):
+        pj = join(p, cat.j_solid)
+        want = {i for i, z in enumerate(graph.vertices) if contains(z, p) and contains(pj, z)}
+        assert members[a] == want
+        assert marked[a] == graph.vindex[join(p, cat.l_line)]
+
+
+def test_random_recipe_builds_preserver(graph2):
     rng = random.Random(17)
     for _ in range(10):
-        recipe = random_recipe(cat2, rng)
-        mapping = build_preserver(recipe, cat2)
-        assert verify_preserver(mapping, graph2)
-        back = extract_recipe(mapping, cat2)
+        recipe = random_recipe(graph2, rng)
+        perm = build_preserver(recipe, graph2)
+        assert verify_preserver(perm, graph2)
+        back = extract_recipe(perm, graph2)
         assert back.mu == recipe.mu
         assert back.psi == recipe.psi
 
 
-def test_make_recipe_rejects_bad_marked_element(cat2):
+def _subspace_recipe(cat, rng):
+    """random_recipe as written on Subspace-keyed dicts: mu maps each alpha
+    line to its image, psi[P] maps the planes of [P, P+J]_3."""
+    alpha = list(cat.g_alpha)
+    shuffled = alpha[:]
+    rng.shuffle(shuffled)
+    mu = dict(zip(alpha, shuffled))
+    psi = {}
+    for p in alpha:
+        dom = sorted(cat.clique_intervals[p], key=Subspace.key)
+        cod = sorted(cat.clique_intervals[mu[p]], key=Subspace.key)
+        marked_src = cat.marked_planes[p]
+        marked_dst = cat.marked_planes[mu[p]]
+        dom.remove(marked_src)
+        cod.remove(marked_dst)
+        rng.shuffle(cod)
+        table = dict(zip(dom, cod))
+        table[marked_src] = marked_dst
+        psi[p] = table
+    return mu, psi
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_random_recipe_matches_subspace_recipe(which, graph2, graph3, cat4):
+    # the same seed draws the same recipe, and the same number of draws,
+    # as the Subspace version mapped through vindex
+    graph = {2: graph2, 3: graph3}[which] if which < 4 else build_graph(cat4)
+    cat = graph.catalog
+    position = {p: a for a, p in enumerate(cat.g_alpha)}
+    vindex = graph.vindex
+    for seed in range(3):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        recipe = random_recipe(graph, rng)
+        mu, psi = _subspace_recipe(cat, ref_rng)
+        assert recipe.mu == tuple(position[mu[p]] for p in cat.g_alpha)
+        assert recipe.psi == tuple(
+            {vindex[z]: vindex[w] for z, w in psi[p].items()} for p in cat.g_alpha
+        )
+        assert rng.random() == ref_rng.random()
+
+
+def test_make_recipe_rejects_bad_marked_element(cat2, graph2):
     rng = random.Random(19)
-    recipe = random_recipe(cat2, rng)
-    p0 = cat2.g_alpha[0]
-    marked = join(p0, cat2.l_line)
-    table = dict(recipe.psi[p0])
+    recipe = random_recipe(graph2, rng)
+    marked = graph2.vindex[join(cat2.g_alpha[0], cat2.l_line)]
+    table = dict(recipe.psi[0])
     # divert the marked Y plane to an X plane of the target clique
     other = next(z for z in table if z != marked)
     table[marked], table[other] = table[other], table[marked]
-    bad_psi = {p: dict(d) for p, d in recipe.psi.items()}
-    bad_psi[p0] = table
-    with pytest.raises(ValueError):
-        make_recipe(cat2, recipe.mu, bad_psi)
+    bad_psi = list(recipe.psi)
+    bad_psi[0] = table
+    with pytest.raises(ValueError, match="P\\+L"):
+        make_recipe(graph2, recipe.mu, bad_psi)
 
 
-def test_make_recipe_rejects_non_permutation(cat2):
+def test_make_recipe_rejects_non_permutation(graph2):
     rng = random.Random(23)
-    recipe = random_recipe(cat2, rng)
-    mu = dict(recipe.mu)
-    mu[cat2.g_alpha[0]] = mu[cat2.g_alpha[1]]
-    with pytest.raises(ValueError):
-        make_recipe(cat2, mu, recipe.psi)
+    recipe = random_recipe(graph2, rng)
+    mu = list(recipe.mu)
+    mu[0] = mu[1]
+    with pytest.raises(ValueError, match="permute"):
+        make_recipe(graph2, mu, recipe.psi)
+    with pytest.raises(ValueError, match="permute"):
+        make_recipe(graph2, recipe.mu[:-1], recipe.psi)
+
+
+def test_make_recipe_rejects_bad_psi(graph2):
+    recipe = random_recipe(graph2, random.Random(27))
+    members, marked = graph2.cliques
+    with pytest.raises(ValueError, match="defined on"):
+        make_recipe(graph2, recipe.mu, recipe.psi[:-1])
+    short = dict(recipe.psi[0])
+    short.pop(marked[0])
+    with pytest.raises(ValueError, match="defined on"):
+        make_recipe(graph2, recipe.mu, (short,) + recipe.psi[1:])
+    # an X plane sent outside the target clique, or two onto one
+    x = next(z for z in members[0] if z != marked[0])
+    outside = next(iter(members[recipe.mu[1]] - {marked[recipe.mu[1]]}))
+    twice = next(w for z, w in recipe.psi[0].items() if z not in (x, marked[0]))
+    for bad in (outside, twice):
+        table = dict(recipe.psi[0])
+        table[x] = bad
+        with pytest.raises(ValueError, match="biject"):
+            make_recipe(graph2, recipe.mu, (table,) + recipe.psi[1:])
 
 
 def test_swapping_across_cliques_breaks_preservation(cat2, graph2):
     rng = random.Random(29)
-    mapping = build_preserver(random_recipe(cat2, rng), cat2)
+    perm = list(build_preserver(random_recipe(graph2, rng), graph2))
     classes = k_trace_classes(cat2)
-    ms = [members[0] for members in classes.values()]
-    m1, m2 = ms[0], ms[1]
-    bad = dict(mapping)
-    bad[m1], bad[m2] = bad[m2], bad[m1]
-    assert not verify_preserver(bad, graph2)
+    i1, i2 = (graph2.vindex[members[0]] for members in list(classes.values())[:2])
+    perm[i1], perm[i2] = perm[i2], perm[i1]
+    assert not verify_preserver(perm, graph2)
 
 
 def test_preserver_from_collineation(cat2, graph2):
     rng = random.Random(31)
     s = random_invertible(cat2.field, rng)
     f = induced_collineation(s, automorphisms(cat2.field)[0])
-    mapping = preserver_from_collineation(f, cat2)
-    assert verify_preserver(mapping, graph2)
-    recipe = extract_recipe(mapping, cat2)
-    assert build_preserver(recipe, cat2) == mapping
+    perm = preserver_from_collineation(f, cat2)
+    assert verify_preserver(perm, graph2)
+    recipe = extract_recipe(perm, graph2)
+    assert build_preserver(recipe, graph2) == perm
 
 
 def _reference_preserver(f, cat):
-    """The image of each plane by row reduction, as preserver_from_collineation
-    computed it before reading the point index."""
-    planes = set(cat.planes)
-    mapping = {}
+    """The image of each plane by row reduction, as a vertex permutation;
+    preserver_from_collineation reads the point index instead."""
+    vindex = {z: i for i, z in enumerate(cat.planes)}
+    perm = []
     for z in cat.planes:
-        img = f.apply(z)
-        if img not in planes:
+        img = vindex.get(f.apply(z))
+        if img is None:
             raise ValueError("collineation does not preserve the plane set")
-        mapping[z] = img
-    return mapping
+        perm.append(img)
+    return tuple(perm)
 
 
 @pytest.mark.parametrize("which", [2, 3])
@@ -711,14 +785,13 @@ def test_preserver_from_collineation_matches_reference(which, cat2, cat3):
             get(f, doctored)
 
 
-def test_verify_preserver_rejects_non_bijections(cat2, graph2):
-    mapping = build_preserver(random_recipe(cat2, random.Random(43)), cat2)
-    assert verify_preserver(mapping, graph2)
-    missing = dict(mapping)
-    del missing[cat2.g_x[0]]
-    assert not verify_preserver(missing, graph2)
-    repeated = dict(mapping)
-    repeated[cat2.g_x[0]] = repeated[cat2.g_x[1]]
+def test_verify_preserver_rejects_non_bijections(graph2):
+    perm = build_preserver(random_recipe(graph2, random.Random(43)), graph2)
+    assert verify_preserver(perm, graph2)
+    assert not verify_preserver(perm[1:], graph2)  # one vertex unmapped
+    assert not verify_preserver(perm[:-1] + (graph2.n,), graph2)  # off the vertices
+    repeated = list(perm)
+    repeated[0] = repeated[1]
     assert not verify_preserver(repeated, graph2)
 
 
@@ -732,12 +805,12 @@ class _CountingSet(frozenset):
         return super().__iter__()
 
 
-def test_verify_preserver_walks_each_neighbour_set_once(cat3, graph3):
+def test_verify_preserver_walks_each_neighbour_set_once(graph3):
     counted = dataclasses.replace(
         graph3, neighbours=tuple(_CountingSet(s) for s in graph3.neighbours)
     )
-    mapping = build_preserver(random_recipe(cat3, random.Random(47)), cat3)
-    assert verify_preserver(mapping, counted)
+    perm = build_preserver(random_recipe(graph3, random.Random(47)), graph3)
+    assert verify_preserver(perm, counted)
     assert [s.walks for s in counted.neighbours] == [1] * graph3.n
 
 

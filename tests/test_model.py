@@ -321,9 +321,9 @@ def test_x_scan_matches_catalog(q):
 
 def test_x_scan_budget_counts_candidates(cat2):
     # 3 alpha lines x 15 points of the quotient PG(3,2)
-    assert len(scan_planes_for_x(cat2, budget=45)) == 18
+    assert len(scan_planes_for_x(dataclasses.replace(cat2, budget=45))) == 18
     with pytest.raises(BudgetError, match="45"):
-        scan_planes_for_x(cat2, budget=44)
+        scan_planes_for_x(dataclasses.replace(cat2, budget=44))
 
 
 def _pair_walk_catalog(field):

@@ -1,12 +1,18 @@
+import dataclasses
 import json
+import random
 
 import pytest
+from conftest import count_geodesics
 
+import ternions.geometry as geo
 from ternions.gf import make_field
+from ternions.linalg import Subspace
 from ternions.suites import (
     SUITE_NAMES,
     SuiteParams,
     VerifyContext,
+    _distance_detail,
     is_linear_involutive_antiautomorphism,
     run_suites,
     summarize,
@@ -81,6 +87,115 @@ def test_incidence_and_remark_exhaustive_q5(cat5):
     assert claims["incidence:table"]["detail"]["sample_per_type"] is None
     skew = claims["remark:xi-skew-pairs"]["detail"]
     assert skew == {"pairs_checked": 16110, "exhaustive": True}  # 180 X planes
+
+
+def _distance_detail_by_bfs(graph, comp):
+    """Reference for the `adj:distance` flags: one BFS per X plane, and the
+    geodesic count of each distance-3 pair at q = 2."""
+    n_x = len(comp)
+    adj = graph.are_adjacent
+    connected = dist_ok = via_ok = unique_ok = y_dist_ok = True
+    check_unique = graph.catalog.field.q == 2
+    for i in range(n_x):
+        dist = geo.distances_from(graph, i)
+        if any(d < 0 for d in dist):
+            connected = False
+        ci = comp[i]
+        for j in range(i + 1, n_x):
+            d = dist[j]
+            if d not in (1, 3):
+                dist_ok = False
+            if d == 3:
+                cj = comp[j]
+                if not (adj(i, ci) and adj(ci, cj) and adj(cj, j)):
+                    via_ok = False
+                if check_unique and count_geodesics(graph, i, j)[1] != 1:
+                    unique_ok = False
+        for j in range(n_x, graph.n):
+            if j != ci and dist[j] != 2:
+                y_dist_ok = False
+    return {
+        "connected": connected,
+        "xx_distances_in_1_3": dist_ok,
+        "companion_path_geodesic": via_ok,
+        "unique_geodesic_checked": check_unique,
+        "unique_geodesic": unique_ok,
+        "noncompanion_y_at_2": y_dist_ok,
+    }
+
+
+def _rewired(graph, remove=(), add=()):
+    """The graph with the given edges removed and added, both ways."""
+    nbrs = [set(s) for s in graph.neighbours]
+    for i, j in remove:
+        nbrs[i].discard(j)
+        nbrs[j].discard(i)
+    for i, j in add:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return dataclasses.replace(graph, neighbours=tuple(frozenset(s) for s in nbrs))
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_distance_detail_matches_bfs(which, graph2, graph3):
+    graph = {2: graph2, 3: graph3}[which]
+    cat = graph.catalog
+    n_x = len(cat.g_x)
+    comp = [graph.vindex[geo.companion_y(m, cat)] for m in cat.g_x]
+    nbrs = graph.neighbours
+    mate = min(j for j in nbrs[0] if j < n_x)
+    far = min(j for j in range(1, n_x) if j not in nbrs[0])
+    cases = {
+        "as built": graph,
+        "X-X edge removed": _rewired(graph, remove=[(0, mate)]),
+        "companion edge removed": _rewired(graph, remove=[(0, comp[0])]),
+        "edge across cliques": _rewired(graph, add=[(0, far)]),
+        "companion edge moved across cliques": _rewired(
+            graph, remove=[(comp[0], comp[far])], add=[(0, far)]
+        ),
+        "second Y neighbour": _rewired(graph, add=[(0, comp[far])]),
+        "Y plane cut off": _rewired(graph, remove=[(graph.n - 1, j) for j in nbrs[-1]]),
+    }
+    conditions = {
+        "connected",
+        "xx_distances_in_1_3",
+        "companion_path_geodesic",
+        "unique_geodesic",
+        "noncompanion_y_at_2",
+    }
+    failing = set()
+    for name, g in cases.items():
+        got = _distance_detail(g, comp)
+        assert got == _distance_detail_by_bfs(g, comp), name
+        assert got["unique_geodesic_checked"] is (which == 2)
+        failing |= {key for key in conditions if not got[key]}
+        if name == "as built":
+            assert not failing
+    # every condition that is checked is broken by some case
+    assert failing == (conditions if which == 2 else conditions - {"unique_geodesic"})
+
+
+def test_adjacency_runs_one_bfs_and_no_plane_compares(cat3, graph3, monkeypatch):
+    starts = []
+    bfs = geo.distances_from
+    monkeypatch.setattr(geo, "distances_from", lambda g, s: starts.append(s) or bfs(g, s))
+    ctx = VerifyContext(field=cat3.field, seed=0, params=small_params())
+    ctx.catalog, ctx.graph = cat3, graph3  # reuse the session catalog and graph
+    claims = run_suites(ctx, ["adjacency"])
+    assert all(c["ok"] for c in claims)
+    assert starts == [0]
+    # the recipe loop works on vertex indices: no plane is compared
+    graph3.cliques  # the one place planes are looked up
+    compares = []
+    eq = Subspace.__eq__
+    monkeypatch.setattr(Subspace, "__eq__", lambda a, b: compares.append(1) or eq(a, b))
+    rng = random.Random(0)
+    for _ in range(10):
+        rec = geo.random_recipe(graph3, rng)
+        perm = geo.build_preserver(rec, graph3)
+        assert geo.verify_preserver(perm, graph3)
+        assert geo.extract_recipe(perm, graph3) == rec
+    assert compares == []
 
 
 def test_unknown_suite_raises(f2):
