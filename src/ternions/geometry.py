@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .gf import Field, FieldAutomorphism, automorphisms
+from .gf import Field, FieldAutomorphism, automorphisms, primitive_element
 from .linalg import (
     Correlation,
     SemilinearMap,
@@ -45,7 +45,15 @@ from .model import (
     phi,
     phi_inverse,
 )
-from .ternion import Ternion, TernionMatrix, TernionPair, act_right
+from .ternion import (
+    Ternion,
+    TernionMatrix,
+    TernionPair,
+    act_right,
+    t_one,
+    t_zero,
+    unit_generators,
+)
 
 # -- incidence -------------------------------------------------------------------
 
@@ -476,6 +484,48 @@ def _homothety_rows(field: Field, a: int, b: int) -> tuple:
     rows[2] = [0, a, b, 0, 0, 0]
     rows[5] = [0, 0, 0, 0, a, b]
     return tuple(tuple(r) for r in rows)
+
+
+def g0_generators(field: Field) -> Dict[str, List[SemilinearMap]]:
+    """Generators of the group G0 of collineations Theorem 1 names (the
+    lifts of GL2(T), the field automorphisms and the homotheties), by kind:
+
+      elementary: the lifts of [[1, t], [0, 1]], then of [[1, 0], [t, 1]],
+        for t = c e with c a code p^i (the powers of the field generator,
+        an F_p-basis of F_q) and e in e11, e12, e22: 3k each for q = p^k;
+      diagonal: the lifts of diag(u, 1) for the three `unit_generators`;
+      frobenius: the entrywise Frobenius, when k > 1;
+      homothety: `_homothety_rows(0, g)` and `_homothety_rows(1, 1)`,
+        g the primitive element.
+
+    t -> [[1, t], [0, 1]] is additive and the c e are an F_p-basis of T, so
+    the elementary lifts give E2(T).  T is finite, hence semilocal, hence of
+    stable rank 1, so GL2(T) = E2(T) diag(T*, 1) (Bass), and the units
+    generate T*.  The Frobenius generates Aut(F_q).  The homothety (a, b)
+    followed by (a', b') is (a + b a', b b'), so (1, 1) generates the
+    translations (n, 1) for n in F_p, its conjugates by (0, g)^i are (g^i, 1),
+    and the powers of g span F_q: the two give all q(q-1) homotheties."""
+    ident, *frob = automorphisms(field)
+    one, zero = t_one(field), t_zero(field)
+    cs = [field.p**i for i in range(field.k)]
+    basis = (
+        [Ternion(field, c, 0, 0) for c in cs]
+        + [Ternion(field, 0, c, 0) for c in cs]
+        + [Ternion(field, 0, 0, c) for c in cs]
+    )
+    uppers = [TernionMatrix(one, t, zero, one) for t in basis]
+    lowers = [TernionMatrix(one, zero, t, one) for t in basis]
+    diagonals = [TernionMatrix(u, zero, zero, one) for u in unit_generators(field)]
+    g = primitive_element(field)
+    return {
+        "elementary": [induced_collineation(s, ident) for s in uppers + lowers],
+        "diagonal": [induced_collineation(s, ident) for s in diagonals],
+        "frobenius": [SemilinearMap(field, 6, full_space(field, 6).basis, f) for f in frob[:1]],
+        "homothety": [
+            SemilinearMap(field, 6, _homothety_rows(field, a, b), ident)
+            for a, b in ((0, g), (1, 1))
+        ],
+    }
 
 
 def decompose_semilinear(f: SemilinearMap, cat: Catalog) -> Decomposition:

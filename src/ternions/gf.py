@@ -241,6 +241,18 @@ class Field:
         return tuple([mul[f + c] for c in vec])
 
 
+def primitive_element(field: Field) -> int:
+    """The least code generating the multiplicative group."""
+    q = field.q
+    for g in range(1, q):
+        x, order = g, 1
+        while x != 1:
+            x, order = field.mul(x, g), order + 1
+        if order == q - 1:
+            return g
+    raise AssertionError("no primitive element")
+
+
 @dataclass(frozen=True)
 class FieldAutomorphism:
     """A power of the Frobenius map x -> x^p, stored as a code permutation."""

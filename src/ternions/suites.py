@@ -11,8 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import geometry as geo
 from .gf import Field, automorphisms
@@ -49,16 +48,17 @@ from .ternion import (
     iota,
     random_invertible,
     scale_left,
+    unit_generators,
 )
 
 
 @dataclass
 class SuiteParams:
-    """Work sizes for the randomized checks of `thm1` and `adj:preservers`.
-    Every other claim is exhaustive.  The defaults are what the command
-    line runs; the tests call the library with smaller numbers."""
+    """Work sizes for the randomized checks of `thm1:decompose`,
+    `thm1:negative` and `adj:preservers`.  Every other claim is exhaustive.
+    The defaults are what the command line runs; the tests call the library
+    with smaller numbers."""
 
-    thm1_positives: int = 1000
     thm1_controls: int = 2000
     thm1_decompositions: int = 10
     recipes: int = 100
@@ -193,8 +193,7 @@ def _classifier_walk(field: Field) -> Tuple[int, int, Dict[str, object]]:
     images under (g, 0, 1), (1, 0, g) and (1, 1, 1), g a primitive element,
     which generate the unit group; one step per generator is a spot check
     of the invariance, not a proof of it."""
-    g = _primitive_element(field)
-    units = (Ternion(field, g, 0, 1), Ternion(field, 1, 0, g), Ternion(field, 1, 1, 1))
+    units = unit_generators(field)
     mismatches = 0
     unimod_bad = 0
     for v in _unit_orbit_normal_forms(field):
@@ -212,18 +211,6 @@ def _classifier_walk(field: Field) -> Tuple[int, int, Dict[str, object]]:
                 unimod_bad += 1
     walked = {"method": "unit-orbit normal forms", "normal_forms": normal_form_count(field.q)}
     return mismatches, unimod_bad, walked
-
-
-def _primitive_element(field: Field) -> int:
-    """The least code generating the multiplicative group."""
-    q = field.q
-    for g in range(1, q):
-        x, order = g, 1
-        while x != 1:
-            x, order = field.mul(x, g), order + 1
-        if order == q - 1:
-            return g
-    raise AssertionError("no primitive element")
 
 
 # -- incidence ---------------------------------------------------------------------
@@ -295,24 +282,7 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
     # they are the only maximal ones; Bron-Kerbosch cross-check at q <= 3
     expected = geo.expected_cliques(cat)
     exp_idx = [frozenset(graph.vindex[s] for s in c) for c in expected]
-    all_cliques = all(
-        graph.are_adjacent(i, j) for c in exp_idx for i, j in combinations(sorted(c), 2)
-    )
-    edge_clique = {}
-    for ci, c in enumerate(exp_idx):
-        for i, j in combinations(sorted(c), 2):
-            edge_clique[(i, j)] = ci
-    coverage = all(
-        (i, j) in edge_clique
-        for i in range(graph.n)
-        for j in graph.neighbours[i]
-        if i < j
-    )
-    closure = True
-    for (i, j), ci in edge_clique.items():
-        common = graph.neighbours[i] & graph.neighbours[j]
-        if common != exp_idx[ci] - {i, j}:
-            closure = False
+    all_cliques, coverage, closure = _clique_flags(graph.neighbours, exp_idx)
     detail = {
         "clique_sizes": sorted(len(c) for c in exp_idx),
         "edge_coverage": coverage,
@@ -369,6 +339,26 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
         )
     )
     return claims
+
+
+def _clique_flags(nbrs: tuple, cliques: List[FrozenSet[int]]) -> Tuple[bool, bool, bool]:
+    """(all_cliques, coverage, closure) for the expected cliques, in one
+    pass per vertex v and clique C: a member of C must see the rest of C,
+    and the cliques through v must cover its neighbours.  The common
+    neighbours of an edge of C are then C minus the edge unless some vertex
+    outside C sees two members of C, which is what closure excludes."""
+    all_cliques = coverage = closure = True
+    for v, nv in enumerate(nbrs):
+        covered = set()
+        for c in cliques:
+            seen = len(nv & c)
+            if v in c:
+                all_cliques = all_cliques and seen == len(c) - 1
+                covered |= c
+            elif seen > 1:
+                closure = False
+        coverage = coverage and nv <= covered
+    return all_cliques, coverage, closure
 
 
 def _distance_detail(graph: geo.AdjacencyGraph, comp: List[int]) -> Dict[str, bool]:
@@ -444,26 +434,40 @@ def suite_lemmas(ctx: VerifyContext) -> List[Dict[str, object]]:
 
 
 def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
+    """Theorem 1's collineation claims.
+
+    `thm1:positive` is exact: it checks each generator of G0 from
+    `geometry.g0_generators`.  The maps that satisfy iv, iii and ii are
+    those fixing J, H, the X planes and the X and Y planes together
+    setwise, an intersection of setwise stabilisers, so they form a group,
+    which contains G0 once it contains a generating set.  The generators
+    reach all of GL2(T) because T is finite, hence of stable rank 1, so
+    GL2(T) = E2(T) diag(T*, 1) (Bass).  `thm1:decompose` and
+    `thm1:negative` check seeded random maps."""
     cat = ctx.catalog
     field = ctx.field
     rng = ctx.rng("thm1")
     autos = automorphisms(field)
     claims = []
 
-    n_pos = ctx.params.thm1_positives
-    pos_fail = 0
-    for _ in range(n_pos):
-        s = random_invertible(field, rng)
-        sigma = rng.choice(autos)
-        f = geo.induced_collineation(s, sigma)
-        if geo.first_failed_condition(f, cat) is not None:
-            pos_fail += 1
+    gens = geo.g0_generators(field)
+    failed = [
+        {"kind": kind, "index": i}
+        for kind, maps in gens.items()
+        for i, f in enumerate(maps)
+        if geo.first_failed_condition(f, cat) is not None
+    ]
     claims.append(
         _claim(
             "thm1",
             "thm1:positive",
-            pos_fail == 0,
-            {"maps_checked": n_pos, "failures": pos_fail},
+            not failed,
+            {
+                "generators": {kind: len(maps) for kind, maps in gens.items()},
+                "exhaustive": True,
+                "failures": len(failed),
+                "first_failure": failed[0] if failed else None,
+            },
         )
     )
 
@@ -506,6 +510,7 @@ def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
             dec_fail == 0 and exact_fail == 0,
             {
                 "maps_decomposed": n_dec + 2,
+                "exhaustive": False,
                 "round_trip_failures": dec_fail,
                 "parameter_mismatches": exact_fail,
             },
@@ -539,6 +544,7 @@ def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
             admissible_consistent,
             {
                 "controls": n_ctl,
+                "exhaustive": False,
                 "failed_by_condition": fail_by,
                 "accidentally_admissible": admissible,
             },

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Tuple
 
-from .gf import Field
+from .gf import Field, primitive_element
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,16 @@ def enumerate_ternions(field: Field) -> Iterator[Ternion]:
 def random_ternion(field: Field, rng: random.Random) -> Ternion:
     q = field.q
     return Ternion(field, rng.randrange(q), rng.randrange(q), rng.randrange(q))
+
+
+def unit_generators(field: Field) -> Tuple[Ternion, Ternion, Ternion]:
+    """(g, 0, 1), (1, 0, g) and (1, 1, 1), g the primitive element, which
+    generate the unit group: the first two give the diagonal units, and
+    conjugating (1, 1, 1) by powers of (g, 0, 1) gives every (1, g^i, 1),
+    whose products are all (1, y, 1), since the powers of g span GF(q)
+    over GF(p)."""
+    g = primitive_element(field)
+    return (Ternion(field, g, 0, 1), Ternion(field, 1, 0, g), Ternion(field, 1, 1, 1))
 
 
 def iota(t: Ternion) -> Ternion:

@@ -255,7 +255,7 @@ def test_graph_q7_json_matches_pinned_hash():
 
 # sha256 of `verify --q 5 --seed 0` (the first q the golden files do not
 # pin); see tests/golden/README.md for the command
-VERIFY_Q5_SHA256 = "5101f858a9767294cef675b7a50bd0160f069a1652a48224f56c97993e95e0f3"
+VERIFY_Q5_SHA256 = "91ecd2ac2371b442a8987a0f67902643c52dfe8975a4dd469b73e382530f722b"
 
 
 def test_verify_q5_matches_pinned_hash():

@@ -6,7 +6,7 @@ from conftest import count_geodesics, incidence_counts
 
 import ternions.geometry as geometry
 from ternions._pycore import Kernel
-from ternions.gf import automorphisms
+from ternions.gf import automorphisms, field_of_order
 from ternions.linalg import (
     BudgetError,
     SemilinearMap,
@@ -32,6 +32,7 @@ from ternions.geometry import (
     extract_automorphism,
     extract_recipe,
     first_failed_condition,
+    g0_generators,
     graph_to_dot,
     graph_to_json,
     incidence_table,
@@ -53,8 +54,20 @@ from ternions.geometry import (
     _fixes_j,
     _homothety_rows,
 )
-from ternions.model import TYPE_ORDER, SubmoduleType, block6_lift, is_block6_patterned
-from ternions.ternion import matrix_identity, random_invertible
+from ternions.model import (
+    TYPE_ORDER,
+    SubmoduleType,
+    block6_lift,
+    is_block6_patterned,
+    matrix2_from_block6,
+)
+from ternions.ternion import (
+    Ternion,
+    act_right,
+    enumerate_pairs,
+    matrix_identity,
+    random_invertible,
+)
 
 
 # -- incidence ---------------------------------------------------------------
@@ -517,6 +530,110 @@ def test_first_failed_condition_makes_no_elimination(cat3, monkeypatch):
         monkeypatch.setattr(Kernel, name, counted)
     assert [first_failed_condition(f, cat3) for f in maps] == [None] * 50
     assert calls == []
+
+
+# -- generators of G0 ---------------------------------------------------------------
+
+
+def _closure(gens, mul, one):
+    """Everything generated by gens under mul, by breadth-first search from
+    one (a finite monoid generated by invertible elements is a group)."""
+    seen = {one}
+    frontier = [one]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("q, order", [(2, 576), (3, 186_624)])
+def test_g0_generators_generate_gl2(q, order):
+    # |GL2(T)| = |GL2(q)|^2 q^4.  A matrix is coded as its two rows, each
+    # the code of a pair in T^2 (q^6 of them), and a generator acts on each
+    # row by one table lookup, so the closure at q = 3 takes about a second
+    field = field_of_order(q)
+    gens = g0_generators(field)
+    lifts = gens["elementary"] + gens["diagonal"]
+    assert len(lifts) == 9 and all(f.sigma.is_identity for f in lifts)
+    mats = [matrix2_from_block6(field, f.matrix) for f in lifts]
+    pairs = list(enumerate_pairs(field))
+    code = {v: i for i, v in enumerate(pairs)}
+    n = len(pairs)
+    tables = [[code[act_right(v, s)] for v in pairs] for s in mats]
+    one, zero = Ternion(field, 1, 0, 1), Ternion(field, 0, 0, 0)
+    identity = code[(one, zero)] * n + code[(zero, one)]
+
+    def mul(x, tab):
+        return tab[x // n] * n + tab[x % n]
+
+    assert len(_closure(tables, mul, identity)) == order
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_g0_homotheties_generate_all(q):
+    field = field_of_order(q)
+    gens = g0_generators(field)["homothety"]
+    assert len(gens) == 2 and all(f.sigma.is_identity for f in gens)
+    got = _closure(
+        [f.matrix for f in gens], field.kernel.matmul, full_space(field, 6).basis
+    )
+    want = {_homothety_rows(field, a, b) for a in range(q) for b in range(1, q)}
+    assert len(want) == q * (q - 1)
+    assert got == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_g0_frobenius_generates_automorphisms(q):
+    field = field_of_order(q)
+    gens = g0_generators(field)["frobenius"]
+    assert len(gens) == (field.k > 1)
+    autos = automorphisms(field)
+    for f in gens:
+        assert f.matrix == full_space(field, 6).basis
+    got = _closure([f.sigma for f in gens], lambda a, b: a.compose(b), autos[0])
+    assert got == set(autos)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_g0_elementary_entries_and_units_generate(q):
+    # the two facts the generation argument rests on, at every q: the
+    # entries t of the elementary generators span T additively, and the
+    # units of the diagonal generators generate the q (q-1)^2 units
+    field = field_of_order(q)
+    gens = g0_generators(field)
+    mats = [matrix2_from_block6(field, f.matrix) for f in gens["elementary"]]
+    half = len(mats) // 2
+    zero, one = Ternion(field, 0, 0, 0), Ternion(field, 1, 0, 1)
+    uppers = [m.b for m in mats[:half]]
+    assert [m.c for m in mats[half:]] == uppers
+    assert all(m.a == m.d == one for m in mats)
+    assert all(m.c == zero for m in mats[:half]) and all(m.b == zero for m in mats[half:])
+    assert len(_closure(uppers, lambda a, b: a + b, zero)) == q**3
+    units = [matrix2_from_block6(field, f.matrix).a for f in gens["diagonal"]]
+    assert len(_closure(units, lambda a, b: a * b, one)) == q * (q - 1) ** 2
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_g0_generators_satisfy_conditions(which, cat2, cat3, cat4):
+    cat = {2: cat2, 3: cat3, 4: cat4}[which]
+    gens = g0_generators(cat.field)
+    k = cat.field.k
+    assert {kind: len(maps) for kind, maps in gens.items()} == {
+        "elementary": 6 * k,
+        "diagonal": 3,
+        "frobenius": int(k > 1),
+        "homothety": 2,
+    }
+    for maps in gens.values():
+        for f in maps:
+            assert first_failed_condition(f, cat) is None
+            assert _reference_first_failed(f, cat) is None
 
 
 def _reference_random_nonblock_invertible(field, rng):

@@ -1,28 +1,29 @@
 import dataclasses
 import json
 import random
+from itertools import combinations
 
 import pytest
 from conftest import count_geodesics
 
 import ternions.geometry as geo
-from ternions.gf import make_field
-from ternions.linalg import Subspace
+from ternions.gf import automorphisms, make_field, primitive_element
+from ternions.linalg import SemilinearMap, Subspace
 from ternions.suites import (
     SUITE_NAMES,
     SuiteParams,
     VerifyContext,
+    _clique_flags,
     _distance_detail,
     is_linear_involutive_antiautomorphism,
     run_suites,
     summarize,
 )
-from ternions.ternion import Ternion, enumerate_ternions, iota
+from ternions.ternion import Ternion, enumerate_ternions, iota, random_invertible
 
 
 def small_params():
     return SuiteParams(
-        thm1_positives=50,
         thm1_controls=100,
         thm1_decompositions=3,
         recipes=10,
@@ -75,8 +76,62 @@ def test_thm1_q5_default_params(cat5):
     claims = run_suites(ctx, ["thm1"])
     assert [c["id"] for c in claims] == ["thm1:positive", "thm1:decompose", "thm1:negative"]
     assert all(c["ok"] for c in claims)
-    assert claims[0]["detail"] == {"maps_checked": 1000, "failures": 0}
+    assert claims[0]["detail"] == {
+        "generators": {"elementary": 6, "diagonal": 3, "frobenius": 0, "homothety": 2},
+        "exhaustive": True,
+        "failures": 0,
+        "first_failure": None,
+    }
+    assert claims[1]["detail"]["exhaustive"] is False
     assert claims[2]["detail"]["controls"] == 2000
+    assert claims[2]["detail"]["exhaustive"] is False
+
+
+def _random_positive_failures(cat, rng, n):
+    """The sampled check `thm1:positive` made before it went by generators:
+    n random maps induced by GL2(T) x Aut(F), counting those that fail."""
+    autos = automorphisms(cat.field)
+    failures = 0
+    for _ in range(n):
+        f = geo.induced_collineation(random_invertible(cat.field, rng), rng.choice(autos))
+        if geo.first_failed_condition(f, cat) is not None:
+            failures += 1
+    return failures
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_random_positives_pass(which, cat2, cat3, cat4):
+    cat = {2: cat2, 3: cat3, 4: cat4}[which]
+    assert _random_positive_failures(cat, random.Random(which), 50) == 0
+
+
+@pytest.mark.parametrize("which", [2, 4])
+def test_planted_failing_generator_is_named(which, cat2, cat4, monkeypatch):
+    cat = {2: cat2, 4: cat4}[which]
+    field = cat.field
+    rng = random.Random(3)
+    sigma = automorphisms(field)[-1]
+    while True:
+        bad = SemilinearMap(field, 6, geo.random_nonblock_invertible(field, rng), sigma)
+        if geo.first_failed_condition(bad, cat) == "iv":
+            break
+    real = geo.g0_generators
+
+    def planted(f):
+        gens = real(f)
+        gens["diagonal"].insert(1, bad)
+        return gens
+
+    monkeypatch.setattr(geo, "g0_generators", planted)
+    ctx = VerifyContext(field=field, seed=0, params=small_params())
+    ctx.catalog = cat  # reuse the session catalog
+    positive = run_suites(ctx, ["thm1"])[0]
+    assert positive["id"] == "thm1:positive" and positive["ok"] is False
+    detail = positive["detail"]
+    assert detail["first_failure"] == {"kind": "diagonal", "index": 1}
+    assert detail["failures"] == 1
+    assert detail["generators"]["diagonal"] == 4
+    assert detail["exhaustive"] is True
 
 
 def test_incidence_and_remark_exhaustive_q5(cat5):
@@ -173,6 +228,59 @@ def test_distance_detail_matches_bfs(which, graph2, graph3):
             assert not failing
     # every condition that is checked is broken by some case
     assert failing == (conditions if which == 2 else conditions - {"unique_geodesic"})
+
+
+def _clique_flags_by_edges(nbrs, cliques):
+    """Reference for `_clique_flags`: the per-edge loop it replaced, with
+    each edge assigned to the last expected clique that contains it."""
+    all_cliques = all(j in nbrs[i] for c in cliques for i, j in combinations(sorted(c), 2))
+    edge_clique = {}
+    for ci, c in enumerate(cliques):
+        for i, j in combinations(sorted(c), 2):
+            edge_clique[(i, j)] = ci
+    coverage = all((i, j) in edge_clique for i in range(len(nbrs)) for j in nbrs[i] if i < j)
+    closure = all(
+        nbrs[i] & nbrs[j] == cliques[ci] - {i, j} for (i, j), ci in edge_clique.items()
+    )
+    return all_cliques, coverage, closure
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_clique_flags_match_edge_reference(which, graph2, graph3):
+    graph = {2: graph2, 3: graph3}[which]
+    cat = graph.catalog
+    n_x = len(cat.g_x)
+    cliques = [frozenset(graph.vindex[s] for s in c) for c in geo.expected_cliques(cat)]
+    comp = [graph.vindex[geo.companion_y(m, cat)] for m in cat.g_x]
+    nbrs = graph.neighbours
+    mate = min(j for j in nbrs[0] if j < n_x)
+    far = min(j for j in range(1, n_x) if j not in nbrs[0])
+    big = max(cliques, key=len)
+    a, b = sorted(big)[:2]
+    split = [c for c in cliques if c != big] + [big - {a}, big - {b}]
+    cases = {
+        "as built": (graph, cliques),
+        "X-X edge removed": (_rewired(graph, remove=[(0, mate)]), cliques),
+        "edge across cliques": (_rewired(graph, add=[(0, far)]), cliques),
+        "second Y neighbour": (_rewired(graph, add=[(0, comp[far])]), cliques),
+        "vertex joined to two clique members": (
+            _rewired(graph, add=[(far, 0), (far, mate)]),
+            cliques,
+        ),
+        "clique split in two": (graph, split),
+        "clique dropped": (graph, cliques[1:]),
+    }
+    broken = set()
+    for name, (g, cs) in cases.items():
+        got = _clique_flags(g.neighbours, cs)
+        want = _clique_flags_by_edges(g.neighbours, cs)
+        # closure is the same test only where every expected clique is one
+        assert got[:2] == want[:2] and all(got) == all(want), name
+        if got[0]:
+            assert got[2] == want[2], name
+        broken |= {flag for flag, ok in zip(("cliques", "coverage", "closure"), got) if not ok}
+        assert all(got) is (name == "as built"), name
+    assert broken == {"cliques", "coverage", "closure"}
 
 
 def test_adjacency_runs_one_bfs_and_no_plane_compares(cat3, graph3, monkeypatch):
@@ -287,12 +395,13 @@ def test_classifier_walk_covers_whole_orbits(q):
         classify_by_rank,
         is_unimodular,
     )
-    from ternions.suites import _classifier_walk, _primitive_element
-    from ternions.ternion import enumerate_pairs, scale_left
+    from ternions.suites import _classifier_walk
+    from ternions.ternion import enumerate_pairs, scale_left, unit_generators
 
     f = make_field(q, 1)
-    g = _primitive_element(f)
-    units = (Ternion(f, g, 0, 1), Ternion(f, 1, 0, g), Ternion(f, 1, 1, 1))
+    g = primitive_element(f)
+    units = unit_generators(f)
+    assert units == (Ternion(f, g, 0, 1), Ternion(f, 1, 0, g), Ternion(f, 1, 1, 1))
     seen = set()
     for nf in _unit_orbit_normal_forms(f):
         t = classify(nf)
