@@ -231,7 +231,7 @@ def main(argv=None) -> int:
             return cmd_enumerate(args)
         return cmd_graph(args)
     except BudgetError as e:
-        print(f"budget error: {e}", file=sys.stderr)
+        print(f"budget error: {e}; --allow-large lifts the budget", file=sys.stderr)
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -73,41 +73,19 @@ def expected_incidence_row(t: SubmoduleType, q: int) -> Tuple[int, int, int, int
 def incidence_table(cat: Catalog) -> Dict[str, object]:
     """Verify the incidence counts of every catalog member against the
     closed forms; return the table plus a verdict.  The counts are read off
-    the point index, ordered (X, Y, alpha, beta, gamma):
+    the planes' traces (`cat.traces`), ordered (X, Y, alpha, beta, gamma):
 
       * flats of one dimension are incident exactly when they are equal;
-      * a line or point lies on the planes whose bits survive ANDing the
-        `cat.point_planes` masks of its basis rows (rref rows are
-        normalised point vectors);
-      * a point lies on a line when it is one of the line's points."""
+      * an alpha line lies on a plane exactly when it is the plane's alpha
+        line: a line on the plane that is a submodule is one of its two
+        traces, and an alpha line does not lie in J;
+      * a beta or gamma point lies on a plane exactly when it lies on the
+        plane's J-line: the point lies in J, and the plane meets J there;
+      * a point lies on a line when it is one of the line's points.
+
+    The catalog's budget guards the V (q+1) J-line points."""
     q = cat.field.q
-    masks = cat.point_planes
-    planes = cat.planes
-    n_x = len(cat.g_x)
-    x_bits = (1 << n_x) - 1
-    counts: Dict[Subspace, List[int]] = {}
-    points: Dict[tuple, List[Tuple[Subspace, int]]] = {}
-    for c, t in enumerate(TYPE_ORDER):
-        for s in cat.members(t):
-            counts.setdefault(s, [0] * 5)[c] += 1
-            if s.dim == 1:
-                points.setdefault(s.basis[0], []).append((s, c))
-    for c, t in enumerate(TYPE_ORDER):
-        for s in cat.members(t):
-            if s.dim == 3:
-                continue
-            bits = -1
-            for r in s.basis:
-                bits &= masks.get(r, 0)
-            counts[s][0] += (bits & x_bits).bit_count()
-            counts[s][1] += (bits >> n_x).bit_count()
-            for i in _bit_indices(bits):
-                counts[planes[i]][c] += 1
-            if s.dim == 2:
-                for v in point_vectors(s):
-                    for p, cp in points.get(v, ()):
-                        counts[s][cp] += 1
-                        counts[p][c] += 1
+    counts = _incidence_counts(cat)
     table = {}
     first_bad = None
     for t in TYPE_ORDER:
@@ -123,6 +101,33 @@ def incidence_table(cat: Catalog) -> Dict[str, object]:
         "column_order": [t.value for t in TYPE_ORDER],
         "first_mismatch": first_bad,
     }
+
+
+def _incidence_counts(cat: Catalog) -> Dict[Subspace, List[int]]:
+    """Per catalog member, its incidence counts (see incidence_table)."""
+    q = cat.field.q
+    check_budget(len(cat.planes) * (q + 1), f"J-line points (q={q})", cat.budget)
+    counts: Dict[Subspace, List[int]] = {}
+    column: Dict[Subspace, int] = {}
+    for c, t in enumerate(TYPE_ORDER):
+        for s in cat.members(t):
+            counts.setdefault(s, [0] * 5)[c] += 1
+            column[s] = c
+    points = {s.basis[0]: s for s in column if s.dim == 1}
+    for s, c in column.items():
+        if s.dim == 1:
+            continue
+        on = []
+        line = s
+        if s.dim == 3:
+            line, alpha_line = cat.traces[s]
+            if alpha_line in column:
+                on.append(alpha_line)
+        on += [points[v] for v in point_vectors(line) if v in points]
+        for z in on:
+            counts[z][c] += 1
+            counts[s][column[z]] += 1
+    return counts
 
 
 # -- adjacency graph --------------------------------------------------------------
@@ -145,7 +150,6 @@ class AdjacencyGraph:
     types: tuple
     vindex: Dict[Subspace, int]
     neighbours: tuple  # tuple of frozensets of vertex indices
-    meets: tuple  # per vertex, the int mask of the other planes sharing a point
 
     @property
     def n(self) -> int:
@@ -169,35 +173,57 @@ class AdjacencyGraph:
         )
         return members, tuple(vindex[cat.marked_planes[p]] for p in cat.g_alpha)
 
+    @cached_property
+    def meets(self) -> Tuple[int, ...]:
+        """Per vertex, the int mask of the other planes sharing a point with
+        it.  Two planes meet in a submodule, and a nonzero submodule has a
+        point in J, so they share a point exactly when their J-lines meet.
+        The catalog's budget guards the V (q+1) J-line points."""
+        cat = self.catalog
+        q = cat.field.q
+        check_budget(self.n * (q + 1), f"J-line points (q={q})", cat.budget)
+        on: Dict[tuple, int] = {}
+        for i, v in enumerate(self.vertices):
+            for p in point_vectors(cat.traces[v][0]):
+                on[p] = on.get(p, 0) | 1 << i
+        once = [0] * self.n
+        for mask in on.values():
+            if mask & (mask - 1):  # on two J-lines or more
+                for i in _bit_indices(mask):
+                    once[i] |= mask
+        return tuple(mask & ~(1 << i) for i, mask in enumerate(once))
+
 
 def build_graph(cat: Catalog) -> AdjacencyGraph:
-    """Adjacency by shared points, read off the catalog's point index
-    `cat.point_planes`.  Two distinct planes that share two points share
-    the line through them, so plane i is adjacent to the planes that occur
-    with it in the masks of at least two points; those that occur with it
-    in at least one are kept as `meets`.  The index guards its
-    V (q^2+q+1) plane-point incidences with the catalog's budget."""
+    """Adjacency from the traces `cat.traces`.  Two planes meet in a
+    submodule, so they are adjacent exactly when they share their J-line
+    or their alpha line, and two distinct planes share at most one of them
+    (the two traces span the plane).  The vertices are grouped on the two
+    lines, and the catalog's budget guards the sum over the groups of
+    C(size, 2), which counts each edge once, before any neighbour set is
+    built."""
     verts = cat.planes
     types = tuple(
         SubmoduleType.X if i < len(cat.g_x) else SubmoduleType.Y
         for i in range(len(verts))
     )
-    vindex = {s: i for i, s in enumerate(verts)}
-    once = [0] * len(verts)
-    twice = [0] * len(verts)
-    for mask in cat.point_planes.values():
-        if mask & (mask - 1):  # on two planes or more
-            for i in _bit_indices(mask):
-                others = mask & ~(1 << i)
-                twice[i] |= once[i] & others
-                once[i] |= others
+    groups: Dict[Subspace, List[int]] = {}
+    for i, m in enumerate(verts):
+        for line in cat.traces[m]:
+            groups.setdefault(line, []).append(i)
+    edges = sum(len(g) * (len(g) - 1) // 2 for g in groups.values())
+    check_budget(edges, f"adjacency edges (q={cat.field.q})", cat.budget)
+    nbrs = [set() for _ in verts]
+    for g in groups.values():
+        if len(g) > 1:
+            for i in g:
+                nbrs[i].update(g)
     return AdjacencyGraph(
         catalog=cat,
         vertices=verts,
         types=types,
-        vindex=vindex,
-        neighbours=tuple(_bit_indices(t) for t in twice),
-        meets=tuple(once),
+        vindex={s: i for i, s in enumerate(verts)},
+        neighbours=tuple(frozenset(s - {i}) for i, s in enumerate(nbrs)),
     )
 
 
@@ -212,10 +238,11 @@ def _bit_indices(mask: int) -> FrozenSet[int]:
 
 
 def companion_y(m: Subspace, cat: Catalog) -> Subspace:
-    """The unique Y neighbour (M ^ K) + L of an X plane."""
+    """The unique Y neighbour (M ^ K) + L of an X plane, M ^ K being its
+    stored alpha line."""
     if cat.type_of(m) is not SubmoduleType.X:
         raise ValueError("companion is defined for X planes")
-    return join(meet(m, cat.k_solid), cat.l_line)
+    return join(cat.traces[m][1], cat.l_line)
 
 
 def k_trace_classes(cat: Catalog) -> Dict[Subspace, List[Subspace]]:
@@ -385,34 +412,18 @@ def first_failed_condition(f: SemilinearMap, cat: Catalog) -> Optional[str]:
       iii: f permutes the X planes,
       ii: f permutes the X and Y planes together.
 
-    No image plane is row-reduced.  f is invertible (SemilinearMap rejects
-    a singular matrix), so the images of the three basis rows of a plane M
-    are three independent points, and the only plane containing all three
-    is f(M).  The catalog planes through f(M) are therefore the common bits
-    of the three points' masks in `cat.point_planes`: one bit when f(M) is
-    a catalog plane, none otherwise.  For a singular map the three images
-    could span a line, which lies on several planes, and the test would
-    accept it wrongly.  The rows are imaged once per map, from
-    `cat.plane_rows`, since planes share them."""
+    iv reads the matrix and the images of the points of H.  For iii and ii
+    each plane is imaged with `f.apply` and looked up in `cat.index`; f is
+    a bijection on planes, so it permutes a finite set it maps into
+    itself."""
     if not _fixes_j_and_h(f, cat):
         return "iv"
-    through = _planes_through_images(f, cat)
-    n_x = len(cat.g_x)
-    x_bits = (1 << n_x) - 1
-    if any(not bits & x_bits for bits in through[:n_x]):
+    if any(cat.type_of(f.apply(m)) is not SubmoduleType.X for m in cat.g_x):
         return "iii"
-    if not all(through[n_x:]):
+    planes = (SubmoduleType.X, SubmoduleType.Y)
+    if any(cat.type_of(f.apply(m)) not in planes for m in cat.g_y):
         return "ii"
     return None
-
-
-def _planes_through_images(f: SemilinearMap, cat: Catalog) -> List[int]:
-    """Per plane of `cat.planes`, the mask of the catalog planes through the
-    images of its basis rows (see first_failed_condition)."""
-    rows, per_plane = cat.plane_rows
-    masks = cat.point_planes
-    bits = [masks.get(v, 0) for v in _point_images(f, rows)]
-    return [bits[a] & bits[b] & bits[c] for a, b, c in per_plane]
 
 
 def random_nonblock_invertible(field: Field, rng: random.Random) -> tuple:
@@ -659,11 +670,10 @@ def verify_preserver(perm: Sequence[int], graph: AdjacencyGraph) -> bool:
     return all({perm[j] for j in nbrs[i]} == nbrs[perm[i]] for i in range(n))
 
 
-def preserver_from_collineation(f: SemilinearMap, cat: Catalog) -> Tuple[int, ...]:
-    """The vertex permutation induced by a collineation satisfying (ii): the
-    image of a plane is the single catalog plane through the images of its
-    basis rows (see first_failed_condition); an empty mask gives -1."""
-    perm = tuple(bits.bit_length() - 1 for bits in _planes_through_images(f, cat))
+def preserver_from_collineation(f: SemilinearMap, graph: AdjacencyGraph) -> Tuple[int, ...]:
+    """The vertex permutation induced by a collineation satisfying (ii):
+    each plane is imaged with `f.apply` and looked up in `graph.vindex`."""
+    perm = tuple(graph.vindex.get(f.apply(z), -1) for z in graph.vertices)
     if -1 in perm:
         raise ValueError("collineation does not preserve the plane set")
     return perm
@@ -705,13 +715,13 @@ def delta_j(field: Field) -> Correlation:
 
 
 def xi_map(m: Subspace, cat: Catalog) -> Subspace:
-    """Trace an X plane on J, push the trace through the correlation of J,
-    and rebuild the unique X plane with the new trace (join with the alpha
-    regulus line through its L-point)."""
+    """Take the J-line of an X plane (its stored trace M ^ J), push it
+    through the correlation of J, and rebuild the unique X plane with the
+    new trace (join with the alpha regulus line through its L-point)."""
     field = cat.field
     if cat.type_of(m) is not SubmoduleType.X:
         raise ValueError("xi is defined on X planes")
-    trace = meet(m, cat.j_solid)
+    trace = cat.traces[m][0]
     line4 = canonicalize(field, 4, _project_j(trace.basis))
     image4 = delta_j(field).apply(line4)
     line6 = canonicalize(field, 6, _embed_j(image4.basis))
@@ -786,15 +796,12 @@ def _xi_witness(graph: AdjacencyGraph, images: List[Optional[int]]) -> Optional[
 
 
 def _vertex_classes(graph: AdjacencyGraph) -> List[int]:
-    """Clique-class label per vertex: the index of an X plane's K-trace in
-    the alpha regulus; the class of a Y plane P+L is that of the line P."""
+    """Clique-class label per vertex: the index in the alpha regulus of its
+    stored alpha line, which is an X plane's K-trace and the line P of a
+    Y plane P+L."""
     cat = graph.catalog
     alpha_index = {p: i for i, p in enumerate(cat.g_alpha)}
-    y_class = {cat.marked_planes[p]: i for i, p in enumerate(cat.g_alpha)}
-    return [
-        alpha_index[meet(v, cat.k_solid)] if t is SubmoduleType.X else y_class[v]
-        for v, t in zip(graph.vertices, graph.types)
-    ]
+    return [alpha_index[cat.traces[v][1]] for v in graph.vertices]
 
 
 def graph_to_dot(graph: AdjacencyGraph) -> str:

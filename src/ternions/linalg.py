@@ -10,7 +10,6 @@ doubles as the memory guard for the big Grassmannian scans.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import combinations, product
@@ -19,38 +18,18 @@ from typing import Iterator, List, Optional, Sequence
 from .gf import Field, FieldAutomorphism, automorphisms
 
 DEFAULT_BUDGET = 150_000
-BUDGET_ENV = "TERNION_BUDGET"
 
 
 class BudgetError(RuntimeError):
     """An enumeration would exceed the configured budget."""
 
 
-def enumeration_budget(override: Optional[int] = None) -> int:
-    """Effective budget: explicit override, else the environment, else default."""
-    if override is not None:
-        return override
-    env = os.environ.get(BUDGET_ENV)
-    if not env:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(env)
-    except ValueError:
-        budget = None
-    if budget is None or budget < 1:
-        raise ValueError(f"{BUDGET_ENV} must be an integer >= 1, got {env!r}")
-    return budget
-
-
 def check_budget(count: int, what: str, budget: Optional[int] = None) -> None:
     """Raise BudgetError when enumerating `count` objects, described by
-    `what`, would exceed the effective budget."""
-    limit = enumeration_budget(budget)
+    `what`, would exceed the budget (DEFAULT_BUDGET when none is given)."""
+    limit = DEFAULT_BUDGET if budget is None else budget
     if count > limit:
-        raise BudgetError(
-            f"enumerating {count} {what} exceeds the budget {limit}; "
-            f"raise {BUDGET_ENV} or pass a larger budget"
-        )
+        raise BudgetError(f"enumerating {count} {what} exceeds the budget {limit}")
 
 
 @dataclass(frozen=True)

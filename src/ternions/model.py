@@ -84,17 +84,21 @@ def phi_inverse(field: Field, vec) -> TernionPair:
     return (Ternion(field, vec[0], vec[1], vec[2]), Ternion(field, vec[3], vec[4], vec[5]))
 
 
-def cyclic_span(v: TernionPair) -> Subspace:
-    """Image of the cyclic submodule generated by the pair: the span of the
-    images of its left multiples by the three matrix units, written out as
-    e11 (a, b), e12 (a, b) and e22 (a, b)."""
+def _span_rows(v: TernionPair) -> tuple:
+    """The images of e11 (a, b), e12 (a, b) and e22 (a, b), written out."""
     a, b = v
-    rows = (
+    return (
         (a.x, a.y, 0, b.x, b.y, 0),
         (0, a.z, 0, 0, b.z, 0),
         (0, 0, a.z, 0, 0, b.z),
     )
-    return Subspace(a.field, 6, a.field.kernel.rref(rows))
+
+
+def cyclic_span(v: TernionPair) -> Subspace:
+    """Image of the cyclic submodule generated by the pair: the span of the
+    images of its left multiples by the three matrix units."""
+    field = v[0].field
+    return Subspace(field, 6, field.kernel.rref(_span_rows(v)))
 
 
 def classify(v: TernionPair) -> SubmoduleType:
@@ -325,7 +329,7 @@ class Catalog:
     k_solid: Subspace
     l_line: Subspace
     quadric: QuadricGeometry
-    budget: Optional[int] = None  # guards the point index and the scans
+    budget: Optional[int] = None  # guards the traces, the graph and the scans
 
     def members(self, t: SubmoduleType) -> tuple:
         return {
@@ -346,30 +350,24 @@ class Catalog:
         return {p: tuple(pencil(p, join(p, self.j_solid), 3)) for p in self.g_alpha}
 
     @cached_property
-    def point_planes(self) -> Dict[tuple, int]:
-        """Per normalised point vector, the bitmask over `planes` of the
-        planes through that point; the X planes are the low len(g_x) bits.
-        The budget guards the V (q^2+q+1) plane-point incidences."""
-        q = self.field.q
-        what = f"plane-point incidences (q={q})"
-        check_budget(len(self.planes) * (q * q + q + 1), what, self.budget)
-        masks: Dict[tuple, int] = {}
-        for i, m in enumerate(self.planes):
-            for v in point_vectors(m):
-                masks[v] = masks.get(v, 0) | (1 << i)
-        return masks
-
-    @cached_property
-    def plane_rows(self) -> Tuple[tuple, tuple]:
-        """(rows, per_plane): the distinct basis rows of `planes` in
-        first-seen order, and per plane the indices of its three rows in
-        `rows`.  Planes share rows, so a map's images of all planes are
-        read off its images of these rows."""
-        index: Dict[tuple, int] = {}
-        per_plane = tuple(
-            tuple(index.setdefault(r, len(index)) for r in m.basis) for m in self.planes
-        )
-        return tuple(index), per_plane
+    def traces(self) -> Dict[Subspace, Tuple[Subspace, Subspace]]:
+        """Per plane of `planes`, (J-line, alpha line): its two lines that
+        are submodules, span(e11 w, e12 w) and span(e12 w, e22 w) for its
+        witness w.  The plane is T w, free of rank one, and T has exactly two
+        2-dim left ideals, {(x, y, 0)} and T e22, so it has no other such
+        line.  The J-line is M ^ J (L for a Y plane); the alpha line is M ^ K
+        for an X plane and P for a Y plane P + L.  The budget guards the 2V
+        row reductions."""
+        check_budget(2 * len(self.planes), f"plane traces (q={self.field.q})", self.budget)
+        rref = self.field.kernel.rref
+        out = {}
+        for m in self.planes:
+            rows = _span_rows(self.witness[m])
+            out[m] = (
+                Subspace(self.field, 6, rref(rows[:2])),
+                Subspace(self.field, 6, rref(rows[1:])),
+            )
+        return out
 
     @cached_property
     def marked_planes(self) -> Dict[Subspace, Subspace]:
@@ -446,7 +444,7 @@ def build_catalog(field: Field, validate: bool = True, budget: Optional[int] = N
     """Classify one generator pair per left-unit orbit, keep its span with
     the pair as witness, and (by default) validate every orbit list against
     its independent geometric description.  The budget guards the normal
-    forms here and is kept on the catalog for its point index and scans."""
+    forms here and is kept on the catalog for its traces, graph and scans."""
     q = field.q
     check_budget(normal_form_count(q), f"unit-orbit normal forms (q={q})", budget)
     buckets: Dict[SubmoduleType, Dict[Subspace, TernionPair]] = {

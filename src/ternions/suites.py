@@ -320,7 +320,7 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
     s = random_invertible(ctx.field, rng)
     sigma = rng.choice(automorphisms(ctx.field))
     f = geo.induced_collineation(s, sigma)
-    fperm = geo.preserver_from_collineation(f, cat)
+    fperm = geo.preserver_from_collineation(f, graph)
     coll_ok = geo.verify_preserver(fperm, graph)
     rec3 = geo.extract_recipe(fperm, graph)
     coll_ok = coll_ok and geo.build_preserver(rec3, graph) == fperm

@@ -3,22 +3,20 @@ from pathlib import Path
 
 import pytest
 
+from ternions.geometry import _bit_indices, _fixes_j_and_h
 from ternions.gf import make_field
-from ternions.linalg import contains, enumerate_subspaces, meet
+from ternions.linalg import contains, enumerate_subspaces, meet, point_vectors
 from ternions.model import TYPE_ORDER, build_catalog
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def cli_env(extra=None):
+def cli_env():
     """The environment for a `python -m ternions.cli` subprocess: the
-    caller's, without TERNION_BUDGET, with src/ first on PYTHONPATH so a
-    fresh checkout needs no install."""
+    caller's, with src/ first on PYTHONPATH so a fresh checkout needs no
+    install."""
     env = dict(os.environ)
-    env.pop("TERNION_BUDGET", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
-    if extra:
-        env.update(extra)
     return env
 
 
@@ -107,6 +105,109 @@ def incidence_counts(p0, cat):
     many members of each orbit list are incident with p0, ordered
     (X, Y, alpha, beta, gamma)."""
     return tuple(sum(1 for s in cat.members(t) if incident(p0, s)) for t in TYPE_ORDER)
+
+
+# -- the point index: the reference for the traces --------------------------
+#
+# Every plane as the set of its q^2+q+1 points.  The graph, the incidence
+# counts and the collineation conditions were once read off this index;
+# they now read the planes' two submodule lines (`Catalog.traces`).
+
+
+def point_planes(cat):
+    """Per normalised point vector, the bitmask over `cat.planes` of the
+    planes through that point."""
+    masks = {}
+    for i, m in enumerate(cat.planes):
+        for v in point_vectors(m):
+            masks[v] = masks.get(v, 0) | 1 << i
+    return masks
+
+
+def point_index_graph(cat):
+    """(neighbours, meets) from the point index.  Two distinct planes that
+    share two points share the line through them, so plane i is adjacent
+    to the planes that occur with it in the masks of at least two points,
+    and meets those that occur with it in at least one."""
+    once = [0] * len(cat.planes)
+    twice = [0] * len(cat.planes)
+    for mask in point_planes(cat).values():
+        for i in _bit_indices(mask):
+            others = mask & ~(1 << i)
+            twice[i] |= once[i] & others
+            once[i] |= others
+    return tuple(_bit_indices(t) for t in twice), tuple(once)
+
+
+def planes_through_images(f, cat):
+    """Per plane of `cat.planes`, the mask of the catalog planes through the
+    images of its three basis rows.  f is invertible, so the images are
+    independent points, and the only plane through all three is f(M): the
+    mask has one bit when f(M) is a catalog plane and none otherwise."""
+    masks = point_planes(cat)
+    norm = cat.field.normalize
+    out = []
+    for m in cat.planes:
+        bits = -1
+        for r in m.basis:
+            bits &= masks.get(norm(f.apply_vector(r)), 0)
+        out.append(bits)
+    return out
+
+
+def point_index_first_failed(f, cat):
+    """`first_failed_condition` with iii and ii read off the point index."""
+    if not _fixes_j_and_h(f, cat):
+        return "iv"
+    through = planes_through_images(f, cat)
+    n_x = len(cat.g_x)
+    if any(not bits & ((1 << n_x) - 1) for bits in through[:n_x]):
+        return "iii"
+    if not all(through[n_x:]):
+        return "ii"
+    return None
+
+
+def point_index_preserver(f, cat):
+    """`preserver_from_collineation` read off the point index."""
+    perm = tuple(bits.bit_length() - 1 for bits in planes_through_images(f, cat))
+    if -1 in perm:
+        raise ValueError("collineation does not preserve the plane set")
+    return perm
+
+
+def point_index_incidence_counts(cat):
+    """Per catalog member, its incidence counts (X, Y, alpha, beta, gamma)
+    from the point index: a line or point lies on the planes whose bits
+    survive ANDing the masks of its basis rows, and a point lies on a line
+    when it is one of the line's points."""
+    masks = point_planes(cat)
+    planes = cat.planes
+    n_x = len(cat.g_x)
+    counts = {}
+    points = {}
+    for c, t in enumerate(TYPE_ORDER):
+        for s in cat.members(t):
+            counts.setdefault(s, [0] * 5)[c] += 1
+            if s.dim == 1:
+                points.setdefault(s.basis[0], []).append((s, c))
+    for c, t in enumerate(TYPE_ORDER):
+        for s in cat.members(t):
+            if s.dim == 3:
+                continue
+            bits = -1
+            for r in s.basis:
+                bits &= masks.get(r, 0)
+            counts[s][0] += (bits & ((1 << n_x) - 1)).bit_count()
+            counts[s][1] += (bits >> n_x).bit_count()
+            for i in _bit_indices(bits):
+                counts[planes[i]][c] += 1
+            if s.dim == 2:
+                for v in point_vectors(s):
+                    for p, cp in points.get(v, ()):
+                        counts[s][cp] += 1
+                        counts[p][c] += 1
+    return counts
 
 
 def count_geodesics(graph, start, goal):

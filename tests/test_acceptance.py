@@ -292,7 +292,7 @@ def test_criterion_09_preservers(cat2, cat3, graph2, graph3):
         for _ in range(10):
             s = random_invertible(cat.field, rng)
             f = induced_collineation(s, automorphisms(cat.field)[0])
-            perm = preserver_from_collineation(f, cat)
+            perm = preserver_from_collineation(f, graph)
             recipe = extract_recipe(perm, graph)
             ok = ok and build_preserver(recipe, graph) == perm
     _record(9, ok, "100 recipes per q=2,3 pass both ways; extraction rebuilds lifts")

@@ -10,9 +10,9 @@ from conftest import cli_env
 CLI = [sys.executable, "-m", "ternions.cli"]
 
 
-def run_cli(*argv, env_extra=None):
+def run_cli(*argv):
     return subprocess.run(
-        CLI + list(argv), capture_output=True, text=True, env=cli_env(env_extra), timeout=300
+        CLI + list(argv), capture_output=True, text=True, env=cli_env(), timeout=300
     )
 
 
@@ -117,26 +117,34 @@ def test_graph_out_file_matches_stdout(tmp_path):
 
 
 def test_budget_guard_exit_2():
-    # the point index of Theorem 1: 1,596 planes x 133 points at q = 11
-    r = run_cli("verify", "--q", "11", "--suite", "thm1")
+    # the J-line points of the incidence table: 7,620 planes x 20 at q = 19
+    r = run_cli("verify", "--q", "19", "--suite", "incidence")
     assert r.returncode == 2
     assert "budget" in r.stderr.lower()
-    assert "212268 plane-point incidences" in r.stderr
+    assert "152400 J-line points" in r.stderr
+    assert "--allow-large lifts the budget" in r.stderr
 
 
-@pytest.mark.parametrize("suite", ["incidence", "remark"])
-def test_point_index_suites_guard_exit_2(suite):
-    # both read the point index, so they stop at its guard like thm1
+@pytest.mark.parametrize("suite", ["thm1", "incidence", "remark"])
+def test_q11_suites_pass_under_default_budget(suite):
     r = run_cli("verify", "--q", "11", "--suite", suite)
-    assert r.returncode == 2
-    assert "212268 plane-point incidences" in r.stderr
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["summary"]["ok"] is True
+
+
+def test_graph_q11_passes_under_default_budget():
+    r = run_cli("graph", "--q", "11", "--format", "json")
+    assert r.returncode == 0
+    data = json.loads(r.stdout)
+    assert (len(data["vertices"]), len(data["edges"])) == (1596, 105402)
 
 
 def test_graph_budget_guard_exit_2():
-    r = run_cli("graph", "--q", "11")
+    # (q+1) C(q^2+q+1, 2) + C(q+1, 2) adjacency edges at q = 13
+    r = run_cli("graph", "--q", "13")
     assert r.returncode == 2
     assert "budget" in r.stderr.lower()
-    assert "212268 plane-point incidences" in r.stderr
+    assert "233233 adjacency edges" in r.stderr
 
 
 def test_counts_q8_pass_under_default_budget():
@@ -148,57 +156,15 @@ def test_counts_q8_pass_under_default_budget():
     assert walk["detail"]["method"] == "unit-orbit normal forms"
 
 
-# Each guard at q = 2, just below and at its count: 21 planes x 7 points
-# for the point index and the graph, 15 + 3 x 8 = 39 normal forms for the
-# catalog.
-@pytest.mark.parametrize(
-    "argv,count",
-    [
-        (("verify", "--q", "2", "--suite", "thm1"), 147),
-        (("graph", "--q", "2"), 147),
-        (("enumerate", "--q", "2"), 39),
-    ],
-)
-def test_stage_guard_at_its_count(argv, count):
-    below = run_cli(*argv, env_extra={"TERNION_BUDGET": str(count - 1)})
-    assert below.returncode == 2
-    assert f"enumerating {count} " in below.stderr
-    assert run_cli(*argv, env_extra={"TERNION_BUDGET": str(count)}).returncode == 0
-
-
 def test_lemmas_q5_pass_under_default_budget():
     r = run_cli("verify", "--q", "5", "--suite", "lemmas")
     assert r.returncode == 0
     assert json.loads(r.stdout)["summary"]["ok"] is True
 
 
-def test_env_budget_respected():
-    # 40 is below the 49 anchored scan candidates
-    r = run_cli(
-        "verify", "--q", "2", "--suite", "lemmas", env_extra={"TERNION_BUDGET": "40"}
-    )
-    assert r.returncode == 2
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_malformed_env_budget_exit_2(value):
-    r = run_cli("verify", "--q", "2", env_extra={"TERNION_BUDGET": value})
-    assert r.returncode == 2
-    assert "TERNION_BUDGET" in r.stderr
-    assert repr(value) in r.stderr
-
-
 def test_allow_large_lifts_budget():
-    r = run_cli(
-        "verify",
-        "--q",
-        "2",
-        "--suite",
-        "lemmas",
-        "--allow-large",
-        env_extra={"TERNION_BUDGET": "40"},
-    )
-    assert r.returncode == 0
+    assert run_cli("graph", "--q", "13").returncode == 2
+    assert run_cli("graph", "--q", "13", "--allow-large").returncode == 0
 
 
 def test_bad_q_exit_2():

@@ -2,7 +2,15 @@ import dataclasses
 import random
 
 import pytest
-from conftest import count_geodesics, incidence_counts
+from conftest import (
+    count_geodesics,
+    incidence_counts,
+    point_index_first_failed,
+    point_index_graph,
+    point_index_incidence_counts,
+    point_index_preserver,
+    point_planes,
+)
 
 import ternions.geometry as geometry
 from ternions._pycore import Kernel
@@ -53,6 +61,7 @@ from ternions.geometry import (
     xi_report,
     _fixes_j,
     _homothety_rows,
+    _incidence_counts,
 )
 from ternions.model import (
     TYPE_ORDER,
@@ -114,8 +123,8 @@ def _doctored(cat, how):
 )
 @pytest.mark.parametrize("which", [2, 3])
 def test_incidence_table_mismatch_matches_reference(which, how, cat2, cat3):
-    # the point-index counts and the containment reference find the same
-    # first bad member on catalogs that break the closed forms
+    # the trace counts and the containment reference find the same first
+    # bad member on catalogs that break the closed forms
     bad = _doctored({2: cat2, 3: cat3}[which], how)
     want = _first_mismatch_reference(bad)
     assert want is not None
@@ -149,10 +158,17 @@ def test_graph_counts(graph2, graph3):
     assert graph3.edge_count() == expected_edges(3)
 
 
+@pytest.mark.parametrize("which", [2, 3, 4, 5])
+def test_incidence_counts_match_point_index_reference(which, cat2, cat3, cat4, cat5):
+    cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
+    hows = ("drop a beta point", "move an X plane into g_y", "drop an alpha line")
+    for c in (cat, *(_doctored(cat, how) for how in hows)):
+        assert _incidence_counts(c) == point_index_incidence_counts(c)
+
+
 @pytest.mark.parametrize("which", [2, 3, 4])
 def test_graph_matches_stack_rank_reference(which, cat2, cat3, cat4):
-    # the rank test the point masks replaced: two planes meet in a line
-    # exactly when they span a solid
+    # two planes meet in a line exactly when they span a solid
     cat = {2: cat2, 3: cat3, 4: cat4}[which]
     kern = cat.field.kernel
     verts = cat.planes
@@ -174,6 +190,30 @@ def test_graph_matches_stack_rank_reference(which, cat2, cat3, cat4):
         for i, v in enumerate(verts)
     ]
     assert graph.meets == tuple(meets)
+
+
+@pytest.mark.parametrize("which", [2, 3, 4, 5])
+def test_graph_matches_point_index_reference(which, cat2, cat3, cat4, cat5):
+    cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
+    graph = build_graph(cat)
+    assert (graph.neighbours, graph.meets) == point_index_graph(cat)
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_graph_guards_count_edges_and_j_line_points(which, cat2, cat3, cat4):
+    # each guard at its count passes and one below raises, naming the count
+    cat = {2: cat2, 3: cat3, 4: cat4}[which]
+    edges = build_graph(cat).edge_count()
+    assert edges == expected_edges(which)
+    points = len(cat.planes) * (which + 1)
+    with pytest.raises(BudgetError, match=f"enumerating {edges} adjacency edges"):
+        build_graph(dataclasses.replace(cat, budget=edges - 1))
+    graph = build_graph(dataclasses.replace(cat, budget=edges))
+    below = dataclasses.replace(graph, catalog=dataclasses.replace(cat, budget=points - 1))
+    with pytest.raises(BudgetError, match=f"enumerating {points} J-line points"):
+        below.meets
+    at = dataclasses.replace(graph, catalog=dataclasses.replace(cat, budget=points))
+    assert at.meets == graph.meets
 
 
 def test_vertex_order_and_types(graph2):
@@ -484,27 +524,30 @@ def _moving_positive(cat, rng, planes):
             return f, img
 
 
-@pytest.mark.parametrize("which", [2, 3, 4])
-def test_doctored_catalogs_reach_iii_and_ii(which, cat2, cat3, cat4):
+@pytest.mark.parametrize("which", [2, 3, 4, 5])
+def test_doctored_catalogs_reach_iii_and_ii(which, cat2, cat3, cat4, cat5):
     # f sends a kept plane onto the dropped one, so the conditions on the
     # planes fail while iv, which reads only J and H, still holds
-    cat = {2: cat2, 3: cat3, 4: cat4}[which]
+    cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
     rng = random.Random(10 + which)
     f, img = _moving_positive(cat, rng, cat.g_x)
     no_x = dataclasses.replace(cat, g_x=tuple(m for m in cat.g_x if m != img))
-    assert first_failed_condition(f, no_x) == _reference_first_failed(f, no_x) == "iii"
     as_y = dataclasses.replace(no_x, g_y=cat.g_y + (img,))
-    assert first_failed_condition(f, as_y) == _reference_first_failed(f, as_y) == "iii"
+    for bad in (no_x, as_y):
+        got = first_failed_condition(f, bad)
+        assert got == _reference_first_failed(f, bad) == point_index_first_failed(f, bad) == "iii"
     f, img = _moving_positive(cat, rng, cat.g_y)
     no_y = dataclasses.replace(cat, g_y=tuple(m for m in cat.g_y if m != img))
-    assert first_failed_condition(f, no_y) == _reference_first_failed(f, no_y) == "ii"
+    got = first_failed_condition(f, no_y)
+    assert got == _reference_first_failed(f, no_y) == point_index_first_failed(f, no_y) == "ii"
 
 
 @pytest.mark.parametrize("which", [2, 3])
 def test_point_planes_index(which, cat2, cat3):
+    # the reference point index itself, against containment
     cat = {2: cat2, 3: cat3}[which]
     q = cat.field.q
-    masks = cat.point_planes
+    masks = point_planes(cat)
     for i, m in enumerate(cat.planes):
         on = {v for v, bits in masks.items() if bits >> i & 1}
         assert on == {p.basis[0] for p in projective_points(m)}
@@ -516,9 +559,14 @@ def test_point_planes_index(which, cat2, cat3):
 
 
 def test_first_failed_condition_makes_no_elimination(cat3, monkeypatch):
+    # maps that fail iv, the common case among random controls, are decided
+    # from the matrix and the images of the points of H alone
     rng = random.Random(41)
-    maps = [_random_positive(cat3, rng) for _ in range(50)]
-    cat3.point_planes, cat3.plane_rows  # the per-catalog tables, built once
+    auts = automorphisms(cat3.field)
+    maps = [
+        SemilinearMap(cat3.field, 6, random_nonblock_invertible(cat3.field, rng), rng.choice(auts))
+        for _ in range(50)
+    ]
     calls = []
     for name in ("rref", "rank", "vec_apply"):
         real = getattr(Kernel, name)
@@ -528,7 +576,7 @@ def test_first_failed_condition_makes_no_elimination(cat3, monkeypatch):
             return _real(self, *args)
 
         monkeypatch.setattr(Kernel, name, counted)
-    assert [first_failed_condition(f, cat3) for f in maps] == [None] * 50
+    assert [first_failed_condition(f, cat3) for f in maps] == ["iv"] * 50
     assert calls == []
 
 
@@ -619,9 +667,9 @@ def test_g0_elementary_entries_and_units_generate(q):
     assert len(_closure(units, lambda a, b: a * b, one)) == q * (q - 1) ** 2
 
 
-@pytest.mark.parametrize("which", [2, 3, 4])
-def test_g0_generators_satisfy_conditions(which, cat2, cat3, cat4):
-    cat = {2: cat2, 3: cat3, 4: cat4}[which]
+@pytest.mark.parametrize("which", [2, 3, 4, 5])
+def test_g0_generators_satisfy_conditions(which, cat2, cat3, cat4, cat5):
+    cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
     gens = g0_generators(cat.field)
     k = cat.field.k
     assert {kind: len(maps) for kind, maps in gens.items()} == {
@@ -634,6 +682,7 @@ def test_g0_generators_satisfy_conditions(which, cat2, cat3, cat4):
         for f in maps:
             assert first_failed_condition(f, cat) is None
             assert _reference_first_failed(f, cat) is None
+            assert point_index_first_failed(f, cat) is None
 
 
 def _reference_random_nonblock_invertible(field, rng):
@@ -869,37 +918,26 @@ def test_preserver_from_collineation(cat2, graph2):
     rng = random.Random(31)
     s = random_invertible(cat2.field, rng)
     f = induced_collineation(s, automorphisms(cat2.field)[0])
-    perm = preserver_from_collineation(f, cat2)
+    perm = preserver_from_collineation(f, graph2)
     assert verify_preserver(perm, graph2)
     recipe = extract_recipe(perm, graph2)
     assert build_preserver(recipe, graph2) == perm
 
 
-def _reference_preserver(f, cat):
-    """The image of each plane by row reduction, as a vertex permutation;
-    preserver_from_collineation reads the point index instead."""
-    vindex = {z: i for i, z in enumerate(cat.planes)}
-    perm = []
-    for z in cat.planes:
-        img = vindex.get(f.apply(z))
-        if img is None:
-            raise ValueError("collineation does not preserve the plane set")
-        perm.append(img)
-    return tuple(perm)
-
-
-@pytest.mark.parametrize("which", [2, 3])
-def test_preserver_from_collineation_matches_reference(which, cat2, cat3):
-    cat = {2: cat2, 3: cat3}[which]
+@pytest.mark.parametrize("which", [2, 3, 4, 5])
+def test_preserver_from_collineation_matches_reference(which, cat2, cat3, cat4, cat5):
+    cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
+    graph = build_graph(cat)
     rng = random.Random(37 + which)
     for _ in range(10):
         f = _random_positive(cat, rng)
-        assert preserver_from_collineation(f, cat) == _reference_preserver(f, cat)
+        assert preserver_from_collineation(f, graph) == point_index_preserver(f, cat)
     f, img = _moving_positive(cat, rng, cat.g_x)
     doctored = dataclasses.replace(cat, g_x=tuple(m for m in cat.g_x if m != img))
-    for get in (preserver_from_collineation, _reference_preserver):
-        with pytest.raises(ValueError):
-            get(f, doctored)
+    with pytest.raises(ValueError):
+        preserver_from_collineation(f, build_graph(doctored))
+    with pytest.raises(ValueError):
+        point_index_preserver(f, doctored)
 
 
 def test_verify_preserver_rejects_non_bijections(graph2):

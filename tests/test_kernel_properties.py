@@ -7,6 +7,8 @@ names a row space must match the reference bit for bit.  Every field of
 order <= 27 is covered: the primes up to 23 and each built-in extension.
 """
 
+from itertools import permutations, product
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -28,6 +30,8 @@ PROPERTY = settings(
 )
 
 each_field = pytest.mark.parametrize("f", FIELDS, ids=lambda f: f"q{f.q}")
+# the brute-force span checks walk q^rows coefficient vectors
+small_field = pytest.mark.parametrize("f", FIELDS[:2], ids=lambda f: f"q{f.q}")
 
 
 # -- the reference -----------------------------------------------------------
@@ -104,6 +108,31 @@ def ref_det(f, rows):
     return d
 
 
+def leibniz_det(f, rows):
+    """The determinant as the signed sum over permutations, for checking
+    ref_det itself on small matrices."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        term = 1
+        for i in range(n):
+            term = f.mul(term, rows[i][perm[i]])
+        total = f.add(total, f.neg(term) if odd else term)
+    return total
+
+
+def span_vectors(f, rows, ncols):
+    """Every vector of the row span, by brute force over the coefficients."""
+    out = set()
+    for coeffs in product(range(f.q), repeat=len(rows)):
+        v = (0,) * ncols
+        for c, row in zip(coeffs, rows):
+            v = tuple(f.add(x, f.mul(c, y)) for x, y in zip(v, row))
+        out.add(v)
+    return out
+
+
 def identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -132,6 +161,24 @@ def test_rref_rank_match_reference(f, data, ncols):
     assert f.kernel.rank(rows) == len(want)
 
 
+@small_field
+@PROPERTY
+@given(data=st.data(), ncols=sides)
+def test_rref_keeps_the_span(f, data, ncols):
+    rows = data.draw(matrices(f, (0, 4), ncols))
+    assert span_vectors(f, f.kernel.rref(rows), ncols) == span_vectors(f, rows, ncols)
+
+
+@small_field
+@PROPERTY
+@given(data=st.data(), ncols=sides)
+def test_meet_is_intersection(f, data, ncols):
+    a = data.draw(matrices(f, (0, 3), ncols))
+    b = data.draw(matrices(f, (0, 3), ncols))
+    got = f.kernel.meet(a, b, ncols)
+    assert span_vectors(f, got, ncols) == span_vectors(f, a, ncols) & span_vectors(f, b, ncols)
+
+
 @each_field
 @PROPERTY
 @given(data=st.data(), ncols=sides)
@@ -158,6 +205,8 @@ def test_matmul_matches_reference(f, data, m, k, n):
 def test_det_matinv_match_reference(f, data, n):
     m = data.draw(matrices(f, (n, n), n))
     assert f.kernel.det(m) == ref_det(f, m)
+    if n <= 4:
+        assert ref_det(f, m) == leibniz_det(f, m)
     eye = identity(n)
     red = ref_rref(f, [row + e for row, e in zip(m, eye)], 2 * n)
     if tuple(row[:n] for row in red) == eye:

@@ -271,25 +271,31 @@ def test_catalog_index_and_witness(cat2):
     )
 
 
-@pytest.mark.parametrize("which", [2, 3, 4])
-def test_plane_rows(which, cat2, cat3, cat4):
-    cat = {2: cat2, 3: cat3, 4: cat4}[which]
-    rows, per_plane = cat.plane_rows
-    assert len(set(rows)) == len(rows)
-    assert len(per_plane) == len(cat.planes)
-    for m, idx in zip(cat.planes, per_plane):
-        assert len(idx) == 3
-        assert tuple(rows[i] for i in idx) == m.basis
+@pytest.mark.parametrize("which", [2, 3, 4, 5])
+def test_traces(which, cat2, cat3, cat4, cat5):
+    # (M ^ J, M ^ K) on every X plane, (L, P) on every Y plane P + L
+    cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
+    assert list(cat.traces) == list(cat.planes)
+    for m in cat.g_x:
+        assert cat.traces[m] == (meet(m, cat.j_solid), meet(m, cat.k_solid))
+    for p in cat.g_alpha:
+        assert cat.traces[cat.marked_planes[p]] == (cat.l_line, p)
+    assert {cat.marked_planes[p] for p in cat.g_alpha} == set(cat.g_y)
 
 
-def test_doctored_catalog_gets_fresh_plane_rows(cat2):
-    rows, per_plane = cat2.plane_rows
+def test_traces_budget_counts_row_reductions(cat2):
+    # two row reductions per plane
+    assert len(dataclasses.replace(cat2, budget=42).traces) == 21
+    with pytest.raises(BudgetError, match="enumerating 42 plane traces"):
+        dataclasses.replace(cat2, budget=41).traces
+
+
+def test_doctored_catalog_gets_fresh_traces(cat2):
+    traces = dict(cat2.traces)
     fewer = dataclasses.replace(cat2, g_x=cat2.g_x[1:])
-    rows2, per_plane2 = fewer.plane_rows
-    assert len(per_plane2) == len(per_plane) - 1
-    for m, idx in zip(fewer.planes, per_plane2):
-        assert tuple(rows2[i] for i in idx) == m.basis
-    assert cat2.plane_rows == (rows, per_plane)
+    assert list(fewer.traces) == list(fewer.planes)
+    assert all(fewer.traces[m] == traces[m] for m in fewer.planes)
+    assert cat2.traces == traces
 
 
 @pytest.mark.parametrize("which", [2, 3])

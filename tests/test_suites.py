@@ -8,7 +8,7 @@ from conftest import count_geodesics
 
 import ternions.geometry as geo
 from ternions.gf import automorphisms, make_field, primitive_element
-from ternions.linalg import SemilinearMap, Subspace
+from ternions.linalg import BudgetError, SemilinearMap, Subspace
 from ternions.suites import (
     SUITE_NAMES,
     SuiteParams,
@@ -304,6 +304,29 @@ def test_adjacency_runs_one_bfs_and_no_plane_compares(cat3, graph3, monkeypatch)
         assert geo.verify_preserver(perm, graph3)
         assert geo.extract_recipe(perm, graph3) == rec
     assert compares == []
+
+
+# Each stage guard at q = 2, just below and at its count: 15 + 3 x 8 = 39
+# normal forms for the catalog, 3 x C(7, 2) + C(3, 2) = 66 adjacency edges
+# for the graph, 21 planes x 3 J-line points for the incidence table.
+@pytest.mark.parametrize(
+    "stage,count",
+    [
+        ("catalog", 39),
+        ("graph", 66),
+        ("incidence", 63),
+    ],
+)
+def test_stage_guard_at_its_count(stage, count, f2):
+    def run(budget):
+        ctx = VerifyContext(field=f2, budget=budget)
+        if stage == "incidence":
+            return run_suites(ctx, ["incidence"])
+        return getattr(ctx, stage)
+
+    with pytest.raises(BudgetError, match=f"enumerating {count} "):
+        run(count - 1)
+    run(count)
 
 
 def test_unknown_suite_raises(f2):
