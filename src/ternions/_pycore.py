@@ -153,39 +153,6 @@ class Kernel:
                 return None
         return tuple(tuple(m[i][n:]) for i in range(n))
 
-    def det(self, rows):
-        """Determinant of a square coded matrix."""
-        n = len(rows)
-        if n == 0:
-            return 1
-        if len(rows[0]) != n:
-            raise ValueError("matrix is not square")
-        q, add, mul, neg, inv = self.q, self.add, self.mul, self.neg, self.inv
-        m = [list(r) for r in rows]
-        d = 1
-        for c in range(n):
-            pr = -1
-            for i in range(c, n):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr < 0:
-                return 0
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                d = mul[d * q + neg[1]]
-            piv = m[c][c]
-            d = mul[d * q + piv]
-            fpiv = inv[piv]
-            for i in range(c + 1, n):
-                v = m[i][c]
-                if v:
-                    f = mul[neg[v] * q + fpiv]
-                    ri = m[i]
-                    for j in range(c, n):
-                        ri[j] = add[ri[j] * q + mul[f * q + m[c][j]]]
-        return d
-
     def nullspace(self, rows, ncols):
         """Canonical basis of {w : rows . w^T = 0} in F^ncols."""
         red = self.rref(rows)

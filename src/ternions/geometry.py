@@ -281,10 +281,14 @@ def maximal_cliques(graph: AdjacencyGraph) -> List[FrozenSet[int]]:
     return out
 
 
-def distances_from(graph: AdjacencyGraph, start: int) -> List[int]:
-    """BFS distances (-1 for unreachable)."""
+def geodesics_from(graph: AdjacencyGraph, start: int) -> Tuple[List[int], List[int]]:
+    """BFS from start: per vertex its distance (-1 for unreachable) and its
+    number of shortest paths (0 for unreachable).  A vertex at distance d
+    collects the counts of its neighbours at distance d-1, which are final
+    once their layer is done."""
     dist = [-1] * graph.n
-    dist[start] = 0
+    paths = [0] * graph.n
+    dist[start], paths[start] = 0, 1
     frontier = [start]
     d = 0
     while frontier:
@@ -295,8 +299,10 @@ def distances_from(graph: AdjacencyGraph, start: int) -> List[int]:
                 if dist[w] < 0:
                     dist[w] = d
                     nxt.append(w)
+                if dist[w] == d:
+                    paths[w] += paths[v]
         frontier = nxt
-    return dist
+    return dist, paths
 
 
 # -- transversal scans ------------------------------------------------------------
@@ -632,20 +638,36 @@ def make_recipe(
     return PreserverRecipe(mu=tuple(mu), psi=tuple(dict(d) for d in psi))
 
 
-def random_recipe(graph: AdjacencyGraph, rng: random.Random) -> PreserverRecipe:
-    """A uniformly scrambled valid recipe."""
+def recipe_generators(graph: AdjacencyGraph) -> Dict[str, PreserverRecipe]:
+    """Four recipes that generate every recipe permutation (the argument is
+    in `suites.suite_adjacency`): a clique transposition and a clique
+    (q+1)-cycle, which send the non-marked members of clique a onto those
+    of clique mu(a) in sorted order and marked to marked, and a
+    transposition and a (q^2+q)-cycle of the non-marked members of
+    clique 0, which fix every other plane."""
     members, marked = graph.cliques
-    mu = list(range(len(members)))
-    rng.shuffle(mu)
-    psi = []
-    for a, b in enumerate(mu):
-        dom = sorted(members[a] - {marked[a]})
-        cod = sorted(members[b] - {marked[b]})
-        rng.shuffle(cod)
-        table = dict(zip(dom, cod))
-        table[marked[a]] = marked[b]
-        psi.append(table)
-    return make_recipe(graph, mu, psi)
+    n = len(members)
+    rest = [sorted(c - {y}) for c, y in zip(members, marked)]
+
+    def blocks(mu: List[int]) -> PreserverRecipe:
+        return make_recipe(
+            graph,
+            mu,
+            [dict(zip(rest[a] + [marked[a]], rest[b] + [marked[b]])) for a, b in enumerate(mu)],
+        )
+
+    def in_clique_0(images: List[int]) -> PreserverRecipe:
+        psi = [{z: z for z in c} for c in members]
+        psi[0].update(zip(rest[0], images))
+        return make_recipe(graph, range(n), psi)
+
+    x = rest[0]
+    return {
+        "clique transposition": blocks([1, 0] + list(range(2, n))),
+        "clique cycle": blocks(list(range(1, n)) + [0]),
+        "plane transposition": in_clique_0([x[1], x[0]] + x[2:]),
+        "plane cycle": in_clique_0(x[1:] + x[:1]),
+    }
 
 
 def build_preserver(recipe: PreserverRecipe, graph: AdjacencyGraph) -> Tuple[int, ...]:

@@ -185,7 +185,7 @@ class Field:
         return (self.p, self.k, self.modulus)
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.key == other.key
+        return self is other or isinstance(other, Field) and self.key == other.key
 
     def __hash__(self):
         return hash(self.key)

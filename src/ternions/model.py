@@ -29,7 +29,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
-from .gf import Field, automorphisms
+from .gf import Field
 from .linalg import (
     Subspace,
     canonicalize,
@@ -42,7 +42,6 @@ from .linalg import (
     point_vectors,
     projective_points,
     projective_vectors,
-    SemilinearMap,
 )
 from .ternion import (
     Ternion,
@@ -228,13 +227,6 @@ def _projective_parameters(field: Field):
     for t in field.codes():
         yield (1, t)
     yield (0, 1)
-
-
-def block6_lift(s: TernionMatrix) -> SemilinearMap:
-    """The 6x6 lift of right multiplication by an invertible matrix."""
-    if not s.is_invertible:
-        raise ValueError("only invertible matrices lift to collineations")
-    return SemilinearMap(s.field, 6, block6_rows(s), automorphisms(s.field)[0])
 
 
 def block6_rows(s: TernionMatrix) -> tuple:

@@ -54,14 +54,12 @@ from .ternion import (
 
 @dataclass
 class SuiteParams:
-    """Work sizes for the randomized checks of `thm1:decompose`,
-    `thm1:negative` and `adj:preservers`.  Every other claim is exhaustive.
-    The defaults are what the command line runs; the tests call the library
-    with smaller numbers."""
+    """Work sizes for the randomized checks, `thm1:decompose` and
+    `thm1:negative`; only thm1 is randomized.  The defaults are what the
+    command line runs; the tests call the library with smaller numbers."""
 
     thm1_controls: int = 2000
     thm1_decompositions: int = 10
-    recipes: int = 100
 
 
 @dataclass
@@ -237,6 +235,28 @@ def suite_incidence(ctx: VerifyContext) -> List[Dict[str, object]]:
 
 
 def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
+    """The adjacency claims.
+
+    A recipe (mu, psi) permutes the q+1 alpha cliques [P, P+J]_3 by mu and
+    maps each clique onto its image by psi_P, marked plane P+L to marked
+    plane.  The recipe permutations form the wreath product
+    R = Sym(q^2+q) wr Sym(q+1), which the four recipes of
+    `geometry.recipe_generators` generate.  A full cycle and a transposition
+    of two elements adjacent on it generate a symmetric group.  So the two
+    clique generators give a copy of Sym(q+1) (sorted-order bijections
+    compose to sorted-order bijections), the two plane generators give the
+    symmetric group of clique 0, and conjugating by the copy of Sym(q+1)
+    carries it to every clique.  The graph automorphisms that fix the X and
+    Y planes setwise form a group, so it contains R once it contains the
+    four generators.  Hence `two_way_preservation` and
+    `orbits_fixed_setwise` of `adj:preservers` are exact, while
+    `extraction_round_trip` (on the generators) and
+    `collineation_round_trip` (on one seeded collineation) are spot checks.
+
+    R is transitive on the X planes, fixes the Y planes setwise and commutes
+    with the companion map, which sends an X plane to the marked plane of
+    its clique.  So `adj:distance` reads every fact about a pair of X
+    planes off the pairs (0, j), from one BFS from X plane 0."""
     cat = ctx.catalog
     graph = ctx.graph
     q = ctx.field.q
@@ -296,49 +316,61 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
         cliques_ok = cliques_ok and bk_ok
     claims.append(_claim("adjacency", "adj:cliques", cliques_ok, detail))
 
-    detail = _distance_detail(graph, comp)
+    preservers, transitive = _generator_detail(graph)
+    detail = _distance_detail(graph, comp, transitive)
     ok = all(v for key, v in detail.items() if key != "unique_geodesic_checked")
     claims.append(_claim("adjacency", "adj:distance", ok, detail))
 
-    # random recipes give two-way preservers fixing both orbits setwise,
-    # and extraction rebuilds the recipe; one collineation-induced preserver
-    # round-trips through a recipe as well
-    n = ctx.params.recipes
-    rec_ok = True
-    fixes_ok = True
-    extract_ok = True
-    xs, ys = set(range(n_x)), set(range(n_x, graph.n))
-    for _ in range(n):
-        rec = geo.random_recipe(graph, rng)
-        perm = geo.build_preserver(rec, graph)
-        if not geo.verify_preserver(perm, graph):
-            rec_ok = False
-        if set(perm[:n_x]) != xs or set(perm[n_x:]) != ys:
-            fixes_ok = False
-        if geo.extract_recipe(perm, graph) != rec:
-            extract_ok = False
+    # one collineation-induced preserver round-trips through a recipe
     s = random_invertible(ctx.field, rng)
     sigma = rng.choice(automorphisms(ctx.field))
-    f = geo.induced_collineation(s, sigma)
-    fperm = geo.preserver_from_collineation(f, graph)
-    coll_ok = geo.verify_preserver(fperm, graph)
-    rec3 = geo.extract_recipe(fperm, graph)
-    coll_ok = coll_ok and geo.build_preserver(rec3, graph) == fperm
-    claims.append(
-        _claim(
-            "adjacency",
-            "adj:preservers",
-            rec_ok and fixes_ok and extract_ok and coll_ok,
-            {
-                "random_recipes": n,
-                "two_way_preservation": rec_ok,
-                "orbits_fixed_setwise": fixes_ok,
-                "extraction_round_trip": extract_ok,
-                "collineation_round_trip": coll_ok,
-            },
-        )
-    )
+    fperm = geo.preserver_from_collineation(geo.induced_collineation(s, sigma), graph)
+    rec = geo.extract_recipe(fperm, graph)
+    coll_ok = geo.verify_preserver(fperm, graph) and geo.build_preserver(rec, graph) == fperm
+    preservers["collineation_round_trip"] = coll_ok
+    ok = preservers["first_failure"] is None and coll_ok
+    claims.append(_claim("adjacency", "adj:preservers", ok, preservers))
     return claims
+
+
+def _generator_detail(graph: geo.AdjacencyGraph) -> Tuple[Dict[str, object], bool]:
+    """The `adj:preservers` detail for the recipe generators, without the
+    collineation round trip, and whether the generators are verified
+    preservers whose group carries X plane 0 to every X plane.  Each
+    generator goes through `build_preserver`, `verify_preserver`, the
+    check that it fixes the X and the Y planes setwise, and
+    `extract_recipe`; `first_failure` names the first that fails one."""
+    n_x = len(graph.catalog.g_x)
+    xs, ys = set(range(n_x)), set(range(n_x, graph.n))
+    gens = geo.recipe_generators(graph)
+    perms = []
+    checks = {}
+    for name, rec in gens.items():
+        perm = geo.build_preserver(rec, graph)
+        perms.append(perm)
+        checks[name] = (
+            geo.verify_preserver(perm, graph),
+            set(perm[:n_x]) == xs and set(perm[n_x:]) == ys,
+            geo.extract_recipe(perm, graph) == rec,
+        )
+    two_way, fixes, back = (all(flags) for flags in zip(*checks.values()))
+    failed = [name for name, flags in checks.items() if not all(flags)]
+    orbit, todo = {0}, [0]
+    while todo:
+        v = todo.pop()
+        for perm in perms:
+            if perm[v] not in orbit:
+                orbit.add(perm[v])
+                todo.append(perm[v])
+    detail = {
+        "generators": list(gens),
+        "exhaustive": True,
+        "first_failure": failed[0] if failed else None,
+        "two_way_preservation": two_way,
+        "orbits_fixed_setwise": fixes,
+        "extraction_round_trip": back,
+    }
+    return detail, two_way and fixes and orbit == xs
 
 
 def _clique_flags(nbrs: tuple, cliques: List[FrozenSet[int]]) -> Tuple[bool, bool, bool]:
@@ -361,47 +393,31 @@ def _clique_flags(nbrs: tuple, cliques: List[FrozenSet[int]]) -> Tuple[bool, boo
     return all_cliques, coverage, closure
 
 
-def _distance_detail(graph: geo.AdjacencyGraph, comp: List[int]) -> Dict[str, bool]:
-    """The `adj:distance` flags from the neighbour sets and one BFS (the
-    graph is undirected, so one decides connectivity).  Non-adjacent
-    planes are at distance 2 exactly when they share a neighbour.  Past
-    that, X planes i and j are at distance 3 exactly when some a in N(i)
-    has neighbours b in N(j), and the paths i - a - b - j are the geodesics.
-    The companion path i - c(i) - c(j) - j is one when it exists, so they
-    are counted only without it, or for uniqueness at q = 2."""
-    nbrs = graph.neighbours
+def _distance_detail(
+    graph: geo.AdjacencyGraph, comp: List[int], transitive: bool
+) -> Dict[str, bool]:
+    """The `adj:distance` flags from one BFS from X plane 0 that counts
+    geodesics.  `transitive` says that verified preservers, which fix the
+    Y planes setwise and commute with the companion map, carry X plane 0
+    to every X plane, so each flag about the pairs (0, j) holds for every
+    pair of X planes.  The geodesic counts are checked for uniqueness at
+    q = 2 only."""
+    dist, paths = geo.geodesics_from(graph, 0)
     n_x = len(comp)
+    adj = graph.are_adjacent
+    c0 = comp[0]
+    far = [j for j in range(1, n_x) if dist[j] == 3]
     check_unique = graph.catalog.field.q == 2
-    dist_ok = via_ok = unique_ok = y_dist_ok = True
-    for i in range(n_x):
-        ni = nbrs[i]
-        for j in range(i + 1, n_x):
-            nj = nbrs[j]
-            if j in ni:
-                continue
-            if not ni.isdisjoint(nj):
-                dist_ok = False
-                continue
-            ci, cj = comp[i], comp[j]
-            path = ci in ni and cj in nbrs[ci] and j in nbrs[cj]
-            if path and not check_unique:
-                continue
-            paths = sum(len(nbrs[a] & nj) for a in ni)
-            if not paths:
-                dist_ok = False
-                continue
-            via_ok = via_ok and path
-            unique_ok = unique_ok and (paths == 1 or not check_unique)
-        for j in range(n_x, graph.n):
-            if j != comp[i] and (j in ni or ni.isdisjoint(nbrs[j])):
-                y_dist_ok = False
     return {
-        "connected": min(geo.distances_from(graph, 0)) >= 0,
-        "xx_distances_in_1_3": dist_ok,
-        "companion_path_geodesic": via_ok,
+        "connected": min(dist) >= 0,
+        "transitive_on_x": transitive,
+        "xx_distances_in_1_3": all(dist[j] in (1, 3) for j in range(1, n_x)),
+        "companion_path_geodesic": all(
+            adj(0, c0) and adj(c0, comp[j]) and adj(comp[j], j) for j in far
+        ),
         "unique_geodesic_checked": check_unique,
-        "unique_geodesic": unique_ok,
-        "noncompanion_y_at_2": y_dist_ok,
+        "unique_geodesic": not check_unique or all(paths[j] == 1 for j in far),
+        "noncompanion_y_at_2": all(dist[j] == 2 for j in range(n_x, graph.n) if j != c0),
     }
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ternions.geometry import _bit_indices, _fixes_j_and_h
+from ternions.geometry import _bit_indices, _fixes_j_and_h, make_recipe
 from ternions.gf import make_field
 from ternions.linalg import contains, enumerate_subspaces, meet, point_vectors
 from ternions.model import TYPE_ORDER, build_catalog
@@ -210,22 +210,21 @@ def point_index_incidence_counts(cat):
     return counts
 
 
-def count_geodesics(graph, start, goal):
-    """Reference for the `adj:distance` geodesic counts: (distance, number
-    of shortest paths) from start to goal by layered BFS counting."""
-    from ternions.geometry import distances_from
-
-    dist = distances_from(graph, start)
-    if dist[goal] < 0:
-        return (-1, 0)
-    counts = [0] * graph.n
-    counts[start] = 1
-    order = sorted(range(graph.n), key=lambda v: dist[v] if dist[v] >= 0 else 1 << 30)
-    for v in order:
-        if v == start or dist[v] < 0:
-            continue
-        counts[v] = sum(counts[w] for w in graph.neighbours[v] if dist[w] == dist[v] - 1)
-    return (dist[goal], counts[goal])
+def random_recipe(graph, rng):
+    """A uniformly scrambled valid recipe: a random mu, and per clique a
+    random bijection of its non-marked members onto those of its image."""
+    members, marked = graph.cliques
+    mu = list(range(len(members)))
+    rng.shuffle(mu)
+    psi = []
+    for a, b in enumerate(mu):
+        dom = sorted(members[a] - {marked[a]})
+        cod = sorted(members[b] - {marked[b]})
+        rng.shuffle(cod)
+        table = dict(zip(dom, cod))
+        table[marked[a]] = marked[b]
+        psi.append(table)
+    return make_recipe(graph, mu, psi)
 
 
 # acceptance tests append (criterion, verdict, note) rows here; the hook

@@ -8,13 +8,12 @@ import subprocess
 import sys
 import time
 
-from conftest import ACCEPTANCE_LOG, cli_env, count_geodesics, incidence_counts, x_plane_sweep
+from conftest import ACCEPTANCE_LOG, cli_env, incidence_counts, random_recipe, x_plane_sweep
 
 from ternions.gf import automorphisms, make_field
 from ternions.linalg import SemilinearMap, full_space, join, meet, meet_dim
 from ternions.model import (
     SubmoduleType,
-    block6_lift,
     build_catalog,
     classify,
     classify_by_rank,
@@ -28,14 +27,15 @@ from ternions.ternion import enumerate_pairs, random_invertible
 from ternions.geometry import (
     _homothety_rows,
     adjacent,
+    build_graph,
     build_preserver,
     companion_y,
     decompose_semilinear,
-    distances_from,
     expected_cliques,
     expected_incidence_row,
     extract_recipe,
     first_failed_condition,
+    geodesics_from,
     incidence_table,
     induced_collineation,
     k_trace_classes,
@@ -43,7 +43,6 @@ from ternions.geometry import (
     no_duality_certificate,
     preserver_from_collineation,
     random_nonblock_invertible,
-    random_recipe,
     scan_lines,
     scan_solids,
     verify_decomposition,
@@ -191,7 +190,7 @@ def test_criterion_06_distances(graph2):
     ok = True
     n_far = 0
     for i in range(graph2.n):
-        dist = distances_from(graph2, i)
+        dist, paths = geodesics_from(graph2, i)
         ok = ok and all(d >= 0 for d in dist)
         if i < nx:
             for j in range(nx):
@@ -199,7 +198,7 @@ def test_criterion_06_distances(graph2):
                     ok = ok and dist[j] in (1, 3)
                     if j > i and dist[j] == 3:
                         n_far += 1
-                        ok = ok and count_geodesics(graph2, i, j) == (3, 1)
+                        ok = ok and paths[j] == 1
     _record(6, ok, f"connected, X-X in {{1,3}}, {n_far} distance-3 pairs all unique geodesic")
 
 
@@ -226,7 +225,7 @@ def _canonical_composite(cat, s, a, b, sigma):
     field = cat.field
     f1 = SemilinearMap(field, 6, full_space(field, 6).basis, sigma)
     f2 = SemilinearMap(field, 6, _homothety_rows(field, a, b), automorphisms(field)[0])
-    f3 = block6_lift(s)
+    f3 = induced_collineation(s, automorphisms(field)[0])
     return f3.compose(f2.compose(f1))
 
 
@@ -276,15 +275,17 @@ def test_criterion_08_theorem1(cat2, cat3, cat4):
     _record(8, ok, "; ".join(notes))
 
 
-def test_criterion_09_preservers(cat2, cat3, graph2, graph3):
+def test_criterion_09_preservers(cat2, cat3, cat4, graph2, graph3):
+    # the sampled check `adj:preservers` made before it went by generators
     rng = random.Random(9)
     ok = True
-    for cat, graph in ((cat2, graph2), (cat3, graph3)):
+    for cat, graph in ((cat2, graph2), (cat3, graph3), (cat4, build_graph(cat4))):
         nx = len(cat.g_x)
         for _ in range(100):
             recipe = random_recipe(graph, rng)
             perm = build_preserver(recipe, graph)
             ok = ok and verify_preserver(perm, graph)
+            ok = ok and extract_recipe(perm, graph) == recipe
             # the orbit sets must be fixed setwise, not merely permuted together
             xs = {graph.vertices[perm[i]] for i in range(nx)}
             ys = {graph.vertices[perm[i]] for i in range(nx, graph.n)}
@@ -295,7 +296,7 @@ def test_criterion_09_preservers(cat2, cat3, graph2, graph3):
             perm = preserver_from_collineation(f, graph)
             recipe = extract_recipe(perm, graph)
             ok = ok and build_preserver(recipe, graph) == perm
-    _record(9, ok, "100 recipes per q=2,3 pass both ways; extraction rebuilds lifts")
+    _record(9, ok, "100 recipes per q=2,3,4 pass both ways; extraction rebuilds recipes and lifts")
 
 
 def test_criterion_10_xi(graph2, graph3):

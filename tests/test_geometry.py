@@ -3,13 +3,13 @@ import random
 
 import pytest
 from conftest import (
-    count_geodesics,
     incidence_counts,
     point_index_first_failed,
     point_index_graph,
     point_index_incidence_counts,
     point_index_preserver,
     point_planes,
+    random_recipe,
 )
 
 import ternions.geometry as geometry
@@ -34,13 +34,13 @@ from ternions.geometry import (
     certificate_from_counts,
     companion_y,
     decompose_semilinear,
-    distances_from,
     expected_cliques,
     expected_incidence_row,
     extract_automorphism,
     extract_recipe,
     first_failed_condition,
     g0_generators,
+    geodesics_from,
     graph_to_dot,
     graph_to_json,
     incidence_table,
@@ -51,7 +51,6 @@ from ternions.geometry import (
     no_duality_certificate,
     preserver_from_collineation,
     random_nonblock_invertible,
-    random_recipe,
     scan_lines,
     scan_solids,
     verify_decomposition,
@@ -66,7 +65,6 @@ from ternions.geometry import (
 from ternions.model import (
     TYPE_ORDER,
     SubmoduleType,
-    block6_lift,
     is_block6_patterned,
     matrix2_from_block6,
 )
@@ -319,7 +317,7 @@ def test_distances_q2(graph2):
     nx = len(cat.g_x)
     trace = {m: None for m in cat.g_x}
     for i, m in enumerate(cat.g_x):
-        dist = distances_from(graph2, i)
+        dist = geodesics_from(graph2, i)[0]
         assert all(d >= 0 for d in dist)  # connected
         for j in range(nx):
             if i == j:
@@ -337,12 +335,11 @@ def test_unique_geodesic_q2(graph2):
     nx = len(cat.g_x)
     found = 0
     for i in range(nx):
-        dist = distances_from(graph2, i)
+        dist, paths = geodesics_from(graph2, i)
         for j in range(i + 1, nx):
             if dist[j] == 3:
                 found += 1
-                d, n_paths = count_geodesics(graph2, i, j)
-                assert (d, n_paths) == (3, 1)
+                assert paths[j] == 1
     assert found > 0
 
 
@@ -350,7 +347,7 @@ def test_geodesic_is_companion_path(graph2):
     cat = graph2.catalog
     m1 = cat.g_x[0]
     i = graph2.vindex[m1]
-    dist = distances_from(graph2, i)
+    dist = geodesics_from(graph2, i)[0]
     j = next(
         graph2.vindex[m]
         for m in cat.g_x
@@ -721,7 +718,7 @@ def canonical_composite(cat, s, a, b, sigma):
     field = cat.field
     f1 = SemilinearMap(field, 6, full_space(field, 6).basis, sigma)
     f2 = SemilinearMap(field, 6, _homothety_rows(field, a, b), automorphisms(field)[0])
-    f3 = block6_lift(s)
+    f3 = induced_collineation(s, automorphisms(field)[0])
     return f3.compose(f2.compose(f1))
 
 

@@ -151,6 +151,17 @@ def test_custom_modulus_still_a_field():
     assert f != make_field(2, 3)
 
 
+def test_gf9_moduli_compare_by_key():
+    # x^2 + 1 and the default x^2 + 2x + 2 are both irreducible over GF(3)
+    default = make_field(3, 2)
+    other = make_field(3, 2, modulus=(1, 0, 1))
+    assert default == default and other == other
+    assert default != other and other != default
+    rebuilt = make_field(3, 2, modulus=(2, 2, 1))  # the default, spelled out
+    assert rebuilt is not default
+    assert rebuilt == default and hash(rebuilt) == hash(default)
+
+
 @pytest.mark.parametrize("q", [3, 4, 9])
 def test_normalize_matches_one_row_rref(q):
     f = field_of_order(q)

@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 
 from conftest import x_plane_sweep
-from ternions.gf import field_of_order, make_field
+from ternions.geometry import induced_collineation
+from ternions.gf import automorphisms, field_of_order, make_field
 from ternions.linalg import (
     BudgetError,
     Subspace,
@@ -23,7 +24,6 @@ from ternions.linalg import (
 from ternions.model import (
     LINE_MODEL_AXIS_COORDS,
     SubmoduleType,
-    block6_lift,
     block6_rows,
     build_catalog,
     classify,
@@ -56,6 +56,11 @@ from ternions.ternion import (
     random_ternion,
     scale_left,
 )
+
+
+def _lift(s):
+    """The collineation induced by right multiplication by s, no Frobenius."""
+    return induced_collineation(s, automorphisms(s.field)[0])
 
 
 def tpair(f, a, b):
@@ -178,7 +183,7 @@ def test_block6_equivariance(f3):
     for _ in range(60):
         v = (random_ternion(f3, rng), random_ternion(f3, rng))
         s = random_invertible(f3, rng)
-        lift = block6_lift(s)
+        lift = _lift(s)
         assert phi(act_right(v, s)) == lift.apply_vector(phi(v))
 
 
@@ -186,7 +191,7 @@ def test_block6_preserves_flats(f3):
     rng = random.Random(13)
     j, k, l = distinguished_flats(f3)
     for _ in range(30):
-        lift = block6_lift(random_invertible(f3, rng))
+        lift = _lift(random_invertible(f3, rng))
         assert lift.apply(j) == j
         assert lift.apply(k) == k
         assert lift.apply(l) == l
@@ -196,7 +201,7 @@ def test_block6_fixes_opposite_permutes_alpha(f2):
     rng = random.Random(17)
     geo = quadric(f2)
     for _ in range(20):
-        lift = block6_lift(random_invertible(f2, rng))
+        lift = _lift(random_invertible(f2, rng))
         for m in geo.regulus_opposite:
             assert lift.apply(m) == m
         assert {lift.apply(m) for m in geo.regulus_alpha} == set(geo.regulus_alpha)
@@ -221,7 +226,7 @@ def test_block6_lift_requires_invertible(f2):
     from ternions.ternion import TernionMatrix
 
     with pytest.raises(ValueError):
-        block6_lift(TernionMatrix(z, z, z, z))
+        _lift(TernionMatrix(z, z, z, z))
 
 
 def test_line_model_well_defined_q2(f2):
@@ -392,7 +397,7 @@ def test_orbits_are_transitive_q2(cat2):
         s = TernionMatrix(*(Ternion(f, *codes[i:i + 3]) for i in range(0, 12, 3)))
         if not s.is_invertible:
             continue
-        lift = block6_lift(s)
+        lift = _lift(s)
         for t, rep in base.items():
             reach[t].add(lift.apply(rep))
     for t, got in reach.items():

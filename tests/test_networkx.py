@@ -1,11 +1,10 @@
 """Cross-check of the graph algorithms against networkx at q = 2 and 3:
-maximal cliques, BFS distances from every vertex and, at q = 2, the
-geodesic counts of the `adj:distance` reference."""
+maximal cliques, and the BFS distances and geodesic counts from every
+vertex."""
 
 import pytest
-from conftest import count_geodesics
 
-from ternions.geometry import distances_from, maximal_cliques
+from ternions.geometry import geodesics_from, maximal_cliques
 
 nx = pytest.importorskip("networkx")
 
@@ -32,12 +31,14 @@ def test_distances_match_networkx(which, graph2, graph3):
     g = _to_networkx(graph)
     for start in range(graph.n):
         want = nx.single_source_shortest_path_length(g, start)
-        assert distances_from(graph, start) == [want.get(v, -1) for v in range(graph.n)]
+        assert geodesics_from(graph, start)[0] == [want.get(v, -1) for v in range(graph.n)]
 
 
-def test_geodesic_counts_match_networkx(graph2):
-    g = _to_networkx(graph2)
-    for i in range(graph2.n):
-        for j in range(i + 1, graph2.n):
-            paths = list(nx.all_shortest_paths(g, i, j))
-            assert count_geodesics(graph2, i, j) == (len(paths[0]) - 1, len(paths))
+def test_geodesic_counts_match_networkx(graph2, graph3):
+    for graph in (graph2, graph3):
+        g = _to_networkx(graph)
+        for i in range(graph.n):
+            dist, paths = geodesics_from(graph, i)
+            for j in range(graph.n):
+                got = list(nx.all_shortest_paths(g, i, j))
+                assert (dist[j], paths[j]) == (len(got[0]) - 1, len(got))

@@ -1,10 +1,10 @@
 import dataclasses
 import json
+import math
 import random
 from itertools import combinations
 
 import pytest
-from conftest import count_geodesics
 
 import ternions.geometry as geo
 from ternions.gf import automorphisms, make_field, primitive_element
@@ -15,6 +15,7 @@ from ternions.suites import (
     VerifyContext,
     _clique_flags,
     _distance_detail,
+    _generator_detail,
     is_linear_involutive_antiautomorphism,
     run_suites,
     summarize,
@@ -23,11 +24,7 @@ from ternions.ternion import Ternion, enumerate_ternions, iota, random_invertibl
 
 
 def small_params():
-    return SuiteParams(
-        thm1_controls=100,
-        thm1_decompositions=3,
-        recipes=10,
-    )
+    return SuiteParams(thm1_controls=100, thm1_decompositions=3)
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +149,7 @@ def _distance_detail_by_bfs(graph, comp):
     connected = dist_ok = via_ok = unique_ok = y_dist_ok = True
     check_unique = graph.catalog.field.q == 2
     for i in range(n_x):
-        dist = geo.distances_from(graph, i)
+        dist, paths = geo.geodesics_from(graph, i)
         if any(d < 0 for d in dist):
             connected = False
         ci = comp[i]
@@ -164,7 +161,7 @@ def _distance_detail_by_bfs(graph, comp):
                 cj = comp[j]
                 if not (adj(i, ci) and adj(ci, cj) and adj(cj, j)):
                     via_ok = False
-                if check_unique and count_geodesics(graph, i, j)[1] != 1:
+                if check_unique and paths[j] != 1:
                     unique_ok = False
         for j in range(n_x, graph.n):
             if j != ci and dist[j] != 2:
@@ -193,6 +190,9 @@ def _rewired(graph, remove=(), add=()):
 
 @pytest.mark.parametrize("which", [2, 3])
 def test_distance_detail_matches_bfs(which, graph2, graph3):
+    # where the generators are verified preservers transitive on the X
+    # planes, the one-BFS flags equal the one-BFS-per-X-plane reference;
+    # elsewhere the claim fails
     graph = {2: graph2, 3: graph3}[which]
     cat = graph.catalog
     n_x = len(cat.g_x)
@@ -204,6 +204,7 @@ def test_distance_detail_matches_bfs(which, graph2, graph3):
         "as built": graph,
         "X-X edge removed": _rewired(graph, remove=[(0, mate)]),
         "companion edge removed": _rewired(graph, remove=[(0, comp[0])]),
+        "every companion edge removed": _rewired(graph, remove=list(enumerate(comp))),
         "edge across cliques": _rewired(graph, add=[(0, far)]),
         "companion edge moved across cliques": _rewired(
             graph, remove=[(comp[0], comp[far])], add=[(0, far)]
@@ -220,10 +221,18 @@ def test_distance_detail_matches_bfs(which, graph2, graph3):
     }
     failing = set()
     for name, g in cases.items():
-        got = _distance_detail(g, comp)
-        assert got == _distance_detail_by_bfs(g, comp), name
+        transitive = _generator_detail(g)[1]
+        got = _distance_detail(g, comp, transitive)
+        want = _distance_detail_by_bfs(g, comp)
         assert got["unique_geodesic_checked"] is (which == 2)
-        failing |= {key for key in conditions if not got[key]}
+        assert got["transitive_on_x"] is transitive
+        # the doctoring of every companion edge commutes with the recipes
+        assert transitive is (name in ("as built", "every companion edge removed")), name
+        if transitive:
+            assert {k: v for k, v in got.items() if k != "transitive_on_x"} == want, name
+        claim_ok = all(v for k, v in got.items() if k != "unique_geodesic_checked")
+        assert claim_ok is (name == "as built"), name
+        failing |= {key for key in conditions if not want[key]}
         if name == "as built":
             assert not failing
     # every condition that is checked is broken by some case
@@ -285,25 +294,120 @@ def test_clique_flags_match_edge_reference(which, graph2, graph3):
 
 def test_adjacency_runs_one_bfs_and_no_plane_compares(cat3, graph3, monkeypatch):
     starts = []
-    bfs = geo.distances_from
-    monkeypatch.setattr(geo, "distances_from", lambda g, s: starts.append(s) or bfs(g, s))
+    bfs = geo.geodesics_from
+    monkeypatch.setattr(geo, "geodesics_from", lambda g, s: starts.append(s) or bfs(g, s))
     ctx = VerifyContext(field=cat3.field, seed=0, params=small_params())
     ctx.catalog, ctx.graph = cat3, graph3  # reuse the session catalog and graph
     claims = run_suites(ctx, ["adjacency"])
     assert all(c["ok"] for c in claims)
     assert starts == [0]
-    # the recipe loop works on vertex indices: no plane is compared
+    # the generator path works on vertex indices: no plane is compared
     graph3.cliques  # the one place planes are looked up
     compares = []
     eq = Subspace.__eq__
     monkeypatch.setattr(Subspace, "__eq__", lambda a, b: compares.append(1) or eq(a, b))
-    rng = random.Random(0)
-    for _ in range(10):
-        rec = geo.random_recipe(graph3, rng)
-        perm = geo.build_preserver(rec, graph3)
-        assert geo.verify_preserver(perm, graph3)
-        assert geo.extract_recipe(perm, graph3) == rec
+    detail, transitive = _generator_detail(graph3)
+    assert transitive and detail["first_failure"] is None
     assert compares == []
+
+
+def _closure(gens):
+    """The permutation group generated by the tuples gens."""
+    ident = tuple(range(len(gens[0])))
+    seen, todo = {ident}, [ident]
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            r = tuple(g[i] for i in p)
+            if r not in seen:
+                seen.add(r)
+                todo.append(r)
+    return seen
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_recipe_generators_generate_the_recipe_group(which, graph2, graph3):
+    # the wreath-product argument in pieces: the clique generators act on
+    # the cliques as Sym(q+1), the plane generators on the non-marked
+    # members of clique 0 as Sym(q^2+q) (closed at q = 2 only: 6! = 720),
+    # and the group reaches every X plane from X plane 0
+    graph = {2: graph2, 3: graph3}[which]
+    q = graph.catalog.field.q
+    members, marked = graph.cliques
+    gens = geo.recipe_generators(graph)
+    assert list(gens) == [
+        "clique transposition",
+        "clique cycle",
+        "plane transposition",
+        "plane cycle",
+    ]
+    on_cliques = [gens[k].mu for k in ("clique transposition", "clique cycle")]
+    assert len(_closure(on_cliques)) == math.factorial(q + 1)
+    x = sorted(members[0] - {marked[0]})
+    assert len(x) == q * q + q
+    ident = tuple(range(len(members)))
+    on_x = []
+    for k in ("plane transposition", "plane cycle"):
+        rec = gens[k]
+        assert rec.mu == ident
+        assert all(z == w for table in rec.psi[1:] for z, w in table.items())
+        assert rec.psi[0][marked[0]] == marked[0]
+        on_x.append(tuple(x.index(rec.psi[0][z]) for z in x))
+    if q == 2:
+        assert len(_closure(on_x)) == 720
+    perms = [geo.build_preserver(rec, graph) for rec in gens.values()]
+    orbit, todo = {0}, [0]
+    while todo:
+        v = todo.pop()
+        new = {perm[v] for perm in perms} - orbit
+        orbit |= new
+        todo.extend(new)
+    assert orbit == set(range(len(graph.catalog.g_x)))
+    assert _generator_detail(graph)[1] is True
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_planted_failing_recipe_generator_is_named(which, graph2, graph3):
+    graph = {2: graph2, 3: graph3}[which]
+    members, marked = graph.cliques
+    rest = [sorted(c - {y}) for c, y in zip(members, marked)]
+    cases = {
+        # one edge gone from clique 0: moving clique 0 onto clique 1 fails
+        "clique transposition": [(rest[0][0], rest[0][1])],
+        # the same edge gone from every clique: only the plane cycle,
+        # which moves it inside clique 0, fails
+        "plane cycle": [(r[0], r[1]) for r in rest],
+    }
+    for name, remove in cases.items():
+        ctx = VerifyContext(field=graph.catalog.field, seed=0, params=small_params())
+        ctx.catalog, ctx.graph = graph.catalog, _rewired(graph, remove=remove)
+        claims = {c["id"]: c for c in run_suites(ctx, ["adjacency"])}
+        detail = claims["adj:preservers"]["detail"]
+        assert claims["adj:preservers"]["ok"] is False
+        assert detail["first_failure"] == name
+        assert detail["two_way_preservation"] is False
+        assert detail["exhaustive"] is True
+        assert claims["adj:distance"]["ok"] is False
+        assert claims["adj:distance"]["detail"]["transitive_on_x"] is False
+
+
+def test_distance_fails_without_transitive_generators(cat3, graph3, monkeypatch):
+    # with only the plane generators, which fix every clique but clique 0,
+    # the preservers still pass but the distances are no longer proved
+    real = geo.recipe_generators
+    monkeypatch.setattr(
+        geo, "recipe_generators", lambda g: {k: v for k, v in real(g).items() if "plane" in k}
+    )
+    ctx = VerifyContext(field=cat3.field, seed=0, params=small_params())
+    ctx.catalog, ctx.graph = cat3, graph3  # reuse the session catalog and graph
+    claims = {c["id"]: c for c in run_suites(ctx, ["adjacency"])}
+    assert claims["adj:preservers"]["ok"] is True
+    assert claims["adj:preservers"]["detail"]["generators"] == ["plane transposition", "plane cycle"]
+    assert claims["adj:distance"]["ok"] is False
+    detail = claims["adj:distance"]["detail"]
+    assert detail["transitive_on_x"] is False
+    others = ("connected", "xx_distances_in_1_3", "companion_path_geodesic", "noncompanion_y_at_2")
+    assert all(detail[k] for k in others)
 
 
 # Each stage guard at q = 2, just below and at its count: 15 + 3 x 8 = 39
