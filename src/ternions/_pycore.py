@@ -5,10 +5,16 @@ codes in [0, q).  All arithmetic is table driven: ``add`` and ``mul`` are
 flat row-major tables of length q*q, ``neg`` and ``inv`` have length q.
 Code 0 is the additive identity and code 1 the multiplicative identity.
 
-Outputs that name a row space are canonical: its reduced row echelon form
-with zero rows dropped, so equal spaces give equal tuples.  The kernel
-does not check element codes: codes and row shapes that arrive from
-outside the package are checked once, in ``linalg.canonicalize``.
+Two eliminations run underneath.  Outputs that name a row space come from
+Gauss-Jordan elimination and are canonical: the reduced row echelon form
+(RREF) with zero rows dropped, so equal spaces give equal tuples.  A rank
+needs only the count of pivots, so ``rank`` and ``stack_rank`` run forward
+elimination: they clear below each pivot, and neither scale pivot rows nor
+clear above them.
+
+The kernel does not check element codes: codes and row shapes that arrive
+from outside the package are checked once, in ``linalg.canonicalize`` and
+``linalg.SemilinearMap``.
 """
 
 
@@ -65,6 +71,35 @@ class Kernel:
                 break
         return r
 
+    def _rank(self, m, ncols):
+        """Rank of a list of row lists by forward elimination, in place."""
+        q, add, mul, neg, inv = self.q, self.add, self.mul, self.neg, self.inv
+        nrows = len(m)
+        r = 0
+        for c in range(ncols):
+            pr = -1
+            for i in range(r, nrows):
+                if m[i][c]:
+                    pr = i
+                    break
+            if pr < 0:
+                continue
+            if pr != r:
+                m[r], m[pr] = m[pr], m[r]
+            row = m[r]
+            pinv = inv[row[c]]
+            for i in range(r + 1, nrows):
+                v = m[i][c]
+                if v:
+                    f = neg[mul[v * q + pinv]] * q
+                    ri = m[i]
+                    for j in range(c + 1, ncols):
+                        ri[j] = add[ri[j] * q + mul[f + row[j]]]
+            r += 1
+            if r == nrows:
+                break
+        return r
+
     # -- public operations -------------------------------------------------
 
     def rref(self, rows):
@@ -80,7 +115,7 @@ class Kernel:
         if not rows:
             return 0
         m = [list(r) for r in rows]
-        return self._eliminate(m, len(rows[0]))
+        return self._rank(m, len(rows[0]))
 
     def stack_rank(self, rows_a, rows_b):
         """Rank of the two row sets stacked; the hot path of the scans."""
@@ -90,7 +125,7 @@ class Kernel:
             return self.rank(rows_a)
         m = [list(r) for r in rows_a]
         m += [list(r) for r in rows_b]
-        return self._eliminate(m, len(m[0]))
+        return self._rank(m, len(m[0]))
 
     def meet(self, rows_a, rows_b, ncols):
         """Canonical basis of the intersection of two row spaces.

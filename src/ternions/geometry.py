@@ -17,9 +17,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .gf import Field, FieldAutomorphism, automorphisms, primitive_element
+from .gf import Field, FieldAutomorphism, automorphisms, primitive_element, random_codes
 from .linalg import (
     Correlation,
     SemilinearMap,
@@ -433,12 +434,15 @@ def first_failed_condition(f: SemilinearMap, cat: Catalog) -> Optional[str]:
 
 
 def random_nonblock_invertible(field: Field, rng: random.Random) -> tuple:
-    """A random invertible 6x6 matrix that does not match the lift pattern."""
+    """A random invertible 6x6 matrix that does not match the lift pattern,
+    by rejection on 36 codes a candidate, read row by row.  For a
+    `random.Random` the stream contract holds: the same controls as 36
+    `rng.randrange(q)` calls a candidate, leaving `rng` in the same state
+    (see gf.random_codes)."""
     kern = field.kernel
-    q = field.q
-    draw = rng.randrange
+    codes = random_codes(field, rng)
     while True:
-        rows = tuple([tuple([draw(q) for _ in range(6)]) for _ in range(6)])
+        rows = tuple(zip(*[islice(codes, 36)] * 6))
         if is_block6_patterned(rows):
             continue
         if kern.rank(rows) == 6:
@@ -596,8 +600,8 @@ def verify_decomposition(
     basis_vecs = [tuple(1 if i == j else 0 for j in range(6)) for i in range(6)]
     vecs = basis_vecs
     if rng is not None:
-        q = field.q
-        vecs = vecs + [tuple(rng.randrange(q) for _ in range(6)) for _ in range(samples)]
+        codes = random_codes(field, rng)
+        vecs = vecs + [tuple(islice(codes, 6)) for _ in range(samples)]
     for vec in vecs:
         v = phi_inverse(field, vec)
         if phi(g.apply(v)) != f.apply_vector(vec):

@@ -14,9 +14,10 @@ tuples of codes fed to the kernel in ``_pycore``.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import lru_cache, partial
+from typing import Iterator, Optional, Sequence
 
 from ._pycore import Kernel
 
@@ -251,6 +252,16 @@ def primitive_element(field: Field) -> int:
         if order == q - 1:
             return g
     raise AssertionError("no primitive element")
+
+
+def random_codes(field: Field, rng: random.Random) -> Iterator[int]:
+    """An endless stream of uniform element codes: each pull takes from
+    `rng` what `rng.randrange(q)` would and yields the same code.  It is
+    CPython's `Random._randbelow_with_getrandbits` (draw bit_length(q) bits,
+    redraw while >= q) as C iterators without lookahead, so other draws on
+    `rng` may come between pulls."""
+    q = field.q
+    return filter(q.__gt__, iter(partial(rng.getrandbits, q.bit_length()), -1))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterator, List, Optional, Sequence
 
 from .gf import Field, FieldAutomorphism, automorphisms
@@ -246,6 +246,8 @@ class SemilinearMap:
     def __post_init__(self):
         if len(self.matrix) != self.n or any(len(r) != self.n for r in self.matrix):
             raise ValueError("matrix must be n x n")
+        if not set(chain.from_iterable(self.matrix)).issubset(self.field.codes()):
+            raise ValueError(f"matrix entries must be element codes of {self.field!r}")
         if self.sigma.field != self.field:
             raise ValueError("automorphism field mismatch")
         if self.field.kernel.rank(self.matrix) != self.n:

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Tuple
 
-from .gf import Field, primitive_element
+from .gf import Field, primitive_element, random_codes
 
 
 @dataclass(frozen=True)
@@ -207,11 +207,10 @@ def random_invertible(field: Field, rng: random.Random) -> TernionMatrix:
     (see TernionMatrix.det_factors), tested on the 12 drawn codes before any
     ternion is built: a22 d22 - b22 c22 is nonzero exactly when the two
     products differ, and likewise for the 11 entries."""
-    q = field.q
     mul = field.mul
-    draw = rng.randrange
+    codes = random_codes(field, rng)
     while True:
-        c = [draw(q) for _ in range(12)]
+        c = list(islice(codes, 12))
         if mul(c[2], c[11]) != mul(c[5], c[8]) and mul(c[0], c[9]) != mul(c[3], c[6]):
             return TernionMatrix(
                 Ternion(field, c[0], c[1], c[2]),

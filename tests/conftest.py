@@ -4,11 +4,14 @@ from pathlib import Path
 import pytest
 
 from ternions.geometry import _bit_indices, _fixes_j_and_h, make_recipe
-from ternions.gf import make_field
+from ternions.gf import DEFAULT_MODULI, make_field
 from ternions.linalg import contains, enumerate_subspaces, meet, point_vectors
 from ternions.model import TYPE_ORDER, build_catalog
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# every field of order <= 27: the primes up to 23 and each built-in extension
+FIELD_ORDERS = sorted([2, 3, 5, 7, 11, 13, 17, 19, 23, *DEFAULT_MODULI])
 
 
 def cli_env():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from conftest import (
+    FIELD_ORDERS,
     incidence_counts,
     point_index_first_failed,
     point_index_graph,
@@ -694,9 +695,9 @@ def _reference_random_nonblock_invertible(field, rng):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("which", [2, 3, 4])
-def test_random_nonblock_matches_reference_stream(which, seed, f2, f3, f4):
-    field = {2: f2, 3: f3, 4: f4}[which]
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_random_nonblock_matches_reference_stream(q, seed):
+    field = field_of_order(q)
     a, b = random.Random(seed), random.Random(seed)
     got = [random_nonblock_invertible(field, a) for _ in range(200)]
     assert got == [_reference_random_nonblock_invertible(field, b) for _ in range(200)]

@@ -1,8 +1,10 @@
 """Field layer: table correctness, ring laws, automorphisms, conventions."""
 
+import random
 from itertools import product
 
 import pytest
+from conftest import FIELD_ORDERS
 
 from ternions.gf import (
     DEFAULT_MODULI,
@@ -12,6 +14,7 @@ from ternions.gf import (
     is_irreducible,
     is_prime,
     make_field,
+    random_codes,
 )
 
 
@@ -168,3 +171,19 @@ def test_normalize_matches_one_row_rref(q):
     for vec in product(range(q), repeat=3):
         if any(vec):
             assert f.normalize(vec) == f.kernel.rref((vec,))[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_random_codes_match_randrange(q, seed):
+    # pulls interleaved with other draws on the same generator, as in the
+    # thm1 suite: the codes and the generator's final state agree
+    f = field_of_order(q)
+    autos = automorphisms(f)
+    a, b = random.Random(seed), random.Random(seed)
+    codes = random_codes(f, a)
+    for n in range(1, 40):
+        assert [next(codes) for _ in range(n)] == [b.randrange(q) for _ in range(n)]
+        assert a.choice(autos) == b.choice(autos)
+        assert a.randrange(1, q) == b.randrange(1, q)
+    assert a.random() == b.random()

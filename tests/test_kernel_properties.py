@@ -15,10 +15,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ternions.gf import DEFAULT_MODULI, automorphisms, field_of_order  # noqa: E402
+from conftest import FIELD_ORDERS  # noqa: E402
 
-ORDERS = sorted([2, 3, 5, 7, 11, 13, 17, 19, 23, *DEFAULT_MODULI])
-FIELDS = [field_of_order(q) for q in ORDERS]
+from ternions.gf import automorphisms, field_of_order  # noqa: E402
+
+FIELDS = [field_of_order(q) for q in FIELD_ORDERS]
 MAX_SIDE = 7
 
 PROPERTY = settings(
@@ -161,6 +162,27 @@ def test_rref_rank_match_reference(f, data, ncols):
     assert f.kernel.rank(rows) == len(want)
 
 
+@each_field
+@PROPERTY
+@given(data=st.data(), ncols=sides)
+def test_rank_stack_rank_on_tall_inputs(f, data, ncols):
+    # more rows than columns, up to twice the widest side
+    rows = data.draw(matrices(f, (ncols + 1, 2 * MAX_SIDE), ncols))
+    cut = data.draw(st.integers(0, len(rows)))
+    want = len(ref_rref(f, rows, ncols))
+    assert f.kernel.rank(rows) == want
+    assert f.kernel.stack_rank(rows[:cut], rows[cut:]) == want
+
+
+@small_field
+def test_rank_every_3x3(f):
+    for codes in product(range(f.q), repeat=9):
+        rows = (codes[0:3], codes[3:6], codes[6:9])
+        want = len(ref_rref(f, rows, 3))
+        assert f.kernel.rank(rows) == want
+        assert f.kernel.stack_rank(rows[:1], rows[1:]) == want
+
+
 @small_field
 @PROPERTY
 @given(data=st.data(), ncols=sides)
@@ -203,8 +225,8 @@ def test_matmul_matches_reference(f, data, m, k, n):
 @PROPERTY
 @given(data=st.data(), n=sides)
 def test_det_matinv_match_reference(f, data, n):
-    # matinv against the reduced [m | I], and singular exactly when the
-    # reference determinant vanishes
+    # matinv against the reduced [m | I]; singular, and of rank below n,
+    # exactly when the reference determinant vanishes
     m = data.draw(matrices(f, (n, n), n))
     if n <= 4:
         assert ref_det(f, m) == leibniz_det(f, m)
@@ -216,6 +238,7 @@ def test_det_matinv_match_reference(f, data, n):
         want = None
     assert f.kernel.matinv(m) == want
     assert (want is None) == (ref_det(f, m) == 0)
+    assert (f.kernel.rank(m) == n) == (ref_det(f, m) != 0)
 
 
 @each_field

@@ -217,6 +217,18 @@ def test_semilinear_rejects_singular(f2):
         SemilinearMap(f2, 2, ((1, 1), (1, 1)), automorphisms(f2)[0])
 
 
+@pytest.mark.parametrize("bad", [2, 3, 5, -1])
+def test_semilinear_rejects_codes_out_of_range(f2, bad):
+    # the kernel does not check codes: unchecked, a code >= q ends in an
+    # IndexError from its tables and -1 is read as the last code
+    ident = automorphisms(f2)[0]
+    for i, j in ((0, 0), (1, 0), (1, 1)):
+        m = [[1, 0], [0, 1]]
+        m[i][j] = bad
+        with pytest.raises(ValueError, match="element codes"):
+            SemilinearMap(f2, 2, tuple(map(tuple, m)), ident)
+
+
 def test_identity_map(f5):
     ident = identity_map(f5, 4)
     assert ident.sigma.is_identity

@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from conftest import FIELD_ORDERS
 
 from ternions.gf import field_of_order, make_field
 from ternions.ternion import (
@@ -202,7 +203,7 @@ def _reference_random_invertible(field, rng):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", FIELD_ORDERS)
 def test_random_invertible_matches_reference_stream(q, seed):
     field = field_of_order(q)
     a, b = random.Random(seed), random.Random(seed)
