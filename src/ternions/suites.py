@@ -540,6 +540,9 @@ def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
     for _ in range(n_ctl):
         rows = geo.random_nonblock_invertible(field, rng)
         sigma = rng.choice(autos)
+        if not geo._fixes_j(rows):  # condition iv, read before building the map
+            fail_by["iv"] += 1
+            continue
         g = SemilinearMap(field, 6, rows, sigma)
         failed = geo.first_failed_condition(g, cat)
         if failed is None:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -7,12 +8,18 @@ from pathlib import Path
 import pytest
 from conftest import cli_env
 
+from ternions.cli import JSON_BLOCK, _emit_json
+
 CLI = [sys.executable, "-m", "ternions.cli"]
 
 
-def run_cli(*argv):
+def run_cli(*argv, env=None):
     return subprocess.run(
-        CLI + list(argv), capture_output=True, text=True, env=cli_env(), timeout=300
+        CLI + list(argv),
+        capture_output=True,
+        text=True,
+        env={**cli_env(), **(env or {})},
+        timeout=300,
     )
 
 
@@ -235,3 +242,87 @@ def test_enumerate_matches_golden():
     r = run_cli("enumerate", "--q", "3", "--set", "all")
     assert r.returncode == 0
     assert r.stdout == (GOLDEN / "enumerate_q3.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("graph", "--q", "2", "--format", "json"), "graph_q2.json"),
+        (("verify", "--q", "2", "--seed", "0"), "verify_q2.json"),
+    ],
+    ids=["graph", "verify"],
+)
+def test_write_through_stdout_matches_golden(argv, golden):
+    # PYTHONUNBUFFERED=1 makes stdout write-through: every write is a write(2)
+    r = run_cli(*argv, env={"PYTHONUNBUFFERED": "1"})
+    assert r.returncode == 0
+    assert r.stdout == (GOLDEN / golden).read_text()
+
+
+def _chunks(payload):
+    return list(json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload))
+
+
+def _list_of_chunk_count(count):
+    """A list of ints whose encoding is exactly `count` chunks."""
+    payload = list(range(count))
+    while len(_chunks(payload)) > count:
+        payload.pop()
+    assert len(_chunks(payload)) == count
+    return payload
+
+
+class _CountingWriter:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def _rows(n):
+    return [
+        {
+            "i": i,
+            "name": "plane é€ \u2028 " * (i % 3),
+            "ratio": i / 7,
+            "none": None,
+            "flag": i % 2 == 0,
+            "empty": [[], {}],
+        }
+        for i in range(n)
+    ]
+
+
+# built per test, so that a payload sized by JSON_BLOCK cannot break collection
+EMIT_PAYLOADS = {
+    "several blocks": lambda: {
+        "rows": _rows(700),
+        "tail": [-0.0, 1e300, 2.5e-7, float("inf")],
+    },
+    "one block exactly": lambda: _list_of_chunk_count(JSON_BLOCK),
+    "three blocks exactly": lambda: _list_of_chunk_count(3 * JSON_BLOCK),
+    "one chunk past a block": lambda: _list_of_chunk_count(JSON_BLOCK + 1),
+    "empty dict": lambda: {},
+    "empty list": lambda: [],
+    "scalars": lambda: [None, True, False, 0, "", "ü"],
+    "nested empties": lambda: {"b": {}, "a": [[], [{}]], "ñ": ""},
+}
+
+
+@pytest.mark.parametrize("name", list(EMIT_PAYLOADS))
+def test_emit_json_matches_dumps_in_few_writes(name, monkeypatch, tmp_path):
+    payload = EMIT_PAYLOADS[name]()
+    want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    writer = _CountingWriter()
+    monkeypatch.setattr(sys, "stdout", writer)
+    _emit_json(payload, None)
+    assert "".join(writer.writes) == want
+    n_chunks = len(_chunks(payload))
+    assert len(writer.writes) <= math.ceil(n_chunks / 4096) + 1
+    if n_chunks > JSON_BLOCK:  # the whole text is never one write
+        assert max(len(w) for w in writer.writes) < len(want)
+    out = tmp_path / "out.json"
+    _emit_json(payload, str(out))
+    assert out.read_text() == want

@@ -59,6 +59,7 @@ from ternions.geometry import (
     build_preserver,
     xi_map,
     xi_report,
+    _bit_indices,
     _fixes_j,
     _homothety_rows,
     _incidence_counts,
@@ -491,10 +492,31 @@ def test_j_test_from_matrix_entries(which, cat2, cat3, cat4):
     maps = [_random_positive(cat, rng) for _ in range(100)]
     for make in (random_nonblock_invertible, _random_j_fixing):
         maps += [SemilinearMap(field, 6, make(field, rng), rng.choice(auts)) for _ in range(100)]
-    got = [_fixes_j(f) for f in maps]
+    got = [_fixes_j(f.matrix) for f in maps]
     assert got == [f.apply(cat.j_solid) == cat.j_solid for f in maps]
     assert all(got[:100]) and all(got[200:])
     assert not all(got[100:200])
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_control_rows_j_read_matches_built_map(which, cat2, cat3, cat4):
+    """thm1:negative reads condition iv's J test off a control's rows and
+    builds the map only when they fix J; over 500 seeded controls the read
+    agrees with the built map's J image and with first_failed_condition."""
+    cat = {2: cat2, 3: cat3, 4: cat4}[which]
+    field = cat.field
+    auts = automorphisms(field)
+    rng = random.Random(100 + which)
+    misses = 0
+    for _ in range(500):
+        rows = random_nonblock_invertible(field, rng)
+        f = SemilinearMap(field, 6, rows, rng.choice(auts))
+        fixes = _fixes_j(rows)
+        assert fixes == (f.apply(cat.j_solid) == cat.j_solid)
+        if not fixes:
+            misses += 1
+            assert first_failed_condition(f, cat) == "iv"
+    assert misses > 400
 
 
 @pytest.mark.parametrize("which", [2, 3, 4])
@@ -1039,6 +1061,45 @@ def test_xi_swapped_images_break_skewness(graph2, monkeypatch):
     rep = xi_report(graph2)
     assert rep["is_permutation"] is True
     assert rep["skew_preserved_both_ways"] is False
+
+
+def _xi_skew_sets_reference(graph, images):
+    """The check xi_report made before it compared meeting sets: each X
+    plane's skew set (the X planes sharing no point with it), imaged,
+    against the skew set of its image."""
+    n = len(graph.catalog.g_x)
+    x_bits = (1 << n) - 1
+
+    def skew(i):
+        return x_bits & ~graph.meets[i] & ~(1 << i)
+
+    return all(
+        sum(1 << images[j] for j in _bit_indices(skew(i))) == skew(images[i])
+        for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("doctored", [False, True])
+@pytest.mark.parametrize("which", [2, 3, 4, 5])
+def test_xi_meeting_sets_match_skew_set_reference(
+    which, doctored, cat2, cat3, cat4, cat5, monkeypatch
+):
+    cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
+    graph = build_graph(cat)
+    xs, real = cat.g_x, xi_map
+    swap = {xs[0]: xs[1], xs[1]: xs[0]} if doctored else {}
+
+    def doctored_xi(m, c):
+        return real(swap.get(m, m), c)
+
+    images = [graph.vindex[doctored_xi(m, cat)] for m in xs]
+    assert sorted(images) == list(range(len(xs)))
+    want = _xi_skew_sets_reference(graph, images)
+    assert want is not doctored
+    monkeypatch.setattr(geometry, "xi_map", doctored_xi)
+    rep = xi_report(graph)
+    assert rep["is_permutation"] is True
+    assert rep["skew_preserved_both_ways"] is want
 
 
 @pytest.mark.parametrize("how", ["two planes to one", "onto a Y plane", "off the catalog"])

@@ -84,6 +84,26 @@ def test_thm1_q5_default_params(cat5):
     assert claims[2]["detail"]["exhaustive"] is False
 
 
+def test_controls_missing_j_are_not_built(cat2, monkeypatch):
+    """thm1:negative reads condition iv's J test off a control's rows, and
+    only maps that fix J reach first_failed_condition."""
+    real = geo.first_failed_condition
+    fixes_j = []
+
+    def spy(f, cat):
+        fixes_j.append(geo._fixes_j(f.matrix))
+        return real(f, cat)
+
+    monkeypatch.setattr(geo, "first_failed_condition", spy)
+    ctx = VerifyContext(field=cat2.field, seed=0, params=small_params())
+    ctx.catalog = cat2  # reuse the session catalog
+    negative = run_suites(ctx, ["thm1"])[2]
+    assert all(fixes_j) and len(fixes_j) >= 11  # the generators at least
+    detail = negative["detail"]
+    failed = sum(detail["failed_by_condition"].values())
+    assert failed + detail["accidentally_admissible"] == 100
+
+
 def _random_positive_failures(cat, rng, n):
     """The sampled check `thm1:positive` made before it went by generators:
     n random maps induced by GL2(T) x Aut(F), counting those that fail."""
