@@ -156,9 +156,6 @@ class AdjacencyGraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.neighbours) // 2
-
     def are_adjacent(self, i: int, j: int) -> bool:
         return j in self.neighbours[i]
 
@@ -413,9 +410,9 @@ def _fixes_j_and_h(f: SemilinearMap, cat: Catalog) -> bool:
 
 
 def first_failed_condition(f: SemilinearMap, cat: Catalog) -> Optional[str]:
-    """Name of the first violated condition, or None when all hold; cheap on
-    maps that fail early, which is the common case for random controls.
-    The conditions, checked in this order:
+    """Name of the first violated condition, or None when all hold; a map
+    that fails iv is decided without imaging a plane.  The conditions,
+    checked in this order:
       iv: f fixes J setwise and the quadric H setwise,
       iii: f permutes the X planes,
       ii: f permutes the X and Y planes together.
@@ -432,22 +429,6 @@ def first_failed_condition(f: SemilinearMap, cat: Catalog) -> Optional[str]:
     if any(cat.type_of(f.apply(m)) not in planes for m in cat.g_y):
         return "ii"
     return None
-
-
-def random_nonblock_invertible(field: Field, rng: random.Random) -> tuple:
-    """A random invertible 6x6 matrix that does not match the lift pattern,
-    by rejection on 36 codes a candidate, read row by row.  For a
-    `random.Random` the stream contract holds: the same controls as 36
-    `rng.randrange(q)` calls a candidate, leaving `rng` in the same state
-    (see gf.random_codes)."""
-    kern = field.kernel
-    codes = random_codes(field, rng)
-    while True:
-        rows = tuple(zip(*[islice(codes, 36)] * 6))
-        if is_block6_patterned(rows):
-            continue
-        if kern.rank(rows) == 6:
-            return rows
 
 
 @dataclass
@@ -548,6 +529,31 @@ def g0_generators(field: Field) -> Dict[str, List[SemilinearMap]]:
             for a, b in ((0, g), (1, 1))
         ],
     }
+
+
+def stabilizer_factorisation(field: Field) -> Tuple[int, bool]:
+    """Check that diag(A, A), A = [[a, b, 0], [0, c, 0], [0, d, e]], is the
+    lift of diag(u, u), u = (a, b, c), times the homothety (d/c, e/c);
+    return how many products were compared and whether all matched.  For
+    a fixed unit c both sides are affine in (a, b) and in (d, e)
+    separately (the lift's entries are a, b, c, the homothety's d/c, e/c),
+    so it suffices that the identity holds with (a, b) and (d, e) each over
+    the affine basis (0, 0), (1, 0), (0, 1): 9 (q-1) products."""
+    matmul = field.kernel.matmul
+    zero = t_zero(field)
+    basis = ((0, 0), (1, 0), (0, 1))
+    ok = True
+    for c in range(1, field.q):
+        c_inv = field.inv(c)
+        for a, b in basis:
+            u = Ternion(field, a, b, c)
+            lift = block6_rows(TernionMatrix(u, zero, zero, u))
+            for d, e in basis:
+                h = _homothety_rows(field, field.mul(d, c_inv), field.mul(e, c_inv))
+                block = ((a, b, 0), (0, c, 0), (0, d, e))
+                want = tuple(r + (0, 0, 0) for r in block) + tuple((0, 0, 0) + r for r in block)
+                ok = ok and matmul(lift, h) == want
+    return 9 * (field.q - 1), ok
 
 
 def decompose_semilinear(f: SemilinearMap, cat: Catalog) -> Decomposition:

@@ -9,7 +9,7 @@ alphabetical by suite name, which is also the report assembly order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -53,23 +53,14 @@ from .ternion import (
 
 
 @dataclass
-class SuiteParams:
-    """Work sizes for the randomized checks, `thm1:decompose` and
-    `thm1:negative`; only thm1 is randomized.  The defaults are what the
-    command line runs; the tests call the library with smaller numbers."""
-
-    thm1_controls: int = 2000
-    thm1_decompositions: int = 10
-
-
-@dataclass
 class VerifyContext:
-    """Lazy shared state for a verification run at one field."""
+    """Lazy shared state for a verification run at one field, and the
+    number of seeded maps `thm1:decompose` draws (the tests pass fewer)."""
 
     field: Field
     seed: int = 0
     budget: Optional[int] = None
-    params: SuiteParams = dc_field(default_factory=SuiteParams)
+    thm1_decompositions: int = 10
 
     def rng(self, suite: str) -> random.Random:
         return random.Random(f"{self.seed}:{suite}")
@@ -458,8 +449,35 @@ def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
     setwise, an intersection of setwise stabilisers, so they form a group,
     which contains G0 once it contains a generating set.  The generators
     reach all of GL2(T) because T is finite, hence of stable rank 1, so
-    GL2(T) = E2(T) diag(T*, 1) (Bass).  `thm1:decompose` and
-    `thm1:negative` check seeded random maps."""
+    GL2(T) = E2(T) diag(T*, 1) (Bass).
+
+    `thm1:negative`, the converse, is exact.  Each condition implies iii.
+    A map fixing J and H fixes K (H spans K) and L = J ^ K, hence the
+    regulus of H through L and so the alpha regulus, which with J and L
+    picks out the X planes (`chars:x`).  A map satisfying ii preserves
+    adjacency, so degrees, and an X plane has degree q^2+q, a Y plane
+    q^2+2q (`adj:cliques`).  Now let f satisfy iii.
+      1. G0 is transitive on ordered triples of pairwise skew X planes.
+         Planes T v, T w are skew exactly when the matrix S with rows v, w
+         is invertible (either says (s, t) -> s v + t w is onto).  S sends
+         T(1, 0), T(0, 1) to T v0, T v1; v2 S^-1 = (a, b) has units a, b
+         (v2 is distant from v0 and v1), and diag(a, b) S also sends (1, 1)
+         to v2 (Blunck-Herzer).  So some g in G0 maps M0 = T(1, 0),
+         M1 = T(0, 1), M2 = T(1, 1) onto their images under f, and g^-1 f
+         satisfies iii (`thm1:positive`).
+      2. A map satisfying iii fixes J and K: they are the only transversal
+         solids (`lem:transversal-solids`), and a swap would biject the
+         n_x distinct J-lines of the X planes onto their q+1 K-lines.
+      3. A map fixing M0, M1 and M2 (sigma fixes them) is sigma diag(A, A);
+         fixing J = {x3 = x6 = 0} and K = {x1 = x4 = 0} makes
+         A = [[a, b, 0], [0, c, 0], [0, d, e]].
+      4. That A is the lift of diag(u, u), u = (a, b, c), times the
+         homothety (d/c, e/c), so g^-1 f and f lie in G0.
+    The claim checks in O(n_x) that M0, M1, M2 are pairwise skew X planes,
+    the J-line and K-line counts, and the factorisation
+    (`geometry.stabilizer_factorisation`); it names the claims it rests on,
+    so `thm1` alone runs no scan.  `thm1:decompose` decomposes seeded
+    random maps."""
     cat = ctx.catalog
     field = ctx.field
     rng = ctx.rng("thm1")
@@ -487,7 +505,7 @@ def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
         )
     )
 
-    n_dec = ctx.params.thm1_decompositions
+    n_dec = ctx.thm1_decompositions
     dec_fail = 0
     exact_fail = 0
     ident = autos[0]
@@ -533,43 +551,43 @@ def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
         )
     )
 
-    n_ctl = ctx.params.thm1_controls
-    admissible = 0
-    admissible_consistent = True
-    fail_by = {"ii": 0, "iii": 0, "iv": 0}
-    for _ in range(n_ctl):
-        rows = geo.random_nonblock_invertible(field, rng)
-        sigma = rng.choice(autos)
-        if not geo._fixes_j(rows):  # condition iv, read before building the map
-            fail_by["iv"] += 1
-            continue
-        g = SemilinearMap(field, 6, rows, sigma)
-        failed = geo.first_failed_condition(g, cat)
-        if failed is None:
-            admissible += 1
-            # a genuinely admissible control must still decompose cleanly
-            try:
-                dec = geo.decompose_semilinear(g, cat)
-                if not geo.verify_decomposition(g, dec, rng):
-                    admissible_consistent = False
-            except ValueError:
-                admissible_consistent = False
-        else:
-            fail_by[failed] += 1
-    claims.append(
-        _claim(
-            "thm1",
-            "thm1:negative",
-            admissible_consistent,
-            {
-                "controls": n_ctl,
-                "exhaustive": False,
-                "failed_by_condition": fail_by,
-                "accidentally_admissible": admissible,
-            },
-        )
-    )
+    detail = _converse_detail(cat)
+    claims.append(_claim("thm1", "thm1:negative", detail["first_failure"] is None, detail))
     return claims
+
+
+def _converse_detail(cat: Catalog) -> Dict[str, object]:
+    """The `thm1:negative` detail: the premises of the converse not taken
+    from other claims (see suite_thm1); `first_failure` names the first."""
+    q = cat.field.q
+    traces = cat.traces
+    n_x = len(cat.g_x)
+    one, zero = Ternion(cat.field, 1, 0, 1), Ternion(cat.field, 0, 0, 0)
+    m0, m1, m2 = (cyclic_span(v) for v in ((one, zero), (zero, one), (one, one)))
+    triple_ok = all(cat.type_of(m) is SubmoduleType.X for m in (m0, m1, m2)) and (
+        meet_dim(m0, m1) == meet_dim(m0, m2) == meet_dim(m1, m2) == 0
+    )
+    j_lines = len({traces[m][0] for m in cat.g_x})
+    k_lines = len({traces[m][1] for m in cat.g_x})
+    products, factor_ok = geo.stabilizer_factorisation(cat.field)
+    premises = {
+        "standard_triple": triple_ok,
+        "j_lines": j_lines == n_x,
+        "k_lines": k_lines == q + 1,
+        "factorisation": factor_ok,
+    }
+    failed = [name for name, ok in premises.items() if not ok]
+    return {
+        "method": "stabilizer of the standard skew triple",
+        "exhaustive": True,
+        "rests_on": ["adj:cliques", "chars:x", "lem:transversal-solids", "thm1:positive"],
+        "standard_triple_skew_x": triple_ok,
+        "x_planes": n_x,
+        "j_lines": j_lines,
+        "k_lines": k_lines,
+        "factorisation_products": products,
+        "first_failure": failed[0] if failed else None,
+    }
 
 
 # -- duality exclusion ----------------------------------------------------------------
@@ -682,16 +700,6 @@ SUITES = {
 }
 
 SUITE_NAMES = tuple(sorted(SUITES))
-
-
-def run_suites(ctx: VerifyContext, names) -> List[Dict[str, object]]:
-    """Run the named suites in alphabetical order and concatenate claims."""
-    out = []
-    for name in sorted(names):
-        if name not in SUITES:
-            raise ValueError(f"unknown suite: {name}")
-        out.extend(SUITES[name](ctx))
-    return out
 
 
 def summarize(claims: List[Dict[str, object]]) -> Dict[str, object]:

@@ -69,14 +69,6 @@ class Ternion:
             f.mul(self.z, o.z),
         )
 
-    @property
-    def is_unit(self) -> bool:
-        return self.x != 0 and self.z != 0
-
-    @property
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0 and self.z == 0
-
     def triple(self) -> Tuple[int, int, int]:
         return (self.x, self.y, self.z)
 
@@ -108,11 +100,6 @@ def enumerate_ternions(field: Field) -> Iterator[Ternion]:
     """All q^3 elements in lexicographic (x, y, z) code order."""
     for x, y, z in product(field.codes(), repeat=3):
         yield Ternion(field, x, y, z)
-
-
-def random_ternion(field: Field, rng: random.Random) -> Ternion:
-    q = field.q
-    return Ternion(field, rng.randrange(q), rng.randrange(q), rng.randrange(q))
 
 
 def unit_generators(field: Field) -> Tuple[Ternion, Ternion, Ternion]:
@@ -190,10 +177,6 @@ class TernionMatrix:
 
     def __repr__(self):
         return f"TM[{self.a!r},{self.b!r};{self.c!r},{self.d!r}]"
-
-
-def matrix_identity(field: Field) -> TernionMatrix:
-    return TernionMatrix(t_one(field), t_zero(field), t_zero(field), t_one(field))
 
 
 def act_right(v: TernionPair, s: TernionMatrix) -> TernionPair:

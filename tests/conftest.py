@@ -1,12 +1,15 @@
 import os
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from ternions.geometry import _bit_indices, _fixes_j_and_h, make_recipe
-from ternions.gf import DEFAULT_MODULI, make_field
+from ternions.gf import DEFAULT_MODULI, make_field, random_codes
 from ternions.linalg import contains, enumerate_subspaces, meet, point_vectors
-from ternions.model import TYPE_ORDER, build_catalog
+from ternions.model import TYPE_ORDER, build_catalog, is_block6_patterned
+from ternions.suites import SUITES
+from ternions.ternion import Ternion, TernionMatrix, t_one, t_zero
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -75,6 +78,41 @@ def graph3(cat3):
     from ternions.geometry import build_graph
 
     return build_graph(cat3)
+
+
+# -- random sources and helpers the library does not need ------------------
+
+
+def random_ternion(field, rng):
+    q = field.q
+    return Ternion(field, rng.randrange(q), rng.randrange(q), rng.randrange(q))
+
+
+def matrix_identity(field):
+    return TernionMatrix(t_one(field), t_zero(field), t_zero(field), t_one(field))
+
+
+def random_nonblock_invertible(field, rng):
+    """A random invertible 6x6 matrix that does not match the lift pattern,
+    by rejection on 36 codes a candidate, read row by row.  For a
+    `random.Random` the stream contract holds: the same matrices as 36
+    `rng.randrange(q)` calls a candidate, leaving `rng` in the same state
+    (see gf.random_codes)."""
+    codes = random_codes(field, rng)
+    while True:
+        rows = tuple(zip(*[islice(codes, 36)] * 6))
+        if not is_block6_patterned(rows) and field.kernel.rank(rows) == 6:
+            return rows
+
+
+def edge_count(graph):
+    return sum(len(s) for s in graph.neighbours) // 2
+
+
+def run_suites(ctx, names):
+    """The claims of the named suites in alphabetical order, as
+    `ternions verify` assembles them."""
+    return [c for name in sorted(names) for c in SUITES[name](ctx)]
 
 
 def x_plane_sweep(cat):

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from itertools import product
 
 from conftest import ACCEPTANCE_LOG, cli_env, incidence_counts, random_recipe, x_plane_sweep
 
@@ -42,7 +43,6 @@ from ternions.geometry import (
     maximal_cliques,
     no_duality_certificate,
     preserver_from_collineation,
-    random_nonblock_invertible,
     scan_lines,
     scan_solids,
     verify_decomposition,
@@ -257,21 +257,33 @@ def test_criterion_08_theorem1(cat2, cat3, cat4):
             dec = decompose_semilinear(f, cat)
             ok = ok and verify_decomposition(f, dec, rng)
         notes.append(f"q={field.q} 1000 positives")
-    field = cat2.field
-    fails = 0
-    admissible = 0
-    t0 = time.perf_counter()
-    for _ in range(100_000):
-        rows = random_nonblock_invertible(field, rng)
-        g = SemilinearMap(field, 6, rows, automorphisms(field)[0])
-        if first_failed_condition(g, cat2) is None:
-            admissible += 1
-            dec = decompose_semilinear(g, cat2)
-            ok = ok and verify_decomposition(g, dec, rng)
-        else:
-            fails += 1
-    dt = time.perf_counter() - t0
-    notes.append(f"1e5 controls at q=2: {fails} failed, {admissible} admissible ({dt:.1f}s)")
+    # the converse on the stabilizer of the standard triple T(1,0), T(0,1),
+    # T(1,1), by brute force: the collineations fixing it are the
+    # sigma diag(A, A), A in GL(3, q), and exactly those with
+    # A = [[a, b, 0], [0, c, 0], [0, d, e]] satisfy iv, iii and ii and
+    # decompose into G0
+    for cat in (cat2, cat3):
+        field = cat.field
+        t0 = time.perf_counter()
+        matrices = admissible = 0
+        for entries in product(field.codes(), repeat=9):
+            a = (entries[0:3], entries[3:6], entries[6:9])
+            if field.kernel.rank(a) < 3:
+                continue
+            matrices += 1
+            shaped = not (a[0][2] or a[1][2] or a[1][0] or a[2][0])
+            rows = tuple(r + (0, 0, 0) for r in a) + tuple((0, 0, 0) + r for r in a)
+            for sigma in automorphisms(field):
+                f = SemilinearMap(field, 6, rows, sigma)
+                passes = first_failed_condition(f, cat) is None
+                ok = ok and passes == shaped
+                if passes:
+                    admissible += 1
+                    ok = ok and verify_decomposition(f, decompose_semilinear(f, cat), rng)
+        q = field.q
+        ok = ok and (matrices, admissible) == ({2: 168, 3: 11232}[q], q * q * (q - 1) ** 3)
+        dt = time.perf_counter() - t0
+        notes.append(f"q={q} {matrices} stabilizer maps, {admissible} admissible ({dt:.1f}s)")
     _record(8, ok, "; ".join(notes))
 
 

@@ -228,7 +228,7 @@ def test_graph_q7_json_matches_pinned_hash():
 
 # sha256 of `verify --q 5 --seed 0` (the first q the golden files do not
 # pin); see tests/golden/README.md for the command
-VERIFY_Q5_SHA256 = "c933f75f40bd3f296bc4e38c2554a4ccb0579c5532ed64186cef5a475a533754"
+VERIFY_Q5_SHA256 = "bfc76a4840681a75dc7bb357c3b96d4e2079a9a459f71ddbd8f756152af52204"
 
 
 def test_verify_q5_matches_pinned_hash():

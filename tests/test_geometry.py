@@ -4,12 +4,15 @@ import random
 import pytest
 from conftest import (
     FIELD_ORDERS,
+    edge_count,
     incidence_counts,
+    matrix_identity,
     point_index_first_failed,
     point_index_graph,
     point_index_incidence_counts,
     point_index_preserver,
     point_planes,
+    random_nonblock_invertible,
     random_recipe,
 )
 
@@ -51,7 +54,6 @@ from ternions.geometry import (
     maximal_cliques,
     no_duality_certificate,
     preserver_from_collineation,
-    random_nonblock_invertible,
     scan_lines,
     scan_solids,
     verify_decomposition,
@@ -67,6 +69,7 @@ from ternions.geometry import (
 from ternions.model import (
     TYPE_ORDER,
     SubmoduleType,
+    cyclic_span,
     is_block6_patterned,
     matrix2_from_block6,
 )
@@ -74,7 +77,6 @@ from ternions.ternion import (
     Ternion,
     act_right,
     enumerate_pairs,
-    matrix_identity,
     random_invertible,
 )
 
@@ -152,10 +154,10 @@ def expected_edges(q):
 
 
 def test_graph_counts(graph2, graph3):
-    assert (graph2.n, graph2.edge_count()) == (21, 66)
-    assert (graph3.n, graph3.edge_count()) == (52, 318)
-    assert graph2.edge_count() == expected_edges(2)
-    assert graph3.edge_count() == expected_edges(3)
+    assert (graph2.n, edge_count(graph2)) == (21, 66)
+    assert (graph3.n, edge_count(graph3)) == (52, 318)
+    assert edge_count(graph2) == expected_edges(2)
+    assert edge_count(graph3) == expected_edges(3)
 
 
 @pytest.mark.parametrize("which", [2, 3, 4, 5])
@@ -203,7 +205,7 @@ def test_graph_matches_point_index_reference(which, cat2, cat3, cat4, cat5):
 def test_graph_guards_count_edges_and_j_line_points(which, cat2, cat3, cat4):
     # each guard at its count passes and one below raises, naming the count
     cat = {2: cat2, 3: cat3, 4: cat4}[which]
-    edges = build_graph(cat).edge_count()
+    edges = edge_count(build_graph(cat))
     assert edges == expected_edges(which)
     points = len(cat.planes) * (which + 1)
     with pytest.raises(BudgetError, match=f"enumerating {edges} adjacency edges"):
@@ -500,9 +502,9 @@ def test_j_test_from_matrix_entries(which, cat2, cat3, cat4):
 
 @pytest.mark.parametrize("which", [2, 3, 4])
 def test_control_rows_j_read_matches_built_map(which, cat2, cat3, cat4):
-    """thm1:negative reads condition iv's J test off a control's rows and
-    builds the map only when they fix J; over 500 seeded controls the read
-    agrees with the built map's J image and with first_failed_condition."""
+    """Condition iv's J test reads a map's rows (`_fixes_j`); over 500
+    seeded random matrices the read agrees with the built map's J image,
+    and a map whose rows miss J fails first_failed_condition at iv."""
     cat = {2: cat2, 3: cat3, 4: cat4}[which]
     field = cat.field
     auts = automorphisms(field)
@@ -579,8 +581,8 @@ def test_point_planes_index(which, cat2, cat3):
 
 
 def test_first_failed_condition_makes_no_elimination(cat3, monkeypatch):
-    # maps that fail iv, the common case among random controls, are decided
-    # from the matrix and the images of the points of H alone
+    # maps that fail iv, most random invertible matrices, are decided from
+    # the matrix and the images of the points of H alone
     rng = random.Random(41)
     auts = automorphisms(cat3.field)
     maps = [
@@ -703,6 +705,30 @@ def test_g0_generators_satisfy_conditions(which, cat2, cat3, cat4, cat5):
             assert first_failed_condition(f, cat) is None
             assert _reference_first_failed(f, cat) is None
             assert point_index_first_failed(f, cat) is None
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_g0_transitive_on_skew_x_triples(which, cat2, cat3):
+    # step 1 of the converse in suite_thm1: the ordered triples of pairwise
+    # skew X planes form one orbit of G0, found by BFS from the standard
+    # triple T(1,0), T(0,1), T(1,1) under the generators' permutations
+    cat = {2: cat2, 3: cat3}[which]
+    field = cat.field
+    xs = cat.g_x
+    index = {m: i for i, m in enumerate(xs)}
+    perms = [
+        [index[f.apply(m)] for m in xs] for maps in g0_generators(field).values() for f in maps
+    ]
+    skew = [{j for j, n in enumerate(xs) if meet_dim(m, n) == 0} for m in xs]
+    triples = {(i, j, k) for i in range(len(xs)) for j in skew[i] for k in skew[i] & skew[j]}
+    one, zero = Ternion(field, 1, 0, 1), Ternion(field, 0, 0, 0)
+    start = tuple(index[cyclic_span(v)] for v in ((one, zero), (zero, one), (one, one)))
+    orbit = _closure(perms, lambda t, p: (p[t[0]], p[t[1]], p[t[2]]), start)
+    assert orbit == triples
+    # q^3 X planes are skew to a given one, and a third point a v0 + b v1
+    # has units a, b up to a unit factor: q (q-1)^2 choices
+    q = field.q
+    assert len(triples) == len(xs) * q**3 * q * (q - 1) ** 2
 
 
 def _reference_random_nonblock_invertible(field, rng):

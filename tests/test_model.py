@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import x_plane_sweep
+from conftest import random_ternion, x_plane_sweep
 from ternions.geometry import induced_collineation
 from ternions.gf import automorphisms, field_of_order, make_field
 from ternions.linalg import (
@@ -53,7 +53,6 @@ from ternions.ternion import (
     e22,
     enumerate_pairs,
     random_invertible,
-    random_ternion,
     scale_left,
 )
 

@@ -5,31 +5,27 @@ import random
 from itertools import combinations
 
 import pytest
+from conftest import random_nonblock_invertible, run_suites
 
 import ternions.geometry as geo
+from ternions.cli import main
 from ternions.gf import automorphisms, make_field, primitive_element
 from ternions.linalg import BudgetError, SemilinearMap, Subspace
 from ternions.suites import (
     SUITE_NAMES,
-    SuiteParams,
     VerifyContext,
     _clique_flags,
     _distance_detail,
     _generator_detail,
     is_linear_involutive_antiautomorphism,
-    run_suites,
     summarize,
 )
 from ternions.ternion import Ternion, enumerate_ternions, iota, random_invertible
 
 
-def small_params():
-    return SuiteParams(thm1_controls=100, thm1_decompositions=3)
-
-
 @pytest.fixture(scope="module")
 def claims_q2(f2):
-    ctx = VerifyContext(field=f2, seed=0, params=small_params())
+    ctx = VerifyContext(field=f2, seed=0, thm1_decompositions=3)
     return run_suites(ctx, SUITE_NAMES)
 
 
@@ -52,16 +48,14 @@ def test_claims_are_json_safe_and_ordered(claims_q2):
 
 
 def test_determinism_same_seed(f3):
-    params = small_params()
-    a = run_suites(VerifyContext(field=f3, seed=7, params=params), ["thm1", "adjacency"])
-    b = run_suites(VerifyContext(field=f3, seed=7, params=params), ["adjacency", "thm1"])
+    a = run_suites(VerifyContext(field=f3, seed=7, thm1_decompositions=3), ["thm1", "adjacency"])
+    b = run_suites(VerifyContext(field=f3, seed=7, thm1_decompositions=3), ["adjacency", "thm1"])
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_different_seed_changes_witness_payloads(f2):
-    params = small_params()
-    a = run_suites(VerifyContext(field=f2, seed=1, params=params), ["thm1"])
-    b = run_suites(VerifyContext(field=f2, seed=2, params=params), ["thm1"])
+    a = run_suites(VerifyContext(field=f2, seed=1, thm1_decompositions=3), ["thm1"])
+    b = run_suites(VerifyContext(field=f2, seed=2, thm1_decompositions=3), ["thm1"])
     assert all(c["ok"] for c in a + b)
     # same claim ids either way
     assert [c["id"] for c in a] == [c["id"] for c in b]
@@ -80,28 +74,107 @@ def test_thm1_q5_default_params(cat5):
         "first_failure": None,
     }
     assert claims[1]["detail"]["exhaustive"] is False
-    assert claims[2]["detail"]["controls"] == 2000
-    assert claims[2]["detail"]["exhaustive"] is False
+    assert claims[2]["detail"] == {
+        "method": "stabilizer of the standard skew triple",
+        "exhaustive": True,
+        "rests_on": ["adj:cliques", "chars:x", "lem:transversal-solids", "thm1:positive"],
+        "standard_triple_skew_x": True,
+        "x_planes": 180,
+        "j_lines": 180,
+        "k_lines": 6,
+        "factorisation_products": 36,
+        "first_failure": None,
+    }
 
 
-def test_controls_missing_j_are_not_built(cat2, monkeypatch):
-    """thm1:negative reads condition iv's J test off a control's rows, and
-    only maps that fix J reach first_failed_condition."""
+def test_thm1_checks_conditions_on_the_generators_only(cat2, monkeypatch):
+    """first_failed_condition runs once per generator of G0 (11 at q = 2):
+    thm1:negative images no plane under any map."""
     real = geo.first_failed_condition
-    fixes_j = []
+    calls = []
 
     def spy(f, cat):
-        fixes_j.append(geo._fixes_j(f.matrix))
+        calls.append(f)
         return real(f, cat)
 
     monkeypatch.setattr(geo, "first_failed_condition", spy)
-    ctx = VerifyContext(field=cat2.field, seed=0, params=small_params())
+    ctx = VerifyContext(field=cat2.field, seed=0, thm1_decompositions=3)
     ctx.catalog = cat2  # reuse the session catalog
+    claims = run_suites(ctx, ["thm1"])
+    assert all(c["ok"] for c in claims)
+    assert len(calls) == 11
+
+
+def test_thm1_runs_no_scan_and_builds_no_graph(cat3, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("thm1 must not need this")
+
+    for name in ("_anchored_scan", "build_graph"):
+        monkeypatch.setattr(geo, name, refuse)
+    ctx = VerifyContext(field=cat3.field, seed=0, thm1_decompositions=3)
+    ctx.catalog = cat3  # reuse the session catalog
+    assert all(c["ok"] for c in run_suites(ctx, ["thm1"]))
+
+
+def _negative(cat):
+    ctx = VerifyContext(field=cat.field, seed=0, thm1_decompositions=0)
+    ctx.catalog = cat
     negative = run_suites(ctx, ["thm1"])[2]
-    assert all(fixes_j) and len(fixes_j) >= 11  # the generators at least
+    assert negative["id"] == "thm1:negative"
+    return negative
+
+
+# diag(P, P), P swapping the first and third coordinates: it fixes M0, M1
+# and M2 and sends J = {x3 = x6 = 0} onto K = {x1 = x4 = 0}
+J_K_SWAP = tuple(tuple(int(j == p) for j in range(6)) for p in (2, 1, 0, 5, 4, 3))
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_negative_names_a_factor_that_swaps_j_and_k(which, cat2, cat3, monkeypatch):
+    cat = {2: cat2, 3: cat3}[which]
+    field = cat.field
+    swap = SemilinearMap(field, 6, J_K_SWAP, automorphisms(field)[0])
+    assert swap.apply(cat.j_solid) == cat.k_solid and swap.apply(cat.k_solid) == cat.j_solid
+    real = geo._homothety_rows
+
+    def doctored(f, a, b):
+        return f.kernel.matmul(real(f, a, b), J_K_SWAP)
+
+    monkeypatch.setattr(geo, "_homothety_rows", doctored)
+    negative = _negative(cat)
+    assert negative["ok"] is False
+    assert negative["detail"]["first_failure"] == "factorisation"
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_negative_names_a_standard_plane_outside_x(which, cat2, cat3):
+    cat = {2: cat2, 3: cat3}[which]
+    field = cat.field
+    m2 = Subspace(field, 6, ((1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1)))
+    assert m2 in cat.g_x
+    doctored = dataclasses.replace(cat, g_x=tuple(m for m in cat.g_x if m != m2))
+    negative = _negative(doctored)
+    assert negative["ok"] is False
     detail = negative["detail"]
-    failed = sum(detail["failed_by_condition"].values())
-    assert failed + detail["accidentally_admissible"] == 100
+    assert detail["first_failure"] == "standard_triple"
+    assert detail["standard_triple_skew_x"] is False
+
+
+@pytest.mark.parametrize("which", [2, 3])
+@pytest.mark.parametrize("premise", ["j_lines", "k_lines"])
+def test_negative_names_a_doctored_line_count(premise, which, cat2, cat3):
+    # every plane gets one of its two lines as both traces: its K-line
+    # leaves q+1 J-lines, its J-line makes n_x K-lines, and with as many
+    # K-lines as J-lines a swap of J and K is no longer excluded
+    cat = {2: cat2, 3: cat3}[which]
+    keep = int(premise == "j_lines")
+    doctored = dataclasses.replace(cat)
+    doctored.traces = {m: (t[keep], t[keep]) for m, t in cat.traces.items()}
+    negative = _negative(doctored)
+    assert negative["ok"] is False
+    detail = negative["detail"]
+    assert detail["first_failure"] == premise
+    assert detail["j_lines"] == detail["k_lines"] == (cat.field.q + 1 if keep else len(cat.g_x))
 
 
 def _random_positive_failures(cat, rng, n):
@@ -129,7 +202,7 @@ def test_planted_failing_generator_is_named(which, cat2, cat4, monkeypatch):
     rng = random.Random(3)
     sigma = automorphisms(field)[-1]
     while True:
-        bad = SemilinearMap(field, 6, geo.random_nonblock_invertible(field, rng), sigma)
+        bad = SemilinearMap(field, 6, random_nonblock_invertible(field, rng), sigma)
         if geo.first_failed_condition(bad, cat) == "iv":
             break
     real = geo.g0_generators
@@ -140,7 +213,7 @@ def test_planted_failing_generator_is_named(which, cat2, cat4, monkeypatch):
         return gens
 
     monkeypatch.setattr(geo, "g0_generators", planted)
-    ctx = VerifyContext(field=field, seed=0, params=small_params())
+    ctx = VerifyContext(field=field, seed=0, thm1_decompositions=3)
     ctx.catalog = cat  # reuse the session catalog
     positive = run_suites(ctx, ["thm1"])[0]
     assert positive["id"] == "thm1:positive" and positive["ok"] is False
@@ -316,7 +389,7 @@ def test_adjacency_runs_one_bfs_and_no_plane_compares(cat3, graph3, monkeypatch)
     starts = []
     bfs = geo.geodesics_from
     monkeypatch.setattr(geo, "geodesics_from", lambda g, s: starts.append(s) or bfs(g, s))
-    ctx = VerifyContext(field=cat3.field, seed=0, params=small_params())
+    ctx = VerifyContext(field=cat3.field, seed=0, thm1_decompositions=3)
     ctx.catalog, ctx.graph = cat3, graph3  # reuse the session catalog and graph
     claims = run_suites(ctx, ["adjacency"])
     assert all(c["ok"] for c in claims)
@@ -399,7 +472,7 @@ def test_planted_failing_recipe_generator_is_named(which, graph2, graph3):
         "plane cycle": [(r[0], r[1]) for r in rest],
     }
     for name, remove in cases.items():
-        ctx = VerifyContext(field=graph.catalog.field, seed=0, params=small_params())
+        ctx = VerifyContext(field=graph.catalog.field, seed=0, thm1_decompositions=3)
         ctx.catalog, ctx.graph = graph.catalog, _rewired(graph, remove=remove)
         claims = {c["id"]: c for c in run_suites(ctx, ["adjacency"])}
         detail = claims["adj:preservers"]["detail"]
@@ -418,7 +491,7 @@ def test_distance_fails_without_transitive_generators(cat3, graph3, monkeypatch)
     monkeypatch.setattr(
         geo, "recipe_generators", lambda g: {k: v for k, v in real(g).items() if "plane" in k}
     )
-    ctx = VerifyContext(field=cat3.field, seed=0, params=small_params())
+    ctx = VerifyContext(field=cat3.field, seed=0, thm1_decompositions=3)
     ctx.catalog, ctx.graph = cat3, graph3  # reuse the session catalog and graph
     claims = {c["id"]: c for c in run_suites(ctx, ["adjacency"])}
     assert claims["adj:preservers"]["ok"] is True
@@ -453,13 +526,15 @@ def test_stage_guard_at_its_count(stage, count, f2):
     run(count)
 
 
-def test_unknown_suite_raises(f2):
-    with pytest.raises(ValueError):
-        run_suites(VerifyContext(field=f2), ["nonsense"])
+def test_unknown_suite_raises(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "2", "--suite", "nonsense"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
 
 def test_single_suite_q3(f3):
-    ctx = VerifyContext(field=f3, seed=0, params=small_params())
+    ctx = VerifyContext(field=f3, seed=0, thm1_decompositions=3)
     claims = run_suites(ctx, ["counts"])
     assert all(c["ok"] for c in claims)
     ids = [c["id"] for c in claims]

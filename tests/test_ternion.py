@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from conftest import FIELD_ORDERS
+from conftest import FIELD_ORDERS, matrix_identity, random_ternion
 
 from ternions.gf import field_of_order, make_field
 from ternions.ternion import (
@@ -15,9 +15,7 @@ from ternions.ternion import (
     enumerate_pairs,
     enumerate_ternions,
     iota,
-    matrix_identity,
     random_invertible,
-    random_ternion,
     scale_left,
     t_one,
     t_zero,
@@ -77,13 +75,15 @@ def test_noncommutative(f2):
     b = e12(f2)
     assert a * b != b * a
     assert (a * b).triple() == (0, 1, 0)
-    assert (b * a).is_zero
+    assert b * a == t_zero(f2)
 
 
 def test_units(f2, f3):
     for f in (f2, f3):
-        units = [t for t in enumerate_ternions(f) if t.is_unit]
+        ts = list(enumerate_ternions(f))
+        units = [t for t in ts if any(t * s == t_one(f) for s in ts)]
         assert len(units) == (f.q - 1) ** 2 * f.q
+        assert all(t.x and t.z for t in units)
 
 
 def test_mixed_fields_rejected(f2, f3):
