@@ -14,13 +14,12 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .gf import Field, FieldAutomorphism, automorphisms, primitive_element, random_codes
+from .gf import Field, FieldAutomorphism, automorphisms, primitive_element
 from .linalg import (
     Correlation,
     SemilinearMap,
@@ -28,19 +27,21 @@ from .linalg import (
     canonicalize,
     check_budget,
     contains,
+    enumerate_subspaces,
     full_space,
+    gaussian_binomial,
     join,
     meet,
     meet_dim,
     pencil,
     point_vectors,
-    subspaces_within,
 )
 from .model import (
     TYPE_ORDER,
     Catalog,
     SubmoduleType,
     block6_rows,
+    cyclic_span,
     is_block6_patterned,
     matrix2_from_block6,
     phi,
@@ -306,31 +307,45 @@ def geodesics_from(graph: AdjacencyGraph, start: int) -> Tuple[List[int], List[i
 # -- transversal scans ------------------------------------------------------------
 
 
+def standard_triple(field: Field) -> Tuple[Subspace, Subspace, Subspace]:
+    """M0 = T(1, 0), M1 = T(0, 1) and M2 = T(1, 1): in coordinates F^3 + 0,
+    0 + F^3 and the diagonal {(v, v)}."""
+    one, zero = t_one(field), t_zero(field)
+    return tuple(cyclic_span(v) for v in ((one, zero), (zero, one), (one, one)))
+
+
+def is_skew_x_triple(cat: Catalog, planes: Sequence[Subspace]) -> bool:
+    """Whether the planes are X planes of the catalog and pairwise skew."""
+    return all(cat.type_of(m) is SubmoduleType.X for m in planes) and all(
+        meet_dim(a, b) == 0 for a, b in combinations(planes, 2)
+    )
+
+
 def _anchored_scan(cat: Catalog, k: int) -> List[Subspace]:
     """All k-flats (k = 2 or 4) meeting every X plane in dimension k/2,
     sorted by key.
 
-    Anchor at two skew X planes M0 and M1 (M0 ^ M1 = 0).  Such a flat
-    meets each of them in a (k/2)-flat, and those two are skew, so the flat
-    is their join: the (q^2+q+1)^2 joins of a (k/2)-flat of M0 with one of
-    M1 are an exhaustive candidate list, guarded by the catalog's budget."""
-    m0 = cat.g_x[0]
-    m1 = next((m for m in cat.g_x[1:] if meet_dim(m0, m) == 0), None)
-    if m1 is None:
-        raise AssertionError("no X plane is skew to the first one")
-    parts0 = subspaces_within(m0, k // 2, cat.budget)
-    parts1 = subspaces_within(m1, k // 2, cat.budget)
-    what = f"anchored scan candidates (k={k}, q={cat.field.q})"
-    check_budget(len(parts0) * len(parts1), what, cat.budget)
-    kern = cat.field.kernel
+    Anchor at the standard triple M0 = F^3 + 0, M1 = 0 + F^3, M2 = {(v, v)}
+    of pairwise skew X planes.  Such a flat F meets M0 and M1 in skew
+    (k/2)-flats A + 0 and 0 + B, so F = A + B, and F ^ M2 is the set of
+    (v, v) with v in A ^ B, of dimension k/2 exactly when B = A.  So the
+    q^2+q+1 flats A + A, A a (k/2)-subspace of F^3, are an exhaustive
+    candidate list, guarded by the catalog's budget; their rows (a, 0) and
+    (0, a), a over the reduced basis of A, are already reduced."""
+    field = cat.field
+    if not is_skew_x_triple(cat, standard_triple(field)):
+        raise AssertionError("the standard triple is not three pairwise skew X planes")
+    what = f"anchored scan candidates (k={k}, q={field.q})"
+    check_budget(gaussian_binomial(3, k // 2, field.q), what, cat.budget)
+    kern = field.kernel
     rank = k + 3 - k // 2  # dim(flat + M) when dim(flat ^ M) = k/2
     xs = [m.basis for m in cat.g_x]
+    zero = (0, 0, 0)
     out = []
-    for a in parts0:
-        for b in parts1:
-            rows = a.basis + b.basis
-            if all(kern.stack_rank(rows, mb) == rank for mb in xs):
-                out.append(Subspace(cat.field, 6, kern.rref(rows)))
+    for a in enumerate_subspaces(field, 3, k // 2):
+        rows = tuple(r + zero for r in a.basis) + tuple(zero + r for r in a.basis)
+        if all(kern.stack_rank(rows, mb) == rank for mb in xs):
+            out.append(Subspace(field, 6, rows))
     return sorted(out, key=Subspace.key)
 
 
@@ -594,24 +609,23 @@ def decompose_semilinear(f: SemilinearMap, cat: Catalog) -> Decomposition:
     return Decomposition(f1=f1, f2=f2, f3=f3, module_map=g, homothety_params=(a, b))
 
 
-def verify_decomposition(
-    f: SemilinearMap, dec: Decomposition, rng: Optional[random.Random] = None, samples: int = 64
-) -> bool:
+def verify_decomposition(f: SemilinearMap, dec: Decomposition) -> bool:
     """Check f = f3 o f2 o f1 on the matrix level and phi(g(v)) = f(phi(v))
-    on all six basis pairs plus sampled pairs."""
+    for every pair v, from the six basis pairs.  The module map g (sigma
+    entrywise, then the left unit, then right multiplication by S) is
+    sigma-semilinear, as the unit and S act F-linearly (F is central in T);
+    f is semilinear over its automorphism, checked to be sigma, and phi is
+    linear.  So phi o g and f o phi are sigma-semilinear maps of F^6, equal
+    once they agree on a basis."""
     field = f.field
     composed = dec.f3.compose(dec.f2.compose(dec.f1))
     if composed.matrix != f.matrix or composed.sigma != f.sigma:
         return False
     g = dec.module_map
-    basis_vecs = [tuple(1 if i == j else 0 for j in range(6)) for i in range(6)]
-    vecs = basis_vecs
-    if rng is not None:
-        codes = random_codes(field, rng)
-        vecs = vecs + [tuple(islice(codes, 6)) for _ in range(samples)]
-    for vec in vecs:
-        v = phi_inverse(field, vec)
-        if phi(g.apply(v)) != f.apply_vector(vec):
+    if g.sigma != f.sigma:
+        return False
+    for vec in full_space(field, 6).basis:
+        if phi(g.apply(phi_inverse(field, vec))) != f.apply_vector(vec):
             return False
     return True
 

@@ -198,17 +198,6 @@ def projective_points(u: Subspace) -> List[Subspace]:
     return [Subspace(u.field, u.n, (v,)) for v in point_vectors(u)]
 
 
-def subspaces_within(u: Subspace, k: int, budget: Optional[int] = None) -> List[Subspace]:
-    """All k-subspaces of u, mapped from coordinates w.r.t. its basis."""
-    field, n = u.field, u.n
-    kern = field.kernel
-    out = []
-    for s in enumerate_subspaces(field, u.dim, k, budget):
-        rows = kern.matmul(s.basis, u.basis)
-        out.append(Subspace(field, n, kern.rref(rows)))
-    return out
-
-
 def pencil(v: Subspace, w: Subspace, k: int) -> List[Subspace]:
     """The interval [v, w]_k: all k-subspaces between v and w.
 

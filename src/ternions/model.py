@@ -37,20 +37,14 @@ from .linalg import (
     contains,
     coordinate_subspace,
     join,
+    meet,
     meet_dim,
     pencil,
     point_vectors,
     projective_points,
     projective_vectors,
 )
-from .ternion import (
-    Ternion,
-    TernionMatrix,
-    TernionPair,
-    e11,
-    e12,
-    e22,
-)
+from .ternion import Ternion, TernionMatrix, TernionPair
 
 
 class SubmoduleType(Enum):
@@ -136,14 +130,20 @@ def classify_by_rank(v: TernionPair) -> SubmoduleType:
 
 
 def is_unimodular(v: TernionPair) -> bool:
-    """Whether a x + b y = 1 is solvable: 1 lies in the row space of the
-    6x3 matrix of the map (x, y) -> a x + b y over the base field."""
+    """Whether a x + b y = 1 is solvable: 1 = (1, 0, 1) lies in the row
+    space of a e11 = (a11, 0, 0), a e12 = (0, a11, 0), a e22 = (0, a12, a22)
+    and the same for b, the matrix of (x, y) -> a x + b y over F.  A vector
+    of the row space of a reduced echelon basis is the sum of its rows
+    weighted by the vector's entries at their pivots, which for (1, 0, 1)
+    are 1 in the first and third columns and 0 in the second."""
     a, b = v
     field = a.field
-    units = (e11(field), e12(field), e22(field))
-    rows = tuple((a * e).triple() for e in units) + tuple((b * e).triple() for e in units)
-    kern = field.kernel
-    return kern.stack_rank(rows, ((1, 0, 1),)) == kern.rank(rows)
+    rows = ((a.x, 0, 0), (0, a.x, 0), (0, a.y, a.z), (b.x, 0, 0), (0, b.x, 0), (0, b.y, b.z))
+    acc = (0, 0, 0)
+    for row in field.kernel.rref(rows):
+        if row.index(1) != 1:  # the pivot, the first nonzero entry, is a 1
+            acc = tuple(field.add(x, y) for x, y in zip(acc, row))
+    return acc == (1, 0, 1)
 
 
 @lru_cache(maxsize=None)
@@ -479,31 +479,26 @@ def scan_planes_for_x(cat: Catalog) -> FrozenSet[Subspace]:
     """The X planes found geometrically: planes whose J-trace is a line
     other than L and whose K-trace is an alpha regulus line.
 
-    The planes through an alpha line P form a PG(3,q): each is P + <w> for
-    exactly one normalised w that is zero on the pivot columns of P's rref.
-    P lies in K, so M = P + <w> lies in K when w does (w1 = w4 = 0), and
-    otherwise M ^ K = P.  The scan keeps the M outside K with
-    dim(M ^ J) = 2.  Such an M does not contain L: P meets L in a point,
-    so L <= M would make M = P + L, which lies in K.  The catalog's budget
-    guards the (q+1)(q^3+q^2+q+1) candidates."""
+    An alpha line P lies in K and meets J in a point p of L.  A plane M
+    through P and outside K has M ^ K = P; if M ^ J is a line l, then l
+    passes through p, M = P + l, and l is not L, as P + L lies in K.  So
+    the P + l, l over the q^2+q lines of J through p other than L, are an
+    exhaustive list of n_x candidates, guarded by the catalog's budget; the
+    scan keeps those outside K with dim(M ^ J) = 2.  Such an M does not
+    contain L, which would make M ^ K = P + L a plane."""
     field = cat.field
     q = field.q
     kern = field.kernel
-    j_rows = cat.j_solid.basis
-    count = len(cat.g_alpha) * (q**3 + q**2 + q + 1)
-    check_budget(count, f"X-scan candidates (q={q})", cat.budget)
+    j, l = cat.j_solid, cat.l_line
+    check_budget(len(cat.g_alpha) * (q * q + q), f"X-scan candidates (q={q})", cat.budget)
     found = set()
     for p in cat.g_alpha:
-        pivots = {row.index(1) for row in p.basis}
-        free = [c for c in range(6) if c not in pivots]
-        for w in projective_vectors(field, 4):
-            vec = [0] * 6
-            for c, x in zip(free, w):
-                vec[c] = x
-            if not (vec[0] or vec[3]):
+        for line in pencil(meet(p, j), j, 2):
+            if line == l:
                 continue
-            m = kern.rref(p.basis + (tuple(vec),))
-            if kern.stack_rank(m, j_rows) == 5:  # dim(M ^ J) == 2
+            m = kern.rref(p.basis + line.basis)
+            outside_k = any(r[0] or r[3] for r in m)  # K = {x1 = x4 = 0}
+            if outside_k and kern.stack_rank(m, j.basis) == 5:  # dim(M ^ J) == 2
                 found.add(Subspace(field, 6, m))
     return frozenset(found)
 

@@ -19,9 +19,11 @@ from .linalg import (
     SemilinearMap,
     Subspace,
     coordinate_subspace,
-    enumerate_subspaces,
+    full_space,
     identity_map,
-    meet_dim,
+    meet,
+    pencil,
+    projective_points,
 )
 from .model import (
     Catalog,
@@ -29,7 +31,6 @@ from .model import (
     build_catalog,
     classify,
     classify_by_rank,
-    cyclic_span,
     expected_counts,
     is_unimodular,
     line_model,
@@ -43,7 +44,6 @@ from .ternion import (
     e11,
     e12,
     e22,
-    enumerate_pairs,
     enumerate_ternions,
     iota,
     random_invertible,
@@ -122,47 +122,41 @@ def suite_counts(ctx: VerifyContext) -> List[Dict[str, object]]:
     ):
         claims.append(_claim("counts", cid, bad == 0, dict(walked, mismatches=bad)))
 
-    # the PG(3,q) line model: image of the X orbit = lines meeting the axis
-    # in one point; at q <= 3 also confirm the line depends only on the span
+    claims.append(_claim("counts", "model:line", *_line_model_check(cat)))
+    return claims
+
+
+def _line_model_check(cat: Catalog) -> Tuple[bool, Dict[str, object]]:
+    """The `model:line` verdict and detail: line_model is well defined on
+    the X planes, injective, and onto the lines of PG(3,q) meeting the axis
+    in one point.  Well defined, exactly: for a generator w of an X plane M,
+    e11 w and e12 w are independent vectors of J (x3 = x6 = 0), so they span
+    M ^ J, and line_model(w) is their projection onto (x1, x2, x4, x5),
+    which is injective on J; so line_model(w) is the projection of M ^ J,
+    checked per X plane on its witness.  A line other than the axis meets
+    it in at most one point, so the complex lines are the q^2+q other lines
+    through each of its q+1 points, each found once."""
+    field = cat.field
     axis = coordinate_subspace(field, 4, LINE_MODEL_AXIS_COORDS)
-    exhaustive = q <= 3
+    space = full_space(field, 4)
+    complex_lines = {
+        ln for a in projective_points(axis) for ln in pencil(a, space, 2) if ln != axis
+    }
     well_defined = True
     image = set()
-    if exhaustive:
-        by_span: Dict[Subspace, Subspace] = {}
-        for v in enumerate_pairs(field):
-            if not is_unimodular(v):
-                continue
-            ln = line_model(v)
-            sp = cyclic_span(v)
-            prev = by_span.setdefault(sp, ln)
-            if prev != ln:
-                well_defined = False
-        image = set(by_span.values())
-        injective = len(image) == len(by_span)
-    else:
-        per_plane = [line_model(cat.witness[m]) for m in cat.g_x]
-        image = set(per_plane)
-        injective = len(image) == len(per_plane)
-    complex_lines = {
-        ln
-        for ln in enumerate_subspaces(field, 4, 2, ctx.budget)
-        if ln != axis and meet_dim(ln, axis) == 1
+    for m in cat.g_x:
+        ln = line_model(cat.witness[m])
+        # the rows of M ^ J are zero in x3 and x6, so they stay reduced
+        well_defined = well_defined and ln.basis == geo._project_j(meet(m, cat.j_solid).basis)
+        image.add(ln)
+    injective = len(image) == len(cat.g_x)
+    detail = {
+        "well_defined_checked": True,
+        "injective": injective,
+        "image_size": len(image),
+        "complex_minus_axis": len(complex_lines),
     }
-    claims.append(
-        _claim(
-            "counts",
-            "model:line",
-            well_defined and injective and image == complex_lines,
-            {
-                "well_defined_checked": exhaustive,
-                "injective": injective,
-                "image_size": len(image),
-                "complex_minus_axis": len(complex_lines),
-            },
-        )
-    )
-    return claims
+    return well_defined and injective and image == complex_lines, detail
 
 
 def _classifier_walk(field: Field) -> Tuple[int, int, Dict[str, object]]:
@@ -477,7 +471,8 @@ def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
     the J-line and K-line counts, and the factorisation
     (`geometry.stabilizer_factorisation`); it names the claims it rests on,
     so `thm1` alone runs no scan.  `thm1:decompose` decomposes seeded
-    random maps."""
+    random maps and checks each round trip exactly, on a basis
+    (`geometry.verify_decomposition`)."""
     cat = ctx.catalog
     field = ctx.field
     rng = ctx.rng("thm1")
@@ -522,7 +517,7 @@ def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
         except ValueError:
             dec_fail += 1
             continue
-        if not geo.verify_decomposition(f, dec, rng):
+        if not geo.verify_decomposition(f, dec):
             dec_fail += 1
         if dec.homothety_params != (a, b) or dec.module_map.sigma != sigma:
             exact_fail += 1
@@ -533,7 +528,7 @@ def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
     ):
         try:
             dec = geo.decompose_semilinear(f, cat)
-            if not geo.verify_decomposition(f, dec, rng):
+            if not geo.verify_decomposition(f, dec):
                 dec_fail += 1
         except ValueError:
             dec_fail += 1
@@ -562,11 +557,7 @@ def _converse_detail(cat: Catalog) -> Dict[str, object]:
     q = cat.field.q
     traces = cat.traces
     n_x = len(cat.g_x)
-    one, zero = Ternion(cat.field, 1, 0, 1), Ternion(cat.field, 0, 0, 0)
-    m0, m1, m2 = (cyclic_span(v) for v in ((one, zero), (zero, one), (one, one)))
-    triple_ok = all(cat.type_of(m) is SubmoduleType.X for m in (m0, m1, m2)) and (
-        meet_dim(m0, m1) == meet_dim(m0, m2) == meet_dim(m1, m2) == 0
-    )
+    triple_ok = geo.is_skew_x_triple(cat, geo.standard_triple(cat.field))
     j_lines = len({traces[m][0] for m in cat.g_x})
     k_lines = len({traces[m][1] for m in cat.g_x})
     products, factor_ok = geo.stabilizer_factorisation(cat.field)

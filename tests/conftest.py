@@ -6,10 +6,38 @@ import pytest
 
 from ternions.geometry import _bit_indices, _fixes_j_and_h, make_recipe
 from ternions.gf import DEFAULT_MODULI, make_field, random_codes
-from ternions.linalg import contains, enumerate_subspaces, meet, point_vectors
-from ternions.model import TYPE_ORDER, build_catalog, is_block6_patterned
+from ternions.linalg import (
+    Subspace,
+    coordinate_subspace,
+    contains,
+    enumerate_subspaces,
+    meet,
+    meet_dim,
+    point_vectors,
+    projective_vectors,
+)
+from ternions.model import (
+    LINE_MODEL_AXIS_COORDS,
+    TYPE_ORDER,
+    build_catalog,
+    cyclic_span,
+    is_block6_patterned,
+    is_unimodular,
+    line_model,
+    phi,
+    phi_inverse,
+)
 from ternions.suites import SUITES
-from ternions.ternion import Ternion, TernionMatrix, t_one, t_zero
+from ternions.ternion import (
+    Ternion,
+    TernionMatrix,
+    e11,
+    e12,
+    e22,
+    enumerate_pairs,
+    t_one,
+    t_zero,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -130,6 +158,112 @@ def x_plane_sweep(cat):
         if meet(m, k) in alpha:
             found.add(m)
     return frozenset(found)
+
+
+def subspaces_within(u, k, budget=None):
+    """All k-subspaces of u, mapped from coordinates w.r.t. its basis."""
+    kern = u.field.kernel
+    return [
+        Subspace(u.field, u.n, kern.rref(kern.matmul(s.basis, u.basis)))
+        for s in enumerate_subspaces(u.field, u.dim, k, budget)
+    ]
+
+
+# -- the scans before they went by structure ---------------------------------
+#
+# The references for `geometry._anchored_scan`, `model.scan_planes_for_x`
+# and the `model:line` claim, each by the larger enumeration it replaced.
+
+
+def anchored_join_scan(cat, k):
+    """The transversal k-flats (k = 2 or 4) by the (q^2+q+1)^2 join loop:
+    anchor at the first X plane and the first X plane skew to it, and keep
+    each join of a (k/2)-flat of one with a (k/2)-flat of the other that
+    meets every X plane in dimension k/2; sorted by key."""
+    m0 = cat.g_x[0]
+    m1 = next(m for m in cat.g_x[1:] if meet_dim(m0, m) == 0)
+    kern = cat.field.kernel
+    rank = k + 3 - k // 2  # dim(flat + M) when dim(flat ^ M) = k/2
+    out = []
+    for a in subspaces_within(m0, k // 2):
+        for b in subspaces_within(m1, k // 2):
+            rows = a.basis + b.basis
+            if all(kern.stack_rank(rows, m.basis) == rank for m in cat.g_x):
+                out.append(Subspace(cat.field, 6, kern.rref(rows)))
+    return sorted(out, key=Subspace.key)
+
+
+def x_scan_by_quotient(cat):
+    """The X scan over the (q+1)(q^3+q^2+q+1) planes through the alpha
+    lines: each is P + <w> for one normalised w that is zero on the pivot
+    columns of P, kept when it lies outside K and meets J in a line."""
+    field = cat.field
+    kern = field.kernel
+    found = set()
+    for p in cat.g_alpha:
+        pivots = {row.index(1) for row in p.basis}
+        free = [c for c in range(6) if c not in pivots]
+        for w in projective_vectors(field, 4):
+            vec = [0] * 6
+            for c, x in zip(free, w):
+                vec[c] = x
+            if not (vec[0] or vec[3]):
+                continue
+            m = kern.rref(p.basis + (tuple(vec),))
+            if kern.stack_rank(m, cat.j_solid.basis) == 5:  # dim(M ^ J) == 2
+                found.add(Subspace(field, 6, m))
+    return frozenset(found)
+
+
+def line_model_walk(field):
+    """(ok, detail) of `model:line` by the q^6 walk: line_model on every
+    unimodular pair, grouped by span, against the complex lines found in
+    G(4,2)."""
+    by_span = {}
+    well_defined = True
+    for v in enumerate_pairs(field):
+        if is_unimodular(v):
+            ln = line_model(v)
+            well_defined = well_defined and by_span.setdefault(cyclic_span(v), ln) == ln
+    image = set(by_span.values())
+    injective = len(image) == len(by_span)
+    axis = coordinate_subspace(field, 4, LINE_MODEL_AXIS_COORDS)
+    complex_lines = {
+        ln
+        for ln in enumerate_subspaces(field, 4, 2)
+        if ln != axis and meet_dim(ln, axis) == 1
+    }
+    detail = {
+        "well_defined_checked": True,
+        "injective": injective,
+        "image_size": len(image),
+        "complex_minus_axis": len(complex_lines),
+    }
+    return well_defined and injective and image == complex_lines, detail
+
+
+def is_unimodular_by_products(v):
+    """`is_unimodular` by two ranks of the rows (a e).triple() and
+    (b e).triple(), e over e11, e12 and e22."""
+    a, b = v
+    field = a.field
+    units = (e11(field), e12(field), e22(field))
+    rows = tuple((a * e).triple() for e in units) + tuple((b * e).triple() for e in units)
+    kern = field.kernel
+    return kern.stack_rank(rows, ((1, 0, 1),)) == kern.rank(rows)
+
+
+def verify_decomposition_sampled(f, dec, rng, samples=64):
+    """`verify_decomposition`'s round trip on the six basis pairs plus
+    `samples` random pairs, after the same matrix-level check."""
+    composed = dec.f3.compose(dec.f2.compose(dec.f1))
+    if composed.matrix != f.matrix or composed.sigma != f.sigma:
+        return False
+    codes = random_codes(f.field, rng)
+    vecs = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    vecs += [tuple(islice(codes, 6)) for _ in range(samples)]
+    g = dec.module_map
+    return all(phi(g.apply(phi_inverse(f.field, v))) == f.apply_vector(v) for v in vecs)
 
 
 def incident(u, v):

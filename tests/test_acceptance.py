@@ -255,7 +255,7 @@ def test_criterion_08_theorem1(cat2, cat3, cat4):
                 b = rng.randrange(1, field.q)
                 f = _canonical_composite(cat, s, a, b, sigma)
             dec = decompose_semilinear(f, cat)
-            ok = ok and verify_decomposition(f, dec, rng)
+            ok = ok and verify_decomposition(f, dec)
         notes.append(f"q={field.q} 1000 positives")
     # the converse on the stabilizer of the standard triple T(1,0), T(0,1),
     # T(1,1), by brute force: the collineations fixing it are the
@@ -279,7 +279,7 @@ def test_criterion_08_theorem1(cat2, cat3, cat4):
                 ok = ok and passes == shaped
                 if passes:
                     admissible += 1
-                    ok = ok and verify_decomposition(f, decompose_semilinear(f, cat), rng)
+                    ok = ok and verify_decomposition(f, decompose_semilinear(f, cat))
         q = field.q
         ok = ok and (matrices, admissible) == ({2: 168, 3: 11232}[q], q * q * (q - 1) ** 3)
         dt = time.perf_counter() - t0

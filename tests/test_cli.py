@@ -169,6 +169,14 @@ def test_lemmas_q5_pass_under_default_budget():
     assert json.loads(r.stdout)["summary"]["ok"] is True
 
 
+def test_lemmas_q23_pass_under_default_budget():
+    # the anchored scans try q^2+q+1 = 553 candidates a dimension at q = 23
+    r = run_cli("verify", "--q", "23", "--suite", "lemmas", "--seed", "0")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["summary"] == {"claims": 2, "passed": 2, "failed": 0, "ok": True}
+    assert "suite lemmas: 2/2 passed" in r.stderr
+
+
 def test_allow_large_lifts_budget():
     assert run_cli("graph", "--q", "13").returncode == 2
     assert run_cli("graph", "--q", "13", "--allow-large").returncode == 0
@@ -228,7 +236,7 @@ def test_graph_q7_json_matches_pinned_hash():
 
 # sha256 of `verify --q 5 --seed 0` (the first q the golden files do not
 # pin); see tests/golden/README.md for the command
-VERIFY_Q5_SHA256 = "bfc76a4840681a75dc7bb357c3b96d4e2079a9a459f71ddbd8f756152af52204"
+VERIFY_Q5_SHA256 = "c414c3cbc04637292cfe454b7665c642fca1db074f511a056023b638003d2637"
 
 
 def test_verify_q5_matches_pinned_hash():

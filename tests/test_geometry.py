@@ -4,6 +4,7 @@ import random
 import pytest
 from conftest import (
     FIELD_ORDERS,
+    anchored_join_scan,
     edge_count,
     incidence_counts,
     matrix_identity,
@@ -14,6 +15,7 @@ from conftest import (
     point_planes,
     random_nonblock_invertible,
     random_recipe,
+    verify_decomposition_sampled,
 )
 
 import ternions.geometry as geometry
@@ -56,6 +58,7 @@ from ternions.geometry import (
     preserver_from_collineation,
     scan_lines,
     scan_solids,
+    standard_triple,
     verify_decomposition,
     verify_preserver,
     build_preserver,
@@ -402,13 +405,20 @@ def test_anchored_scans_match_full_sweep(which, cat2, cat3):
     assert scan_solids(cat) == _sweep(cat, 4)
 
 
+@pytest.mark.parametrize("which", [2, 3, 4, 5])
+def test_scans_match_join_loop(which, cat2, cat3, cat4, cat5):
+    cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
+    assert scan_lines(cat) == anchored_join_scan(cat, 2)
+    assert scan_solids(cat) == anchored_join_scan(cat, 4)
+
+
 def test_scan_budget_counts_anchored_candidates(cat2):
-    # 7 x 7 = 49 candidate joins at q = 2
-    assert len(scan_lines(dataclasses.replace(cat2, budget=49))) == 3
-    with pytest.raises(BudgetError, match="49"):
-        scan_lines(dataclasses.replace(cat2, budget=48))
-    with pytest.raises(BudgetError, match="49"):
-        scan_solids(dataclasses.replace(cat2, budget=48))
+    # one candidate A + A per point (lines) or line (solids) A of PG(2,2): 7
+    assert len(scan_lines(dataclasses.replace(cat2, budget=7))) == 3
+    with pytest.raises(BudgetError, match="7 anchored scan candidates"):
+        scan_lines(dataclasses.replace(cat2, budget=6))
+    with pytest.raises(BudgetError, match="7 anchored scan candidates"):
+        scan_solids(dataclasses.replace(cat2, budget=6))
 
 
 def test_scan_needs_skew_anchor(cat2):
@@ -417,6 +427,18 @@ def test_scan_needs_skew_anchor(cat2):
         scan_lines(lone)
     with pytest.raises(AssertionError, match="skew"):
         scan_solids(lone)
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_scan_names_a_standard_plane_outside_x(which, cat2, cat3):
+    cat = {2: cat2, 3: cat3}[which]
+    m2 = standard_triple(cat.field)[2]
+    assert m2 in cat.g_x
+    doctored = dataclasses.replace(cat, g_x=tuple(m for m in cat.g_x if m != m2))
+    with pytest.raises(AssertionError, match="skew"):
+        scan_lines(doctored)
+    with pytest.raises(AssertionError, match="skew"):
+        scan_solids(doctored)
 
 
 def test_certificate_needs_unequal_counts():
@@ -779,7 +801,7 @@ def test_decompose_identity(cat2):
     assert dec.f1.sigma.is_identity
     assert dec.module_map.matrix == matrix_identity(field)
     assert dec.module_map.unit.triple() == (1, 0, 1)
-    assert verify_decomposition(ident, dec, random.Random(0))
+    assert verify_decomposition(ident, dec)
 
 
 def test_decompose_pure_frobenius(cat4):
@@ -790,7 +812,7 @@ def test_decompose_pure_frobenius(cat4):
     assert dec.f1.sigma == frob
     assert dec.homothety_params == (0, 1)
     assert dec.f3.matrix == full_space(field, 6).basis
-    assert verify_decomposition(f, dec, random.Random(1))
+    assert verify_decomposition(f, dec)
 
 
 def test_decompose_recovers_canonical_params(cat2):
@@ -803,7 +825,7 @@ def test_decompose_recovers_canonical_params(cat2):
         dec = decompose_semilinear(f, cat2)
         assert dec.homothety_params == (a, b)
         assert dec.module_map.matrix == s
-        assert verify_decomposition(f, dec, rng)
+        assert verify_decomposition(f, dec)
 
 
 def test_decompose_recovers_frobenius_composite(cat4):
@@ -816,7 +838,51 @@ def test_decompose_recovers_frobenius_composite(cat4):
     assert dec.homothety_params == (2, 3)
     assert dec.f1.sigma == frob
     assert dec.module_map.matrix == s
-    assert verify_decomposition(f, dec, rng)
+    assert verify_decomposition(f, dec)
+
+
+@pytest.mark.parametrize("which", [2, 4])
+def test_basis_round_trip_agrees_with_sampled(which, cat2, cat4):
+    cat = {2: cat2, 4: cat4}[which]
+    field = cat.field
+    auts = automorphisms(field)
+    rng = random.Random(17)
+    for i in range(12):
+        s = random_invertible(field, rng)
+        sigma = rng.choice(auts)
+        if i % 3:
+            a, b = rng.randrange(field.q), rng.randrange(1, field.q)
+            f = canonical_composite(cat, s, a, b, sigma)
+        else:
+            f = induced_collineation(s, sigma)
+        dec = decompose_semilinear(f, cat)
+        assert verify_decomposition(f, dec) is True
+        assert verify_decomposition_sampled(f, dec, rng) is True
+
+
+@pytest.mark.parametrize("which", [2, 4])
+def test_doctored_unit_fails_on_the_basis(which, cat2, cat4):
+    cat = {2: cat2, 4: cat4}[which]
+    field = cat.field
+    rng = random.Random(19)
+    f = canonical_composite(cat, random_invertible(field, rng), 1, 1, automorphisms(field)[0])
+    dec = decompose_semilinear(f, cat)
+    unit = dec.module_map.unit
+    for wrong in (Ternion(field, unit.x, field.add(unit.y, 1), unit.z), Ternion(field, 1, 0, 1)):
+        bad = dataclasses.replace(dec, module_map=dataclasses.replace(dec.module_map, unit=wrong))
+        assert verify_decomposition(f, bad) is False
+        assert verify_decomposition_sampled(f, bad, rng) is False
+
+
+def test_doctored_module_sigma_fails(cat4):
+    # g and f must be semilinear over one automorphism for the basis to decide
+    field = cat4.field
+    ident, frob = automorphisms(field)
+    f = canonical_composite(cat4, random_invertible(field, random.Random(23)), 2, 3, frob)
+    dec = decompose_semilinear(f, cat4)
+    bad = dataclasses.replace(dec, module_map=dataclasses.replace(dec.module_map, sigma=ident))
+    assert verify_decomposition(f, dec) is True
+    assert verify_decomposition(f, bad) is False
 
 
 def test_decompose_rejects_non_admissible(cat2):

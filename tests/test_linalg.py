@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 import pytest
-from conftest import incident
+from conftest import incident, subspaces_within
 
 from ternions.gf import automorphisms, make_field
 from ternions.linalg import (
@@ -26,7 +26,6 @@ from ternions.linalg import (
     pencil,
     projective_points,
     projective_vectors,
-    subspaces_within,
     zero_subspace,
 )
 from ternions.model import SubmoduleType, classify, cyclic_span, distinguished_flats

@@ -4,7 +4,13 @@ from itertools import product
 
 import pytest
 
-from conftest import random_ternion, x_plane_sweep
+from conftest import (
+    is_unimodular_by_products,
+    random_ternion,
+    subspaces_within,
+    x_plane_sweep,
+    x_scan_by_quotient,
+)
 from ternions.geometry import induced_collineation
 from ternions.gf import automorphisms, field_of_order, make_field
 from ternions.linalg import (
@@ -19,7 +25,6 @@ from ternions.linalg import (
     meet,
     meet_dim,
     projective_points,
-    subspaces_within,
 )
 from ternions.model import (
     LINE_MODEL_AXIS_COORDS,
@@ -54,6 +59,7 @@ from ternions.ternion import (
     enumerate_pairs,
     random_invertible,
     scale_left,
+    unit_generators,
 )
 
 
@@ -107,6 +113,21 @@ def test_classifiers_agree_exhaustive(q):
         t = classify(v)
         assert classify_by_rank(v) is t
         assert is_unimodular(v) == (t is SubmoduleType.X)
+
+
+def test_unimodular_matches_products_exhaustive_q2(f2):
+    assert all(is_unimodular(v) == is_unimodular_by_products(v) for v in enumerate_pairs(f2))
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_unimodular_matches_products_on_normal_forms(q):
+    # the normal forms and their images under the unit generators, as the
+    # classifier walk of `model:unimodular` visits them
+    f = field_of_order(q)
+    units = unit_generators(f)
+    for v in _unit_orbit_normal_forms(f):
+        for w in [v] + [scale_left(u, v) for u in units]:
+            assert is_unimodular(w) == is_unimodular_by_products(w)
 
 
 def _matrix_unit_span(v):
@@ -326,14 +347,14 @@ def test_x_scan_matches_grassmannian_sweep(q, cat2, cat3):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_x_scan_matches_catalog(q):
     cat = build_catalog(field_of_order(q), validate=False)
-    assert scan_planes_for_x(cat) == frozenset(cat.g_x)
+    assert scan_planes_for_x(cat) == frozenset(cat.g_x) == x_scan_by_quotient(cat)
 
 
 def test_x_scan_budget_counts_candidates(cat2):
-    # 3 alpha lines x 15 points of the quotient PG(3,2)
-    assert len(scan_planes_for_x(dataclasses.replace(cat2, budget=45))) == 18
-    with pytest.raises(BudgetError, match="45"):
-        scan_planes_for_x(dataclasses.replace(cat2, budget=44))
+    # 3 alpha lines x the 6 lines of J through its L-point other than L
+    assert len(scan_planes_for_x(dataclasses.replace(cat2, budget=18))) == 18
+    with pytest.raises(BudgetError, match="18 X-scan candidates"):
+        scan_planes_for_x(dataclasses.replace(cat2, budget=17))
 
 
 def _pair_walk_catalog(field):

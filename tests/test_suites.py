@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import random_nonblock_invertible, run_suites
+from conftest import line_model_walk, random_nonblock_invertible, run_suites
 
 import ternions.geometry as geo
 from ternions.cli import main
@@ -17,6 +17,7 @@ from ternions.suites import (
     _clique_flags,
     _distance_detail,
     _generator_detail,
+    _line_model_check,
     is_linear_involutive_antiautomorphism,
     summarize,
 )
@@ -643,3 +644,29 @@ def test_classifier_walk_covers_whole_orbits(q):
     zero = Ternion(f, 0, 0, 0)
     assert seen == set(enumerate_pairs(f)) - {(zero, zero)}
     assert _classifier_walk(f)[:2] == (0, 0)
+
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_line_model_claim_matches_pair_walk(which, cat2, cat3):
+    # per X plane on its witness against the q^6 walk grouped by span, and
+    # the pencils of the axis points against G(4,2)
+    cat = {2: cat2, 3: cat3}[which]
+    ok, detail = _line_model_check(cat)
+    assert (ok, detail) == line_model_walk(cat.field)
+    assert ok is True
+
+
+def test_line_model_claim_fails_on_a_doctored_plane(cat3, monkeypatch):
+    # two planes' lines swapped: the image and injectivity are unchanged,
+    # so only the per-plane comparison with M ^ J can see it
+    import ternions.suites as suites
+
+    right = suites.line_model
+    w5, w6 = (cat3.witness[m] for m in cat3.g_x[5:7])
+    swap = {w5: right(w6), w6: right(w5)}
+    monkeypatch.setattr(suites, "line_model", lambda v: swap[v] if v in swap else right(v))
+    ok, detail = _line_model_check(cat3)
+    assert ok is False
+    assert detail["injective"] is True
+    assert detail["image_size"] == detail["complex_minus_axis"] == 48
