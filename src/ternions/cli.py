@@ -52,7 +52,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument(
         "--allow-large",
         action="store_true",
-        help="lift the enumeration budget guard for big scans",
+        help="lift the enumeration budget to 1e9; at q <= 27 only `graph` needs it",
     )
 
 

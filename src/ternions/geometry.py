@@ -15,7 +15,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -24,9 +24,7 @@ from .linalg import (
     Correlation,
     SemilinearMap,
     Subspace,
-    canonicalize,
     check_budget,
-    contains,
     enumerate_subspaces,
     full_space,
     gaussian_binomial,
@@ -85,7 +83,8 @@ def incidence_table(cat: Catalog) -> Dict[str, object]:
         plane's J-line: the point lies in J, and the plane meets J there;
       * a point lies on a line when it is one of the line's points.
 
-    The catalog's budget guards the V (q+1) J-line points."""
+    On the catalog `build_catalog` returns no J-line point is listed (see
+    `_incidence_counts`)."""
     q = cat.field.q
     counts = _incidence_counts(cat)
     table = {}
@@ -106,9 +105,19 @@ def incidence_table(cat: Catalog) -> Dict[str, object]:
 
 
 def _incidence_counts(cat: Catalog) -> Dict[Subspace, List[int]]:
-    """Per catalog member, its incidence counts (see incidence_table)."""
+    """Per catalog member, its incidence counts (see incidence_table).
+
+    J = {x3 = x6 = 0} and L = J ^ {x1 = x4 = 0}.  The rows of a J-line l
+    that lie in L span l ^ L: in a combination vanishing at x1 and x4, a
+    row with its pivot there has coefficient 0, and of the others only one
+    with its pivot at x2 can be nonzero at x4.  When the J-lines meeting L
+    in one point are all the q(q+1)^2 lines of J that do, once each and in
+    one column, and the points of J off L are all members, in one column,
+    each such point lies on q+1 of those J-lines (one through each point
+    of L) and each J-line has q of the points.  Otherwise (never on a built
+    catalog) their points off L are listed, as are the points of a J-line
+    skew to L or equal to it."""
     q = cat.field.q
-    check_budget(len(cat.planes) * (q + 1), f"J-line points (q={q})", cat.budget)
     counts: Dict[Subspace, List[int]] = {}
     column: Dict[Subspace, int] = {}
     for c, t in enumerate(TYPE_ORDER):
@@ -116,19 +125,41 @@ def _incidence_counts(cat: Catalog) -> Dict[Subspace, List[int]]:
             counts.setdefault(s, [0] * 5)[c] += 1
             column[s] = c
     points = {s.basis[0]: s for s in column if s.dim == 1}
-    for s, c in column.items():
+
+    def incident(z: Subspace, s: Subspace):
+        counts[z][column[s]] += 1
+        counts[s][column[z]] += 1
+
+    meeting = []  # the planes whose J-line meets L in one point
+    for s in column:
         if s.dim == 1:
             continue
-        on = []
         line = s
         if s.dim == 3:
             line, alpha_line = cat.traces[s]
             if alpha_line in column:
-                on.append(alpha_line)
-        on += [points[v] for v in point_vectors(line) if v in points]
-        for z in on:
-            counts[z][c] += 1
-            counts[s][column[z]] += 1
+                incident(alpha_line, s)
+            on_l = tuple(r for r in line.basis if not (r[0] or r[3]))
+            if len(on_l) == 1:
+                meeting.append(s)
+                line = Subspace(cat.field, 6, on_l)
+        for v in point_vectors(line):
+            if v in points:
+                incident(points[v], s)
+    off_l = [z for v, z in points.items() if not (v[2] or v[5]) and (v[0] or v[3])]
+    lines = {cat.traces[s][0] for s in meeting}
+    if len(lines) == len(meeting) == q * (q + 1) ** 2 and len(off_l) == q**3 + q * q and (
+        len({column[s] for s in meeting}) == len({column[z] for z in off_l}) == 1
+    ):
+        for s in meeting:
+            counts[s][column[off_l[0]]] += q
+        for z in off_l:
+            counts[z][column[meeting[0]]] += q + 1
+    else:
+        for s in meeting:
+            for v in point_vectors(cat.traces[s][0]):
+                if (v[0] or v[3]) and v in points:
+                    incident(points[v], s)
     return counts
 
 
@@ -145,20 +176,34 @@ def adjacent(z1: Subspace, z2: Subspace) -> bool:
 @dataclass
 class AdjacencyGraph:
     """The graph on the X and Y planes, with vertex indices fixed by the
-    catalog order (X planes first, then Y planes)."""
+    catalog order (X planes first, then Y planes), as its trace groups."""
 
     catalog: Catalog
     vertices: tuple
     types: tuple
     vindex: Dict[Subspace, int]
-    neighbours: tuple  # tuple of frozensets of vertex indices
+    groups: tuple  # tuple of tuples of vertex indices, each ascending
+    vertex_groups: tuple  # per vertex, the ids of its groups (at most two)
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
     def are_adjacent(self, i: int, j: int) -> bool:
-        return j in self.neighbours[i]
+        """Whether i and j are distinct and share a group."""
+        return i != j and any(g in self.vertex_groups[j] for g in self.vertex_groups[i])
+
+    @cached_property
+    def neighbours(self) -> Tuple[FrozenSet[int], ...]:
+        """Per vertex, the frozenset of the other members of its groups,
+        after the catalog's budget guards the edges, C(size, 2) a group."""
+        edges = sum(len(g) * (len(g) - 1) // 2 for g in self.groups)
+        check_budget(edges, f"adjacency edges (q={self.catalog.field.q})", self.catalog.budget)
+        nbrs = [set() for _ in self.vertices]
+        for g in self.groups:
+            for i in g:
+                nbrs[i].update(g)
+        return tuple(frozenset(s - {i}) for i, s in enumerate(nbrs))
 
     @cached_property
     def cliques(self) -> Tuple[Tuple[FrozenSet[int], ...], Tuple[int, ...]]:
@@ -172,68 +217,37 @@ class AdjacencyGraph:
         )
         return members, tuple(vindex[cat.marked_planes[p]] for p in cat.g_alpha)
 
-    @cached_property
-    def meets(self) -> Tuple[int, ...]:
-        """Per vertex, the int mask of the other planes sharing a point with
-        it.  Two planes meet in a submodule, and a nonzero submodule has a
-        point in J, so they share a point exactly when their J-lines meet.
-        The catalog's budget guards the V (q+1) J-line points."""
-        cat = self.catalog
-        q = cat.field.q
-        check_budget(self.n * (q + 1), f"J-line points (q={q})", cat.budget)
-        on: Dict[tuple, int] = {}
-        for i, v in enumerate(self.vertices):
-            for p in point_vectors(cat.traces[v][0]):
-                on[p] = on.get(p, 0) | 1 << i
-        once = [0] * self.n
-        for mask in on.values():
-            if mask & (mask - 1):  # on two J-lines or more
-                for i in _bit_indices(mask):
-                    once[i] |= mask
-        return tuple(mask & ~(1 << i) for i, mask in enumerate(once))
-
 
 def build_graph(cat: Catalog) -> AdjacencyGraph:
     """Adjacency from the traces `cat.traces`.  Two planes meet in a
     submodule, so they are adjacent exactly when they share their J-line
     or their alpha line, and two distinct planes share at most one of them
-    (the two traces span the plane).  The vertices are grouped on the two
-    lines, and the catalog's budget guards the sum over the groups of
-    C(size, 2), which counts each edge once, before any neighbour set is
-    built."""
+    (the two traces span the plane).  So every edge lies in exactly one
+    group of planes on a common trace, and two groups share at most one
+    plane.  The groups of two planes or more are kept: on the catalog, the
+    q+1 alpha cliques [P, P+J]_3 and the Y clique [L, K]_3."""
     verts = cat.planes
     types = tuple(
         SubmoduleType.X if i < len(cat.g_x) else SubmoduleType.Y
         for i in range(len(verts))
     )
-    groups: Dict[Subspace, List[int]] = {}
+    on: Dict[Subspace, List[int]] = {}
     for i, m in enumerate(verts):
         for line in cat.traces[m]:
-            groups.setdefault(line, []).append(i)
-    edges = sum(len(g) * (len(g) - 1) // 2 for g in groups.values())
-    check_budget(edges, f"adjacency edges (q={cat.field.q})", cat.budget)
-    nbrs = [set() for _ in verts]
-    for g in groups.values():
-        if len(g) > 1:
-            for i in g:
-                nbrs[i].update(g)
+            on.setdefault(line, []).append(i)
+    groups = tuple(tuple(g) for g in on.values() if len(g) > 1)
+    vertex_groups = [[] for _ in verts]
+    for gid, g in enumerate(groups):
+        for i in g:
+            vertex_groups[i].append(gid)
     return AdjacencyGraph(
         catalog=cat,
         vertices=verts,
         types=types,
         vindex={s: i for i, s in enumerate(verts)},
-        neighbours=tuple(frozenset(s - {i}) for i, s in enumerate(nbrs)),
+        groups=groups,
+        vertex_groups=tuple(map(tuple, vertex_groups)),
     )
-
-
-def _bit_indices(mask: int) -> FrozenSet[int]:
-    """The positions of the set bits of a non-negative int."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
 
 
 def companion_y(m: Subspace, cat: Catalog) -> Subspace:
@@ -282,24 +296,33 @@ def maximal_cliques(graph: AdjacencyGraph) -> List[FrozenSet[int]]:
 
 def geodesics_from(graph: AdjacencyGraph, start: int) -> Tuple[List[int], List[int]]:
     """BFS from start: per vertex its distance (-1 for unreachable) and its
-    number of shortest paths (0 for unreachable).  A vertex at distance d
-    collects the counts of its neighbours at distance d-1, which are final
-    once their layer is done."""
+    number of shortest paths (0 for unreachable).  Each edge lies in one
+    group, so a vertex at distance d sums, over its groups, the final
+    counts of their members at distance d-1.  A group is expanded once,
+    which puts all its members within distance d."""
+    groups, vertex_groups = graph.groups, graph.vertex_groups
     dist = [-1] * graph.n
     paths = [0] * graph.n
     dist[start], paths[start] = 0, 1
     frontier = [start]
+    expanded = set()
     d = 0
     while frontier:
         d += 1
-        nxt = []
+        layer: Dict[int, int] = {}  # group -> summed counts of its frontier members
         for v in frontier:
-            for w in graph.neighbours[v]:
+            for g in vertex_groups[v]:
+                if g not in expanded:
+                    layer[g] = layer.get(g, 0) + paths[v]
+        expanded.update(layer)
+        nxt = []
+        for g, count in layer.items():
+            for w in groups[g]:
                 if dist[w] < 0:
                     dist[w] = d
                     nxt.append(w)
                 if dist[w] == d:
-                    paths[w] += paths[v]
+                    paths[w] += count
         frontier = nxt
     return dist, paths
 
@@ -706,15 +729,15 @@ def build_preserver(recipe: PreserverRecipe, graph: AdjacencyGraph) -> Tuple[int
 
 def verify_preserver(perm: Sequence[int], graph: AdjacencyGraph) -> bool:
     """Whether perm permutes the vertex indices and preserves adjacency in
-    both directions.  The image of N(i) equals N(perm i) for every i
-    exactly when adjacent planes have adjacent images (image of N(i) inside
-    N(perm i)) and planes with adjacent images are adjacent (N(perm i)
-    inside the image of N(i)), so each neighbour set is walked once."""
+    both directions: exactly when it maps every group onto a group.  If:
+    edges go into groups, and perm, mapping distinct groups to distinct
+    groups, permutes them, so perm^-1 maps groups onto groups too.  Only
+    if: the groups are the maximal cliques (`adj:cliques`)."""
     n = graph.n
     if len(perm) != n or set(perm) != set(range(n)):
         return False
-    nbrs = graph.neighbours
-    return all({perm[j] for j in nbrs[i]} == nbrs[perm[i]] for i in range(n))
+    groups = {frozenset(g) for g in graph.groups}
+    return all(frozenset(perm[v] for v in g) in groups for g in graph.groups)
 
 
 def preserver_from_collineation(f: SemilinearMap, graph: AdjacencyGraph) -> Tuple[int, ...]:
@@ -750,10 +773,7 @@ def _project_j(rows) -> tuple:
     return tuple(tuple(r[i] for i in J_PROJ_COORDS) for r in rows)
 
 
-def _embed_j(rows) -> tuple:
-    return tuple((r[0], r[1], 0, r[2], r[3], 0) for r in rows)
-
-
+@lru_cache(maxsize=None)
 def delta_j(field: Field) -> Correlation:
     """The correlation of J (coordinates x1, x2, x4, x5) sending the point
     (a, b, c, d) to the plane b X1 + a X2 + d X4 + c X5 = 0; it fixes L."""
@@ -762,23 +782,20 @@ def delta_j(field: Field) -> Correlation:
 
 
 def xi_map(m: Subspace, cat: Catalog) -> Subspace:
-    """Take the J-line of an X plane (its stored trace M ^ J), push it
-    through the correlation of J, and rebuild the unique X plane with the
-    new trace (join with the alpha regulus line through its L-point)."""
-    field = cat.field
+    """The X plane whose J-line is delta_J(M ^ J), from `cat.x_by_j_line`:
+    delta_J fixes L, so it permutes the lines of J meeting L in a point,
+    which are the J-lines of the X planes.  Rows of J are zero at x3 and
+    x6, so they stay reduced when those coordinates are dropped and put
+    back."""
     if cat.type_of(m) is not SubmoduleType.X:
         raise ValueError("xi is defined on X planes")
-    trace = cat.traces[m][0]
-    line4 = canonicalize(field, 4, _project_j(trace.basis))
-    image4 = delta_j(field).apply(line4)
-    line6 = canonicalize(field, 6, _embed_j(image4.basis))
-    lpoint = meet(line6, cat.l_line)
-    if lpoint.dim != 1:
-        raise AssertionError("correlated trace misses L")
-    through = [p for p in cat.g_alpha if contains(p, lpoint)]
-    if len(through) != 1:
-        raise AssertionError("L-point must lie on exactly one alpha regulus line")
-    return join(line6, through[0])
+    field = cat.field
+    image = delta_j(field).apply(Subspace(field, 4, _project_j(cat.traces[m][0].basis)))
+    line = Subspace(field, 6, tuple((a, b, 0, c, d, 0) for a, b, c, d in image.basis))
+    plane = cat.x_by_j_line.get(line)
+    if plane is None:
+        raise AssertionError("the correlated trace is not the J-line of an X plane")
+    return plane
 
 
 def xi_report(graph: AdjacencyGraph) -> Dict[str, object]:
@@ -787,33 +804,31 @@ def xi_report(graph: AdjacencyGraph) -> Dict[str, object]:
     point (so adjacency is not preserved), and skew pairs map to skew pairs
     in both directions.
 
-    Read off the graph's shared-point masks: within the X planes, the skew
-    set of a plane is the complement of its meeting set (the other X planes
-    sharing a point with it), so a permutation keeps skewness both ways
-    exactly when it maps the meeting set of each X plane onto the meeting
-    set of its image.  Meeting sets are the smaller: 104 planes against
-    343 skew ones at q = 7.  The witness is the first adjacent pair
+    Two planes meet in a submodule, which has a point in J when nonzero,
+    so they share a point exactly when their J-lines meet.  Lines l, m of
+    J are skew exactly when l + m = J, and delta_J(l) ^ delta_J(m) =
+    delta_J(l + m) is zero exactly then.  So a permutation xi keeps
+    skewness both ways once xi(M) ^ J = delta_J(M ^ J) for each X plane M.
+    Both sides are lines, so it is enough that u S w = 0 for the rows u of
+    M ^ J and w of xi(M) ^ J, S the matrix of the linear delta_J: n_x
+    checks on the stored traces.  The witness is the first adjacent pair
     (i < j, in catalog order) whose images share a point but not a line,
     and that point is a beta point.  An image outside the X planes fails
     the first and the last check."""
     cat = graph.catalog
     xs = cat.g_x
     n = len(xs)
-    x_bits = (1 << n) - 1
-    meets = graph.meets
+    traces = cat.traces
+    matmul, form = cat.field.kernel.matmul, delta_j(cat.field).matrix
     images = [graph.vindex.get(xi_map(m, cat)) for m in xs]
     is_permutation = set(images) == set(range(n))
 
-    def image_of(mask: int) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << images[low.bit_length() - 1]
-            mask ^= low
-        return out
+    def polar(line: Subspace, image: Subspace) -> bool:
+        cols = tuple(zip(*_project_j(image.basis)))
+        return not any(map(any, matmul(matmul(_project_j(line.basis), form), cols)))
 
     skew_ok = is_permutation and all(
-        image_of(meets[i] & x_bits) == meets[images[i]] & x_bits for i in range(n)
+        polar(traces[m][0], traces[graph.vertices[a]][0]) for m, a in zip(xs, images)
     )
     witness = _xi_witness(graph, images)
     return {
@@ -828,19 +843,21 @@ def xi_report(graph: AdjacencyGraph) -> Dict[str, object]:
 def _xi_witness(graph: AdjacencyGraph, images: List[Optional[int]]) -> Optional[dict]:
     """The first adjacent pair of X planes (i < j, in catalog order) whose
     images, given as vertex indices, share a point but not a line, when
-    that point is a beta point; None when there is no such pair."""
+    that point is a beta point; None when there is no such pair.  Images
+    that are not adjacent share a point when their J-lines meet."""
     cat = graph.catalog
     n = len(cat.g_x)
-    nbrs, meets = graph.neighbours, graph.meets
+    groups, vertex_groups = graph.groups, graph.vertex_groups
+    verts, traces = graph.vertices, cat.traces
     beta = set(cat.g_beta)
     for i in range(n):
-        for j in sorted(nbrs[i]):
-            if not i < j < n:
-                continue
+        for j in sorted({j for g in vertex_groups[i] for j in groups[g] if i < j < n}):
             a, b = images[i], images[j]
-            if a is None or b is None or b in nbrs[a] or not meets[a] >> b & 1:
+            if a is None or b is None or graph.are_adjacent(a, b):
                 continue
-            cut = meet(graph.vertices[a], graph.vertices[b])
+            if not meet_dim(traces[verts[a]][0], traces[verts[b]][0]):
+                continue
+            cut = meet(verts[a], verts[b])
             if cut in beta:
                 return {"m1": cat.g_x[i], "m2": cat.g_x[j], "images_meet": cut}
     return None

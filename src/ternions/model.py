@@ -362,6 +362,12 @@ class Catalog:
         return out
 
     @cached_property
+    def x_by_j_line(self) -> Dict[Subspace, Subspace]:
+        """Per J-line of an X plane M, M: the join of M ^ J and the alpha
+        line through (M ^ J) ^ L."""
+        return {self.traces[m][0]: m for m in self.g_x}
+
+    @cached_property
     def marked_planes(self) -> Dict[Subspace, Subspace]:
         """Per alpha regulus line P, its marked Y plane P + L."""
         return {p: join(p, self.l_line) for p in self.g_alpha}

@@ -9,8 +9,10 @@ alphabetical by suite name, which is also the report assembly order.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import geometry as geo
@@ -270,11 +272,12 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
             classes_ok = False
     claims.append(_claim("adjacency", "adj:classes", classes_ok, {}))
 
-    # companion: the unique Y neighbour, constant on classes
+    # companion: the unique Y neighbour (Y member of a group), constant on classes
     n_x = len(cat.g_x)
     comp = [graph.vindex[geo.companion_y(m, cat)] for m in cat.g_x]
+    ys = [[j for j in g if j >= n_x] for g in graph.groups]
     comp_ok = all(
-        [j for j in graph.neighbours[i] if j >= n_x] == [comp[i]] for i in range(n_x)
+        [j for g in graph.vertex_groups[i] for j in ys[g]] == [comp[i]] for i in range(n_x)
     )
     const_ok = all(
         len({comp[graph.vindex[m]] for m in members}) == 1 for members in groups.values()
@@ -287,7 +290,7 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
     # they are the only maximal ones; Bron-Kerbosch cross-check at q <= 3
     expected = geo.expected_cliques(cat)
     exp_idx = [frozenset(graph.vindex[s] for s in c) for c in expected]
-    all_cliques, coverage, closure = _clique_flags(graph.neighbours, exp_idx)
+    all_cliques, coverage, closure = _clique_flags(graph, exp_idx)
     detail = {
         "clique_sizes": sorted(len(c) for c in exp_idx),
         "edge_coverage": coverage,
@@ -358,23 +361,28 @@ def _generator_detail(graph: geo.AdjacencyGraph) -> Tuple[Dict[str, object], boo
     return detail, two_way and fixes and orbit == xs
 
 
-def _clique_flags(nbrs: tuple, cliques: List[FrozenSet[int]]) -> Tuple[bool, bool, bool]:
-    """(all_cliques, coverage, closure) for the expected cliques, in one
-    pass per vertex v and clique C: a member of C must see the rest of C,
-    and the cliques through v must cover its neighbours.  The common
-    neighbours of an edge of C are then C minus the edge unless some vertex
-    outside C sees two members of C, which is what closure excludes."""
-    all_cliques = coverage = closure = True
-    for v, nv in enumerate(nbrs):
-        covered = set()
-        for c in cliques:
-            seen = len(nv & c)
-            if v in c:
-                all_cliques = all_cliques and seen == len(c) - 1
-                covered |= c
-            elif seen > 1:
-                closure = False
-        coverage = coverage and nv <= covered
+def _clique_flags(
+    graph: geo.AdjacencyGraph, cliques: List[FrozenSet[int]]
+) -> Tuple[bool, bool, bool]:
+    """(all_cliques, coverage, closure) for the expected cliques, from the
+    sizes of their (q+2)^2 intersections with the groups.  Each edge lies
+    in one group, and two vertices share at most one, so C is a clique when
+    its pairs within groups number C(|C|, 2); every group lies in some C
+    (which, with closure, is every edge lying in one); and no vertex
+    outside C sees two members of C, which it sees through its groups.
+    The common neighbours of an edge of C are then C minus the edge."""
+    groups, vertex_groups = graph.groups, graph.vertex_groups
+    sizes = [Counter(g for v in c for g in vertex_groups[v]) for c in cliques]  # |C ^ g|
+    all_cliques = all(
+        sum(comb(m, 2) for m in k.values()) == comb(len(c), 2) for c, k in zip(cliques, sizes)
+    )
+    coverage = all(any(k[g] == len(grp) for k in sizes) for g, grp in enumerate(groups))
+    multi = [v for v, gs in enumerate(vertex_groups) if len(gs) > 1]
+    closure = all(
+        all(m < 2 or m == len(groups[g]) for g, m in k.items())
+        and all(sum(k[g] for g in vertex_groups[v]) < 2 for v in multi if v not in c)
+        for c, k in zip(cliques, sizes)
+    )
     return all_cliques, coverage, closure
 
 
@@ -605,6 +613,9 @@ def suite_thm2(ctx: VerifyContext) -> List[Dict[str, object]]:
 # -- the closing remark ----------------------------------------------------------------
 
 
+XI_METHOD = "J-lines under the correlation of J"  # see geometry.xi_report
+
+
 def suite_remark(ctx: VerifyContext) -> List[Dict[str, object]]:
     cat = ctx.catalog
     field = ctx.field
@@ -651,7 +662,7 @@ def suite_remark(ctx: VerifyContext) -> List[Dict[str, object]]:
             "remark",
             "remark:xi-skew-pairs",
             report["skew_preserved_both_ways"],
-            {"pairs_checked": report["pairs_checked"], "exhaustive": True},
+            {"pairs_checked": report["pairs_checked"], "exhaustive": True, "method": XI_METHOD},
         )
     )
     return claims

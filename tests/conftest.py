@@ -1,10 +1,11 @@
+import dataclasses
 import os
-from itertools import islice
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
 
-from ternions.geometry import _bit_indices, _fixes_j_and_h, make_recipe
+from ternions.geometry import _fixes_j_and_h, make_recipe
 from ternions.gf import DEFAULT_MODULI, make_field, random_codes
 from ternions.linalg import (
     Subspace,
@@ -280,6 +281,193 @@ def incidence_counts(p0, cat):
     many members of each orbit list are incident with p0, ordered
     (X, Y, alpha, beta, gamma)."""
     return tuple(sum(1 for s in cat.members(t) if incident(p0, s)) for t in TYPE_ORDER)
+
+
+# -- the paths the trace groups and the J-lines replaced --------------------
+#
+# The adjacency checks once walked neighbour sets, `xi_report` compared the
+# meeting masks of the planes' J-line points, and the incidence counts
+# listed the J-line points.  They are the references for the group and
+# J-line paths of `geometry` and `suites`.
+
+
+def _bit_indices(mask):
+    """The positions of the set bits of a non-negative int."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
+def preserves_by_neighbours(perm, nbrs):
+    """Whether perm permutes the vertex indices and maps the neighbour set
+    of every vertex onto that of its image, which is preserving adjacency
+    both ways."""
+    n = len(nbrs)
+    if len(perm) != n or set(perm) != set(range(n)):
+        return False
+    return all({perm[j] for j in nbrs[i]} == nbrs[perm[i]] for i in range(n))
+
+
+def geodesics_by_neighbours(nbrs, start):
+    """(dist, paths) of `geodesics_from` by a BFS over the neighbour sets."""
+    dist = [-1] * len(nbrs)
+    paths = [0] * len(nbrs)
+    dist[start], paths[start] = 0, 1
+    frontier = [start]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in nbrs[v]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    nxt.append(w)
+                if dist[w] == d:
+                    paths[w] += paths[v]
+        frontier = nxt
+    return dist, paths
+
+
+def clique_flags_by_neighbours(nbrs, cliques):
+    """(all_cliques, coverage, closure) of `suites._clique_flags`, in one
+    pass per vertex v and clique C: a member of C must see the rest of C,
+    the cliques through v must cover its neighbours, and no vertex outside
+    C may see two members of C."""
+    all_cliques = coverage = closure = True
+    for v, nv in enumerate(nbrs):
+        covered = set()
+        for c in cliques:
+            seen = len(nv & c)
+            if v in c:
+                all_cliques = all_cliques and seen == len(c) - 1
+                covered |= c
+            elif seen > 1:
+                closure = False
+        coverage = coverage and nv <= covered
+    return all_cliques, coverage, closure
+
+
+def meeting_masks(graph):
+    """Per vertex, the int mask of the other planes sharing a point with
+    it, from the points of the J-lines: two planes share a point exactly
+    when their J-lines do."""
+    cat = graph.catalog
+    on = {}
+    for i, v in enumerate(graph.vertices):
+        for p in point_vectors(cat.traces[v][0]):
+            on[p] = on.get(p, 0) | 1 << i
+    once = [0] * graph.n
+    for mask in on.values():
+        if mask & (mask - 1):  # on two J-lines or more
+            for i in _bit_indices(mask):
+                once[i] |= mask
+    return tuple(mask & ~(1 << i) for i, mask in enumerate(once))
+
+
+def xi_report_by_meeting_masks(graph, xi):
+    """`xi_report` for the map xi(m, cat), by meeting masks: xi keeps
+    skewness both ways when it permutes the X planes and maps the meeting
+    set of each X plane onto the meeting set of its image; the witness
+    reads the neighbour sets and the masks."""
+    cat = graph.catalog
+    xs = cat.g_x
+    n = len(xs)
+    x_bits = (1 << n) - 1
+    meets = meeting_masks(graph)
+    nbrs = graph.neighbours
+    images = [graph.vindex.get(xi(m, cat)) for m in xs]
+    is_permutation = set(images) == set(range(n))
+
+    def image_of(mask):
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << images[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    skew_ok = is_permutation and all(
+        image_of(meets[i] & x_bits) == meets[images[i]] & x_bits for i in range(n)
+    )
+    beta = set(cat.g_beta)
+
+    def first_witness():
+        for i in range(n):
+            for j in sorted(nbrs[i]):
+                if not i < j < n:
+                    continue
+                a, b = images[i], images[j]
+                if a is None or b is None or b in nbrs[a] or not meets[a] >> b & 1:
+                    continue
+                cut = meet(graph.vertices[a], graph.vertices[b])
+                if cut in beta:
+                    return {"m1": xs[i], "m2": xs[j], "images_meet": cut}
+        return None
+
+    witness = first_witness()
+    return {
+        "is_permutation": is_permutation,
+        "adjacency_witness": witness,
+        "breaks_adjacency": witness is not None,
+        "skew_preserved_both_ways": skew_ok,
+        "pairs_checked": n * (n - 1) // 2,
+    }
+
+
+def point_listing_incidence_counts(cat):
+    """`_incidence_counts` by listing the points of every plane's J-line."""
+    counts = {}
+    column = {}
+    for c, t in enumerate(TYPE_ORDER):
+        for s in cat.members(t):
+            counts.setdefault(s, [0] * 5)[c] += 1
+            column[s] = c
+    points = {s.basis[0]: s for s in column if s.dim == 1}
+    for s, c in column.items():
+        if s.dim == 1:
+            continue
+        on = []
+        line = s
+        if s.dim == 3:
+            line, alpha_line = cat.traces[s]
+            if alpha_line in column:
+                on.append(alpha_line)
+        on += [points[v] for v in point_vectors(line) if v in points]
+        for z in on:
+            counts[z][c] += 1
+            counts[s][column[z]] += 1
+    return counts
+
+
+def regrouped(graph, remove=(), add=()):
+    """The graph with the given edges removed and added, kept as groups
+    that hold each edge once and share at most one vertex pairwise.  A
+    group g losing the edges R becomes the group of the vertices R does not
+    touch plus the pairs it keeps among or towards the touched ones, so a
+    permutation of g that maps R onto itself maps the new groups onto
+    groups; an added edge is a group of its own."""
+    cut = {frozenset(e) for e in remove}
+    groups = []
+    for g in graph.groups:
+        lost = {e for e in cut if e <= set(g)}
+        touched = set().union(*lost)
+        rest = set(g) - touched
+        groups.append(rest)
+        groups += [{v, x} for v in sorted(touched) for x in sorted(rest)]
+        groups += [set(e) for e in combinations(sorted(touched), 2) if frozenset(e) not in lost]
+    groups += [set(e) for e in add]
+    groups = tuple(tuple(sorted(g)) for g in groups if len(g) > 1)
+    vertex_groups = [[] for _ in range(graph.n)]
+    for gid, g in enumerate(groups):
+        for v in g:
+            vertex_groups[v].append(gid)
+    return dataclasses.replace(
+        graph, groups=groups, vertex_groups=tuple(map(tuple, vertex_groups))
+    )
 
 
 # -- the point index: the reference for the traces --------------------------

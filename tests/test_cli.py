@@ -124,12 +124,23 @@ def test_graph_out_file_matches_stdout(tmp_path):
 
 
 def test_budget_guard_exit_2():
-    # the J-line points of the incidence table: 7,620 planes x 20 at q = 19
-    r = run_cli("verify", "--q", "19", "--suite", "incidence")
+    # the edge guard lives where the edges are listed, in the graph export:
+    # (q+1) C(q^2+q+1, 2) + C(q+1, 2) at q = 13, with nothing written
+    r = run_cli("graph", "--q", "13", "--format", "json")
     assert r.returncode == 2
+    assert r.stdout == ""
     assert "budget" in r.stderr.lower()
-    assert "152400 J-line points" in r.stderr
+    assert "233233 adjacency edges" in r.stderr
     assert "--allow-large lifts the budget" in r.stderr
+
+
+@pytest.mark.parametrize("q,suite", [(13, "adjacency"), (13, "remark"), (19, "incidence")])
+def test_former_walls_pass_under_default_budget(q, suite):
+    # the suites that listed the adjacency edges (q = 13) and the J-line
+    # points (q = 19) read the trace groups and the J-lines instead
+    r = run_cli("verify", "--q", str(q), "--suite", suite, "--seed", "0")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["summary"]["ok"] is True
 
 
 @pytest.mark.parametrize("suite", ["thm1", "incidence", "remark"])
@@ -236,7 +247,7 @@ def test_graph_q7_json_matches_pinned_hash():
 
 # sha256 of `verify --q 5 --seed 0` (the first q the golden files do not
 # pin); see tests/golden/README.md for the command
-VERIFY_Q5_SHA256 = "c414c3cbc04637292cfe454b7665c642fca1db074f511a056023b638003d2637"
+VERIFY_Q5_SHA256 = "c3ae92e072ae4d3011e3de366e3d613279e97febddcbab2d5c979b7a317ec84c"
 
 
 def test_verify_q5_matches_pinned_hash():

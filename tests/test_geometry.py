@@ -4,18 +4,25 @@ import random
 import pytest
 from conftest import (
     FIELD_ORDERS,
+    _bit_indices,
     anchored_join_scan,
     edge_count,
+    geodesics_by_neighbours,
     incidence_counts,
     matrix_identity,
+    meeting_masks,
     point_index_first_failed,
     point_index_graph,
     point_index_incidence_counts,
     point_index_preserver,
+    point_listing_incidence_counts,
     point_planes,
+    preserves_by_neighbours,
     random_nonblock_invertible,
     random_recipe,
+    regrouped,
     verify_decomposition_sampled,
+    xi_report_by_meeting_masks,
 )
 
 import ternions.geometry as geometry
@@ -64,7 +71,6 @@ from ternions.geometry import (
     build_preserver,
     xi_map,
     xi_report,
-    _bit_indices,
     _fixes_j,
     _homothety_rows,
     _incidence_counts,
@@ -73,6 +79,7 @@ from ternions.model import (
     TYPE_ORDER,
     SubmoduleType,
     cyclic_span,
+    distinguished_flats,
     is_block6_patterned,
     matrix2_from_block6,
 )
@@ -118,14 +125,22 @@ def _first_mismatch_reference(cat):
 def _doctored(cat, how):
     if how == "drop a beta point":
         return dataclasses.replace(cat, g_beta=cat.g_beta[1:])
+    if how == "move a beta point into g_gamma":
+        return dataclasses.replace(cat, g_beta=cat.g_beta[1:], g_gamma=cat.g_gamma + cat.g_beta[:1])
     if how == "move an X plane into g_y":
         return dataclasses.replace(cat, g_x=cat.g_x[1:], g_y=cat.g_y + cat.g_x[:1])
     return dataclasses.replace(cat, g_alpha=cat.g_alpha[1:])  # drop an alpha line
 
 
-@pytest.mark.parametrize(
-    "how", ["drop a beta point", "move an X plane into g_y", "drop an alpha line"]
-)
+DOCTORINGS = [
+    "drop a beta point",
+    "move an X plane into g_y",
+    "drop an alpha line",
+    "move a beta point into g_gamma",
+]
+
+
+@pytest.mark.parametrize("how", DOCTORINGS)
 @pytest.mark.parametrize("which", [2, 3])
 def test_incidence_table_mismatch_matches_reference(which, how, cat2, cat3):
     # the trace counts and the containment reference find the same first
@@ -165,10 +180,37 @@ def test_graph_counts(graph2, graph3):
 
 @pytest.mark.parametrize("which", [2, 3, 4, 5])
 def test_incidence_counts_match_point_index_reference(which, cat2, cat3, cat4, cat5):
+    # the counts through l ^ L equal those that list the J-line points and
+    # those of the point index, also where the bulk count does not apply
     cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
-    hows = ("drop a beta point", "move an X plane into g_y", "drop an alpha line")
-    for c in (cat, *(_doctored(cat, how) for how in hows)):
-        assert _incidence_counts(c) == point_index_incidence_counts(c)
+    for c in (cat, *(_doctored(cat, how) for how in DOCTORINGS)):
+        got = _incidence_counts(c)
+        assert got == point_listing_incidence_counts(c)
+        assert got == point_index_incidence_counts(c)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_rows_in_l_span_the_meet_with_l(q):
+    # `_incidence_counts` reads l ^ L off the reduced rows of every line l
+    # of J, each line of PG(3,q) put into J
+    field = field_of_order(q)
+    l_line = distinguished_flats(field)[2]
+    for ln in enumerate_subspaces(field, 4, 2):
+        rows = tuple((a, b, 0, c, d, 0) for a, b, c, d in ln.basis)
+        in_l = tuple(r for r in rows if not (r[0] or r[3]))
+        assert Subspace(field, 6, in_l) == meet(Subspace(field, 6, rows), l_line)
+
+
+def test_incidence_counts_list_no_j_line_points(cat4, monkeypatch):
+    # on the catalog the bulk count applies: the only points listed are
+    # those of L, of the alpha lines and of each l ^ L
+    listed = []
+    real = geometry.point_vectors
+    monkeypatch.setattr(geometry, "point_vectors", lambda u: listed.append(u) or real(u))
+    _incidence_counts(cat4)
+    allowed = {cat4.l_line, *cat4.g_alpha}
+    assert all(u in allowed or u.dim == 1 for u in listed)
+    assert sum(u.dim == 2 for u in listed) == len(cat4.g_y) + len(cat4.g_alpha)
 
 
 @pytest.mark.parametrize("which", [2, 3, 4])
@@ -185,40 +227,43 @@ def test_graph_matches_stack_rank_reference(which, cat2, cat3, cat4):
                 nbrs[j].add(i)
     graph = build_graph(cat)
     assert graph.neighbours == tuple(frozenset(s) for s in nbrs)
-    # and two planes share a point exactly when they span at most a hyperplane
-    meets = [
-        sum(
-            1 << j
-            for j, w in enumerate(verts)
-            if j != i and kern.stack_rank(v.basis, w.basis) <= 5
-        )
-        for i, v in enumerate(verts)
-    ]
-    assert graph.meets == tuple(meets)
+    # and two planes share a point exactly when they span at most a
+    # hyperplane, which is when their J-lines meet
+    for i, v in enumerate(verts):
+        for j, w in enumerate(verts):
+            assert graph.are_adjacent(i, j) is (j in nbrs[i])
+            share = kern.stack_rank(v.basis, w.basis) <= 5
+            assert share is (meet_dim(cat.traces[v][0], cat.traces[w][0]) > 0)
 
 
 @pytest.mark.parametrize("which", [2, 3, 4, 5])
 def test_graph_matches_point_index_reference(which, cat2, cat3, cat4, cat5):
     cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
     graph = build_graph(cat)
-    assert (graph.neighbours, graph.meets) == point_index_graph(cat)
+    assert (graph.neighbours, meeting_masks(graph)) == point_index_graph(cat)
 
 
 @pytest.mark.parametrize("which", [2, 3, 4])
 def test_graph_guards_count_edges_and_j_line_points(which, cat2, cat3, cat4):
-    # each guard at its count passes and one below raises, naming the count
+    # the edge guard lives where the edges are listed: reading `neighbours`
+    # at its count passes and one below raises, naming the count, while
+    # the groups, the group paths and the J-line paths run under a budget
+    # below both the edge count and the V (q+1) J-line points
     cat = {2: cat2, 3: cat3, 4: cat4}[which]
     edges = edge_count(build_graph(cat))
     assert edges == expected_edges(which)
     points = len(cat.planes) * (which + 1)
+    traces = 2 * len(cat.planes)
+    assert traces < min(edges, points)
+    small = dataclasses.replace(cat, budget=traces)
+    graph = build_graph(small)
+    assert "neighbours" not in graph.__dict__
+    assert geodesics_from(graph, 0) == geodesics_by_neighbours(build_graph(cat).neighbours, 0)
+    assert incidence_table(small)["ok"] and xi_report(graph)["skew_preserved_both_ways"]
     with pytest.raises(BudgetError, match=f"enumerating {edges} adjacency edges"):
-        build_graph(dataclasses.replace(cat, budget=edges - 1))
-    graph = build_graph(dataclasses.replace(cat, budget=edges))
-    below = dataclasses.replace(graph, catalog=dataclasses.replace(cat, budget=points - 1))
-    with pytest.raises(BudgetError, match=f"enumerating {points} J-line points"):
-        below.meets
-    at = dataclasses.replace(graph, catalog=dataclasses.replace(cat, budget=points))
-    assert at.meets == graph.meets
+        graph.neighbours
+    at = build_graph(dataclasses.replace(cat, budget=edges))
+    assert at.neighbours == build_graph(cat).neighbours
 
 
 def test_vertex_order_and_types(graph2):
@@ -1062,23 +1107,55 @@ def test_verify_preserver_rejects_non_bijections(graph2):
     assert not verify_preserver(repeated, graph2)
 
 
-class _CountingSet(frozenset):
-    """A neighbour set that counts how often it is iterated."""
-
-    walks = 0
-
-    def __iter__(self):
-        self.walks += 1
-        return super().__iter__()
-
-
-def test_verify_preserver_walks_each_neighbour_set_once(graph3):
-    counted = dataclasses.replace(
-        graph3, neighbours=tuple(_CountingSet(s) for s in graph3.neighbours)
+def test_verify_preserver_reads_no_neighbour_sets(graph3, monkeypatch):
+    # the check maps groups onto groups; the edges are never listed
+    fresh = build_graph(graph3.catalog)
+    monkeypatch.setattr(
+        geometry.AdjacencyGraph, "neighbours", property(lambda g: pytest.fail("read"))
     )
-    perm = build_preserver(random_recipe(graph3, random.Random(47)), graph3)
-    assert verify_preserver(perm, counted)
-    assert [s.walks for s in counted.neighbours] == [1] * graph3.n
+    perm = build_preserver(random_recipe(fresh, random.Random(47)), fresh)
+    assert verify_preserver(perm, fresh)
+
+
+@pytest.mark.parametrize("which", [2, 3, 4, 5])
+def test_verify_preserver_matches_neighbour_reference(which, cat2, cat3, cat4, cat5):
+    # recipe and collineation preservers pass both checks; swapping two X
+    # planes across cliques, or one X plane with a Y plane, fails both; on
+    # a graph with one edge cut from a clique the two checks agree
+    cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
+    graph = build_graph(cat)
+    nbrs = graph.neighbours
+    rng = random.Random(53 + which)
+    perms = [build_preserver(random_recipe(graph, rng), graph) for _ in range(5)]
+    perms += [preserver_from_collineation(_random_positive(cat, rng), graph) for _ in range(3)]
+    members, marked = graph.cliques
+    a = min(members[0] - {marked[0]})
+    b = min(members[1] - {marked[1]})
+    for perm in perms:
+        assert verify_preserver(perm, graph) and preserves_by_neighbours(perm, nbrs)
+        for i, j in ((a, b), (a, marked[0]), (a, marked[1])):
+            bad = list(perm)
+            bad[i], bad[j] = bad[j], bad[i]
+            assert not verify_preserver(bad, graph)
+            assert not preserves_by_neighbours(bad, nbrs)
+    cut = regrouped(graph, remove=[(a, min(members[0] - {a, marked[0]}))])
+    for perm in perms[:2]:
+        assert verify_preserver(perm, cut) is preserves_by_neighbours(perm, cut.neighbours)
+
+
+@pytest.mark.parametrize("which", [2, 3, 4, 5])
+def test_geodesics_match_neighbour_bfs(which, cat2, cat3, cat4, cat5):
+    # the group BFS gives the distances and path counts of the BFS over the
+    # neighbour sets from every start, also with an edge removed and added
+    cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
+    graph = build_graph(cat)
+    n_x = len(cat.g_x)
+    far = next(j for j in range(1, n_x) if not graph.are_adjacent(0, j))
+    mate = next(j for j in range(1, n_x) if graph.are_adjacent(0, j))
+    for g in (graph, regrouped(graph, remove=[(0, mate)], add=[(0, far)])):
+        nbrs = g.neighbours
+        for start in range(g.n):
+            assert geodesics_from(g, start) == geodesics_by_neighbours(nbrs, start)
 
 
 # -- xi ---------------------------------------------------------------------------
@@ -1161,9 +1238,10 @@ def _xi_skew_sets_reference(graph, images):
     against the skew set of its image."""
     n = len(graph.catalog.g_x)
     x_bits = (1 << n) - 1
+    meets = meeting_masks(graph)
 
     def skew(i):
-        return x_bits & ~graph.meets[i] & ~(1 << i)
+        return x_bits & ~meets[i] & ~(1 << i)
 
     return all(
         sum(1 << images[j] for j in _bit_indices(skew(i))) == skew(images[i])
@@ -1176,6 +1254,8 @@ def _xi_skew_sets_reference(graph, images):
 def test_xi_meeting_sets_match_skew_set_reference(
     which, doctored, cat2, cat3, cat4, cat5, monkeypatch
 ):
+    # the J-line check, the meeting-mask check and the skew-set check give
+    # one verdict and one witness, for xi and for xi with two images swapped
     cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
     graph = build_graph(cat)
     xs, real = cat.g_x, xi_map
@@ -1188,10 +1268,26 @@ def test_xi_meeting_sets_match_skew_set_reference(
     assert sorted(images) == list(range(len(xs)))
     want = _xi_skew_sets_reference(graph, images)
     assert want is not doctored
+    reference = xi_report_by_meeting_masks(graph, doctored_xi)
     monkeypatch.setattr(geometry, "xi_map", doctored_xi)
     rep = xi_report(graph)
+    assert rep == reference
     assert rep["is_permutation"] is True
     assert rep["skew_preserved_both_ways"] is want
+
+
+def test_xi_map_matches_join_construction(cat2, cat3, cat4, cat5):
+    # the J-line lookup gives the plane the correlated trace spans with the
+    # alpha line through its point on L
+    for cat in (cat2, cat3, cat4, cat5):
+        for m in cat.g_x:
+            rows = geometry.delta_j(cat.field).apply(
+                Subspace(cat.field, 4, geometry._project_j(meet(m, cat.j_solid).basis))
+            ).basis
+            line = Subspace(cat.field, 6, tuple((a, b, 0, c, d, 0) for a, b, c, d in rows))
+            through = [p for p in cat.g_alpha if contains(p, meet(line, cat.l_line))]
+            assert len(through) == 1
+            assert xi_map(m, cat) == join(line, through[0])
 
 
 @pytest.mark.parametrize("how", ["two planes to one", "onto a Y plane", "off the catalog"])

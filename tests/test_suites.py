@@ -5,7 +5,14 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import line_model_walk, random_nonblock_invertible, run_suites
+from conftest import (
+    clique_flags_by_neighbours,
+    geodesics_by_neighbours,
+    line_model_walk,
+    random_nonblock_invertible,
+    regrouped,
+    run_suites,
+)
 
 import ternions.geometry as geo
 from ternions.cli import main
@@ -232,18 +239,27 @@ def test_incidence_and_remark_exhaustive_q5(cat5):
     assert all(c["ok"] for c in claims.values())
     assert claims["incidence:table"]["detail"]["sample_per_type"] is None
     skew = claims["remark:xi-skew-pairs"]["detail"]
-    assert skew == {"pairs_checked": 16110, "exhaustive": True}  # 180 X planes
+    assert skew == {  # 180 X planes
+        "pairs_checked": 16110,
+        "exhaustive": True,
+        "method": "J-lines under the correlation of J",
+    }
 
 
 def _distance_detail_by_bfs(graph, comp):
-    """Reference for the `adj:distance` flags: one BFS per X plane, and the
-    geodesic count of each distance-3 pair at q = 2."""
+    """Reference for the `adj:distance` flags: one BFS over the neighbour
+    sets per X plane, and the geodesic count of each distance-3 pair at
+    q = 2."""
     n_x = len(comp)
-    adj = graph.are_adjacent
+    nbrs = graph.neighbours
+
+    def adj(i, j):
+        return j in nbrs[i]
+
     connected = dist_ok = via_ok = unique_ok = y_dist_ok = True
     check_unique = graph.catalog.field.q == 2
     for i in range(n_x):
-        dist, paths = geo.geodesics_from(graph, i)
+        dist, paths = geodesics_by_neighbours(nbrs, i)
         if any(d < 0 for d in dist):
             connected = False
         ci = comp[i]
@@ -270,18 +286,6 @@ def _distance_detail_by_bfs(graph, comp):
     }
 
 
-def _rewired(graph, remove=(), add=()):
-    """The graph with the given edges removed and added, both ways."""
-    nbrs = [set(s) for s in graph.neighbours]
-    for i, j in remove:
-        nbrs[i].discard(j)
-        nbrs[j].discard(i)
-    for i, j in add:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    return dataclasses.replace(graph, neighbours=tuple(frozenset(s) for s in nbrs))
-
-
 @pytest.mark.parametrize("which", [2, 3])
 def test_distance_detail_matches_bfs(which, graph2, graph3):
     # where the generators are verified preservers transitive on the X
@@ -296,15 +300,15 @@ def test_distance_detail_matches_bfs(which, graph2, graph3):
     far = min(j for j in range(1, n_x) if j not in nbrs[0])
     cases = {
         "as built": graph,
-        "X-X edge removed": _rewired(graph, remove=[(0, mate)]),
-        "companion edge removed": _rewired(graph, remove=[(0, comp[0])]),
-        "every companion edge removed": _rewired(graph, remove=list(enumerate(comp))),
-        "edge across cliques": _rewired(graph, add=[(0, far)]),
-        "companion edge moved across cliques": _rewired(
+        "X-X edge removed": regrouped(graph, remove=[(0, mate)]),
+        "companion edge removed": regrouped(graph, remove=[(0, comp[0])]),
+        "every companion edge removed": regrouped(graph, remove=list(enumerate(comp))),
+        "edge across cliques": regrouped(graph, add=[(0, far)]),
+        "companion edge moved across cliques": regrouped(
             graph, remove=[(comp[0], comp[far])], add=[(0, far)]
         ),
-        "second Y neighbour": _rewired(graph, add=[(0, comp[far])]),
-        "Y plane cut off": _rewired(graph, remove=[(graph.n - 1, j) for j in nbrs[-1]]),
+        "second Y neighbour": regrouped(graph, add=[(0, comp[far])]),
+        "Y plane cut off": regrouped(graph, remove=[(graph.n - 1, j) for j in nbrs[-1]]),
     }
     conditions = {
         "connected",
@@ -334,8 +338,8 @@ def test_distance_detail_matches_bfs(which, graph2, graph3):
 
 
 def _clique_flags_by_edges(nbrs, cliques):
-    """Reference for `_clique_flags`: the per-edge loop it replaced, with
-    each edge assigned to the last expected clique that contains it."""
+    """Reference for `_clique_flags`: the per-edge loop, with each edge
+    assigned to the last expected clique that contains it."""
     all_cliques = all(j in nbrs[i] for c in cliques for i, j in combinations(sorted(c), 2))
     edge_clique = {}
     for ci, c in enumerate(cliques):
@@ -348,10 +352,10 @@ def _clique_flags_by_edges(nbrs, cliques):
     return all_cliques, coverage, closure
 
 
-@pytest.mark.parametrize("which", [2, 3])
-def test_clique_flags_match_edge_reference(which, graph2, graph3):
-    graph = {2: graph2, 3: graph3}[which]
-    cat = graph.catalog
+@pytest.mark.parametrize("which", [2, 3, 4, 5])
+def test_clique_flags_match_edge_reference(which, cat2, cat3, cat4, cat5):
+    cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
+    graph = geo.build_graph(cat)
     n_x = len(cat.g_x)
     cliques = [frozenset(graph.vindex[s] for s in c) for c in geo.expected_cliques(cat)]
     comp = [graph.vindex[geo.companion_y(m, cat)] for m in cat.g_x]
@@ -363,11 +367,11 @@ def test_clique_flags_match_edge_reference(which, graph2, graph3):
     split = [c for c in cliques if c != big] + [big - {a}, big - {b}]
     cases = {
         "as built": (graph, cliques),
-        "X-X edge removed": (_rewired(graph, remove=[(0, mate)]), cliques),
-        "edge across cliques": (_rewired(graph, add=[(0, far)]), cliques),
-        "second Y neighbour": (_rewired(graph, add=[(0, comp[far])]), cliques),
+        "X-X edge removed": (regrouped(graph, remove=[(0, mate)]), cliques),
+        "edge across cliques": (regrouped(graph, add=[(0, far)]), cliques),
+        "second Y neighbour": (regrouped(graph, add=[(0, comp[far])]), cliques),
         "vertex joined to two clique members": (
-            _rewired(graph, add=[(far, 0), (far, mate)]),
+            regrouped(graph, add=[(far, 0), (far, mate)]),
             cliques,
         ),
         "clique split in two": (graph, split),
@@ -375,12 +379,17 @@ def test_clique_flags_match_edge_reference(which, graph2, graph3):
     }
     broken = set()
     for name, (g, cs) in cases.items():
-        got = _clique_flags(g.neighbours, cs)
-        want = _clique_flags_by_edges(g.neighbours, cs)
-        # closure is the same test only where every expected clique is one
-        assert got[:2] == want[:2] and all(got) == all(want), name
+        got = _clique_flags(g, cs)
+        want = clique_flags_by_neighbours(g.neighbours, cs)
+        edges = _clique_flags_by_edges(g.neighbours, cs)
+        # all_cliques and closure are exact; coverage ("every group lies in
+        # an expected clique") is "every edge does" where closure holds
+        assert (got[0], got[2]) == (want[0], want[2]), name
+        assert got[1] == want[1] or not want[2], name
+        assert all(got) == all(want) == all(edges), name
         if got[0]:
-            assert got[2] == want[2], name
+            assert want[2] == edges[2], name
+        assert want[1] == edges[1], name
         broken |= {flag for flag, ok in zip(("cliques", "coverage", "closure"), got) if not ok}
         assert all(got) is (name == "as built"), name
     assert broken == {"cliques", "coverage", "closure"}
@@ -474,7 +483,7 @@ def test_planted_failing_recipe_generator_is_named(which, graph2, graph3):
     }
     for name, remove in cases.items():
         ctx = VerifyContext(field=graph.catalog.field, seed=0, thm1_decompositions=3)
-        ctx.catalog, ctx.graph = graph.catalog, _rewired(graph, remove=remove)
+        ctx.catalog, ctx.graph = graph.catalog, regrouped(graph, remove=remove)
         claims = {c["id"]: c for c in run_suites(ctx, ["adjacency"])}
         detail = claims["adj:preservers"]["detail"]
         assert claims["adj:preservers"]["ok"] is False
@@ -506,13 +515,15 @@ def test_distance_fails_without_transitive_generators(cat3, graph3, monkeypatch)
 
 # Each stage guard at q = 2, just below and at its count: 15 + 3 x 8 = 39
 # normal forms for the catalog, 3 x C(7, 2) + C(3, 2) = 66 adjacency edges
-# for the graph, 21 planes x 3 J-line points for the incidence table.
+# where the graph's neighbour sets are built, and 2 x 21 plane traces, the
+# largest count the incidence table needs now that it lists no J-line
+# points.
 @pytest.mark.parametrize(
     "stage,count",
     [
         ("catalog", 39),
         ("graph", 66),
-        ("incidence", 63),
+        ("incidence", 42),
     ],
 )
 def test_stage_guard_at_its_count(stage, count, f2):
@@ -520,11 +531,32 @@ def test_stage_guard_at_its_count(stage, count, f2):
         ctx = VerifyContext(field=f2, budget=budget)
         if stage == "incidence":
             return run_suites(ctx, ["incidence"])
-        return getattr(ctx, stage)
+        if stage == "graph":
+            return ctx.graph.neighbours
+        return ctx.catalog
 
     with pytest.raises(BudgetError, match=f"enumerating {count} "):
         run(count - 1)
     run(count)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_verify_reads_neighbour_sets_only_for_bron_kerbosch(q, monkeypatch, capsys):
+    # every suite reads the trace groups; only the Bron-Kerbosch cross-check
+    # of `adj:cliques`, run at q <= 3, lists the edges
+    reads = []
+    real = geo.AdjacencyGraph.neighbours.func
+    monkeypatch.setattr(
+        geo.AdjacencyGraph, "neighbours", property(lambda g: reads.append(1) or real(g))
+    )
+    bk = geo.maximal_cliques
+    monkeypatch.setattr(geo, "maximal_cliques", lambda g: reads.append("bk") or bk(g))
+    assert main(["verify", "--q", str(q), "--seed", "0"]) == 0
+    capsys.readouterr()
+    if q == 2:
+        assert reads[0] == "bk" and set(reads[1:]) == {1}
+    else:
+        assert reads == []
 
 
 def test_unknown_suite_raises(capsys):
