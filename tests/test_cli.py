@@ -256,6 +256,17 @@ def test_verify_q5_matches_pinned_hash():
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == VERIFY_Q5_SHA256
 
 
+# sha256 of `verify --q 7 --seed 0`, which pins the adjacency and xi
+# claims past the small fields; see tests/golden/README.md for the command
+VERIFY_Q7_SHA256 = "476e7607fec5314218d9c401e90aa87427e15127eace21e13f68e5d8ffb8526d"
+
+
+def test_verify_q7_matches_pinned_hash():
+    r = run_cli("verify", "--q", "7", "--seed", "0")
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == VERIFY_Q7_SHA256
+
+
 def test_enumerate_matches_golden():
     # pins the catalog order and the witness of every member
     r = run_cli("enumerate", "--q", "3", "--set", "all")
