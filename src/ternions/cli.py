@@ -19,7 +19,7 @@ from typing import Optional
 from . import geometry as geo
 from .gf import field_of_order
 from .linalg import BudgetError
-from .model import SubmoduleType
+from .model import TYPE_ORDER
 from .suites import SUITES, SUITE_NAMES, VerifyContext, summarize
 
 LARGE_BUDGET = 10**9
@@ -27,15 +27,7 @@ LARGE_BUDGET = 10**9
 # Encoder chunks joined into one write: about 28 KB a write at q = 7.
 JSON_BLOCK = 4096
 
-SET_CHOICES = ("gx", "gy", "galpha", "gbeta", "ggamma", "all")
-
-_SET_ATTR = {
-    "gx": ("g_x", SubmoduleType.X),
-    "gy": ("g_y", SubmoduleType.Y),
-    "galpha": ("g_alpha", SubmoduleType.ALPHA),
-    "gbeta": ("g_beta", SubmoduleType.BETA),
-    "ggamma": ("g_gamma", SubmoduleType.GAMMA),
-}
+SET_CHOICES = ("gx", "gy", "galpha", "gbeta", "ggamma", "all")  # one per TYPE_ORDER type, then all
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -188,11 +180,11 @@ def cmd_enumerate(args) -> int:
     field = _field(args)
     ctx = VerifyContext(field, budget=_budget(args))
     cat = ctx.catalog
-    chosen = SET_CHOICES[:-1] if args.which == "all" else (args.which,)
     members = []
-    for name in chosen:
-        attr, t = _SET_ATTR[name]
-        for s in getattr(cat, attr):
+    for name, t in zip(SET_CHOICES, TYPE_ORDER):
+        if args.which not in ("all", name):
+            continue
+        for s in cat.members(t):
             members.append(
                 {
                     "set": name,

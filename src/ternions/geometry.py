@@ -15,23 +15,20 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .gf import Field, FieldAutomorphism, automorphisms, primitive_element
 from .linalg import (
-    Correlation,
     SemilinearMap,
     Subspace,
     check_budget,
     enumerate_subspaces,
     full_space,
     gaussian_binomial,
-    join,
     meet,
     meet_dim,
-    pencil,
     point_vectors,
 )
 from .model import (
@@ -166,13 +163,6 @@ def _incidence_counts(cat: Catalog) -> Dict[Subspace, List[int]]:
 # -- adjacency graph --------------------------------------------------------------
 
 
-def adjacent(z1: Subspace, z2: Subspace) -> bool:
-    """Distinct flats of a common dimension d meeting in dimension d-1."""
-    if z1 == z2 or z1.dim != z2.dim:
-        return False
-    return meet_dim(z1, z2) == z1.dim - 1
-
-
 @dataclass
 class AdjacencyGraph:
     """The graph on the X and Y planes, with vertex indices fixed by the
@@ -248,30 +238,6 @@ def build_graph(cat: Catalog) -> AdjacencyGraph:
         groups=groups,
         vertex_groups=tuple(map(tuple, vertex_groups)),
     )
-
-
-def companion_y(m: Subspace, cat: Catalog) -> Subspace:
-    """The unique Y neighbour (M ^ K) + L of an X plane, M ^ K being its
-    stored alpha line."""
-    if cat.type_of(m) is not SubmoduleType.X:
-        raise ValueError("companion is defined for X planes")
-    return join(cat.traces[m][1], cat.l_line)
-
-
-def k_trace_classes(cat: Catalog) -> Dict[Subspace, List[Subspace]]:
-    """X planes grouped by their K-trace (an alpha regulus line)."""
-    groups: Dict[Subspace, List[Subspace]] = {}
-    for m in cat.g_x:
-        groups.setdefault(meet(m, cat.k_solid), []).append(m)
-    return groups
-
-
-def expected_cliques(cat: Catalog) -> List[FrozenSet[Subspace]]:
-    """[L, K]_3 and, per alpha regulus line P, the interval [P, P+J]_3."""
-    out = [frozenset(pencil(cat.l_line, cat.k_solid, 3))]
-    for p in cat.g_alpha:
-        out.append(frozenset(cat.clique_intervals[p]))
-    return out
 
 
 def maximal_cliques(graph: AdjacencyGraph) -> List[FrozenSet[int]]:
@@ -500,24 +466,6 @@ class Decomposition:
     homothety_params: Tuple[int, int]
 
 
-def extract_automorphism(f: SemilinearMap) -> FieldAutomorphism:
-    """Recover the companion automorphism from the action on scaled vectors."""
-    field = f.field
-    e1 = tuple(1 if i == 0 else 0 for i in range(f.n))
-    img = f.apply_vector(e1)
-    for tau in automorphisms(field):
-        ok = True
-        for c in field.codes():
-            scaled = tuple(field.mul(c, x) for x in e1)
-            want = tuple(field.mul(tau.on_code(c), x) for x in img)
-            if f.apply_vector(scaled) != want:
-                ok = False
-                break
-        if ok:
-            return tau
-    raise ValueError("map is not semilinear over any field automorphism")
-
-
 def _homothety_rows(field: Field, a: int, b: int) -> tuple:
     """The matrix fixing J pointwise with parameters (a, b): identity except
     e3 -> a e2 + b e3 and e6 -> a e5 + b e6."""
@@ -597,11 +545,13 @@ def stabilizer_factorisation(field: Field) -> Tuple[int, bool]:
 def decompose_semilinear(f: SemilinearMap, cat: Catalog) -> Decomposition:
     """Split a collineation fixing J and H into lift * homothety * entrywise,
     and rebuild the module map it came from.  Raises when f does not fix J
-    and H setwise, or when no decomposition exists."""
+    and H setwise, or when no decomposition exists.  The automorphism is
+    f's own: f(c e1) = sigma(c) f(e1) with f(e1) != 0, so f.sigma is the
+    only automorphism over which f is semilinear."""
     field = f.field
     if not _fixes_j_and_h(f, cat):
         raise ValueError("decomposition requires f(J) = J and f(H) = H")
-    sigma = extract_automorphism(f)
+    sigma = f.sigma
     f1 = SemilinearMap(field, 6, full_space(field, 6).basis, sigma)
     # h = f o f1^-1 is linear with the same matrix as f.
     h = f.compose(f1.inverse())
@@ -766,33 +716,37 @@ def extract_recipe(perm: Sequence[int], graph: AdjacencyGraph) -> PreserverRecip
 # -- the correlation-based bijection xi ----------------------------------------------
 
 
-J_PROJ_COORDS = (0, 1, 3, 4)
+# The symmetric form u DELTA_J w^T = u1 w2 + u2 w1 + u4 w5 + u5 w4 of the
+# correlation delta_J of J; x3 and x6 do not enter it.
+DELTA_J = (
+    (0, 1, 0, 0, 0, 0),
+    (1, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 1, 0),
+    (0, 0, 0, 1, 0, 0),
+    (0, 0, 0, 0, 0, 0),
+)
+_X3_X6 = ((0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1))
 
 
-def _project_j(rows) -> tuple:
-    return tuple(tuple(r[i] for i in J_PROJ_COORDS) for r in rows)
-
-
-@lru_cache(maxsize=None)
-def delta_j(field: Field) -> Correlation:
-    """The correlation of J (coordinates x1, x2, x4, x5) sending the point
-    (a, b, c, d) to the plane b X1 + a X2 + d X4 + c X5 = 0; it fixes L."""
-    swap = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
-    return Correlation(field, 4, swap, automorphisms(field)[0])
+def delta_j(u: Subspace) -> Subspace:
+    """The image under delta_J of a subspace u of J: the w in J with
+    u DELTA_J w^T = 0, which sends the point (a, b, 0, c, d, 0) to the plane
+    b x1 + a x2 + d x4 + c x5 = 0 of J.  The form is nondegenerate and
+    symmetric on J, so delta_J reverses inclusion and is an involution; it
+    fixes L."""
+    kern = u.field.kernel
+    rows = kern.matmul(u.basis, DELTA_J) + _X3_X6
+    return Subspace(u.field, 6, kern.nullspace(rows, 6))
 
 
 def xi_map(m: Subspace, cat: Catalog) -> Subspace:
     """The X plane whose J-line is delta_J(M ^ J), from `cat.x_by_j_line`:
     delta_J fixes L, so it permutes the lines of J meeting L in a point,
-    which are the J-lines of the X planes.  Rows of J are zero at x3 and
-    x6, so they stay reduced when those coordinates are dropped and put
-    back."""
+    which are the J-lines of the X planes."""
     if cat.type_of(m) is not SubmoduleType.X:
         raise ValueError("xi is defined on X planes")
-    field = cat.field
-    image = delta_j(field).apply(Subspace(field, 4, _project_j(cat.traces[m][0].basis)))
-    line = Subspace(field, 6, tuple((a, b, 0, c, d, 0) for a, b, c, d in image.basis))
-    plane = cat.x_by_j_line.get(line)
+    plane = cat.x_by_j_line.get(delta_j(cat.traces[m][0]))
     if plane is None:
         raise AssertionError("the correlated trace is not the J-line of an X plane")
     return plane
@@ -809,23 +763,22 @@ def xi_report(graph: AdjacencyGraph) -> Dict[str, object]:
     J are skew exactly when l + m = J, and delta_J(l) ^ delta_J(m) =
     delta_J(l + m) is zero exactly then.  So a permutation xi keeps
     skewness both ways once xi(M) ^ J = delta_J(M ^ J) for each X plane M.
-    Both sides are lines, so it is enough that u S w = 0 for the rows u of
-    M ^ J and w of xi(M) ^ J, S the matrix of the linear delta_J: n_x
-    checks on the stored traces.  The witness is the first adjacent pair
-    (i < j, in catalog order) whose images share a point but not a line,
-    and that point is a beta point.  An image outside the X planes fails
-    the first and the last check."""
+    Both sides are lines, so it is enough that u DELTA_J w^T = 0 for the
+    rows u of M ^ J and w of xi(M) ^ J: n_x checks on the stored traces.
+    The witness is the first adjacent pair (i < j, in catalog order) whose
+    images share a point but not a line, and that point is a beta point.
+    An image outside the X planes fails the first and the last check."""
     cat = graph.catalog
     xs = cat.g_x
     n = len(xs)
     traces = cat.traces
-    matmul, form = cat.field.kernel.matmul, delta_j(cat.field).matrix
+    matmul = cat.field.kernel.matmul
     images = [graph.vindex.get(xi_map(m, cat)) for m in xs]
     is_permutation = set(images) == set(range(n))
 
     def polar(line: Subspace, image: Subspace) -> bool:
-        cols = tuple(zip(*_project_j(image.basis)))
-        return not any(map(any, matmul(matmul(_project_j(line.basis), form), cols)))
+        cols = tuple(zip(*image.basis))
+        return not any(map(any, matmul(matmul(line.basis, DELTA_J), cols)))
 
     skew_ok = is_permutation and all(
         polar(traces[m][0], traces[graph.vertices[a]][0]) for m, a in zip(xs, images)

@@ -272,9 +272,6 @@ class FieldAutomorphism:
     power: int
     table: tuple
 
-    def on_code(self, c: int) -> int:
-        return self.table[c]
-
     @property
     def is_identity(self) -> bool:
         return self.power == 0

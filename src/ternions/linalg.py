@@ -63,14 +63,14 @@ class Subspace:
 
 
 def canonicalize(field: Field, n: int, rows: Sequence[Sequence[int]]) -> Subspace:
-    """Subspace spanned by arbitrary generating rows."""
-    q = field.q
+    """Subspace spanned by arbitrary generating rows of element codes."""
+    codes = field.codes()
     for r in rows:
         if len(r) != n:
             raise ValueError(f"row length {len(r)} != ambient dimension {n}")
         for v in r:
-            if not 0 <= v < q:
-                raise ValueError(f"code {v} out of range for {field!r}")
+            if not (isinstance(v, int) and v in codes):
+                raise ValueError(f"{v!r} is not an element code of {field!r}")
     return Subspace(field, n, field.kernel.rref(tuple(tuple(r) for r in rows)))
 
 
@@ -235,7 +235,8 @@ class SemilinearMap:
     def __post_init__(self):
         if len(self.matrix) != self.n or any(len(r) != self.n for r in self.matrix):
             raise ValueError("matrix must be n x n")
-        if not set(chain.from_iterable(self.matrix)).issubset(self.field.codes()):
+        codes = self.field.codes()
+        if not all(isinstance(v, int) and v in codes for v in chain.from_iterable(self.matrix)):
             raise ValueError(f"matrix entries must be element codes of {self.field!r}")
         if self.sigma.field != self.field:
             raise ValueError("automorphism field mismatch")
@@ -280,31 +281,3 @@ class SemilinearMap:
 
 def identity_map(field: Field, n: int) -> SemilinearMap:
     return SemilinearMap(field, n, full_space(field, n).basis, automorphisms(field)[0])
-
-
-@dataclass(frozen=True)
-class Correlation:
-    """U -> {w : sigma(u) . M . w^T = 0 for all u in U}, an inclusion-reversing
-    bijection of the subspace lattice when M is invertible."""
-
-    field: Field
-    n: int
-    matrix: tuple
-    sigma: FieldAutomorphism
-
-    def __post_init__(self):
-        if self.field.kernel.rank(self.matrix) != self.n:
-            raise ValueError("singular matrix does not define a correlation")
-        if self.sigma.field != self.field:
-            raise ValueError("automorphism field mismatch")
-
-    def apply(self, u: Subspace) -> Subspace:
-        if u.field != self.field or u.n != self.n:
-            raise ValueError("subspace of a different ambient space")
-        kern = self.field.kernel
-        st = None if self.sigma.is_identity else self.sigma.table
-        rows = u.basis
-        if st is not None:
-            rows = tuple(tuple(st[v] for v in r) for r in rows)
-        constraints = kern.matmul(rows, self.matrix)
-        return Subspace(self.field, self.n, kern.nullspace(constraints, self.n))

@@ -23,6 +23,7 @@ from .linalg import (
     coordinate_subspace,
     full_space,
     identity_map,
+    join,
     meet,
     pencil,
     projective_points,
@@ -54,22 +55,24 @@ from .ternion import (
 )
 
 
+# how many seeded maps `thm1:decompose` draws
+THM1_DECOMPOSITIONS = 10
+
+
 @dataclass
 class VerifyContext:
-    """Lazy shared state for a verification run at one field, and the
-    number of seeded maps `thm1:decompose` draws (the tests pass fewer)."""
+    """Lazy shared state for a verification run at one field."""
 
     field: Field
     seed: int = 0
     budget: Optional[int] = None
-    thm1_decompositions: int = 10
 
     def rng(self, suite: str) -> random.Random:
         return random.Random(f"{self.seed}:{suite}")
 
     @cached_property
     def catalog(self) -> Catalog:
-        return build_catalog(self.field, validate=False, budget=self.budget)
+        return build_catalog(self.field, budget=self.budget)
 
     @cached_property
     def graph(self) -> geo.AdjacencyGraph:
@@ -149,7 +152,8 @@ def _line_model_check(cat: Catalog) -> Tuple[bool, Dict[str, object]]:
     for m in cat.g_x:
         ln = line_model(cat.witness[m])
         # the rows of M ^ J are zero in x3 and x6, so they stay reduced
-        well_defined = well_defined and ln.basis == geo._project_j(meet(m, cat.j_solid).basis)
+        projected = tuple(r[:2] + r[3:5] for r in meet(m, cat.j_solid).basis)
+        well_defined = well_defined and ln.basis == projected
         image.add(ln)
     injective = len(image) == len(cat.g_x)
     detail = {
@@ -250,8 +254,13 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
     rng = ctx.rng("adjacency")
     claims = []
 
-    # K-traces land on the regulus and partition the X planes evenly
-    groups = geo.k_trace_classes(cat)
+    # K-traces land on the regulus and partition the X planes evenly.  The
+    # K-trace M ^ K of an X plane M = T w is its stored alpha line: the line
+    # span(e12 w, e22 w) lies in M and in K = {x1 = x4 = 0}, and an X plane
+    # is not in K, so M ^ K is a line, and the two are equal.
+    groups: Dict[Subspace, List[Subspace]] = {}
+    for m in cat.g_x:
+        groups.setdefault(cat.traces[m][1], []).append(m)
     trace_ok = set(groups.keys()) == set(cat.g_alpha)
     sizes = sorted(len(v) for v in groups.values())
     size_ok = sizes == [q * q + q] * (q + 1)
@@ -272,15 +281,16 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
             classes_ok = False
     claims.append(_claim("adjacency", "adj:classes", classes_ok, {}))
 
-    # companion: the unique Y neighbour (Y member of a group), constant on classes
+    # companion: the unique Y neighbour (Y member of a group) of an X plane
+    # M is (M ^ K) + L, constant on classes; one join per class
     n_x = len(cat.g_x)
-    comp = [graph.vindex[geo.companion_y(m, cat)] for m in cat.g_x]
+    companion = {p: graph.vindex[join(p, cat.l_line)] for p in groups}
+    comp = [companion[cat.traces[m][1]] for m in cat.g_x]
     ys = [[j for j in g if j >= n_x] for g in graph.groups]
-    comp_ok = all(
-        [j for g in graph.vertex_groups[i] for j in ys[g]] == [comp[i]] for i in range(n_x)
-    )
+    y_nbrs = [tuple(j for g in graph.vertex_groups[i] for j in ys[g]) for i in range(n_x)]
+    comp_ok = all(y_nbrs[i] == (comp[i],) for i in range(n_x))
     const_ok = all(
-        len({comp[graph.vindex[m]] for m in members}) == 1 for members in groups.values()
+        len({y_nbrs[graph.vindex[m]] for m in members}) == 1 for members in groups.values()
     )
     claims.append(
         _claim("adjacency", "adj:companion", comp_ok and const_ok, {"constant_on_classes": const_ok})
@@ -288,8 +298,8 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
 
     # cliques: expected ones are present, and via common-neighbour closure
     # they are the only maximal ones; Bron-Kerbosch cross-check at q <= 3
-    expected = geo.expected_cliques(cat)
-    exp_idx = [frozenset(graph.vindex[s] for s in c) for c in expected]
+    y_clique = frozenset(graph.vindex[s] for s in pencil(cat.l_line, cat.k_solid, 3))
+    exp_idx = [y_clique, *graph.cliques[0]]
     all_cliques, coverage, closure = _clique_flags(graph, exp_idx)
     detail = {
         "clique_sizes": sorted(len(c) for c in exp_idx),
@@ -508,7 +518,7 @@ def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
         )
     )
 
-    n_dec = ctx.thm1_decompositions
+    n_dec = THM1_DECOMPOSITIONS
     dec_fail = 0
     exact_fail = 0
     ident = autos[0]

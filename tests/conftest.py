@@ -12,14 +12,17 @@ from ternions.linalg import (
     coordinate_subspace,
     contains,
     enumerate_subspaces,
+    join,
     meet,
     meet_dim,
+    pencil,
     point_vectors,
     projective_vectors,
 )
 from ternions.model import (
     LINE_MODEL_AXIS_COORDS,
     TYPE_ORDER,
+    SubmoduleType,
     build_catalog,
     cyclic_span,
     is_block6_patterned,
@@ -441,6 +444,44 @@ def point_listing_incidence_counts(cat):
             counts[z][c] += 1
             counts[s][column[z]] += 1
     return counts
+
+
+# -- the per-plane lines the stored traces replaced ------------------------
+#
+# The adjacency suite once met every X plane with K and joined it with L,
+# and built its expected cliques from pencils of its own.  These are the
+# references for the reads of `Catalog.traces` and `AdjacencyGraph.cliques`.
+
+
+def adjacent(z1, z2):
+    """Distinct flats of a common dimension d meeting in dimension d-1."""
+    if z1 == z2 or z1.dim != z2.dim:
+        return False
+    return meet_dim(z1, z2) == z1.dim - 1
+
+
+def companion_y(m, cat):
+    """The unique Y neighbour (M ^ K) + L of an X plane, by a meet and a
+    join."""
+    if cat.type_of(m) is not SubmoduleType.X:
+        raise ValueError("companion is defined for X planes")
+    return join(meet(m, cat.k_solid), cat.l_line)
+
+
+def k_trace_classes(cat):
+    """X planes grouped by their K-trace M ^ K (an alpha regulus line)."""
+    groups = {}
+    for m in cat.g_x:
+        groups.setdefault(meet(m, cat.k_solid), []).append(m)
+    return groups
+
+
+def expected_cliques(cat):
+    """[L, K]_3 and, per alpha regulus line P, the interval [P, P+J]_3."""
+    out = [frozenset(pencil(cat.l_line, cat.k_solid, 3))]
+    for p in cat.g_alpha:
+        out.append(frozenset(pencil(p, join(p, cat.j_solid), 3)))
+    return out
 
 
 def regrouped(graph, remove=(), add=()):

@@ -9,7 +9,17 @@ import sys
 import time
 from itertools import product
 
-from conftest import ACCEPTANCE_LOG, cli_env, incidence_counts, random_recipe, x_plane_sweep
+from conftest import (
+    ACCEPTANCE_LOG,
+    adjacent,
+    cli_env,
+    companion_y,
+    expected_cliques,
+    incidence_counts,
+    k_trace_classes,
+    random_recipe,
+    x_plane_sweep,
+)
 
 from ternions.gf import automorphisms, make_field
 from ternions.linalg import SemilinearMap, full_space, join, meet, meet_dim
@@ -27,19 +37,15 @@ from ternions.model import (
 from ternions.ternion import enumerate_pairs, random_invertible
 from ternions.geometry import (
     _homothety_rows,
-    adjacent,
     build_graph,
     build_preserver,
-    companion_y,
     decompose_semilinear,
-    expected_cliques,
     expected_incidence_row,
     extract_recipe,
     first_failed_condition,
     geodesics_from,
     incidence_table,
     induced_collineation,
-    k_trace_classes,
     maximal_cliques,
     no_duality_certificate,
     preserver_from_collineation,

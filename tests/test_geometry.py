@@ -1,14 +1,19 @@
 import dataclasses
 import random
+from itertools import product
 
 import pytest
 from conftest import (
     FIELD_ORDERS,
     _bit_indices,
+    adjacent,
     anchored_join_scan,
+    companion_y,
     edge_count,
+    expected_cliques,
     geodesics_by_neighbours,
     incidence_counts,
+    k_trace_classes,
     matrix_identity,
     meeting_masks,
     point_index_first_failed,
@@ -32,24 +37,24 @@ from ternions.linalg import (
     BudgetError,
     SemilinearMap,
     Subspace,
+    canonicalize,
     contains,
     enumerate_subspaces,
     full_space,
     join,
     meet,
     meet_dim,
+    point_vectors,
     projective_points,
     projective_vectors,
 )
 from ternions.geometry import (
-    adjacent,
+    DELTA_J,
     build_graph,
     certificate_from_counts,
-    companion_y,
     decompose_semilinear,
-    expected_cliques,
+    delta_j,
     expected_incidence_row,
-    extract_automorphism,
     extract_recipe,
     first_failed_condition,
     g0_generators,
@@ -58,7 +63,6 @@ from ternions.geometry import (
     graph_to_json,
     incidence_table,
     induced_collineation,
-    k_trace_classes,
     make_recipe,
     maximal_cliques,
     no_duality_certificate,
@@ -521,8 +525,8 @@ def _reference_first_failed(f, cat):
     row-reduce the image and look it up."""
     if f.apply(cat.j_solid) != cat.j_solid:
         return "iv"
-    hpts = set(cat.quadric.points)
-    if any(f.apply(p) not in hpts for p in cat.quadric.points):
+    hpts = {Subspace(cat.field, 6, (v,)) for v in cat.quadric.point_vectors}
+    if any(f.apply(p) not in hpts for p in hpts):
         return "iv"
     gx = set(cat.g_x)
     if any(f.apply(m) not in gx for m in cat.g_x):
@@ -940,11 +944,27 @@ def test_decompose_rejects_non_admissible(cat2):
         decompose_semilinear(f, cat2)
 
 
-def test_extract_automorphism(cat4):
+def test_decompose_reads_sigma_from_the_map(cat4):
+    # f(c e1) = sigma(c) f(e1) for every code c, so f.sigma is the only
+    # automorphism f is semilinear over, and the decomposition keeps it
     field = cat4.field
+    e1 = (1, 0, 0, 0, 0, 0)
     for sigma in automorphisms(field):
-        f = SemilinearMap(field, 6, full_space(field, 6).basis, sigma)
-        assert extract_automorphism(f) == sigma
+        for f in (
+            SemilinearMap(field, 6, full_space(field, 6).basis, sigma),
+            induced_collineation(random_invertible(field, random.Random(sigma.power)), sigma),
+        ):
+            img = f.apply_vector(e1)
+            for tau in automorphisms(field):
+                semilinear = all(
+                    f.apply_vector((c, 0, 0, 0, 0, 0))
+                    == tuple(field.mul(tau.table[c], x) for x in img)
+                    for c in field.codes()
+                )
+                assert semilinear is (tau == sigma)
+            dec = decompose_semilinear(f, cat4)
+            assert dec.f1.sigma == dec.module_map.sigma == sigma
+            assert verify_decomposition(f, dec)
 
 
 # -- adjacency preservers ---------------------------------------------------------
@@ -1276,18 +1296,84 @@ def test_xi_meeting_sets_match_skew_set_reference(
     assert rep["skew_preserved_both_ways"] is want
 
 
+def _delta_j_by_points(u):
+    """delta_J(u) for u <= J as the points w of J with u DELTA_J w^T = 0,
+    the pairing u1 w2 + u2 w1 + u4 w5 + u5 w4 written out."""
+    field = u.field
+    add, mul = field.add, field.mul
+
+    def pair(a, b):
+        acc = 0
+        for i, j in ((0, 1), (1, 0), (3, 4), (4, 3)):
+            acc = add(acc, mul(a[i], b[j]))
+        return acc
+
+    j_solid = distinguished_flats(field)[0]
+    rows = [w for w in point_vectors(j_solid) if not any(pair(r, w) for r in u.basis)]
+    return canonicalize(field, 6, rows) if rows else Subspace(field, 6, ())
+
+
 def test_xi_map_matches_join_construction(cat2, cat3, cat4, cat5):
-    # the J-line lookup gives the plane the correlated trace spans with the
-    # alpha line through its point on L
+    # the J-line lookup gives the plane that delta_J(M ^ J), found point by
+    # point under the form, spans with the alpha line through its point on L
     for cat in (cat2, cat3, cat4, cat5):
         for m in cat.g_x:
-            rows = geometry.delta_j(cat.field).apply(
-                Subspace(cat.field, 4, geometry._project_j(meet(m, cat.j_solid).basis))
-            ).basis
-            line = Subspace(cat.field, 6, tuple((a, b, 0, c, d, 0) for a, b, c, d in rows))
+            line = _delta_j_by_points(meet(m, cat.j_solid))
+            assert line == delta_j(meet(m, cat.j_solid)) and line.dim == 2
             through = [p for p in cat.g_alpha if contains(p, meet(line, cat.l_line))]
             assert len(through) == 1
             assert xi_map(m, cat) == join(line, through[0])
+
+
+def _subspaces_of_j(field):
+    """Every subspace of J = {x3 = x6 = 0}, each of PG(3,q) put into J."""
+    return [
+        Subspace(field, 6, tuple((a, b, 0, c, d, 0) for a, b, c, d in u.basis))
+        for k in range(5)
+        for u in enumerate_subspaces(field, 4, k)
+    ]
+
+
+def test_delta_j_form(f3):
+    # symmetric, zero on x3 and x6, and nondegenerate on J
+    assert DELTA_J == tuple(zip(*DELTA_J))
+    assert not any(DELTA_J[i][j] for i in (2, 5) for j in range(6))
+    j_rows = distinguished_flats(f3)[0].basis
+    assert f3.kernel.rank(f3.kernel.matmul(j_rows, DELTA_J)) == 4
+
+
+def test_delta_j_reverses_inclusion(f2, f3):
+    # on every subspace of J at q = 2 and on every pair of them at q = 3
+    # that a seeded draw picks
+    rng = random.Random(47)
+    for f in (f2, f3):
+        subs = _subspaces_of_j(f)
+        image = {u: delta_j(u) for u in subs}
+        j_solid = distinguished_flats(f)[0]
+        for u in subs:
+            assert image[u].dim == 4 - u.dim and contains(j_solid, image[u])
+        pairs = product(subs, subs) if f.q == 2 else (rng.sample(subs, 2) for _ in range(2000))
+        for u, v in pairs:
+            if contains(u, v):
+                assert contains(image[v], image[u])
+
+
+def test_delta_j_sends_joins_to_meets(f2, f3):
+    rng = random.Random(53)
+    for f in (f2, f3):
+        subs = _subspaces_of_j(f)
+        for _ in range(500):
+            u, v = rng.choice(subs), rng.choice(subs)
+            assert delta_j(join(u, v)) == meet(delta_j(u), delta_j(v))
+
+
+def test_delta_j_involution(f2, f3):
+    # and it fixes L, so it permutes the lines of J meeting L in a point
+    for f in (f2, f3):
+        for u in _subspaces_of_j(f):
+            assert delta_j(delta_j(u)) == u
+        l_line = distinguished_flats(f)[2]
+        assert delta_j(l_line) == l_line
 
 
 @pytest.mark.parametrize("how", ["two planes to one", "onto a Y plane", "off the catalog"])

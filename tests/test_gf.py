@@ -97,9 +97,9 @@ def test_automorphism_group():
     assert autos[0].is_identity
     frob = autos[1]
     for c in f.codes():
-        assert frob.on_code(c) == f.mul(c, c)
+        assert frob.table[c] == f.mul(c, c)
     # fixed field of Frobenius is the prime subfield
-    fixed = [c for c in f.codes() if frob.on_code(c) == c]
+    fixed = [c for c in f.codes() if frob.table[c] == c]
     assert fixed == [0, 1]
     assert frob.compose(frob).is_identity
     assert frob.inverse() == frob
@@ -112,7 +112,7 @@ def test_automorphism_compose_order():
     a, b = autos[1], autos[2]
     ab = a.compose(b)
     for c in f.codes():
-        assert ab.on_code(c) == a.on_code(b.on_code(c))
+        assert ab.table[c] == a.table[b.table[c]]
 
 
 def test_field_identity_and_cache():

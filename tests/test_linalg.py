@@ -9,7 +9,6 @@ from conftest import incident, subspaces_within
 from ternions.gf import automorphisms, make_field
 from ternions.linalg import (
     BudgetError,
-    Correlation,
     SemilinearMap,
     Subspace,
     canonicalize,
@@ -50,6 +49,20 @@ def test_canonicalize_validates(f2):
         canonicalize(f2, 2, [(1, 7)])
     s = canonicalize(f2, 3, [(1, 1, 0), (1, 1, 0), (0, 0, 0)])
     assert s.dim == 1
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0])
+def test_boundaries_reject_non_integer_codes(f2, f3, bad):
+    # 1.0 compares equal to the code 1, so a range check alone lets it in;
+    # unchecked, it ends up in a basis or in a TypeError from the kernel
+    with pytest.raises(ValueError, match="element code"):
+        canonicalize(f3, 2, [(bad, 2)])
+    with pytest.raises(ValueError, match="element code"):
+        canonicalize(f3, 2, [(1, 2), (0, bad)])
+    ident = automorphisms(f2)[0]
+    for m in (((bad, 0), (0, 1)), ((1, 0), (0, bad))):
+        with pytest.raises(ValueError, match="element codes"):
+            SemilinearMap(f2, 2, m, ident)
 
 
 def test_gaussian_binomial_known_values():
@@ -233,37 +246,6 @@ def test_identity_map(f5):
     assert ident.sigma.is_identity
     u = canonicalize(f5, 4, [(1, 2, 3, 4)])
     assert ident.apply(u) == u
-
-
-def swap_correlation(f):
-    # symmetric bilinear form: reverses inclusion, squares to the identity
-    m = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
-    return Correlation(f, 4, m, automorphisms(f)[0])
-
-
-def test_correlation_reverses_inclusion(f3):
-    d = swap_correlation(f3)
-    rng = random.Random(47)
-    for _ in range(100):
-        u = rand_subspace(f3, 4, rng.randrange(1, 4), rng)
-        v = rand_subspace(f3, 4, rng.randrange(1, 4), rng)
-        du, dv = d.apply(u), d.apply(v)
-        assert du.dim == 4 - u.dim
-        if contains(u, v):
-            assert contains(dv, du)
-        assert d.apply(join(u, v)) == meet(du, dv)
-
-
-def test_correlation_involution(f2):
-    d = swap_correlation(f2)
-    for k in (1, 2, 3):
-        for u in enumerate_subspaces(f2, 4, k):
-            assert d.apply(d.apply(u)) == u
-
-
-def test_correlation_rejects_singular(f2):
-    with pytest.raises(ValueError):
-        Correlation(f2, 2, ((1, 0), (1, 0)), automorphisms(f2)[0])
 
 
 def test_subspace_json_and_key(f2):

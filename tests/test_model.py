@@ -166,7 +166,7 @@ def test_quadric_structure(f3):
     q = 3
     geo = quadric(f3)
     j, k, l = distinguished_flats(f3)
-    assert len(geo.points) == (q + 1) ** 2
+    assert len(geo.point_vectors) == (q + 1) ** 2
     assert len(geo.regulus_alpha) == q + 1
     assert len(geo.regulus_opposite) == q + 1
     assert l in geo.regulus_opposite
@@ -183,7 +183,7 @@ def test_quadric_structure(f3):
         for o in geo.regulus_opposite:
             assert meet_dim(a, o) == 1
     # every quadric point lies on exactly one line of each family
-    for p in geo.points:
+    for p in (Subspace(f3, 6, (v,)) for v in geo.point_vectors):
         assert sum(1 for m in geo.regulus_alpha if contains(m, p)) == 1
         assert sum(1 for m in geo.regulus_opposite if contains(m, p)) == 1
 
@@ -346,7 +346,7 @@ def test_x_scan_matches_grassmannian_sweep(q, cat2, cat3):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_x_scan_matches_catalog(q):
-    cat = build_catalog(field_of_order(q), validate=False)
+    cat = build_catalog(field_of_order(q))
     assert scan_planes_for_x(cat) == frozenset(cat.g_x) == x_scan_by_quotient(cat)
 
 
@@ -397,9 +397,9 @@ def test_normal_forms_are_orbit_minima(q):
 def test_build_catalog_budget(f4):
     # 85 + 5 * 22 = 195 normal forms at q = 4
     assert normal_form_count(4) == 195
-    assert build_catalog(f4, validate=False, budget=195).counts() == expected_counts(4)
+    assert build_catalog(f4, budget=195).counts() == expected_counts(4)
     with pytest.raises(BudgetError, match="195"):
-        build_catalog(f4, validate=False, budget=194)
+        build_catalog(f4, budget=194)
 
 
 def test_orbits_are_transitive_q2(cat2):

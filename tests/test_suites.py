@@ -7,6 +7,8 @@ from itertools import combinations
 import pytest
 from conftest import (
     clique_flags_by_neighbours,
+    companion_y,
+    expected_cliques,
     geodesics_by_neighbours,
     line_model_walk,
     random_nonblock_invertible,
@@ -33,7 +35,7 @@ from ternions.ternion import Ternion, enumerate_ternions, iota, random_invertibl
 
 @pytest.fixture(scope="module")
 def claims_q2(f2):
-    ctx = VerifyContext(field=f2, seed=0, thm1_decompositions=3)
+    ctx = VerifyContext(field=f2, seed=0)
     return run_suites(ctx, SUITE_NAMES)
 
 
@@ -56,14 +58,14 @@ def test_claims_are_json_safe_and_ordered(claims_q2):
 
 
 def test_determinism_same_seed(f3):
-    a = run_suites(VerifyContext(field=f3, seed=7, thm1_decompositions=3), ["thm1", "adjacency"])
-    b = run_suites(VerifyContext(field=f3, seed=7, thm1_decompositions=3), ["adjacency", "thm1"])
+    a = run_suites(VerifyContext(field=f3, seed=7), ["thm1", "adjacency"])
+    b = run_suites(VerifyContext(field=f3, seed=7), ["adjacency", "thm1"])
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_different_seed_changes_witness_payloads(f2):
-    a = run_suites(VerifyContext(field=f2, seed=1, thm1_decompositions=3), ["thm1"])
-    b = run_suites(VerifyContext(field=f2, seed=2, thm1_decompositions=3), ["thm1"])
+    a = run_suites(VerifyContext(field=f2, seed=1), ["thm1"])
+    b = run_suites(VerifyContext(field=f2, seed=2), ["thm1"])
     assert all(c["ok"] for c in a + b)
     # same claim ids either way
     assert [c["id"] for c in a] == [c["id"] for c in b]
@@ -106,7 +108,7 @@ def test_thm1_checks_conditions_on_the_generators_only(cat2, monkeypatch):
         return real(f, cat)
 
     monkeypatch.setattr(geo, "first_failed_condition", spy)
-    ctx = VerifyContext(field=cat2.field, seed=0, thm1_decompositions=3)
+    ctx = VerifyContext(field=cat2.field, seed=0)
     ctx.catalog = cat2  # reuse the session catalog
     claims = run_suites(ctx, ["thm1"])
     assert all(c["ok"] for c in claims)
@@ -119,13 +121,13 @@ def test_thm1_runs_no_scan_and_builds_no_graph(cat3, monkeypatch):
 
     for name in ("_anchored_scan", "build_graph"):
         monkeypatch.setattr(geo, name, refuse)
-    ctx = VerifyContext(field=cat3.field, seed=0, thm1_decompositions=3)
+    ctx = VerifyContext(field=cat3.field, seed=0)
     ctx.catalog = cat3  # reuse the session catalog
     assert all(c["ok"] for c in run_suites(ctx, ["thm1"]))
 
 
 def _negative(cat):
-    ctx = VerifyContext(field=cat.field, seed=0, thm1_decompositions=0)
+    ctx = VerifyContext(field=cat.field, seed=0)
     ctx.catalog = cat
     negative = run_suites(ctx, ["thm1"])[2]
     assert negative["id"] == "thm1:negative"
@@ -221,7 +223,7 @@ def test_planted_failing_generator_is_named(which, cat2, cat4, monkeypatch):
         return gens
 
     monkeypatch.setattr(geo, "g0_generators", planted)
-    ctx = VerifyContext(field=field, seed=0, thm1_decompositions=3)
+    ctx = VerifyContext(field=field, seed=0)
     ctx.catalog = cat  # reuse the session catalog
     positive = run_suites(ctx, ["thm1"])[0]
     assert positive["id"] == "thm1:positive" and positive["ok"] is False
@@ -294,7 +296,7 @@ def test_distance_detail_matches_bfs(which, graph2, graph3):
     graph = {2: graph2, 3: graph3}[which]
     cat = graph.catalog
     n_x = len(cat.g_x)
-    comp = [graph.vindex[geo.companion_y(m, cat)] for m in cat.g_x]
+    comp = [graph.vindex[companion_y(m, cat)] for m in cat.g_x]
     nbrs = graph.neighbours
     mate = min(j for j in nbrs[0] if j < n_x)
     far = min(j for j in range(1, n_x) if j not in nbrs[0])
@@ -357,8 +359,8 @@ def test_clique_flags_match_edge_reference(which, cat2, cat3, cat4, cat5):
     cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
     graph = geo.build_graph(cat)
     n_x = len(cat.g_x)
-    cliques = [frozenset(graph.vindex[s] for s in c) for c in geo.expected_cliques(cat)]
-    comp = [graph.vindex[geo.companion_y(m, cat)] for m in cat.g_x]
+    cliques = [frozenset(graph.vindex[s] for s in c) for c in expected_cliques(cat)]
+    comp = [graph.vindex[companion_y(m, cat)] for m in cat.g_x]
     nbrs = graph.neighbours
     mate = min(j for j in nbrs[0] if j < n_x)
     far = min(j for j in range(1, n_x) if j not in nbrs[0])
@@ -395,11 +397,28 @@ def test_clique_flags_match_edge_reference(which, cat2, cat3, cat4, cat5):
     assert broken == {"cliques", "coverage", "closure"}
 
 
+def test_adjacency_reads_the_stored_alpha_lines(cat3):
+    # one X plane's stored alpha line replaced by another regulus line: the
+    # classes are read off the stored lines, so adj:k-trace and adj:classes
+    # see it, and the suite still runs to the end
+    m = cat3.g_x[0]
+    j_line, alpha_line = cat3.traces[m]
+    other = next(p for p in cat3.g_alpha if p != alpha_line)
+    doctored = dataclasses.replace(cat3)
+    doctored.traces = {**cat3.traces, m: (j_line, other)}
+    ctx = VerifyContext(field=cat3.field, seed=0)
+    ctx.catalog = doctored
+    claims = {c["id"]: c for c in run_suites(ctx, ["adjacency"])}
+    assert claims["adj:classes"]["ok"] is False
+    assert claims["adj:k-trace"]["ok"] is False
+    assert claims["adj:k-trace"]["detail"]["class_sizes"] == [11, 12, 12, 13]
+
+
 def test_adjacency_runs_one_bfs_and_no_plane_compares(cat3, graph3, monkeypatch):
     starts = []
     bfs = geo.geodesics_from
     monkeypatch.setattr(geo, "geodesics_from", lambda g, s: starts.append(s) or bfs(g, s))
-    ctx = VerifyContext(field=cat3.field, seed=0, thm1_decompositions=3)
+    ctx = VerifyContext(field=cat3.field, seed=0)
     ctx.catalog, ctx.graph = cat3, graph3  # reuse the session catalog and graph
     claims = run_suites(ctx, ["adjacency"])
     assert all(c["ok"] for c in claims)
@@ -482,7 +501,7 @@ def test_planted_failing_recipe_generator_is_named(which, graph2, graph3):
         "plane cycle": [(r[0], r[1]) for r in rest],
     }
     for name, remove in cases.items():
-        ctx = VerifyContext(field=graph.catalog.field, seed=0, thm1_decompositions=3)
+        ctx = VerifyContext(field=graph.catalog.field, seed=0)
         ctx.catalog, ctx.graph = graph.catalog, regrouped(graph, remove=remove)
         claims = {c["id"]: c for c in run_suites(ctx, ["adjacency"])}
         detail = claims["adj:preservers"]["detail"]
@@ -501,7 +520,7 @@ def test_distance_fails_without_transitive_generators(cat3, graph3, monkeypatch)
     monkeypatch.setattr(
         geo, "recipe_generators", lambda g: {k: v for k, v in real(g).items() if "plane" in k}
     )
-    ctx = VerifyContext(field=cat3.field, seed=0, thm1_decompositions=3)
+    ctx = VerifyContext(field=cat3.field, seed=0)
     ctx.catalog, ctx.graph = cat3, graph3  # reuse the session catalog and graph
     claims = {c["id"]: c for c in run_suites(ctx, ["adjacency"])}
     assert claims["adj:preservers"]["ok"] is True
@@ -567,7 +586,7 @@ def test_unknown_suite_raises(capsys):
 
 
 def test_single_suite_q3(f3):
-    ctx = VerifyContext(field=f3, seed=0, thm1_decompositions=3)
+    ctx = VerifyContext(field=f3, seed=0)
     claims = run_suites(ctx, ["counts"])
     assert all(c["ok"] for c in claims)
     ids = [c["id"] for c in claims]
