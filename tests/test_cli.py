@@ -267,6 +267,18 @@ def test_verify_q7_matches_pinned_hash():
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == VERIFY_Q7_SHA256
 
 
+# sha256 of `enumerate --q 4 --set all` (87,336 bytes: the first catalog
+# over an extension field, with GF(4) codes in every basis and generator);
+# see tests/golden/README.md for the command
+ENUMERATE_Q4_SHA256 = "9003aa6357bb44202c3d557e17cb4c4a3491fd3cea10fef62a773595237a68a3"
+
+
+def test_enumerate_q4_matches_pinned_hash():
+    r = run_cli("enumerate", "--q", "4", "--set", "all")
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == ENUMERATE_Q4_SHA256
+
+
 def test_enumerate_matches_golden():
     # pins the catalog order and the witness of every member
     r = run_cli("enumerate", "--q", "3", "--set", "all")
