@@ -9,12 +9,13 @@ Exit codes: 0 all checks pass, 1 some claim failed, 2 usage or budget error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from contextlib import contextmanager
-from itertools import islice
-from typing import Optional
+from itertools import chain
+from json import JSONEncoder
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Iterable, Optional
 
 from . import geometry as geo
 from .gf import field_of_order
@@ -24,8 +25,16 @@ from .suites import SUITES, SUITE_NAMES, VerifyContext, summarize
 
 LARGE_BUDGET = 10**9
 
-# Encoder chunks joined into one write: about 28 KB a write at q = 7.
+# Lines of output joined into one write: about 40 KB a write at q = 7.
 JSON_BLOCK = 4096
+
+# Members of a top-level list, or of a list one level below it, formatted
+# by one join: the text is held a block at a time, never whole.
+JSON_ROWS = 256
+
+# json's own spelling of every scalar but str and int: floats, inf and nan,
+# None and the booleans; it raises TypeError for an unsupported object.
+_json_scalar = JSONEncoder().encode
 
 SET_CHOICES = ("gx", "gy", "galpha", "gbeta", "ggamma", "all")  # one per TYPE_ORDER type, then all
 
@@ -86,21 +95,111 @@ def _output(out: Optional[str]):
             yield fh
 
 
-def _emit(text: str, out: Optional[str]):
-    with _output(out) as fh:
-        fh.write(text)
+def _write(pieces: Iterable[str], out: Optional[str]):
+    """Write the pieces to `out` (stdout when None), joined into writes of
+    at least JSON_BLOCK lines each but the last, and say on stderr how many
+    bytes were written (reports are ASCII) and how long that took.  A --out
+    that cannot be opened or written is a usage error."""
+    start = time.perf_counter()
+    size = 0
+    try:
+        with _output(out) as fh:
+            block, lines = [], 0
+            for piece in pieces:
+                block.append(piece)
+                lines += piece.count("\n")
+                if lines >= JSON_BLOCK:
+                    text = "".join(block)
+                    fh.write(text)
+                    size += len(text)
+                    block, lines = [], 0
+            text = "".join(block)
+            fh.write(text)
+            size += len(text)
+    except OSError as e:
+        if out is None:
+            raise
+        raise ValueError(f"cannot write {out}: {e.strerror or e}") from e
+    print(f"wrote {size} bytes in {time.perf_counter() - start:.3f}s", file=sys.stderr)
 
 
 def _emit_json(payload, out: Optional[str]):
     """The bytes of json.dumps(payload, sort_keys=True, indent=2) plus a
-    newline, written in blocks of JSON_BLOCK encoder chunks: the whole text
-    is never held, and a write-through stdout (PYTHONUNBUFFERED) makes one
-    write(2) per block instead of one per chunk."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
-    with _output(out) as fh:
-        for block in iter(lambda: list(islice(chunks, JSON_BLOCK)), []):
-            fh.write("".join(block))
-        fh.write("\n")
+    newline, built a row at a time instead of a token at a time (on
+    Python 3.11 the stdlib encoder runs in pure Python when it indents and
+    yields one chunk per token).  The top level and its members stream in
+    blocks, so the whole text is never held, and a write-through stdout
+    (PYTHONUNBUFFERED) makes one write(2) per JSON_BLOCK lines."""
+    _write(chain(_json_pieces(payload, "\n", 2), ("\n",)), out)
+
+
+def _json_pieces(x, nl: str, depth: int):
+    """The text of x in pieces: down `depth` levels, a dict key by key and a
+    list in blocks of JSON_ROWS members; everything below whole.  `nl` is a
+    newline and the indent of the line x starts on."""
+    if not depth or not isinstance(x, (dict, list, tuple)) or not x:
+        yield _json_text(x, nl)
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(x, dict):
+        lead = "{" + inner
+        for k, v in _json_items(x):
+            yield lead + _json_str(k) + ": "
+            yield from _json_pieces(v, inner, depth - 1)
+            lead = sep
+        yield nl + "}"
+        return
+    lead = "[" + inner
+    for i in range(0, len(x), JSON_ROWS):
+        yield lead + sep.join(_json_members(x[i : i + JSON_ROWS], inner))
+        lead = sep
+    yield nl + "]"
+
+
+def _json_text(x, nl: str) -> str:
+    """x as json.dumps(x, sort_keys=True, indent=2) spells it, on a line
+    that starts with `nl`."""
+    if isinstance(x, str):
+        return _json_str(x)
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join(_json_members(x, inner)) + nl + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            _json_str(k) + ": " + _json_text(v, inner) for k, v in _json_items(x)
+        ) + nl + "}"
+    if type(x) is int:
+        return int.__repr__(x)
+    return _json_scalar(x)
+
+
+def _json_members(x, nl: str):
+    """The texts of the members of the list x, each on a line that starts
+    with `nl`: ints, and lists or tuples of ints (the rows that are the
+    bulk of every report), by one join over int.__repr__."""
+    types = set(map(type, x))
+    if types == {int}:
+        return map(int.__repr__, x)
+    if types <= {list, tuple} and {type(v) for row in x for v in row} <= {int}:
+        inner = nl + "  "
+        lead, sep, close = "[" + inner, "," + inner, nl + "]"
+        return [lead + sep.join(map(int.__repr__, row)) + close if row else "[]" for row in x]
+    return [_json_text(v, nl) for v in x]
+
+
+def _json_items(d: dict) -> list:
+    """The items of d sorted by key.  json would also take numbers, None
+    and booleans as keys; reports use only strings, so others are refused."""
+    for k in d:
+        if not isinstance(k, str):
+            raise TypeError(f"keys must be str, not {type(k).__name__}")
+    return sorted(d.items())
 
 
 def _field(args):
@@ -129,14 +228,14 @@ def cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     ctx = VerifyContext(field, seed=args.seed, budget=_budget(args))
     claims = []
-    t_all = time.time()
+    t_all = time.perf_counter()
     for name in sorted(names):
-        t0 = time.time()
+        t0 = time.perf_counter()
         batch = SUITES[name](ctx)
         claims.extend(batch)
         good = sum(1 for c in batch if c["ok"])
         print(
-            f"suite {name}: {good}/{len(batch)} passed ({time.time()-t0:.2f}s)",
+            f"suite {name}: {good}/{len(batch)} passed ({time.perf_counter()-t0:.2f}s)",
             file=sys.stderr,
         )
         for c in batch:
@@ -144,7 +243,7 @@ def cmd_verify(args) -> int:
     summary = summarize(claims)
     print(
         f"total: {summary['passed']}/{summary['claims']} passed "
-        f"in {time.time()-t_all:.2f}s",
+        f"in {time.perf_counter()-t_all:.2f}s",
         file=sys.stderr,
     )
     report = {
@@ -155,11 +254,11 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         _emit_json(report, args.out)
     elif names == ["incidence"]:
-        _emit(_incidence_csv(claims), args.out)
+        _write([_incidence_csv(claims)], args.out)
     else:
         rows = ["suite,claim,ok"]
         rows += [f"{c['suite']},{c['id']},{str(c['ok']).lower()}" for c in claims]
-        _emit("\n".join(rows) + "\n", args.out)
+        _write(["\n".join(rows) + "\n"], args.out)
     return 0 if summary["ok"] else 1
 
 
@@ -207,7 +306,7 @@ def cmd_enumerate(args) -> int:
             basis = "|".join(" ".join(str(v) for v in r) for r in m["basis"])
             gen = ";".join(" ".join(str(v) for v in t) for t in m["generator"])
             rows.append(f"{m['set']},{m['type']},{m['dim']},{basis},{gen}")
-        _emit("\n".join(rows) + "\n", args.out)
+        _write(["\n".join(rows) + "\n"], args.out)
     return 0
 
 
@@ -216,7 +315,7 @@ def cmd_graph(args) -> int:
     ctx = VerifyContext(field, budget=_budget(args))
     graph = ctx.graph
     if args.format == "dot":
-        _emit(geo.graph_to_dot(graph), args.out)
+        _write([geo.graph_to_dot(graph)], args.out)
     else:
         _emit_json(geo.graph_to_json(graph), args.out)
     return 0

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +122,28 @@ def test_graph_out_file_matches_stdout(tmp_path):
     assert r.returncode == 0
     assert r.stdout == ""
     assert path.read_bytes() == direct.stdout.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--q", "4", "--suite", "thm2"),
+        ("enumerate", "--q", "2", "--set", "gy"),
+        ("graph", "--q", "2", "--format", "json"),
+        ("graph", "--q", "2", "--format", "dot"),
+    ],
+    ids=" ".join,
+)
+def test_unwritable_out_is_a_usage_error(argv, tmp_path):
+    # the report is computed, then --out cannot be opened: exit 2 (usage),
+    # never 1, which says that a claim failed
+    path = tmp_path / "missing" / "report.json"
+    r = run_cli(*argv, "--out", str(path))
+    assert r.returncode == 2
+    assert f"error: cannot write {path}: " in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+    assert not path.parent.exists()
 
 
 def test_budget_guard_exit_2():
@@ -284,6 +307,33 @@ def test_enumerate_matches_golden():
     r = run_cli("enumerate", "--q", "3", "--set", "all")
     assert r.returncode == 0
     assert r.stdout == (GOLDEN / "enumerate_q3.json").read_text()
+
+
+WROTE = re.compile(r"^wrote (\d+) bytes in \d+\.\d{3}s$", re.M)
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("graph", "--q", "2", "--format", "json"), "graph_q2.json"),
+        (("graph", "--q", "2", "--format", "dot"), "graph_q2.dot"),
+        (("enumerate", "--q", "3", "--set", "all"), "enumerate_q3.json"),
+        (("verify", "--q", "2", "--seed", "0"), "verify_q2.json"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_stderr_says_what_the_output_cost(argv, golden, tmp_path):
+    want = (GOLDEN / golden).read_text()
+    r = run_cli(*argv)
+    assert r.returncode == 0
+    assert r.stdout == want  # the report is unchanged: timing is on stderr only
+    assert [int(n) for n in WROTE.findall(r.stderr)] == [len(want.encode())]
+    path = tmp_path / "report"
+    r = run_cli(*argv, "--out", str(path))
+    assert r.returncode == 0
+    assert r.stdout == ""
+    assert path.read_text() == want
+    assert [int(n) for n in WROTE.findall(r.stderr)] == [len(want.encode())]
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,162 @@
+"""The JSON writer of the command line against the standard library.
+
+`ternions.cli._emit_json` builds the text of a report a row at a time; it
+must give exactly the bytes of ``json.dumps(x, sort_keys=True, indent=2)``
+plus a newline.  Here ``json.dumps`` is the reference: on generated values
+(derandomized, so every run draws the same examples), on payloads long
+enough to stream in blocks, and on the in-memory payloads of `verify`,
+`enumerate` and `graph`.
+"""
+
+import io
+import json
+from collections import Counter, OrderedDict, namedtuple
+from contextlib import redirect_stdout
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from ternions import cli  # noqa: E402
+
+PROPERTY = settings(
+    derandomize=True,
+    max_examples=300,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+Pair = namedtuple("Pair", "left right")
+
+
+def reference(x):
+    return json.dumps(x, sort_keys=True, indent=2) + "\n"
+
+
+def written(x):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        cli._emit_json(x, None)
+    return buf.getvalue()
+
+
+# -- generated values --------------------------------------------------------
+
+ints = st.integers() | st.integers(min_value=-(2**200), max_value=2**200)
+floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 0.0, 1e300, -1e-300, 2.5e-7, float("inf"), float("-inf"), float("nan")]
+)
+texts = st.text() | st.sampled_from(
+    ['"', "\\", '\\"q\\"', "\x00\x1f\t\n\r\x7f", "é€ü", "  ", "𝔽q", ""]
+)
+scalars = st.none() | st.booleans() | ints | floats | texts
+# rows of ints are the writer's fast path; bools in a row must not take it
+rows = st.lists(st.lists(ints, max_size=6) | st.tuples(ints, ints)) | st.lists(
+    st.lists(ints | st.booleans(), max_size=4)
+)
+
+
+def _containers(children):
+    keyed = st.dictionaries(texts, children, max_size=5)
+    return (
+        st.lists(children, max_size=5)
+        | st.tuples(children, children)
+        | keyed
+        | keyed.map(OrderedDict)
+        | st.dictionaries(texts, ints, max_size=5).map(Counter)
+        | st.builds(Pair, children, children)
+    )
+
+
+values = st.recursive(scalars | rows, _containers, max_leaves=40)
+
+
+@PROPERTY
+@given(values)
+def test_writer_matches_dumps(x):
+    assert written(x) == reference(x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [],
+        {},
+        [[]],
+        [{}],
+        {"a": []},
+        [[], [1]],
+        [(1, 2), [3]],
+        [[True, 1]],
+        [1, True],
+        Pair(1, [2, 3]),
+        Counter("abracadabra"),
+        OrderedDict([("b", 1), ("a", 2)]),
+    ],
+    ids=repr,
+)
+def test_writer_matches_dumps_on_edge_cases(x):
+    assert written(x) == reference(x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        list(range(3 * cli.JSON_ROWS + 1)),
+        [[i, -i] for i in range(2 * cli.JSON_ROWS)],
+        {"rows": [[i, i + 1, i + 2] for i in range(cli.JSON_ROWS + 1)], "n": 1},
+        {"a": {"b": [{"i": i, "r": [[i]]} for i in range(cli.JSON_ROWS * 2)]}},
+        [{"x": list(range(cli.JSON_ROWS + 3))}] * 3,
+        tuple([i, str(i), i / 3] for i in range(cli.JSON_ROWS + 1)),
+    ],
+    ids=["ints", "rows", "dict of rows", "nested dicts", "list of dicts", "tuple"],
+)
+def test_writer_matches_dumps_across_blocks(x):
+    # longer than one block of members at each level the writer streams
+    assert written(x) == reference(x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [{1: 2}, {"a": {None: 1}}, [{"a": 1}, {(1, 2): 3}], {1.5: "x"}],
+    ids=["int key", "None key", "tuple key", "float key"],
+)
+def test_non_str_key_raises(x):
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli._emit_json(x, None)
+
+
+@pytest.mark.parametrize(
+    "x", [{1, 2}, {"a": [frozenset()]}, [object()]], ids=["set", "frozenset", "object"]
+)
+def test_unsupported_object_raises(x):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._emit_json(x, None)
+
+
+# -- the payloads of the commands --------------------------------------------
+
+
+def captured_payloads(monkeypatch, argv):
+    """The payloads one command hands to _emit_json, nothing written."""
+    seen = []
+    monkeypatch.setattr(cli, "_emit_json", lambda payload, out: seen.append(payload))
+    assert cli.main(argv) == 0
+    assert len(seen) == 1
+    return seen
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--q", str(q), "--seed", "0"] for q in (2, 3, 4, 5)]
+    + [["enumerate", "--q", str(q), "--set", "all"] for q in (2, 3, 4)]
+    + [["graph", "--q", str(q), "--format", "json"] for q in (2, 3, 4, 5)],
+    ids=" ".join,
+)
+def test_command_payloads_match_dumps(argv, monkeypatch):
+    (payload,) = captured_payloads(monkeypatch, argv)
+    monkeypatch.undo()
+    assert written(payload) == reference(payload)
