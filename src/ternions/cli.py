@@ -28,7 +28,7 @@ LARGE_BUDGET = 10**9
 # Lines of output joined into one write: about 40 KB a write at q = 7.
 JSON_BLOCK = 4096
 
-# Members of a top-level list, or of a list one level below it, formatted
+# Members of a top-level list, or of a list under a top-level key, formatted
 # by one join: the text is held a block at a time, never whole.
 JSON_ROWS = 256
 
@@ -127,9 +127,10 @@ def _emit_json(payload, out: Optional[str]):
     """The bytes of json.dumps(payload, sort_keys=True, indent=2) plus a
     newline, built a row at a time instead of a token at a time (on
     Python 3.11 the stdlib encoder runs in pure Python when it indents and
-    yields one chunk per token).  The top level and its members stream in
-    blocks, so the whole text is never held, and a write-through stdout
-    (PYTHONUNBUFFERED) makes one write(2) per JSON_BLOCK lines."""
+    yields one chunk per token).  The top level and the values under its
+    keys stream in blocks, so the whole text is never held, and a
+    write-through stdout (PYTHONUNBUFFERED) makes one write(2) per
+    JSON_BLOCK lines."""
     _write(chain(_json_pieces(payload, "\n", 2), ("\n",)), out)
 
 
