@@ -3,12 +3,16 @@ export the adjacency graph.
 
 Reports are deterministic: a fixed config and seed always produce the same
 bytes, so timing lives in the human summary on stderr, never in the report.
-Exit codes: 0 all checks pass, 1 some claim failed, 2 usage or budget error.
+Exit codes: 0 all checks pass, 1 some claim failed, 2 usage or budget error
+(an unwritable --out is found before anything is computed), 141 the reader
+closed stdout before the report was written (128 + SIGPIPE, as a shell shows
+a writer stopped by a closed pipe).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -24,6 +28,8 @@ from .model import TYPE_ORDER
 from .suites import SUITES, SUITE_NAMES, VerifyContext, summarize
 
 LARGE_BUDGET = 10**9
+
+EXIT_STDOUT_CLOSED = 141
 
 # Lines of output joined into one write: about 40 KB a write at q = 7.
 JSON_BLOCK = 4096
@@ -86,6 +92,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_out(out: Optional[str]):
+    """Refuse an --out that cannot be written before anything is computed.
+    An existing file is opened for appending, which leaves it as it is; a
+    new one is created and removed again."""
+    if out is None:
+        return
+    existed = os.path.exists(out)
+    try:
+        open(out, "a").close()
+        if not existed:
+            os.remove(out)
+    except OSError as e:
+        raise ValueError(f"cannot write {out}: {e.strerror or e}") from e
+
+
 @contextmanager
 def _output(out: Optional[str]):
     if out is None:
@@ -99,7 +120,8 @@ def _write(pieces: Iterable[str], out: Optional[str]):
     """Write the pieces to `out` (stdout when None), joined into writes of
     at least JSON_BLOCK lines each but the last, and say on stderr how many
     bytes were written (reports are ASCII) and how long that took.  A --out
-    that cannot be opened or written is a usage error."""
+    that cannot be opened or written is a usage error; a closed stdout
+    raises BrokenPipeError, which `main` turns into EXIT_STDOUT_CLOSED."""
     start = time.perf_counter()
     size = 0
     try:
@@ -324,12 +346,17 @@ def cmd_graph(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {"verify": cmd_verify, "enumerate": cmd_enumerate, "graph": cmd_graph}
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "enumerate":
-            return cmd_enumerate(args)
-        return cmd_graph(args)
+        _check_out(args.out)
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone (`| head`); stdout points at devnull from here
+        # on, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
     except BudgetError as e:
         print(f"budget error: {e}; --allow-large lifts the budget", file=sys.stderr)
         return 2

@@ -320,20 +320,37 @@ def _anchored_scan(cat: Catalog, k: int) -> List[Subspace]:
     (v, v) with v in A ^ B, of dimension k/2 exactly when B = A.  So the
     q^2+q+1 flats A + A, A a (k/2)-subspace of F^3, are an exhaustive
     candidate list, guarded by the catalog's budget; their rows (a, 0) and
-    (0, a), a over the reduced basis of A, are already reduced."""
+    (0, a), a over the reduced basis of A, are already reduced.
+
+    A candidate F inside K (x1 = x4 = 0 on its rows) meets an X plane M in
+    F ^ M = F ^ (M ^ K), and M ^ K is M's stored alpha line
+    `cat.traces[m][1]`; so F is tested against the q+1 distinct alpha
+    lines, each met in dimension k/2 exactly when the rank of F and the
+    line is k + 2 - k/2.  A candidate inside J (x3 = x6 = 0) is tested in
+    the same way against the J-lines M ^ J, `cat.traces[m][0]`.  Every
+    other candidate is tested against the X planes themselves, stopping at
+    the first plane it fails."""
     field = cat.field
     if not is_skew_x_triple(cat, standard_triple(field)):
         raise AssertionError("the standard triple is not three pairwise skew X planes")
     what = f"anchored scan candidates (k={k}, q={field.q})"
     check_budget(gaussian_binomial(3, k // 2, field.q), what, cat.budget)
-    kern = field.kernel
-    rank = k + 3 - k // 2  # dim(flat + M) when dim(flat ^ M) = k/2
+    stack_rank = field.kernel.stack_rank
+    traces = cat.traces
+    in_k = {traces[m][1].basis for m in cat.g_x}
+    in_j = {traces[m][0].basis for m in cat.g_x}
     xs = [m.basis for m in cat.g_x]
     zero = (0, 0, 0)
     out = []
     for a in enumerate_subspaces(field, 3, k // 2):
         rows = tuple(r + zero for r in a.basis) + tuple(zero + r for r in a.basis)
-        if all(kern.stack_rank(rows, mb) == rank for mb in xs):
+        if not any(r[0] for r in a.basis):  # F in K
+            against, rank = in_k, k + 2 - k // 2
+        elif not any(r[2] for r in a.basis):  # F in J
+            against, rank = in_j, k + 2 - k // 2
+        else:
+            against, rank = xs, k + 3 - k // 2  # dim(F + M) when dim(F ^ M) = k/2
+        if all(stack_rank(rows, b) == rank for b in against):
             out.append(Subspace(field, 6, rows))
     return sorted(out, key=Subspace.key)
 
@@ -414,25 +431,16 @@ def _fixes_j_and_h(f: SemilinearMap, cat: Catalog) -> bool:
 
 
 def first_failed_condition(f: SemilinearMap, cat: Catalog) -> Optional[str]:
-    """Name of the first violated condition, or None when all hold; a map
-    that fails iv is decided without imaging a plane.  The conditions,
-    checked in this order:
-      iv: f fixes J setwise and the quadric H setwise,
-      iii: f permutes the X planes,
-      ii: f permutes the X and Y planes together.
+    """The first condition of Theorem 1 that f fails: "iv" when f does not
+    fix the solid J and the quadric H setwise, None when it does, read off
+    the matrix and the images of the points of H; no plane is imaged.
 
-    iv reads the matrix and the images of the points of H.  For iii and ii
-    each plane is imaged with `f.apply` and looked up in `cat.index`; f is
-    a bijection on planes, so it permutes a finite set it maps into
-    itself."""
-    if not _fixes_j_and_h(f, cat):
-        return "iv"
-    if any(cat.type_of(f.apply(m)) is not SubmoduleType.X for m in cat.g_x):
-        return "iii"
-    planes = (SubmoduleType.X, SubmoduleType.Y)
-    if any(cat.type_of(f.apply(m)) not in planes for m in cat.g_y):
-        return "ii"
-    return None
+    iv implies the other two conditions of Theorem 1, iii (f permutes the
+    X planes) and ii (f permutes the X and Y planes together): a map
+    fixing J and H fixes K, L and the alpha regulus, so it permutes the X
+    planes, characterised by these (`chars:x`), and the Y planes, the
+    planes of K through L (`chars:y`); see `suites.suite_thm1`."""
+    return None if _fixes_j_and_h(f, cat) else "iv"
 
 
 @dataclass

@@ -455,20 +455,21 @@ def suite_lemmas(ctx: VerifyContext) -> List[Dict[str, object]]:
 def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
     """Theorem 1's collineation claims.
 
-    `thm1:positive` is exact: it checks each generator of G0 from
-    `geometry.g0_generators`.  The maps that satisfy iv, iii and ii are
-    those fixing J, H, the X planes and the X and Y planes together
-    setwise, an intersection of setwise stabilisers, so they form a group,
-    which contains G0 once it contains a generating set.  The generators
-    reach all of GL2(T) because T is finite, hence of stable rank 1, so
-    GL2(T) = E2(T) diag(T*, 1) (Bass).
+    `thm1:positive` is exact: it checks condition iv on each generator of
+    G0 from `geometry.g0_generators`.  The maps fixing J and H setwise
+    form a group, an intersection of setwise stabilisers, which contains
+    G0 once it contains a generating set.  The generators reach all of
+    GL2(T) because T is finite, hence of stable rank 1, so
+    GL2(T) = E2(T) diag(T*, 1) (Bass).  iv implies iii and ii: a map
+    fixing J and H fixes K (H spans K) and L = J ^ K, hence the regulus of
+    H through L and so the alpha regulus, which with J and L picks out the
+    X planes (`chars:x`); and it permutes the planes of K through L, the Y
+    planes (`chars:y`).  The claim names these two in `rests_on`.
 
-    `thm1:negative`, the converse, is exact.  Each condition implies iii.
-    A map fixing J and H fixes K (H spans K) and L = J ^ K, hence the
-    regulus of H through L and so the alpha regulus, which with J and L
-    picks out the X planes (`chars:x`).  A map satisfying ii preserves
-    adjacency, so degrees, and an X plane has degree q^2+q, a Y plane
-    q^2+2q (`adj:cliques`).  Now let f satisfy iii.
+    `thm1:negative`, the converse, is exact.  Each condition implies iii:
+    iv by the step above, and a map satisfying ii preserves adjacency, so
+    degrees, and an X plane has degree q^2+q, a Y plane q^2+2q
+    (`adj:cliques`).  Now let f satisfy iii.
       1. G0 is transitive on ordered triples of pairwise skew X planes.
          Planes T v, T w are skew exactly when the matrix S with rows v, w
          is invertible (either says (s, t) -> s v + t w is onto).  S sends
@@ -512,6 +513,7 @@ def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
             {
                 "generators": {kind: len(maps) for kind, maps in gens.items()},
                 "exhaustive": True,
+                "rests_on": ["chars:x", "chars:y"],
                 "failures": len(failed),
                 "first_failure": failed[0] if failed else None,
             },

@@ -48,6 +48,10 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 # every field of order <= 27: the primes up to 23 and each built-in extension
 FIELD_ORDERS = sorted([2, 3, 5, 7, 11, 13, 17, 19, 23, *DEFAULT_MODULI])
 
+# diag(P, P), P swapping the first and third coordinates: it fixes M0, M1
+# and M2 and sends J = {x3 = x6 = 0} onto K = {x1 = x4 = 0}
+J_K_SWAP = tuple(tuple(int(j == p) for j in range(6)) for p in (2, 1, 0, 5, 4, 3))
+
 
 def cli_env():
     """The environment for a `python -m ternions.cli` subprocess: the
@@ -194,6 +198,22 @@ def anchored_join_scan(cat, k):
             rows = a.basis + b.basis
             if all(kern.stack_rank(rows, m.basis) == rank for m in cat.g_x):
                 out.append(Subspace(cat.field, 6, kern.rref(rows)))
+    return sorted(out, key=Subspace.key)
+
+
+def per_plane_anchored_scan(cat, k):
+    """`geometry._anchored_scan` before it confirmed hits on the traces:
+    each candidate A + A, A a (k/2)-subspace of F^3, tested against every
+    X plane; sorted by key."""
+    field = cat.field
+    kern = field.kernel
+    rank = k + 3 - k // 2  # dim(flat + M) when dim(flat ^ M) = k/2
+    zero = (0, 0, 0)
+    out = []
+    for a in enumerate_subspaces(field, 3, k // 2):
+        rows = tuple(r + zero for r in a.basis) + tuple(zero + r for r in a.basis)
+        if all(kern.stack_rank(rows, m.basis) == rank for m in cat.g_x):
+            out.append(Subspace(field, 6, rows))
     return sorted(out, key=Subspace.key)
 
 
@@ -557,6 +577,26 @@ def planes_through_images(f, cat):
             bits &= masks.get(norm(f.apply_vector(r)), 0)
         out.append(bits)
     return out
+
+
+def plane_loop_failure(f, cat):
+    """Conditions iii and ii of Theorem 1 by imaging every plane with
+    `f.apply` and looking it up in the catalog: "iii" when some X plane is
+    not sent to an X plane, "ii" when some Y plane is sent outside the X
+    and Y planes, None otherwise (f is a bijection on planes, so it then
+    permutes the finite sets it maps into themselves)."""
+    if any(cat.type_of(f.apply(m)) is not SubmoduleType.X for m in cat.g_x):
+        return "iii"
+    planes = (SubmoduleType.X, SubmoduleType.Y)
+    if any(cat.type_of(f.apply(m)) not in planes for m in cat.g_y):
+        return "ii"
+    return None
+
+
+def plane_loop_first_failed(f, cat):
+    """`geometry.first_failed_condition` before it read condition iv alone:
+    iv, then the plane loop for iii and ii."""
+    return "iv" if not _fixes_j_and_h(f, cat) else plane_loop_failure(f, cat)
 
 
 def point_index_first_failed(f, cat):

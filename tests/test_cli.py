@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from conftest import cli_env
 
-from ternions.cli import JSON_BLOCK, _emit_json
+from ternions.cli import EXIT_STDOUT_CLOSED, JSON_BLOCK, _emit_json
 
 CLI = [sys.executable, "-m", "ternions.cli"]
 
@@ -135,8 +135,8 @@ def test_graph_out_file_matches_stdout(tmp_path):
     ids=" ".join,
 )
 def test_unwritable_out_is_a_usage_error(argv, tmp_path):
-    # the report is computed, then --out cannot be opened: exit 2 (usage),
-    # never 1, which says that a claim failed
+    # --out cannot be opened: exit 2 (usage), never 1, which says that a
+    # claim failed
     path = tmp_path / "missing" / "report.json"
     r = run_cli(*argv, "--out", str(path))
     assert r.returncode == 2
@@ -144,6 +144,54 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path):
     assert "Traceback" not in r.stderr
     assert r.stdout == ""
     assert not path.parent.exists()
+
+
+def test_unwritable_out_fails_before_computing(tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    r = run_cli("verify", "--q", "4", "--suite", "thm2", "--out", str(path))
+    assert r.returncode == 2
+    assert f"error: cannot write {path}: " in r.stderr
+    assert not any(line.startswith("suite ") for line in r.stderr.splitlines())
+
+
+def test_out_directory_is_refused(tmp_path):
+    r = run_cli("graph", "--q", "2", "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert f"error: cannot write {tmp_path}: " in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_run_that_exits_2_leaves_out_as_it_was(existing, tmp_path):
+    # q = 6 is refused after --out was checked
+    path = tmp_path / "report.json"
+    if existing:
+        path.write_text("kept\n")
+    r = run_cli("verify", "--q", "6", "--out", str(path))
+    assert r.returncode == 2
+    assert "not a prime power" in r.stderr
+    if existing:
+        assert path.read_text() == "kept\n"
+    else:
+        assert not path.exists()
+
+
+def test_closed_stdout_exits_without_traceback():
+    # `graph --q 7 --format json | head -1`: 605,772 bytes, more than a pipe
+    # holds, so the writer is still writing when the reader goes
+    proc = subprocess.Popen(
+        CLI + ["graph", "--q", "7", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == EXIT_STDOUT_CLOSED != 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert "wrote" not in err
 
 
 def test_budget_guard_exit_2():
@@ -270,7 +318,7 @@ def test_graph_q7_json_matches_pinned_hash():
 
 # sha256 of `verify --q 5 --seed 0` (the first q the golden files do not
 # pin); see tests/golden/README.md for the command
-VERIFY_Q5_SHA256 = "c3ae92e072ae4d3011e3de366e3d613279e97febddcbab2d5c979b7a317ec84c"
+VERIFY_Q5_SHA256 = "83b120da4f6ca3ff60424f100b464e8c9fc23becaf593c940a3aa60f49a488ae"
 
 
 def test_verify_q5_matches_pinned_hash():
@@ -281,7 +329,7 @@ def test_verify_q5_matches_pinned_hash():
 
 # sha256 of `verify --q 7 --seed 0`, which pins the adjacency and xi
 # claims past the small fields; see tests/golden/README.md for the command
-VERIFY_Q7_SHA256 = "476e7607fec5314218d9c401e90aa87427e15127eace21e13f68e5d8ffb8526d"
+VERIFY_Q7_SHA256 = "43660250ca4c036c16f27a4f0a05e55db3e5f2bfec787bfc1db6f765328d4b3d"
 
 
 def test_verify_q7_matches_pinned_hash():
@@ -300,6 +348,25 @@ def test_enumerate_q4_matches_pinned_hash():
     r = run_cli("enumerate", "--q", "4", "--set", "all")
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == ENUMERATE_Q4_SHA256
+
+
+def _rests_on(x):
+    """Every id in a `rests_on` list anywhere under x."""
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from v if k == "rests_on" else _rests_on(v)
+    elif isinstance(x, list):
+        for v in x:
+            yield from _rests_on(v)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_rests_on_names_claims_of_the_same_report(q):
+    # the golden files are the verify reports (test_verify_matches_golden)
+    claims = json.loads((GOLDEN / f"verify_q{q}.json").read_text())["claims"]
+    named = set(_rests_on(claims))
+    assert {"chars:x", "chars:y", "thm1:positive"} <= named
+    assert named <= {c["id"] for c in claims}
 
 
 def test_enumerate_matches_golden():

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from conftest import (
     FIELD_ORDERS,
+    J_K_SWAP,
     _bit_indices,
     adjacent,
     anchored_join_scan,
@@ -16,6 +17,9 @@ from conftest import (
     k_trace_classes,
     matrix_identity,
     meeting_masks,
+    per_plane_anchored_scan,
+    plane_loop_failure,
+    plane_loop_first_failed,
     point_index_first_failed,
     point_index_graph,
     point_index_incidence_counts,
@@ -82,10 +86,12 @@ from ternions.geometry import (
 from ternions.model import (
     TYPE_ORDER,
     SubmoduleType,
+    build_catalog,
     cyclic_span,
     distinguished_flats,
     is_block6_patterned,
     matrix2_from_block6,
+    validate_catalog,
 )
 from ternions.ternion import (
     Ternion,
@@ -461,9 +467,37 @@ def test_scans_match_join_loop(which, cat2, cat3, cat4, cat5):
     assert scan_solids(cat) == anchored_join_scan(cat, 4)
 
 
+@pytest.mark.parametrize("q", [q for q in FIELD_ORDERS if q <= 9])
+def test_scans_match_per_plane_loop(q, request):
+    # hits inside K or J are confirmed on the stored traces, every other
+    # candidate on the X planes; the reference tests each on every X plane
+    cat = request.getfixturevalue(f"cat{q}") if q <= 5 else build_catalog(field_of_order(q))
+    assert scan_lines(cat) == per_plane_anchored_scan(cat, 2)
+    assert scan_solids(cat) == per_plane_anchored_scan(cat, 4)
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_scans_read_every_stored_trace(which, cat2, cat3):
+    # swap the two stored traces of the last X plane only: K now meets one
+    # of the "alpha lines" in a point, J one of the "J-lines", so neither is
+    # confirmed, and of the transversal lines, pairwise skew, only L passes
+    # through the point where the J-line of that plane meets K
+    cat = {2: cat2, 3: cat3}[which]
+    last = cat.g_x[-1]
+    doctored = dataclasses.replace(cat)
+    doctored.traces = {**cat.traces, last: cat.traces[last][::-1]}
+    assert scan_solids(doctored) == []
+    assert scan_lines(doctored) == [cat.l_line]
+
+
 def test_scan_budget_counts_anchored_candidates(cat2):
-    # one candidate A + A per point (lines) or line (solids) A of PG(2,2): 7
-    assert len(scan_lines(dataclasses.replace(cat2, budget=7))) == 3
+    # one candidate A + A per point (lines) or line (solids) A of PG(2,2): 7;
+    # the scan reads the traces, which keep their own guard (2V = 42)
+    tight = dataclasses.replace(cat2, budget=7)
+    with pytest.raises(BudgetError, match="42 plane traces"):
+        scan_lines(tight)
+    tight.traces = cat2.traces  # built under the default budget
+    assert len(scan_lines(tight)) == 3
     with pytest.raises(BudgetError, match="7 anchored scan candidates"):
         scan_lines(dataclasses.replace(cat2, budget=6))
     with pytest.raises(BudgetError, match="7 anchored scan candidates"):
@@ -620,19 +654,25 @@ def _moving_positive(cat, rng, planes):
 @pytest.mark.parametrize("which", [2, 3, 4, 5])
 def test_doctored_catalogs_reach_iii_and_ii(which, cat2, cat3, cat4, cat5):
     # f sends a kept plane onto the dropped one, so the conditions on the
-    # planes fail while iv, which reads only J and H, still holds
+    # planes fail in the references while iv, which reads only J and H,
+    # still holds; first_failed_condition reads iv alone and leaves such a
+    # catalog to the claims iv rests on, chars:x and chars:y, which fail
     cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
     rng = random.Random(10 + which)
     f, img = _moving_positive(cat, rng, cat.g_x)
     no_x = dataclasses.replace(cat, g_x=tuple(m for m in cat.g_x if m != img))
     as_y = dataclasses.replace(no_x, g_y=cat.g_y + (img,))
     for bad in (no_x, as_y):
-        got = first_failed_condition(f, bad)
+        assert first_failed_condition(f, bad) is None
+        got = plane_loop_first_failed(f, bad)
         assert got == _reference_first_failed(f, bad) == point_index_first_failed(f, bad) == "iii"
+        assert validate_catalog(bad)["x_is_scan"] is False
     f, img = _moving_positive(cat, rng, cat.g_y)
     no_y = dataclasses.replace(cat, g_y=tuple(m for m in cat.g_y if m != img))
-    got = first_failed_condition(f, no_y)
+    assert first_failed_condition(f, no_y) is None
+    got = plane_loop_first_failed(f, no_y)
     assert got == _reference_first_failed(f, no_y) == point_index_first_failed(f, no_y) == "ii"
+    assert validate_catalog(no_y)["y_is_pencil"] is False
 
 
 @pytest.mark.parametrize("which", [2, 3])
@@ -776,6 +816,34 @@ def test_g0_generators_satisfy_conditions(which, cat2, cat3, cat4, cat5):
             assert first_failed_condition(f, cat) is None
             assert _reference_first_failed(f, cat) is None
             assert point_index_first_failed(f, cat) is None
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_plane_loop_reference_agrees_with_iv(which, cat2, cat3, cat4):
+    # the iii/ii plane loop that condition iv replaced: every generator of
+    # G0 passes it, and it agrees with first_failed_condition on random
+    # maps; the swap of J and K fixes the standard triple but fails iv,
+    # and fails the loop's own iii, so the reference can fail
+    cat = {2: cat2, 3: cat3, 4: cat4}[which]
+    field = cat.field
+    auts = automorphisms(field)
+    rng = random.Random(30 + which)
+    gens = [f for maps in g0_generators(field).values() for f in maps]
+    for f in gens:
+        assert plane_loop_first_failed(f, cat) is None
+        assert first_failed_condition(f, cat) is None
+    maps = [_random_positive(cat, rng) for _ in range(20)]
+    maps += [
+        SemilinearMap(field, 6, random_nonblock_invertible(field, rng), rng.choice(auts))
+        for _ in range(20)
+    ]
+    assert [first_failed_condition(f, cat) for f in maps] == [
+        plane_loop_first_failed(f, cat) for f in maps
+    ]
+    swap = SemilinearMap(field, 6, J_K_SWAP, auts[0])
+    assert all(swap.apply(m) == m for m in standard_triple(field))
+    assert first_failed_condition(swap, cat) == plane_loop_first_failed(swap, cat) == "iv"
+    assert plane_loop_failure(swap, cat) == "iii"
 
 
 @pytest.mark.parametrize("which", [2, 3])

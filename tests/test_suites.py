@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 from conftest import (
+    J_K_SWAP,
     clique_flags_by_neighbours,
     companion_y,
     expected_cliques,
@@ -80,6 +81,7 @@ def test_thm1_q5_default_params(cat5):
     assert claims[0]["detail"] == {
         "generators": {"elementary": 6, "diagonal": 3, "frobenius": 0, "homothety": 2},
         "exhaustive": True,
+        "rests_on": ["chars:x", "chars:y"],
         "failures": 0,
         "first_failure": None,
     }
@@ -132,11 +134,6 @@ def _negative(cat):
     negative = run_suites(ctx, ["thm1"])[2]
     assert negative["id"] == "thm1:negative"
     return negative
-
-
-# diag(P, P), P swapping the first and third coordinates: it fixes M0, M1
-# and M2 and sends J = {x3 = x6 = 0} onto K = {x1 = x4 = 0}
-J_K_SWAP = tuple(tuple(int(j == p) for j in range(6)) for p in (2, 1, 0, 5, 4, 3))
 
 
 @pytest.mark.parametrize("which", [2, 3])
