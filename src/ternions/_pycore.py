@@ -13,8 +13,8 @@ elimination: they clear below each pivot, and neither scale pivot rows nor
 clear above them.
 
 The kernel does not check element codes: codes and row shapes that arrive
-from outside the package are checked once, in ``linalg.canonicalize`` and
-``linalg.SemilinearMap``.
+from outside the package are checked once, at the public boundaries that
+call ``gf.check_codes``.
 """
 
 
@@ -119,13 +119,7 @@ class Kernel:
 
     def stack_rank(self, rows_a, rows_b):
         """Rank of the two row sets stacked; the hot path of the scans."""
-        if not rows_a:
-            return self.rank(rows_b)
-        if not rows_b:
-            return self.rank(rows_a)
-        m = [list(r) for r in rows_a]
-        m += [list(r) for r in rows_b]
-        return self._rank(m, len(m[0]))
+        return self.rank((*rows_a, *rows_b))
 
     def meet(self, rows_a, rows_b, ncols):
         """Canonical basis of the intersection of two row spaces.
@@ -219,19 +213,10 @@ class Kernel:
         """Image of one row vector: apply sigma entrywise, then right-multiply."""
         if sigma is not None:
             vec = [sigma[v] for v in vec]
-        q, add, mul = self.q, self.add, self.mul
-        n = len(rows_m[0])
-        acc = [0] * n
-        for t, v in enumerate(vec):
-            if v:
-                rb = rows_m[t]
-                for j in range(n):
-                    w = rb[j]
-                    if w:
-                        acc[j] = add[acc[j] * q + mul[v * q + w]]
-        return tuple(acc)
+        return self.matmul((vec,), rows_m)[0]
 
     def apply_rows(self, rows, rows_m, sigma=None):
         """Canonical image of a row space under (sigma entrywise, then . M)."""
-        imgs = [self.vec_apply(r, rows_m, sigma) for r in rows]
-        return self.rref(imgs)
+        if sigma is not None:
+            rows = [[sigma[v] for v in r] for r in rows]
+        return self.rref(self.matmul(rows, rows_m))

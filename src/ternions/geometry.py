@@ -37,7 +37,6 @@ from .model import (
     SubmoduleType,
     block6_rows,
     cyclic_span,
-    is_block6_patterned,
     matrix2_from_block6,
     phi,
     phi_inverse,
@@ -580,9 +579,7 @@ def decompose_semilinear(f: SemilinearMap, cat: Catalog) -> Decomposition:
         raise ValueError("no homothety matches the opposite-regulus permutation")
     a, b, f2 = found
     f3 = h.compose(f2.inverse())
-    if not is_block6_patterned(f3.matrix):
-        raise ValueError("residual map is not a lift")
-    s = matrix2_from_block6(field, f3.matrix)
+    s = matrix2_from_block6(field, f3.matrix)  # raises when f3 is not a lift
     if not s.is_invertible:
         raise ValueError("residual lift is singular")
     unit = Ternion(field, 1, a, b)

@@ -14,10 +14,9 @@ tuples of codes fed to the kernel in ``_pycore``.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Iterator, Optional, Sequence
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from ._pycore import Kernel
 
@@ -43,6 +42,18 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def check_codes(values, q: int, what: str) -> None:
+    """Raise ValueError naming the first value that is not an element code
+    of GF(q), an int in [0, q).  Codes from outside the package pass this
+    once, at the public boundaries (`make_field`, `linalg.canonicalize`,
+    `linalg.SemilinearMap`, `model.phi_inverse`); the kernel checks none."""
+    for v in values:
+        if not (isinstance(v, int) and 0 <= v < q):
+            raise ValueError(
+                f"{what} {v!r} is not among the element codes 0..{q - 1} of GF({q})"
+            )
 
 
 # -- polynomial helpers over GF(p), coefficient lists low degree first ----
@@ -77,32 +88,6 @@ def _poly_mod(a, m, p):
     return r
 
 
-def _monic_polys(degree, p):
-    """All monic polynomials of the given degree over GF(p), low first."""
-    def rec(i, cur):
-        if i == degree:
-            yield cur + [1]
-            return
-        for c in range(p):
-            yield from rec(i + 1, cur + [c])
-    yield from rec(0, [])
-
-
-def is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
-    m = [c % p for c in modulus]
-    deg = len(m) - 1
-    if deg < 1 or m[-1] != 1:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for div in _monic_polys(d, p):
-            if not _poly_mod(m, div, p):
-                return False
-    return True
-
-
 class Field:
     """GF(p^k) with table-driven arithmetic on integer element codes."""
 
@@ -123,13 +108,11 @@ class Field:
                 if q not in DEFAULT_MODULI:
                     raise ValueError(f"no built-in modulus for q={q}; pass one")
                 modulus = DEFAULT_MODULI[q]
-            mod_t = tuple(c % p for c in modulus)
+            mod_t = tuple(modulus)
             if len(mod_t) != k + 1:
                 raise ValueError(f"modulus must have degree {k}")
             if mod_t[-1] != 1:
                 raise ValueError("modulus must be monic")
-            if not is_irreducible(mod_t, p):
-                raise ValueError(f"modulus {mod_t} is reducible over GF({p})")
         self.p = p
         self.k = k
         self.q = q
@@ -147,6 +130,10 @@ class Field:
         return sum((c % self.p) * self.p**i for i, c in enumerate(cs))
 
     def _build_tables(self):
+        """The arithmetic tables.  The inverse search is also the
+        irreducibility test: modulo m = f g with f, g of positive degree, f
+        is a nonzero zero divisor and has no inverse, while modulo an
+        irreducible m every nonzero element has one."""
         p, k, q = self.p, self.k, self.q
         if k == 1:
             add = [(a + b) % p for a in range(q) for b in range(q)]
@@ -173,7 +160,7 @@ class Field:
                     inv[a] = b
                     break
             else:
-                raise ValueError("element without inverse; modulus not irreducible?")
+                raise ValueError(f"modulus {self.modulus} is reducible over GF({p})")
         self._add_t = tuple(add)
         self._mul_t = tuple(mul)
         self._neg_t = tuple(neg)
@@ -254,16 +241,6 @@ def primitive_element(field: Field) -> int:
     raise AssertionError("no primitive element")
 
 
-def random_codes(field: Field, rng: random.Random) -> Iterator[int]:
-    """An endless stream of uniform element codes: each pull takes from
-    `rng` what `rng.randrange(q)` would and yields the same code.  It is
-    CPython's `Random._randbelow_with_getrandbits` (draw bit_length(q) bits,
-    redraw while >= q) as C iterators without lookahead, so other draws on
-    `rng` may come between pulls."""
-    q = field.q
-    return filter(q.__gt__, iter(partial(rng.getrandbits, q.bit_length()), -1))
-
-
 @dataclass(frozen=True)
 class FieldAutomorphism:
     """A power of the Frobenius map x -> x^p, stored as a code permutation."""
@@ -311,9 +288,12 @@ def _field_cached(p, k, modulus):
 
 
 def make_field(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> Field:
-    """Construct (or fetch the cached) GF(p^k)."""
-    mod_t = None if modulus is None else tuple(int(c) for c in modulus)
-    return _field_cached(p, k, mod_t)
+    """Construct (or fetch the cached) GF(p^k); the modulus coefficients,
+    constant term first, must be element codes of GF(p)."""
+    if modulus is not None:
+        modulus = tuple(modulus)
+        check_codes(modulus, p, "modulus coefficient")
+    return _field_cached(p, k, modulus)
 
 
 def field_of_order(q: int, modulus: Optional[Sequence[int]] = None) -> Field:

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Iterator, List, Optional, Sequence
 
-from .gf import Field, FieldAutomorphism, automorphisms
+from .gf import Field, FieldAutomorphism, automorphisms, check_codes
 
 DEFAULT_BUDGET = 150_000
 
@@ -64,13 +64,10 @@ class Subspace:
 
 def canonicalize(field: Field, n: int, rows: Sequence[Sequence[int]]) -> Subspace:
     """Subspace spanned by arbitrary generating rows of element codes."""
-    codes = field.codes()
     for r in rows:
         if len(r) != n:
             raise ValueError(f"row length {len(r)} != ambient dimension {n}")
-        for v in r:
-            if not (isinstance(v, int) and v in codes):
-                raise ValueError(f"{v!r} is not an element code of {field!r}")
+        check_codes(r, field.q, "row entry")
     return Subspace(field, n, field.kernel.rref(tuple(tuple(r) for r in rows)))
 
 
@@ -235,9 +232,7 @@ class SemilinearMap:
     def __post_init__(self):
         if len(self.matrix) != self.n or any(len(r) != self.n for r in self.matrix):
             raise ValueError("matrix must be n x n")
-        codes = self.field.codes()
-        if not all(isinstance(v, int) and v in codes for v in chain.from_iterable(self.matrix)):
-            raise ValueError(f"matrix entries must be element codes of {self.field!r}")
+        check_codes(chain.from_iterable(self.matrix), self.field.q, "matrix entry")
         if self.sigma.field != self.field:
             raise ValueError("automorphism field mismatch")
         if self.field.kernel.rank(self.matrix) != self.n:

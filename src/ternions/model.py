@@ -17,9 +17,9 @@ their common line L, and the hyperbolic quadric H = {x2 x6 = x3 x5} inside
 K whose two reguli split into the alpha family (avoiding L) and the
 opposite family (containing L).
 
-Right multiplication by an invertible 2x2 ternion matrix lifts to a
-6x6 matrix with a fixed sparsity-and-ties pattern; the lift is a group
-homomorphism and intertwines phi with the right action.
+Right multiplication by an invertible 2x2 ternion matrix lifts to the
+6x6 matrix block6_rows writes out; the lift is a group homomorphism and
+intertwines phi with the right action.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
-from .gf import Field
+from .gf import Field, check_codes
 from .linalg import (
     Subspace,
     canonicalize,
@@ -72,8 +72,10 @@ def phi(v: TernionPair) -> tuple:
 
 
 def phi_inverse(field: Field, vec) -> TernionPair:
+    """The pair with coordinates vec, six element codes of the field."""
     if len(vec) != 6:
         raise ValueError("expected a 6-vector")
+    check_codes(vec, field.q, "coordinate")
     return (Ternion(field, vec[0], vec[1], vec[2]), Ternion(field, vec[3], vec[4], vec[5]))
 
 
@@ -239,47 +241,28 @@ def block6_rows(s: TernionMatrix) -> tuple:
     )
 
 
-BLOCK6_ZERO_POSITIONS = tuple(
-    (i, j)
-    for i, row in enumerate(
-        (
-            (1, 1, 0, 1, 1, 0),
-            (0, 1, 0, 0, 1, 0),
-            (0, 0, 1, 0, 0, 1),
-            (1, 1, 0, 1, 1, 0),
-            (0, 1, 0, 0, 1, 0),
-            (0, 0, 1, 0, 0, 1),
-        )
-    )
-    for j, v in enumerate(row)
-    if v == 0
-)
-
-BLOCK6_TIED_POSITIONS = (((1, 1), (2, 2)), ((1, 4), (2, 5)), ((4, 1), (5, 2)), ((4, 4), (5, 5)))
+def _carried_matrix(field: Field, rows) -> TernionMatrix:
+    """The 2x2 ternion matrix read off the 12 entries of a 6x6 matrix at
+    which block6_rows puts a, b, c and d."""
+    return TernionMatrix(*(
+        Ternion(field, rows[i][j], rows[i][j + 1], rows[i + 1][j + 1])
+        for i in (0, 3)
+        for j in (0, 3)
+    ))
 
 
 def is_block6_patterned(rows) -> bool:
-    """Whether a 6x6 matrix matches the lift pattern: structural zeros plus
-    the four tied diagonal pairs."""
-    for (i, j) in BLOCK6_ZERO_POSITIONS:
-        if rows[i][j]:
-            return False
-    for (p1, p2) in BLOCK6_TIED_POSITIONS:
-        if rows[p1[0]][p1[1]] != rows[p2[0]][p2[1]]:
-            return False
-    return True
+    """Whether a 6x6 matrix is a lift: equal to the lift of the matrix read
+    off its carried entries.  block6_rows reads codes only, so no field is
+    needed."""
+    return block6_rows(_carried_matrix(None, rows)) == tuple(map(tuple, rows))
 
 
 def matrix2_from_block6(field: Field, rows) -> TernionMatrix:
-    """Rebuild the 2x2 ternion matrix from a patterned 6x6 lift."""
+    """Rebuild the 2x2 ternion matrix from its 6x6 lift."""
     if not is_block6_patterned(rows):
         raise ValueError("matrix does not have the lift pattern")
-    return TernionMatrix(
-        Ternion(field, rows[0][0], rows[0][1], rows[1][1]),
-        Ternion(field, rows[0][3], rows[0][4], rows[1][4]),
-        Ternion(field, rows[3][0], rows[3][1], rows[4][1]),
-        Ternion(field, rows[3][3], rows[3][4], rows[4][4]),
-    )
+    return _carried_matrix(field, rows)
 
 
 def line_model(v: TernionPair) -> Subspace:

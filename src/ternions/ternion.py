@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from typing import Iterator, Tuple
 
-from .gf import Field, primitive_element, random_codes
+from .gf import Field, primitive_element
 
 
 @dataclass(frozen=True)
@@ -186,18 +186,11 @@ def act_right(v: TernionPair, s: TernionMatrix) -> TernionPair:
 
 
 def random_invertible(field: Field, rng: random.Random) -> TernionMatrix:
-    """Uniform invertible matrix by rejection on the two determinant factors
-    (see TernionMatrix.det_factors), tested on the 12 drawn codes before any
-    ternion is built: a22 d22 - b22 c22 is nonzero exactly when the two
-    products differ, and likewise for the 11 entries."""
-    mul = field.mul
-    codes = random_codes(field, rng)
+    """Uniform invertible matrix by rejection: 12 codes a candidate, drawn
+    with `rng.randrange(q)`, kept when `TernionMatrix.is_invertible`."""
+    q = field.q
     while True:
-        c = list(islice(codes, 12))
-        if mul(c[2], c[11]) != mul(c[5], c[8]) and mul(c[0], c[9]) != mul(c[3], c[6]):
-            return TernionMatrix(
-                Ternion(field, c[0], c[1], c[2]),
-                Ternion(field, c[3], c[4], c[5]),
-                Ternion(field, c[6], c[7], c[8]),
-                Ternion(field, c[9], c[10], c[11]),
-            )
+        c = [rng.randrange(q) for _ in range(12)]
+        s = TernionMatrix(*(Ternion(field, *c[i:i + 3]) for i in range(0, 12, 3)))
+        if s.is_invertible:
+            return s

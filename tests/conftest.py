@@ -1,12 +1,12 @@
 import dataclasses
 import os
-from itertools import combinations, islice
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from ternions.geometry import _fixes_j_and_h, make_recipe
-from ternions.gf import DEFAULT_MODULI, make_field, random_codes
+from ternions.gf import DEFAULT_MODULI, make_field
 from ternions.linalg import (
     Subspace,
     coordinate_subspace,
@@ -129,16 +129,40 @@ def matrix_identity(field):
 
 
 def random_nonblock_invertible(field, rng):
-    """A random invertible 6x6 matrix that does not match the lift pattern,
-    by rejection on 36 codes a candidate, read row by row.  For a
-    `random.Random` the stream contract holds: the same matrices as 36
-    `rng.randrange(q)` calls a candidate, leaving `rng` in the same state
-    (see gf.random_codes)."""
-    codes = random_codes(field, rng)
+    """A random invertible 6x6 matrix that is not a lift, by rejection on
+    36 `rng.randrange(q)` codes a candidate, read row by row."""
+    q = field.q
     while True:
-        rows = tuple(zip(*[islice(codes, 36)] * 6))
+        rows = tuple(tuple(rng.randrange(q) for _ in range(6)) for _ in range(6))
         if not is_block6_patterned(rows) and field.kernel.rank(rows) == 6:
             return rows
+
+
+# The lift pattern as a table, the reference for `model.is_block6_patterned`:
+# the entries block6_rows keeps at zero, and the four pairs it ties equal.
+BLOCK6_ZERO_POSITIONS = tuple(
+    (i, j)
+    for i, row in enumerate(
+        (
+            (1, 1, 0, 1, 1, 0),
+            (0, 1, 0, 0, 1, 0),
+            (0, 0, 1, 0, 0, 1),
+            (1, 1, 0, 1, 1, 0),
+            (0, 1, 0, 0, 1, 0),
+            (0, 0, 1, 0, 0, 1),
+        )
+    )
+    for j, v in enumerate(row)
+    if v == 0
+)
+BLOCK6_TIED_POSITIONS = (((1, 1), (2, 2)), ((1, 4), (2, 5)), ((4, 1), (5, 2)), ((4, 4), (5, 5)))
+
+
+def block6_pattern_by_table(rows):
+    """Whether a 6x6 matrix has the structural zeros and ties of a lift."""
+    return not any(rows[i][j] for i, j in BLOCK6_ZERO_POSITIONS) and all(
+        rows[i1][j1] == rows[i2][j2] for (i1, j1), (i2, j2) in BLOCK6_TIED_POSITIONS
+    )
 
 
 def edge_count(graph):
@@ -283,9 +307,9 @@ def verify_decomposition_sampled(f, dec, rng, samples=64):
     composed = dec.f3.compose(dec.f2.compose(dec.f1))
     if composed.matrix != f.matrix or composed.sigma != f.sigma:
         return False
-    codes = random_codes(f.field, rng)
+    q = f.field.q
     vecs = [tuple(int(i == j) for j in range(6)) for i in range(6)]
-    vecs += [tuple(islice(codes, 6)) for _ in range(samples)]
+    vecs += [tuple(rng.randrange(q) for _ in range(6)) for _ in range(samples)]
     g = dec.module_map
     return all(phi(g.apply(phi_inverse(f.field, v))) == f.apply_vector(v) for v in vecs)
 

@@ -279,6 +279,15 @@ def test_custom_modulus():
     assert report["config"]["modulus"] == [1, 1, 1]
 
 
+def test_modulus_outside_gf_p_exit_2():
+    # 3 reduces to 1 mod 2: the run once went ahead with x^2 + x + 1 and
+    # echoed "modulus": [1, 1, 1]
+    r = run_cli("verify", "--q", "4", "--suite", "counts", "--modulus", "1", "1", "3")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "modulus coefficient 3 is not among the element codes 0..1 of GF(2)" in r.stderr
+
+
 def test_seed_changes_report_but_not_verdict():
     a = run_cli("verify", "--q", "2", "--suite", "thm1", "--seed", "1")
     b = run_cli("verify", "--q", "2", "--suite", "thm1", "--seed", "2")

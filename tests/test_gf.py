@@ -1,20 +1,17 @@
 """Field layer: table correctness, ring laws, automorphisms, conventions."""
 
-import random
+import re
 from itertools import product
 
 import pytest
-from conftest import FIELD_ORDERS
 
 from ternions.gf import (
     DEFAULT_MODULI,
     Field,
     automorphisms,
     field_of_order,
-    is_irreducible,
     is_prime,
     make_field,
-    random_codes,
 )
 
 
@@ -25,11 +22,12 @@ def test_is_prime_small():
 
 
 def test_irreducibility():
-    # x^2 + x + 1 irreducible over GF(2), x^2 + 1 is not
-    assert is_irreducible((1, 1, 1), 2)
-    assert not is_irreducible((1, 0, 1), 2)
-    # x^2 + 1 over GF(3) has no roots
-    assert is_irreducible((1, 0, 1), 3)
+    # x^2 + x + 1 is irreducible over GF(2), and x^2 + 1 over GF(3) has no
+    # roots; x^2 + 1 = (x + 1)^2 over GF(2)
+    assert make_field(2, 2, (1, 1, 1)).modulus == (1, 1, 1)
+    assert make_field(3, 2, (1, 0, 1)).modulus == (1, 0, 1)
+    with pytest.raises(ValueError, match="reducible"):
+        make_field(2, 2, (1, 0, 1))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27])
@@ -145,6 +143,16 @@ def test_construction_errors():
         field_of_order(1)
 
 
+@pytest.mark.parametrize("bad", [1.5, 3, -1, 1.0])
+def test_modulus_coefficients_are_codes(bad):
+    # int() or the reduction mod 2 reads each as x^2 + x + 1, and each was
+    # once built as that field
+    make_field(2, 2, (1, 1, 1))
+    msg = f"modulus coefficient {bad!r} is not among the element codes 0..1 of GF(2)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        make_field(2, 2, (1, bad, 1))
+
+
 def test_custom_modulus_still_a_field():
     # x^3 + x^2 + 1 is the other irreducible cubic over GF(2)
     f = make_field(2, 3, modulus=(1, 0, 1, 1))
@@ -171,19 +179,3 @@ def test_normalize_matches_one_row_rref(q):
     for vec in product(range(q), repeat=3):
         if any(vec):
             assert f.normalize(vec) == f.kernel.rref((vec,))[0]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("q", FIELD_ORDERS)
-def test_random_codes_match_randrange(q, seed):
-    # pulls interleaved with other draws on the same generator, as in the
-    # thm1 suite: the codes and the generator's final state agree
-    f = field_of_order(q)
-    autos = automorphisms(f)
-    a, b = random.Random(seed), random.Random(seed)
-    codes = random_codes(f, a)
-    for n in range(1, 40):
-        assert [next(codes) for _ in range(n)] == [b.randrange(q) for _ in range(n)]
-        assert a.choice(autos) == b.choice(autos)
-        assert a.randrange(1, q) == b.randrange(1, q)
-    assert a.random() == b.random()

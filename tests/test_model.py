@@ -1,10 +1,12 @@
 import dataclasses
 import random
+import re
 from itertools import product
 
 import pytest
 
 from conftest import (
+    block6_pattern_by_table,
     is_unimodular_by_products,
     random_ternion,
     subspaces_within,
@@ -88,6 +90,15 @@ def test_phi_round_trip(f3):
         assert phi_inverse(f3, phi(v)) == v
     with pytest.raises(ValueError):
         phi_inverse(f3, (1, 2, 3))
+
+
+@pytest.mark.parametrize("bad", [5, 3, -1, 1.0])
+def test_phi_inverse_rejects_outside_codes(f3, bad):
+    # unchecked, code 5 (or -1) reached the pair and then the basis of its
+    # cyclic_span
+    msg = f"coordinate {bad!r} is not among the element codes 0..2 of GF(3)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        phi_inverse(f3, (1, 0, 1, 0, bad, 1))
 
 
 @pytest.mark.parametrize("a,b,want,dim", REPRESENTATIVES)
@@ -239,6 +250,47 @@ def test_block6_pattern_round_trip(f3):
     assert not is_block6_patterned(broken)
     with pytest.raises(ValueError):
         matrix2_from_block6(f3, broken)
+
+
+def _one_entry_changed(rows, q):
+    """Every matrix that differs from rows in exactly one entry."""
+    for i, row in enumerate(rows):
+        for j in range(6):
+            for c in range(q):
+                if c != row[j]:
+                    yield rows[:i] + (row[:j] + (c,) + row[j + 1:],) + rows[i + 1:]
+
+
+def test_lift_rule_matches_pattern_table():
+    # the lift rebuilt from the 12 carried entries against the zero/tie
+    # table: every lift over GF(2), and a seeded sample of lifts over GF(3)
+    # (all 3^12 of them would be 38.8 million matrices with their changes),
+    # each with every single entry changed
+    rng = random.Random(29)
+    f2, f3 = make_field(2), make_field(3)
+    samples = [(f2, codes) for codes in product(range(2), repeat=12)]
+    samples += [(f3, [rng.randrange(3) for _ in range(12)]) for _ in range(150)]
+    for field, codes in samples:
+        s = TernionMatrix(*(Ternion(field, *codes[i:i + 3]) for i in range(0, 12, 3)))
+        lift = block6_rows(s)
+        assert is_block6_patterned(lift) and block6_pattern_by_table(lift)
+        assert matrix2_from_block6(field, lift) == s
+        for rows in _one_entry_changed(lift, field.q):
+            assert is_block6_patterned(rows) == block6_pattern_by_table(rows)
+    # matrix2_from_block6 refuses the changes of the last GF(3) lift that
+    # are not lifts
+    for rows in _one_entry_changed(lift, 3):
+        if not is_block6_patterned(rows):
+            with pytest.raises(ValueError, match="lift pattern"):
+                matrix2_from_block6(f3, rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_lift_rule_on_random_matrices(q):
+    rng = random.Random(31 + q)
+    for _ in range(2000):
+        rows = tuple(tuple(rng.randrange(q) for _ in range(6)) for _ in range(6))
+        assert is_block6_patterned(rows) == block6_pattern_by_table(rows)
 
 
 def test_block6_lift_requires_invertible(f2):

@@ -1,0 +1,47 @@
+"""Library surface: every top-level function and class of the package is
+named by the package itself or by the benchmark's tracer, not only by tests
+(a name only tests use belongs in the tests)."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def unused_definitions(sources, others):
+    """`file:line name` of each top-level def or class in `sources` whose
+    name, as a whole word, occurs in no line of `sources` or `others`
+    outside its own definition."""
+    texts = {path: path.read_text().splitlines() for path in [*sources, *others]}
+    unused = []
+    for path in sources:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            if not any(
+                word.search(line)
+                for other, lines in texts.items()
+                for n, line in enumerate(lines, 1)
+                if not (other == path and node.lineno <= n <= node.end_lineno)
+            ):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    return unused
+
+
+def test_every_library_name_has_a_user():
+    sources = sorted((ROOT / "src" / "ternions").glob("*.py"))
+    assert unused_definitions(sources, [ROOT / "perfbench" / "child.py"]) == []
+
+
+def test_guard_flags_a_name_only_its_definition_uses(tmp_path):
+    lib, tracer = tmp_path / "lib.py", tmp_path / "tracer.py"
+    lib.write_text(
+        "def used():\n    return 1\n\n\n"
+        "def lonely():\n    # lonely calls itself: still unused\n    return lonely() + used()\n\n\n"
+        "class Traced:\n    pass\n"
+    )
+    tracer.write_text('NAMES = ("Traced",)\n')
+    assert unused_definitions([lib], [tracer]) == ["lib.py:5 lonely"]
+    assert unused_definitions([lib], []) == ["lib.py:5 lonely", "lib.py:10 Traced"]
