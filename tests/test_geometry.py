@@ -9,6 +9,7 @@ from conftest import (
     _bit_indices,
     adjacent,
     anchored_join_scan,
+    block6_pattern_by_table,
     companion_y,
     edge_count,
     expected_cliques,
@@ -868,6 +869,28 @@ def test_g0_transitive_on_skew_x_triples(which, cat2, cat3):
     # has units a, b up to a unit factor: q (q-1)^2 choices
     q = field.q
     assert len(triples) == len(xs) * q**3 * q * (q - 1) ** 2
+
+
+def _reference_random_nonblock_invertible(field, rng):
+    """Rejection on 36 `rng.randrange(q)` codes a candidate, read row by
+    row, with the lift pattern tested by the zero/tie table."""
+    q = field.q
+    while True:
+        rows = tuple(tuple(rng.randrange(q) for _ in range(6)) for _ in range(6))
+        if block6_pattern_by_table(rows):
+            continue
+        if field.kernel.rank(rows) == 6:
+            return rows
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_random_nonblock_matches_reference_stream(q, seed):
+    field = field_of_order(q)
+    a, b = random.Random(seed), random.Random(seed)
+    got = [random_nonblock_invertible(field, a) for _ in range(200)]
+    assert got == [_reference_random_nonblock_invertible(field, b) for _ in range(200)]
+    assert a.random() == b.random()
 
 
 def test_random_nonblock_is_invertible_nonpattern(f3):

@@ -2,9 +2,10 @@ import random
 from itertools import product
 
 import pytest
-from conftest import matrix_identity, random_ternion
+from conftest import FIELD_ORDERS, matrix_identity, random_ternion
 
-from ternions.gf import make_field
+from ternions.gf import field_of_order, make_field
+from ternions.model import block6_rows
 from ternions.ternion import (
     Ternion,
     TernionMatrix,
@@ -185,6 +186,33 @@ def test_random_invertible(f5):
     for _ in range(40):
         m = random_invertible(f5, rng)
         assert m.is_invertible
+
+
+def _reference_random_invertible(field, rng):
+    """Rejection on 12 `rng.randrange(q)` codes a candidate, kept when its
+    6x6 lift has full rank (the lift's determinant is the upper factor
+    times the square of the lower one)."""
+    q = field.q
+    while True:
+        codes = [rng.randrange(q) for _ in range(12)]
+        m = TernionMatrix(
+            Ternion(field, *codes[0:3]),
+            Ternion(field, *codes[3:6]),
+            Ternion(field, *codes[6:9]),
+            Ternion(field, *codes[9:12]),
+        )
+        if field.kernel.rank(block6_rows(m)) == 6:
+            return m
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_random_invertible_matches_reference_stream(q, seed):
+    field = field_of_order(q)
+    a, b = random.Random(seed), random.Random(seed)
+    got = [random_invertible(field, a) for _ in range(200)]
+    assert got == [_reference_random_invertible(field, b) for _ in range(200)]
+    assert a.random() == b.random()
 
 
 def test_e_basis(f2):
