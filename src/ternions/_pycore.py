@@ -12,6 +12,10 @@ needs only the count of pivots, so ``rank`` and ``stack_rank`` run forward
 elimination: they clear below each pivot, and neither scale pivot rows nor
 clear above them.
 
+The kernel is linear algebra only: a semilinear map's field automorphism
+is applied by ``gf.FieldAutomorphism.apply`` before ``vec_apply`` and
+``apply_rows`` see its rows.
+
 The kernel does not check element codes: codes and row shapes that arrive
 from outside the package are checked once, at the public boundaries that
 call ``gf.check_codes``.
@@ -209,14 +213,10 @@ class Kernel:
         r = self._eliminate(m, ncols)
         return tuple(tuple(m[i]) for i in range(r))
 
-    def vec_apply(self, vec, rows_m, sigma=None):
-        """Image of one row vector: apply sigma entrywise, then right-multiply."""
-        if sigma is not None:
-            vec = [sigma[v] for v in vec]
+    def vec_apply(self, vec, rows_m):
+        """Image of one row vector under right multiplication by M."""
         return self.matmul((vec,), rows_m)[0]
 
-    def apply_rows(self, rows, rows_m, sigma=None):
-        """Canonical image of a row space under (sigma entrywise, then . M)."""
-        if sigma is not None:
-            rows = [[sigma[v] for v in r] for r in rows]
+    def apply_rows(self, rows, rows_m):
+        """Canonical image of a row space under right multiplication by M."""
         return self.rref(self.matmul(rows, rows_m))

@@ -364,30 +364,24 @@ def scan_solids(cat: Catalog) -> List[Subspace]:
     return _anchored_scan(cat, 4)
 
 
-def certificate_from_counts(n_lines: int, n_solids: int) -> Dict[str, object]:
-    """The pure logical step: a duality leaving the X planes invariant would
-    biject the transversal lines with the transversal solids, so unequal
-    counts exclude it.  Equal counts are inconclusive by this argument."""
-    return {
-        "transversal_lines": n_lines,
-        "transversal_solids": n_solids,
-        "duality_excluded": n_lines != n_solids,
-    }
-
-
 def no_duality_certificate(
     cat: Catalog, lines: Sequence[Subspace], solids: Sequence[Subspace]
 ) -> Dict[str, object]:
     """Certificate that no duality of PG(5,q) fixes the X planes setwise:
-    the scans give q+1 transversal lines but only 2 transversal solids."""
+    one would biject the transversal lines with the transversal solids, so
+    unequal counts exclude it (equal counts are inconclusive), and the
+    scans give q+1 lines but only 2 solids."""
     q = cat.field.q
-    cert = certificate_from_counts(len(lines), len(solids))
-    cert["lines_are_opposite_regulus"] = set(lines) == set(cat.quadric.regulus_opposite)
-    cert["solids_are_j_and_k"] = set(solids) == {cat.j_solid, cat.k_solid}
-    cert["lines_expected"] = q + 1
-    cert["solids_expected"] = 2
-    cert["counts_match"] = len(lines) == q + 1 and len(solids) == 2
-    return cert
+    return {
+        "transversal_lines": len(lines),
+        "transversal_solids": len(solids),
+        "duality_excluded": len(lines) != len(solids),
+        "lines_are_opposite_regulus": set(lines) == set(cat.quadric.regulus_opposite),
+        "solids_are_j_and_k": set(solids) == {cat.j_solid, cat.k_solid},
+        "lines_expected": q + 1,
+        "solids_expected": 2,
+        "counts_match": len(lines) == q + 1 and len(solids) == 2,
+    }
 
 
 # -- semilinear collineations and the characterization theorem ---------------------
@@ -414,11 +408,8 @@ def _point_images(f: SemilinearMap, rows: Sequence[tuple]) -> List[tuple]:
     """The normalised images of nonzero row vectors under f: sigma applied
     entrywise, then one matrix product (f is invertible, so no image is
     zero)."""
-    if not f.sigma.is_identity:
-        st = f.sigma.table
-        rows = [tuple([st[c] for c in r]) for r in rows]
     norm = f.field.normalize
-    return [norm(img) for img in f.field.kernel.matmul(rows, f.matrix)]
+    return [norm(img) for img in f.field.kernel.matmul(f.sigma.apply(rows), f.matrix)]
 
 
 def _fixes_j_and_h(f: SemilinearMap, cat: Catalog) -> bool:
@@ -444,8 +435,8 @@ def first_failed_condition(f: SemilinearMap, cat: Catalog) -> Optional[str]:
 
 @dataclass
 class ModuleMap:
-    """A semilinear module map: entrywise sigma, then the left unit
-    homothety, then right multiplication by S."""
+    """The module map v -> unit sigma(v) S of Theorem 1, the form a
+    collineation is decomposed into (`decompose_semilinear`)."""
 
     sigma: FieldAutomorphism
     unit: Ternion
@@ -453,24 +444,8 @@ class ModuleMap:
 
     def apply(self, v: TernionPair) -> TernionPair:
         f = self.unit.field
-        t = self.sigma.table
-        a, b = v
-        a2 = Ternion(f, t[a.x], t[a.y], t[a.z])
-        b2 = Ternion(f, t[b.x], t[b.y], t[b.z])
-        return act_right((self.unit * a2, self.unit * b2), self.matrix)
-
-
-@dataclass
-class Decomposition:
-    """f = f3 o f2 o f1 with f1 entrywise, f2 the J-pointwise map matching
-    the opposite-regulus permutation, f3 a lift; module_map realizes f on
-    pairs through phi."""
-
-    f1: SemilinearMap
-    f2: SemilinearMap
-    f3: SemilinearMap
-    module_map: ModuleMap
-    homothety_params: Tuple[int, int]
+        a, b = (Ternion(f, *t) for t in self.sigma.apply((v[0].triple(), v[1].triple())))
+        return act_right((self.unit * a, self.unit * b), self.matrix)
 
 
 def _homothety_rows(field: Field, a: int, b: int) -> tuple:
@@ -549,63 +524,49 @@ def stabilizer_factorisation(field: Field) -> Tuple[int, bool]:
     return 9 * (field.q - 1), ok
 
 
-def decompose_semilinear(f: SemilinearMap, cat: Catalog) -> Decomposition:
-    """Split a collineation fixing J and H into lift * homothety * entrywise,
-    and rebuild the module map it came from.  Raises when f does not fix J
-    and H setwise, or when no decomposition exists.  The automorphism is
-    f's own: f(c e1) = sigma(c) f(e1) with f(e1) != 0, so f.sigma is the
-    only automorphism over which f is semilinear."""
+def decompose_semilinear(f: SemilinearMap, cat: Catalog) -> ModuleMap:
+    """The module map (sigma, (1, a, b), S) of a collineation f fixing J and
+    H, read off its matrix, which is H(a, b) lift(S) by Theorem 1 (H is
+    `_homothety_rows`).  sigma is f's own: f(c e1) = sigma(c) f(e1) with
+    f(e1) != 0.  H changes only rows 2 and 5 (from 0), so row 1 is
+    (0, s, 0, 0, t, 0) with (s, t) = (a22, b22) of S, not both 0, and row 2
+    is (0, as, bs, 0, at, bt).  H(-a/b, 1/b) H(a, b) = 1 leaves lift(S).
+    Raises ValueError when f does not fix J and H setwise, or when its
+    matrix is not of this form."""
     field = f.field
     if not _fixes_j_and_h(f, cat):
         raise ValueError("decomposition requires f(J) = J and f(H) = H")
-    sigma = f.sigma
-    f1 = SemilinearMap(field, 6, full_space(field, 6).basis, sigma)
-    # h = f o f1^-1 is linear with the same matrix as f.
-    h = f.compose(f1.inverse())
-    assert h.sigma.is_identity
-    opposite = cat.quadric.regulus_opposite
-    target = {o: h.apply(o) for o in opposite}
-    ident = automorphisms(field)[0]
-    found = None
-    for a in field.codes():
-        for b in range(1, field.q):
-            f2 = SemilinearMap(field, 6, _homothety_rows(field, a, b), ident)
-            if all(f2.apply(o) == target[o] for o in opposite):
-                found = (a, b, f2)
-                break
-        if found:
-            break
-    if not found:
-        raise ValueError("no homothety matches the opposite-regulus permutation")
-    a, b, f2 = found
-    f3 = h.compose(f2.inverse())
-    s = matrix2_from_block6(field, f3.matrix)  # raises when f3 is not a lift
-    if not s.is_invertible:
-        raise ValueError("residual lift is singular")
-    unit = Ternion(field, 1, a, b)
-    g = ModuleMap(sigma, unit, s)
-    return Decomposition(f1=f1, f2=f2, f3=f3, module_map=g, homothety_params=(a, b))
+    m = f.matrix
+    col = 1 if m[1][1] else 4
+    if not m[1][col]:
+        raise ValueError("row 1 of the matrix is zero in columns 1 and 4")
+    s_inv = field.inv(m[1][col])
+    a, b = field.mul(m[2][col], s_inv), field.mul(m[2][col + 1], s_inv)
+    if not b:
+        raise ValueError("the homothety read off the matrix has b = 0")
+    b_inv = field.inv(b)
+    h_inv = _homothety_rows(field, field.neg(field.mul(a, b_inv)), b_inv)
+    s = matrix2_from_block6(field, field.kernel.matmul(h_inv, m))  # raises when not a lift
+    return ModuleMap(f.sigma, Ternion(field, 1, a, b), s)
 
 
-def verify_decomposition(f: SemilinearMap, dec: Decomposition) -> bool:
-    """Check f = f3 o f2 o f1 on the matrix level and phi(g(v)) = f(phi(v))
-    for every pair v, from the six basis pairs.  The module map g (sigma
-    entrywise, then the left unit, then right multiplication by S) is
-    sigma-semilinear, as the unit and S act F-linearly (F is central in T);
-    f is semilinear over its automorphism, checked to be sigma, and phi is
-    linear.  So phi o g and f o phi are sigma-semilinear maps of F^6, equal
-    once they agree on a basis."""
-    field = f.field
-    composed = dec.f3.compose(dec.f2.compose(dec.f1))
-    if composed.matrix != f.matrix or composed.sigma != f.sigma:
-        return False
-    g = dec.module_map
+def verify_decomposition(f: SemilinearMap, g: ModuleMap) -> bool:
+    """Check phi(g(v)) = f(phi(v)) for every pair v, from the six basis
+    pairs.  The module map g (sigma entrywise, then the left unit, then
+    right multiplication by S) is sigma-semilinear, as the unit and S act
+    F-linearly (F is central in T); f is semilinear over its automorphism,
+    checked to be sigma, and phi is linear.  So phi o g and f o phi are
+    sigma-semilinear maps of F^6, equal once they agree on a basis.  This
+    round trip is also the matrix-level check that f is the lift after the
+    homothety after sigma: both sides are sigma-semilinear, and such maps
+    agree on a basis exactly when their matrices agree."""
     if g.sigma != f.sigma:
         return False
-    for vec in full_space(field, 6).basis:
-        if phi(g.apply(phi_inverse(field, vec))) != f.apply_vector(vec):
-            return False
-    return True
+    field = f.field
+    return all(
+        phi(g.apply(phi_inverse(field, vec))) == f.apply_vector(vec)
+        for vec in full_space(field, 6).basis
+    )
 
 
 # -- adjacency preservers -----------------------------------------------------------

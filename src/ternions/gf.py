@@ -48,7 +48,8 @@ def check_codes(values, q: int, what: str) -> None:
     """Raise ValueError naming the first value that is not an element code
     of GF(q), an int in [0, q).  Codes from outside the package pass this
     once, at the public boundaries (`make_field`, `linalg.canonicalize`,
-    `linalg.SemilinearMap`, `model.phi_inverse`); the kernel checks none."""
+    `linalg.SemilinearMap`, `ternion.Ternion`, `model.phi_inverse`); the
+    kernel checks none."""
     for v in values:
         if not (isinstance(v, int) and 0 <= v < q):
             raise ValueError(
@@ -253,14 +254,13 @@ class FieldAutomorphism:
     def is_identity(self) -> bool:
         return self.power == 0
 
-    def compose(self, other: "FieldAutomorphism") -> "FieldAutomorphism":
-        """self after other."""
-        if self.field != other.field:
-            raise ValueError("automorphisms of different fields")
-        return automorphisms(self.field)[(self.power + other.power) % self.field.k]
-
-    def inverse(self) -> "FieldAutomorphism":
-        return automorphisms(self.field)[(-self.power) % self.field.k]
+    def apply(self, rows):
+        """The automorphism entrywise on rows of codes, as a tuple of tuples;
+        the identity returns `rows` itself.  Every semilinear map uses this."""
+        if self.is_identity:
+            return rows
+        t = self.table
+        return tuple([tuple([t[c] for c in r]) for r in rows])
 
     def __repr__(self):
         return f"Frob^{self.power}:GF({self.field.q})"

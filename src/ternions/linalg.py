@@ -238,40 +238,14 @@ class SemilinearMap:
         if self.field.kernel.rank(self.matrix) != self.n:
             raise ValueError("singular matrix does not define a collineation")
 
-    def _sigma_table(self):
-        return None if self.sigma.is_identity else self.sigma.table
-
     def apply_vector(self, vec: Sequence[int]) -> tuple:
-        return self.field.kernel.vec_apply(tuple(vec), self.matrix, self._sigma_table())
+        return self.field.kernel.vec_apply(self.sigma.apply((vec,))[0], self.matrix)
 
     def apply(self, u: Subspace) -> Subspace:
         if u.field != self.field or u.n != self.n:
             raise ValueError("subspace of a different ambient space")
-        rows = self.field.kernel.apply_rows(u.basis, self.matrix, self._sigma_table())
+        rows = self.field.kernel.apply_rows(self.sigma.apply(u.basis), self.matrix)
         return Subspace(self.field, self.n, rows)
-
-    def compose(self, other: "SemilinearMap") -> "SemilinearMap":
-        """self after other: v -> self(other(v))."""
-        if self.field != other.field or self.n != other.n:
-            raise ValueError("maps of different spaces")
-        kern = self.field.kernel
-        st = self._sigma_table()
-        m1 = other.matrix
-        if st is not None:
-            m1 = tuple(tuple(st[v] for v in row) for row in m1)
-        return SemilinearMap(
-            self.field, self.n, kern.matmul(m1, self.matrix), self.sigma.compose(other.sigma)
-        )
-
-    def inverse(self) -> "SemilinearMap":
-        kern = self.field.kernel
-        minv = kern.matinv(self.matrix)
-        assert minv is not None
-        si = self.sigma.inverse()
-        st = None if si.is_identity else si.table
-        if st is not None:
-            minv = tuple(tuple(st[v] for v in row) for row in minv)
-        return SemilinearMap(self.field, self.n, minv, si)
 
 
 def identity_map(field: Field, n: int) -> SemilinearMap:

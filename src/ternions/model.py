@@ -228,41 +228,43 @@ def _projective_parameters(field: Field):
     yield (0, 1)
 
 
-def block6_rows(s: TernionMatrix) -> tuple:
-    """The raw 6x6 matrix of the lift (no invertibility requirement)."""
-    a, b, c, d = s.a, s.b, s.c, s.d
+def _lift(a, b, c, d) -> tuple:
+    """The 6x6 matrix of the lift of [[a, b], [c, d]], each entry given as
+    its coordinate triple."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = a, b, c, d
     return (
-        (a.x, a.y, 0, b.x, b.y, 0),
-        (0, a.z, 0, 0, b.z, 0),
-        (0, 0, a.z, 0, 0, b.z),
-        (c.x, c.y, 0, d.x, d.y, 0),
-        (0, c.z, 0, 0, d.z, 0),
-        (0, 0, c.z, 0, 0, d.z),
+        (ax, ay, 0, bx, by, 0),
+        (0, az, 0, 0, bz, 0),
+        (0, 0, az, 0, 0, bz),
+        (cx, cy, 0, dx, dy, 0),
+        (0, cz, 0, 0, dz, 0),
+        (0, 0, cz, 0, 0, dz),
     )
 
 
-def _carried_matrix(field: Field, rows) -> TernionMatrix:
-    """The 2x2 ternion matrix read off the 12 entries of a 6x6 matrix at
-    which block6_rows puts a, b, c and d."""
-    return TernionMatrix(*(
-        Ternion(field, rows[i][j], rows[i][j + 1], rows[i + 1][j + 1])
-        for i in (0, 3)
-        for j in (0, 3)
-    ))
+def block6_rows(s: TernionMatrix) -> tuple:
+    """The raw 6x6 matrix of the lift (no invertibility requirement)."""
+    return _lift(s.a.triple(), s.b.triple(), s.c.triple(), s.d.triple())
+
+
+def _carried_triples(rows) -> tuple:
+    """The triples of a, b, c and d read off the 12 entries of a 6x6 matrix
+    at which the lift puts them."""
+    return tuple((rows[i][j], rows[i][j + 1], rows[i + 1][j + 1]) for i in (0, 3) for j in (0, 3))
 
 
 def is_block6_patterned(rows) -> bool:
-    """Whether a 6x6 matrix is a lift: equal to the lift of the matrix read
-    off its carried entries.  block6_rows reads codes only, so no field is
+    """Whether a 6x6 matrix is a lift: equal to the lift of the triples read
+    off its carried entries.  Codes only are compared, so no field is
     needed."""
-    return block6_rows(_carried_matrix(None, rows)) == tuple(map(tuple, rows))
+    return _lift(*_carried_triples(rows)) == tuple(map(tuple, rows))
 
 
 def matrix2_from_block6(field: Field, rows) -> TernionMatrix:
     """Rebuild the 2x2 ternion matrix from its 6x6 lift."""
     if not is_block6_patterned(rows):
         raise ValueError("matrix does not have the lift pattern")
-    return _carried_matrix(field, rows)
+    return TernionMatrix(*(Ternion(field, *t) for t in _carried_triples(rows)))
 
 
 def line_model(v: TernionPair) -> Subspace:

@@ -31,6 +31,7 @@ from .linalg import (
 from .model import (
     Catalog,
     SubmoduleType,
+    block6_rows,
     build_catalog,
     classify,
     classify_by_rank,
@@ -490,7 +491,8 @@ def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
     the J-line and K-line counts, and the factorisation
     (`geometry.stabilizer_factorisation`); it names the claims it rests on,
     so `thm1` alone runs no scan.  `thm1:decompose` decomposes seeded
-    random maps and checks each round trip exactly, on a basis
+    random maps, checks that the read-off returns the (sigma, unit, S)
+    each was built from and each round trip exactly, on a basis
     (`geometry.verify_decomposition`)."""
     cat = ctx.catalog
     field = ctx.field
@@ -523,32 +525,30 @@ def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
     n_dec = THM1_DECOMPOSITIONS
     dec_fail = 0
     exact_fail = 0
-    ident = autos[0]
     for _ in range(n_dec):
         s = random_invertible(field, rng)
         sigma = rng.choice(autos)
         a = rng.randrange(field.q)
         b = rng.randrange(1, field.q)
-        f1 = SemilinearMap(field, 6, identity_map(field, 6).matrix, sigma)
-        f2 = SemilinearMap(field, 6, geo._homothety_rows(field, a, b), ident)
-        f = geo.induced_collineation(s, ident).compose(f2.compose(f1))
+        # sigma, then the homothety (a, b), then the lift of S
+        matrix = field.kernel.matmul(geo._homothety_rows(field, a, b), block6_rows(s))
+        f = SemilinearMap(field, 6, matrix, sigma)
         try:
-            dec = geo.decompose_semilinear(f, cat)
+            g = geo.decompose_semilinear(f, cat)
         except ValueError:
             dec_fail += 1
             continue
-        if not geo.verify_decomposition(f, dec):
+        if not geo.verify_decomposition(f, g):
             dec_fail += 1
-        if dec.homothety_params != (a, b) or dec.module_map.sigma != sigma:
+        if g.unit.triple() != (1, a, b) or g.sigma != sigma or g.matrix != s:
             exact_fail += 1
     # the degenerate corners: identity and a bare lift
     for f in (
         identity_map(field, 6),
-        geo.induced_collineation(random_invertible(field, rng), ident),
+        geo.induced_collineation(random_invertible(field, rng), autos[0]),
     ):
         try:
-            dec = geo.decompose_semilinear(f, cat)
-            if not geo.verify_decomposition(f, dec):
+            if not geo.verify_decomposition(f, geo.decompose_semilinear(f, cat)):
                 dec_fail += 1
         except ValueError:
             dec_fail += 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Tuple
 
-from .gf import Field, primitive_element
+from .gf import Field, check_codes, primitive_element
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,9 @@ class Ternion:
     x: int
     y: int
     z: int
+
+    def __post_init__(self):
+        check_codes((self.x, self.y, self.z), self.field.q, "ternion entry")
 
     def _check(self, other):
         if not isinstance(other, Ternion):

@@ -301,16 +301,12 @@ def is_unimodular_by_products(v):
     return kern.stack_rank(rows, ((1, 0, 1),)) == kern.rank(rows)
 
 
-def verify_decomposition_sampled(f, dec, rng, samples=64):
-    """`verify_decomposition`'s round trip on the six basis pairs plus
-    `samples` random pairs, after the same matrix-level check."""
-    composed = dec.f3.compose(dec.f2.compose(dec.f1))
-    if composed.matrix != f.matrix or composed.sigma != f.sigma:
-        return False
+def verify_decomposition_sampled(f, g, rng, samples=64):
+    """`verify_decomposition`'s round trip of the module map g on the six
+    basis pairs plus `samples` random pairs, with no check of g.sigma."""
     q = f.field.q
     vecs = [tuple(int(i == j) for j in range(6)) for i in range(6)]
     vecs += [tuple(rng.randrange(q) for _ in range(6)) for _ in range(samples)]
-    g = dec.module_map
     return all(phi(g.apply(phi_inverse(f.field, v))) == f.apply_vector(v) for v in vecs)
 
 

@@ -22,9 +22,10 @@ from conftest import (
 )
 
 from ternions.gf import automorphisms, make_field
-from ternions.linalg import SemilinearMap, full_space, join, meet, meet_dim
+from ternions.linalg import SemilinearMap, join, meet, meet_dim
 from ternions.model import (
     SubmoduleType,
+    block6_rows,
     build_catalog,
     classify,
     classify_by_rank,
@@ -228,11 +229,10 @@ def test_criterion_07_lemma_scans(cat2, cat3, cat4):
 
 
 def _canonical_composite(cat, s, a, b, sigma):
+    """sigma entrywise, then the homothety (a, b), then the lift of S."""
     field = cat.field
-    f1 = SemilinearMap(field, 6, full_space(field, 6).basis, sigma)
-    f2 = SemilinearMap(field, 6, _homothety_rows(field, a, b), automorphisms(field)[0])
-    f3 = induced_collineation(s, automorphisms(field)[0])
-    return f3.compose(f2.compose(f1))
+    matrix = field.kernel.matmul(_homothety_rows(field, a, b), block6_rows(s))
+    return SemilinearMap(field, 6, matrix, sigma)
 
 
 def test_criterion_08_theorem1(cat2, cat3, cat4):
@@ -260,8 +260,8 @@ def test_criterion_08_theorem1(cat2, cat3, cat4):
                 a = rng.randrange(field.q)
                 b = rng.randrange(1, field.q)
                 f = _canonical_composite(cat, s, a, b, sigma)
-            dec = decompose_semilinear(f, cat)
-            ok = ok and verify_decomposition(f, dec)
+            g = decompose_semilinear(f, cat)
+            ok = ok and verify_decomposition(f, g)
         notes.append(f"q={field.q} 1000 positives")
     # the converse on the stabilizer of the standard triple T(1,0), T(0,1),
     # T(1,1), by brute force: the collineations fixing it are the

@@ -56,7 +56,6 @@ from ternions.linalg import (
 from ternions.geometry import (
     DELTA_J,
     build_graph,
-    certificate_from_counts,
     decompose_semilinear,
     delta_j,
     expected_incidence_row,
@@ -89,6 +88,7 @@ from ternions.model import (
     SubmoduleType,
     build_catalog,
     cyclic_span,
+    block6_rows,
     distinguished_flats,
     is_block6_patterned,
     matrix2_from_block6,
@@ -525,11 +525,13 @@ def test_scan_names_a_standard_plane_outside_x(which, cat2, cat3):
         scan_solids(doctored)
 
 
-def test_certificate_needs_unequal_counts():
+def test_certificate_needs_unequal_counts(cat2):
     # q = 1 would give 2 = 2; the logical step alone cannot conclude
-    degenerate = certificate_from_counts(2, 2)
+    lines = list(cat2.quadric.regulus_opposite)
+    solids = [cat2.j_solid, cat2.k_solid]
+    degenerate = no_duality_certificate(cat2, lines[:2], solids)
     assert degenerate["duality_excluded"] is False
-    assert certificate_from_counts(3, 2)["duality_excluded"] is True
+    assert no_duality_certificate(cat2, lines, solids)["duality_excluded"] is True
 
 
 # -- the characterization ------------------------------------------------------
@@ -778,8 +780,9 @@ def test_g0_frobenius_generates_automorphisms(q):
     autos = automorphisms(field)
     for f in gens:
         assert f.matrix == full_space(field, 6).basis
-    got = _closure([f.sigma for f in gens], lambda a, b: a.compose(b), autos[0])
-    assert got == set(autos)
+    # Frob^i after Frob^j is Frob^(i+j mod k)
+    got = _closure([f.sigma.power for f in gens], lambda i, j: (i + j) % field.k, 0)
+    assert {autos[e] for e in got} == set(autos)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
@@ -905,33 +908,31 @@ def test_random_nonblock_is_invertible_nonpattern(f3):
 
 
 def canonical_composite(cat, s, a, b, sigma):
+    """sigma entrywise, then the homothety (a, b), then the lift of S."""
     field = cat.field
-    f1 = SemilinearMap(field, 6, full_space(field, 6).basis, sigma)
-    f2 = SemilinearMap(field, 6, _homothety_rows(field, a, b), automorphisms(field)[0])
-    f3 = induced_collineation(s, automorphisms(field)[0])
-    return f3.compose(f2.compose(f1))
+    matrix = field.kernel.matmul(_homothety_rows(field, a, b), block6_rows(s))
+    return SemilinearMap(field, 6, matrix, sigma)
 
 
 def test_decompose_identity(cat2):
     field = cat2.field
     ident = SemilinearMap(field, 6, full_space(field, 6).basis, automorphisms(field)[0])
-    dec = decompose_semilinear(ident, cat2)
-    assert dec.homothety_params == (0, 1)
-    assert dec.f1.sigma.is_identity
-    assert dec.module_map.matrix == matrix_identity(field)
-    assert dec.module_map.unit.triple() == (1, 0, 1)
-    assert verify_decomposition(ident, dec)
+    g = decompose_semilinear(ident, cat2)
+    assert g.unit.triple() == (1, 0, 1)
+    assert g.sigma.is_identity
+    assert g.matrix == matrix_identity(field)
+    assert verify_decomposition(ident, g)
 
 
 def test_decompose_pure_frobenius(cat4):
     field = cat4.field
     frob = automorphisms(field)[1]
     f = SemilinearMap(field, 6, full_space(field, 6).basis, frob)
-    dec = decompose_semilinear(f, cat4)
-    assert dec.f1.sigma == frob
-    assert dec.homothety_params == (0, 1)
-    assert dec.f3.matrix == full_space(field, 6).basis
-    assert verify_decomposition(f, dec)
+    g = decompose_semilinear(f, cat4)
+    assert g.sigma == frob
+    assert g.unit.triple() == (1, 0, 1)
+    assert g.matrix == matrix_identity(field)
+    assert verify_decomposition(f, g)
 
 
 def test_decompose_recovers_canonical_params(cat2):
@@ -941,10 +942,10 @@ def test_decompose_recovers_canonical_params(cat2):
         s = random_invertible(field, rng)
         a, b = rng.randrange(2), 1
         f = canonical_composite(cat2, s, a, b, automorphisms(field)[0])
-        dec = decompose_semilinear(f, cat2)
-        assert dec.homothety_params == (a, b)
-        assert dec.module_map.matrix == s
-        assert verify_decomposition(f, dec)
+        g = decompose_semilinear(f, cat2)
+        assert g.unit.triple() == (1, a, b)
+        assert g.matrix == s
+        assert verify_decomposition(f, g)
 
 
 def test_decompose_recovers_frobenius_composite(cat4):
@@ -953,11 +954,47 @@ def test_decompose_recovers_frobenius_composite(cat4):
     frob = automorphisms(field)[1]
     s = random_invertible(field, rng)
     f = canonical_composite(cat4, s, 2, 3, frob)
-    dec = decompose_semilinear(f, cat4)
-    assert dec.homothety_params == (2, 3)
-    assert dec.f1.sigma == frob
-    assert dec.module_map.matrix == s
-    assert verify_decomposition(f, dec)
+    g = decompose_semilinear(f, cat4)
+    assert g.unit.triple() == (1, 2, 3)
+    assert g.sigma == frob
+    assert g.matrix == s
+    assert verify_decomposition(f, g)
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_decompose_reads_back_every_homothety(which, cat2, cat3, cat4):
+    # every (a, b) in F x F*, every sigma, two seeded S each: the read-off
+    # returns exactly the (sigma, (1, a, b), S) the map was built from
+    cat = {2: cat2, 3: cat3, 4: cat4}[which]
+    field = cat.field
+    rng = random.Random(29)
+    for sigma in automorphisms(field):
+        for a, b in product(field.codes(), range(1, field.q)):
+            for s in (random_invertible(field, rng), random_invertible(field, rng)):
+                g = decompose_semilinear(canonical_composite(cat, s, a, b, sigma), cat)
+                assert (g.sigma, g.unit.triple(), g.matrix) == (sigma, (1, a, b), s)
+
+
+def test_decompose_read_off_raises_value_error(cat2, monkeypatch):
+    # past condition iv, a matrix the read-off cannot split raises
+    # ValueError, never ZeroDivisionError
+    monkeypatch.setattr(geometry, "_fixes_j_and_h", lambda f, cat: True)
+    field = cat2.field
+
+    def permuted(order, extra=()):
+        rows = [[int(j == i) for j in range(6)] for i in order]
+        for i, j in extra:
+            rows[i][j] = 1
+        return SemilinearMap(field, 6, tuple(map(tuple, rows)), automorphisms(field)[0])
+
+    cases = (
+        (permuted([1, 0, 2, 3, 4, 5]), "zero in columns 1 and 4"),
+        (permuted([2, 1, 0, 3, 4, 5]), "b = 0"),
+        (permuted(range(6), extra=[(0, 5)]), "lift pattern"),
+    )
+    for f, message in cases:
+        with pytest.raises(ValueError, match=message):
+            decompose_semilinear(f, cat2)
 
 
 @pytest.mark.parametrize("which", [2, 4])
@@ -974,9 +1011,9 @@ def test_basis_round_trip_agrees_with_sampled(which, cat2, cat4):
             f = canonical_composite(cat, s, a, b, sigma)
         else:
             f = induced_collineation(s, sigma)
-        dec = decompose_semilinear(f, cat)
-        assert verify_decomposition(f, dec) is True
-        assert verify_decomposition_sampled(f, dec, rng) is True
+        g = decompose_semilinear(f, cat)
+        assert verify_decomposition(f, g) is True
+        assert verify_decomposition_sampled(f, g, rng) is True
 
 
 @pytest.mark.parametrize("which", [2, 4])
@@ -985,10 +1022,10 @@ def test_doctored_unit_fails_on_the_basis(which, cat2, cat4):
     field = cat.field
     rng = random.Random(19)
     f = canonical_composite(cat, random_invertible(field, rng), 1, 1, automorphisms(field)[0])
-    dec = decompose_semilinear(f, cat)
-    unit = dec.module_map.unit
+    g = decompose_semilinear(f, cat)
+    unit = g.unit
     for wrong in (Ternion(field, unit.x, field.add(unit.y, 1), unit.z), Ternion(field, 1, 0, 1)):
-        bad = dataclasses.replace(dec, module_map=dataclasses.replace(dec.module_map, unit=wrong))
+        bad = dataclasses.replace(g, unit=wrong)
         assert verify_decomposition(f, bad) is False
         assert verify_decomposition_sampled(f, bad, rng) is False
 
@@ -998,9 +1035,9 @@ def test_doctored_module_sigma_fails(cat4):
     field = cat4.field
     ident, frob = automorphisms(field)
     f = canonical_composite(cat4, random_invertible(field, random.Random(23)), 2, 3, frob)
-    dec = decompose_semilinear(f, cat4)
-    bad = dataclasses.replace(dec, module_map=dataclasses.replace(dec.module_map, sigma=ident))
-    assert verify_decomposition(f, dec) is True
+    g = decompose_semilinear(f, cat4)
+    bad = dataclasses.replace(g, sigma=ident)
+    assert verify_decomposition(f, g) is True
     assert verify_decomposition(f, bad) is False
 
 
@@ -1032,9 +1069,9 @@ def test_decompose_reads_sigma_from_the_map(cat4):
                     for c in field.codes()
                 )
                 assert semilinear is (tau == sigma)
-            dec = decompose_semilinear(f, cat4)
-            assert dec.f1.sigma == dec.module_map.sigma == sigma
-            assert verify_decomposition(f, dec)
+            g = decompose_semilinear(f, cat4)
+            assert g.sigma == sigma
+            assert verify_decomposition(f, g)
 
 
 # -- adjacency preservers ---------------------------------------------------------

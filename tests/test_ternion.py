@@ -5,7 +5,7 @@ import pytest
 from conftest import FIELD_ORDERS, matrix_identity, random_ternion
 
 from ternions.gf import field_of_order, make_field
-from ternions.model import block6_rows
+from ternions.model import block6_rows, cyclic_span
 from ternions.ternion import (
     Ternion,
     TernionMatrix,
@@ -21,6 +21,23 @@ from ternions.ternion import (
     t_one,
     t_zero,
 )
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 5, 1.0, None])
+def test_ternion_rejects_outside_codes(f3, bad):
+    # unchecked, -1 was read as the last code of GF(3) and 5 was kept
+    for pos in range(3):
+        coords = [1, 0, 1]
+        coords[pos] = bad
+        with pytest.raises(ValueError, match="ternion entry"):
+            Ternion(f3, *coords)
+
+
+def test_outside_codes_reach_no_product_or_span(f3):
+    with pytest.raises(ValueError, match="ternion entry -1"):
+        Ternion(f3, -1, 0, 1) * Ternion(f3, 1, 0, 1)
+    with pytest.raises(ValueError, match="ternion entry 5"):
+        cyclic_span((Ternion(f3, 1, 0, 1), Ternion(f3, 0, 5, 1)))
 
 
 def all_triples(f):
