@@ -14,7 +14,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -162,17 +161,25 @@ def _incidence_counts(cat: Catalog) -> Dict[Subspace, List[int]]:
 # -- adjacency graph --------------------------------------------------------------
 
 
-@dataclass
 class AdjacencyGraph:
     """The graph on the X and Y planes, with vertex indices fixed by the
     catalog order (X planes first, then Y planes), as its trace groups."""
 
-    catalog: Catalog
-    vertices: tuple
-    types: tuple
-    vindex: Dict[Subspace, int]
-    groups: tuple  # tuple of tuples of vertex indices, each ascending
-    vertex_groups: tuple  # per vertex, the ids of its groups (at most two)
+    def __init__(
+        self,
+        catalog: Catalog,
+        vertices: tuple,
+        types: tuple,
+        vindex: Dict[Subspace, int],
+        groups: tuple,
+        vertex_groups: tuple,
+    ):
+        self.catalog = catalog
+        self.vertices = vertices
+        self.types = types
+        self.vindex = vindex
+        self.groups = groups  # tuple of tuples of vertex indices, each ascending
+        self.vertex_groups = vertex_groups  # per vertex, the ids of its groups (at most two)
 
     @property
     def n(self) -> int:
@@ -433,14 +440,14 @@ def first_failed_condition(f: SemilinearMap, cat: Catalog) -> Optional[str]:
     return None if _fixes_j_and_h(f, cat) else "iv"
 
 
-@dataclass
 class ModuleMap:
     """The module map v -> unit sigma(v) S of Theorem 1, the form a
     collineation is decomposed into (`decompose_semilinear`)."""
 
-    sigma: FieldAutomorphism
-    unit: Ternion
-    matrix: TernionMatrix
+    def __init__(self, sigma: FieldAutomorphism, unit: Ternion, matrix: TernionMatrix):
+        self.sigma = sigma
+        self.unit = unit
+        self.matrix = matrix
 
     def apply(self, v: TernionPair) -> TernionPair:
         f = self.unit.field
@@ -572,15 +579,20 @@ def verify_decomposition(f: SemilinearMap, g: ModuleMap) -> bool:
 # -- adjacency preservers -----------------------------------------------------------
 
 
-@dataclass
 class PreserverRecipe:
     """The data of an adjacency preserver, on vertex indices: a permutation
     mu of the positions of the alpha regulus lines in `g_alpha` and, per
     line P, a bijection psi_P of the clique [P, P+J]_3 onto
     [mu(P), mu(P)+J]_3 sending P+L to mu(P)+L."""
 
-    mu: Tuple[int, ...]
-    psi: Tuple[Dict[int, int], ...]
+    def __init__(self, mu: Tuple[int, ...], psi: Tuple[Dict[int, int], ...]):
+        self.mu = mu
+        self.psi = psi
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mu, self.psi) == (other.mu, other.psi)
 
 
 def make_recipe(

@@ -14,7 +14,6 @@ tuples of codes fed to the kernel in ``_pycore``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -242,13 +241,23 @@ def primitive_element(field: Field) -> int:
     raise AssertionError("no primitive element")
 
 
-@dataclass(frozen=True)
 class FieldAutomorphism:
     """A power of the Frobenius map x -> x^p, stored as a code permutation."""
 
-    field: Field
-    power: int
-    table: tuple
+    __slots__ = ("field", "power", "table")
+
+    def __init__(self, field: Field, power: int, table: tuple):
+        self.field = field
+        self.power = power
+        self.table = table
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.power, self.table) == (other.field, other.power, other.table)
+
+    def __hash__(self):
+        return hash((self.field, self.power, self.table))
 
     @property
     def is_identity(self) -> bool:

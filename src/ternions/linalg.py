@@ -10,8 +10,6 @@ doubles as the memory guard for the big Grassmannian scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Iterator, List, Optional, Sequence
 
@@ -32,13 +30,15 @@ def check_budget(count: int, what: str, budget: Optional[int] = None) -> None:
         raise BudgetError(f"enumerating {count} {what} exceeds the budget {limit}")
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of F^n, held by its canonical (RREF) basis rows."""
 
-    field: Field = dc_field(hash=False)  # compared, but kept out of the hash
-    n: int
-    basis: tuple
+    __slots__ = ("field", "n", "basis", "_hash")
+
+    def __init__(self, field: Field, n: int, basis: tuple):
+        self.field = field
+        self.n = n
+        self.basis = basis
 
     @property
     def dim(self) -> int:
@@ -48,15 +48,21 @@ class Subspace:
         """Deterministic sort key."""
         return (self.n, len(self.basis), self.basis)
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.n, self.basis))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.basis == other.basis and self.n == other.n and self.field == other.field
 
     def __hash__(self):
-        # The hash the dataclass would generate, kept after its first use:
-        # the basis is a tuple of tuples, rehashed on every lookup otherwise.
-        # Lazy, because most subspaces the scans build are never hashed.
-        return self._hash
+        # The field is compared but kept out of the hash.  The hash is kept
+        # after its first use: the basis is a tuple of tuples, rehashed on
+        # every lookup otherwise.  Lazy, because most subspaces the scans
+        # build are never hashed.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.n, self.basis))
+            return self._hash
 
     def __repr__(self):
         return f"Sub({self.n},{self.dim}){list(self.basis)}"
@@ -220,16 +226,16 @@ def pencil(v: Subspace, w: Subspace, k: int) -> List[Subspace]:
 # -- semilinear actions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SemilinearMap:
     """v -> sigma(v) . M on row vectors of F^n; collineation when invertible."""
 
-    field: Field
-    n: int
-    matrix: tuple
-    sigma: FieldAutomorphism
+    __slots__ = ("field", "n", "matrix", "sigma")
 
-    def __post_init__(self):
+    def __init__(self, field: Field, n: int, matrix: tuple, sigma: FieldAutomorphism):
+        self.field = field
+        self.n = n
+        self.matrix = matrix
+        self.sigma = sigma
         if len(self.matrix) != self.n or any(len(r) != self.n for r in self.matrix):
             raise ValueError("matrix must be n x n")
         check_codes(chain.from_iterable(self.matrix), self.field.q, "matrix entry")

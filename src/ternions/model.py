@@ -24,7 +24,6 @@ intertwines phi with the right action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, Iterator, Optional, Tuple
@@ -116,10 +115,10 @@ def classify(v: TernionPair) -> SubmoduleType:
     return SubmoduleType.Y if det else SubmoduleType.ALPHA
 
 
-def classify_by_rank(v: TernionPair) -> SubmoduleType:
-    """Independent classifier: span dimension plus containment in K and L."""
-    field = v[0].field
-    span = cyclic_span(v)
+def classify_by_rank(span: Subspace) -> SubmoduleType:
+    """Independent classifier of a cyclic span (`cyclic_span`): its
+    dimension plus containment in K and L."""
+    field = span.field
     d = span.dim
     if d == 0:
         return SubmoduleType.ZERO
@@ -162,13 +161,17 @@ def quadric_value(field: Field, vec) -> int:
     return field.sub(field.mul(vec[1], vec[5]), field.mul(vec[2], vec[4]))
 
 
-@dataclass(frozen=True)
 class QuadricGeometry:
     """Points and generator lines of the hyperbolic quadric H inside K."""
 
-    regulus_alpha: tuple
-    regulus_opposite: tuple
-    point_vectors: FrozenSet[tuple]  # the normalised vector of each point
+    __slots__ = ("regulus_alpha", "regulus_opposite", "point_vectors")
+
+    def __init__(
+        self, regulus_alpha: tuple, regulus_opposite: tuple, point_vectors: FrozenSet[tuple]
+    ):
+        self.regulus_alpha = regulus_alpha
+        self.regulus_opposite = regulus_opposite
+        self.point_vectors = point_vectors  # the normalised vector of each point
 
 
 @lru_cache(maxsize=None)
@@ -287,23 +290,37 @@ LINE_MODEL_AXIS_COORDS = (1, 3)  # span{(0,1,0,0), (0,0,0,1)} in F^4
 # -- the catalog -----------------------------------------------------------------
 
 
-@dataclass
 class Catalog:
     """Everything the geometry suite needs for one field: the five orbit
     lists (canonically sorted), witnesses, flats, and the quadric data."""
 
-    field: Field
-    g_x: tuple
-    g_y: tuple
-    g_alpha: tuple
-    g_beta: tuple
-    g_gamma: tuple
-    witness: Dict[Subspace, TernionPair]
-    j_solid: Subspace
-    k_solid: Subspace
-    l_line: Subspace
-    quadric: QuadricGeometry
-    budget: Optional[int] = None  # guards the traces, the graph and the scans
+    def __init__(
+        self,
+        field: Field,
+        g_x: tuple,
+        g_y: tuple,
+        g_alpha: tuple,
+        g_beta: tuple,
+        g_gamma: tuple,
+        witness: Dict[Subspace, TernionPair],
+        j_solid: Subspace,
+        k_solid: Subspace,
+        l_line: Subspace,
+        quadric: QuadricGeometry,
+        budget: Optional[int] = None,
+    ):
+        self.field = field
+        self.g_x = g_x
+        self.g_y = g_y
+        self.g_alpha = g_alpha
+        self.g_beta = g_beta
+        self.g_gamma = g_gamma
+        self.witness = witness
+        self.j_solid = j_solid
+        self.k_solid = k_solid
+        self.l_line = l_line
+        self.quadric = quadric
+        self.budget = budget  # guards the traces, the graph and the scans
 
     def members(self, t: SubmoduleType) -> tuple:
         return {

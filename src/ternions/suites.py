@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -35,13 +34,13 @@ from .model import (
     build_catalog,
     classify,
     classify_by_rank,
+    cyclic_span,
     expected_counts,
     is_unimodular,
     line_model,
     LINE_MODEL_AXIS_COORDS,
     normal_form_count,
     validate_catalog,
-    _unit_orbit_normal_forms,
 )
 from .ternion import (
     Ternion,
@@ -60,13 +59,13 @@ from .ternion import (
 THM1_DECOMPOSITIONS = 10
 
 
-@dataclass
 class VerifyContext:
     """Lazy shared state for a verification run at one field."""
 
-    field: Field
-    seed: int = 0
-    budget: Optional[int] = None
+    def __init__(self, field: Field, seed: int = 0, budget: Optional[int] = None):
+        self.field = field
+        self.seed = seed
+        self.budget = budget
 
     def rng(self, suite: str) -> random.Random:
         return random.Random(f"{self.seed}:{suite}")
@@ -99,8 +98,7 @@ def _basis_list(s: Subspace) -> list:
 
 def suite_counts(ctx: VerifyContext) -> List[Dict[str, object]]:
     cat = ctx.catalog
-    field = ctx.field
-    q = field.q
+    q = ctx.field.q
     claims = []
     report = validate_catalog(cat)
 
@@ -121,7 +119,7 @@ def suite_counts(ctx: VerifyContext) -> List[Dict[str, object]]:
     ):
         claims.append(_claim("counts", cid, report[key], {}))
 
-    mismatches, unimod_bad, walked = _classifier_walk(field)
+    mismatches, unimod_bad, walked = _classifier_walk(cat)
     for cid, bad in (
         ("model:classifier-agreement", mismatches),
         ("model:unimodular", unimod_bad),
@@ -166,36 +164,42 @@ def _line_model_check(cat: Catalog) -> Tuple[bool, Dict[str, object]]:
     return well_defined and injective and image == complex_lines, detail
 
 
-def _classifier_walk(field: Field) -> Tuple[int, int, Dict[str, object]]:
+def _classifier_walk(cat: Catalog) -> Tuple[int, int, Dict[str, object]]:
     """Count the pairs where classify and classify_by_rank disagree, and
     those where is_unimodular disagrees with the X type; return both counts
     and what was walked.
 
-    The walk covers one pair per left-unit orbit.  That covers every pair
-    because the three functions are constant on these orbits, which the
-    following argument proves.  A unit u = (x, y, z) sends (a11, a12, a22)
-    to (x a11, x a12 + y a22, z a22) in both halves.  classify reads whether
+    The walk covers one pair per left-unit orbit: the catalog's witnesses,
+    one normal form per span.  That covers every pair because the three
+    functions are constant on these orbits, which the following argument
+    proves.  A unit u = (x, y, z) sends (a11, a12, a22) to
+    (x a11, x a12 + y a22, z a22) in both halves.  classify reads whether
     (a11, b11), (a22, b22) and, when (a22, b22) = 0, (a12, b12) vanish, and
     whether a22 b12 - b22 a12 vanishes, which u multiplies by x z != 0.
     classify_by_rank reads only the span, and T u v = T v.  And u v is
     unimodular exactly when v is: u (a s + b t) = 1 gives
     a (s u) + b (t u) = 1.  Each normal form is also checked against its
     images under (g, 0, 1), (1, 0, g) and (1, 1, 1), g a primitive element,
-    which generate the unit group; one step per generator is a spot check
-    of the invariance, not a proof of it."""
+    which generate the unit group: classify and is_unimodular agree on the
+    image, and its span is the normal form's, which implies that
+    classify_by_rank agrees too.  One step per generator is a spot check of
+    the invariance, not a proof of it."""
+    field = cat.field
+    if len(cat.witness) != normal_form_count(field.q):
+        raise AssertionError("the catalog does not hold one witness per normal form")
     units = unit_generators(field)
     mismatches = 0
     unimod_bad = 0
-    for v in _unit_orbit_normal_forms(field):
+    for span, v in cat.witness.items():
         t = classify(v)
         u_ok = is_unimodular(v)
-        if t is not classify_by_rank(v):
+        if t is not classify_by_rank(span):
             mismatches += 1
         if u_ok != (t is SubmoduleType.X):
             unimod_bad += 1
         for u in units:
             w = scale_left(u, v)
-            if classify(w) is not t or classify_by_rank(w) is not t:
+            if classify(w) is not t or cyclic_span(w) != span:
                 mismatches += 1
             if is_unimodular(w) != u_ok:
                 unimod_bad += 1

@@ -16,24 +16,34 @@ separately).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Tuple
 
 from .gf import Field, check_codes, primitive_element
 
 
-@dataclass(frozen=True)
 class Ternion:
     """One upper-triangular 2x2 matrix, stored as its coordinate triple."""
 
-    field: Field
-    x: int
-    y: int
-    z: int
+    __slots__ = ("field", "x", "y", "z")
 
-    def __post_init__(self):
-        check_codes((self.x, self.y, self.z), self.field.q, "ternion entry")
+    def __init__(self, field: Field, x: int, y: int, z: int):
+        self.field = field
+        self.x = x
+        self.y = y
+        self.z = z
+        check_codes((x, y, z), field.q, "ternion entry")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.x == other.x and self.y == other.y and self.z == other.z
+            and self.field == other.field
+        )
+
+    def __hash__(self):
+        return hash((self.field, self.x, self.y, self.z))
 
     def _check(self, other):
         if not isinstance(other, Ternion):
@@ -136,19 +146,24 @@ def enumerate_pairs(field: Field) -> Iterator[TernionPair]:
         yield (Ternion(field, ax, ay, az), Ternion(field, bx, by, bz))
 
 
-@dataclass(frozen=True)
 class TernionMatrix:
     """A 2x2 matrix [[a, b], [c, d]] over the ternion ring."""
 
-    a: Ternion
-    b: Ternion
-    c: Ternion
-    d: Ternion
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
+    def __init__(self, a: Ternion, b: Ternion, c: Ternion, d: Ternion):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
         f = self.a.field
         if not (self.b.field == f and self.c.field == f and self.d.field == f):
             raise ValueError("matrix entries over different fields")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
 
     @property
     def field(self) -> Field:

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import os
 from itertools import combinations
 from pathlib import Path
@@ -51,6 +51,19 @@ FIELD_ORDERS = sorted([2, 3, 5, 7, 11, 13, 17, 19, 23, *DEFAULT_MODULI])
 # diag(P, P), P swapping the first and third coordinates: it fixes M0, M1
 # and M2 and sends J = {x3 = x6 = 0} onto K = {x1 = x4 = 0}
 J_K_SWAP = tuple(tuple(int(j == p) for j in range(6)) for p in (2, 1, 0, 5, 4, 3))
+
+
+def replace_fields(obj, **changes):
+    """A copy of obj with the given constructor arguments changed and the
+    others read off obj, built through the constructor as
+    `dataclasses.replace` builds one: state cached on obj (a catalog's
+    `traces`, a graph's `neighbours`, a subspace's hash) is not carried
+    over, and the constructor's checks run again."""
+    names = list(inspect.signature(type(obj)).parameters)
+    unknown = changes.keys() - names
+    if unknown:
+        raise TypeError(f"{type(obj).__name__} has no fields {sorted(unknown)}")
+    return type(obj)(**{name: changes.get(name, getattr(obj, name)) for name in names})
 
 
 def cli_env():
@@ -546,7 +559,7 @@ def regrouped(graph, remove=(), add=()):
     for gid, g in enumerate(groups):
         for v in g:
             vertex_groups[v].append(gid)
-    return dataclasses.replace(
+    return replace_fields(
         graph, groups=groups, vertex_groups=tuple(map(tuple, vertex_groups))
     )
 

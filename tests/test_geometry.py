@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import product
 
@@ -31,6 +30,7 @@ from conftest import (
     random_nonblock_invertible,
     random_recipe,
     regrouped,
+    replace_fields,
     verify_decomposition_sampled,
     xi_report_by_meeting_masks,
 )
@@ -135,12 +135,12 @@ def _first_mismatch_reference(cat):
 
 def _doctored(cat, how):
     if how == "drop a beta point":
-        return dataclasses.replace(cat, g_beta=cat.g_beta[1:])
+        return replace_fields(cat, g_beta=cat.g_beta[1:])
     if how == "move a beta point into g_gamma":
-        return dataclasses.replace(cat, g_beta=cat.g_beta[1:], g_gamma=cat.g_gamma + cat.g_beta[:1])
+        return replace_fields(cat, g_beta=cat.g_beta[1:], g_gamma=cat.g_gamma + cat.g_beta[:1])
     if how == "move an X plane into g_y":
-        return dataclasses.replace(cat, g_x=cat.g_x[1:], g_y=cat.g_y + cat.g_x[:1])
-    return dataclasses.replace(cat, g_alpha=cat.g_alpha[1:])  # drop an alpha line
+        return replace_fields(cat, g_x=cat.g_x[1:], g_y=cat.g_y + cat.g_x[:1])
+    return replace_fields(cat, g_alpha=cat.g_alpha[1:])  # drop an alpha line
 
 
 DOCTORINGS = [
@@ -266,14 +266,14 @@ def test_graph_guards_count_edges_and_j_line_points(which, cat2, cat3, cat4):
     points = len(cat.planes) * (which + 1)
     traces = 2 * len(cat.planes)
     assert traces < min(edges, points)
-    small = dataclasses.replace(cat, budget=traces)
+    small = replace_fields(cat, budget=traces)
     graph = build_graph(small)
     assert "neighbours" not in graph.__dict__
     assert geodesics_from(graph, 0) == geodesics_by_neighbours(build_graph(cat).neighbours, 0)
     assert incidence_table(small)["ok"] and xi_report(graph)["skew_preserved_both_ways"]
     with pytest.raises(BudgetError, match=f"enumerating {edges} adjacency edges"):
         graph.neighbours
-    at = build_graph(dataclasses.replace(cat, budget=edges))
+    at = build_graph(replace_fields(cat, budget=edges))
     assert at.neighbours == build_graph(cat).neighbours
 
 
@@ -485,7 +485,7 @@ def test_scans_read_every_stored_trace(which, cat2, cat3):
     # through the point where the J-line of that plane meets K
     cat = {2: cat2, 3: cat3}[which]
     last = cat.g_x[-1]
-    doctored = dataclasses.replace(cat)
+    doctored = replace_fields(cat)
     doctored.traces = {**cat.traces, last: cat.traces[last][::-1]}
     assert scan_solids(doctored) == []
     assert scan_lines(doctored) == [cat.l_line]
@@ -494,19 +494,19 @@ def test_scans_read_every_stored_trace(which, cat2, cat3):
 def test_scan_budget_counts_anchored_candidates(cat2):
     # one candidate A + A per point (lines) or line (solids) A of PG(2,2): 7;
     # the scan reads the traces, which keep their own guard (2V = 42)
-    tight = dataclasses.replace(cat2, budget=7)
+    tight = replace_fields(cat2, budget=7)
     with pytest.raises(BudgetError, match="42 plane traces"):
         scan_lines(tight)
     tight.traces = cat2.traces  # built under the default budget
     assert len(scan_lines(tight)) == 3
     with pytest.raises(BudgetError, match="7 anchored scan candidates"):
-        scan_lines(dataclasses.replace(cat2, budget=6))
+        scan_lines(replace_fields(cat2, budget=6))
     with pytest.raises(BudgetError, match="7 anchored scan candidates"):
-        scan_solids(dataclasses.replace(cat2, budget=6))
+        scan_solids(replace_fields(cat2, budget=6))
 
 
 def test_scan_needs_skew_anchor(cat2):
-    lone = dataclasses.replace(cat2, g_x=cat2.g_x[:1])
+    lone = replace_fields(cat2, g_x=cat2.g_x[:1])
     with pytest.raises(AssertionError, match="skew"):
         scan_lines(lone)
     with pytest.raises(AssertionError, match="skew"):
@@ -518,7 +518,7 @@ def test_scan_names_a_standard_plane_outside_x(which, cat2, cat3):
     cat = {2: cat2, 3: cat3}[which]
     m2 = standard_triple(cat.field)[2]
     assert m2 in cat.g_x
-    doctored = dataclasses.replace(cat, g_x=tuple(m for m in cat.g_x if m != m2))
+    doctored = replace_fields(cat, g_x=tuple(m for m in cat.g_x if m != m2))
     with pytest.raises(AssertionError, match="skew"):
         scan_lines(doctored)
     with pytest.raises(AssertionError, match="skew"):
@@ -663,15 +663,15 @@ def test_doctored_catalogs_reach_iii_and_ii(which, cat2, cat3, cat4, cat5):
     cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
     rng = random.Random(10 + which)
     f, img = _moving_positive(cat, rng, cat.g_x)
-    no_x = dataclasses.replace(cat, g_x=tuple(m for m in cat.g_x if m != img))
-    as_y = dataclasses.replace(no_x, g_y=cat.g_y + (img,))
+    no_x = replace_fields(cat, g_x=tuple(m for m in cat.g_x if m != img))
+    as_y = replace_fields(no_x, g_y=cat.g_y + (img,))
     for bad in (no_x, as_y):
         assert first_failed_condition(f, bad) is None
         got = plane_loop_first_failed(f, bad)
         assert got == _reference_first_failed(f, bad) == point_index_first_failed(f, bad) == "iii"
         assert validate_catalog(bad)["x_is_scan"] is False
     f, img = _moving_positive(cat, rng, cat.g_y)
-    no_y = dataclasses.replace(cat, g_y=tuple(m for m in cat.g_y if m != img))
+    no_y = replace_fields(cat, g_y=tuple(m for m in cat.g_y if m != img))
     assert first_failed_condition(f, no_y) is None
     got = plane_loop_first_failed(f, no_y)
     assert got == _reference_first_failed(f, no_y) == point_index_first_failed(f, no_y) == "ii"
@@ -1025,7 +1025,7 @@ def test_doctored_unit_fails_on_the_basis(which, cat2, cat4):
     g = decompose_semilinear(f, cat)
     unit = g.unit
     for wrong in (Ternion(field, unit.x, field.add(unit.y, 1), unit.z), Ternion(field, 1, 0, 1)):
-        bad = dataclasses.replace(g, unit=wrong)
+        bad = replace_fields(g, unit=wrong)
         assert verify_decomposition(f, bad) is False
         assert verify_decomposition_sampled(f, bad, rng) is False
 
@@ -1036,7 +1036,7 @@ def test_doctored_module_sigma_fails(cat4):
     ident, frob = automorphisms(field)
     f = canonical_composite(cat4, random_invertible(field, random.Random(23)), 2, 3, frob)
     g = decompose_semilinear(f, cat4)
-    bad = dataclasses.replace(g, sigma=ident)
+    bad = replace_fields(g, sigma=ident)
     assert verify_decomposition(f, g) is True
     assert verify_decomposition(f, bad) is False
 
@@ -1217,7 +1217,7 @@ def test_preserver_from_collineation_matches_reference(which, cat2, cat3, cat4, 
         f = _random_positive(cat, rng)
         assert preserver_from_collineation(f, graph) == point_index_preserver(f, cat)
     f, img = _moving_positive(cat, rng, cat.g_x)
-    doctored = dataclasses.replace(cat, g_x=tuple(m for m in cat.g_x if m != img))
+    doctored = replace_fields(cat, g_x=tuple(m for m in cat.g_x if m != img))
     with pytest.raises(ValueError):
         preserver_from_collineation(f, build_graph(doctored))
     with pytest.raises(ValueError):

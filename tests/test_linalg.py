@@ -1,10 +1,9 @@
-import dataclasses
 import pickle
 import random
 from itertools import product
 
 import pytest
-from conftest import incident, subspaces_within
+from conftest import incident, replace_fields, subspaces_within
 
 from ternions.gf import automorphisms, make_field
 from ternions.linalg import (
@@ -255,7 +254,7 @@ def test_subspace_json_and_key(f2):
     assert zero_subspace(f2, 4).key() < u.key()
 
 
-def test_subspace_hash_is_cached_dataclass_hash(f3):
+def test_subspace_hash_is_cached(f3):
     s = canonicalize(f3, 6, [[1, 2, 0, 0, 1, 0], [0, 0, 1, 1, 0, 2]])
     want = hash((s.n, s.basis))
     assert hash(s) == want
@@ -265,9 +264,12 @@ def test_subspace_hash_is_cached_dataclass_hash(f3):
     t = canonicalize(f3, 6, [[1, 2, 1, 1, 1, 2], [0, 0, 2, 2, 0, 1]])
     assert t == s and hash(t) == want
     # a replaced basis is hashed afresh
-    u = dataclasses.replace(s, basis=s.basis[:1])
+    u = replace_fields(s, basis=s.basis[:1])
     assert hash(u) == hash((u.n, u.basis)) != want
-    assert [f.name for f in dataclasses.fields(Subspace)] == ["field", "n", "basis"]
+    assert s._hash == want  # kept after the first use
+    # the positional constructor order is (field, n, basis)
+    v = Subspace(f3, 6, s.basis)
+    assert (v.field, v.n, v.basis) == (f3, 6, s.basis) and v == s
     assert repr(s) == "Sub(6,2)[(1, 2, 0, 0, 1, 0), (0, 0, 1, 1, 0, 2)]"
     back = pickle.loads(pickle.dumps(s))
     assert back == s and hash(back) == want

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from itertools import product
@@ -9,6 +8,7 @@ from conftest import (
     block6_pattern_by_table,
     is_unimodular_by_products,
     random_ternion,
+    replace_fields,
     subspaces_within,
     x_plane_sweep,
     x_scan_by_quotient,
@@ -105,7 +105,7 @@ def test_phi_inverse_rejects_outside_codes(f3, bad):
 def test_representatives(f3, a, b, want, dim):
     v = tpair(f3, a, b)
     assert classify(v) is want
-    assert classify_by_rank(v) is want
+    assert classify_by_rank(cyclic_span(v)) is want
     assert cyclic_span(v).dim == dim
     assert is_unimodular(v) == (want is SubmoduleType.X)
 
@@ -113,7 +113,7 @@ def test_representatives(f3, a, b, want, dim):
 def test_zero_pair(f2):
     v = tpair(f2, (0, 0, 0), (0, 0, 0))
     assert classify(v) is SubmoduleType.ZERO
-    assert classify_by_rank(v) is SubmoduleType.ZERO
+    assert classify_by_rank(cyclic_span(v)) is SubmoduleType.ZERO
     assert cyclic_span(v).dim == 0
 
 
@@ -122,7 +122,7 @@ def test_classifiers_agree_exhaustive(q):
     f = make_field(q, 1)
     for v in enumerate_pairs(f):
         t = classify(v)
-        assert classify_by_rank(v) is t
+        assert classify_by_rank(cyclic_span(v)) is t
         assert is_unimodular(v) == (t is SubmoduleType.X)
 
 
@@ -362,14 +362,14 @@ def test_traces(which, cat2, cat3, cat4, cat5):
 
 def test_traces_budget_counts_row_reductions(cat2):
     # two row reductions per plane
-    assert len(dataclasses.replace(cat2, budget=42).traces) == 21
+    assert len(replace_fields(cat2, budget=42).traces) == 21
     with pytest.raises(BudgetError, match="enumerating 42 plane traces"):
-        dataclasses.replace(cat2, budget=41).traces
+        replace_fields(cat2, budget=41).traces
 
 
 def test_doctored_catalog_gets_fresh_traces(cat2):
     traces = dict(cat2.traces)
-    fewer = dataclasses.replace(cat2, g_x=cat2.g_x[1:])
+    fewer = replace_fields(cat2, g_x=cat2.g_x[1:])
     assert list(fewer.traces) == list(fewer.planes)
     assert all(fewer.traces[m] == traces[m] for m in fewer.planes)
     assert cat2.traces == traces
@@ -404,9 +404,9 @@ def test_x_scan_matches_catalog(q):
 
 def test_x_scan_budget_counts_candidates(cat2):
     # 3 alpha lines x the 6 lines of J through its L-point other than L
-    assert len(scan_planes_for_x(dataclasses.replace(cat2, budget=18))) == 18
+    assert len(scan_planes_for_x(replace_fields(cat2, budget=18))) == 18
     with pytest.raises(BudgetError, match="18 X-scan candidates"):
-        scan_planes_for_x(dataclasses.replace(cat2, budget=17))
+        scan_planes_for_x(replace_fields(cat2, budget=17))
 
 
 def _pair_walk_catalog(field):

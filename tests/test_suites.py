@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -14,6 +13,7 @@ from conftest import (
     line_model_walk,
     random_nonblock_invertible,
     regrouped,
+    replace_fields,
     run_suites,
 )
 
@@ -159,7 +159,7 @@ def test_negative_names_a_standard_plane_outside_x(which, cat2, cat3):
     field = cat.field
     m2 = Subspace(field, 6, ((1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1)))
     assert m2 in cat.g_x
-    doctored = dataclasses.replace(cat, g_x=tuple(m for m in cat.g_x if m != m2))
+    doctored = replace_fields(cat, g_x=tuple(m for m in cat.g_x if m != m2))
     negative = _negative(doctored)
     assert negative["ok"] is False
     detail = negative["detail"]
@@ -175,7 +175,7 @@ def test_negative_names_a_doctored_line_count(premise, which, cat2, cat3):
     # K-lines as J-lines a swap of J and K is no longer excluded
     cat = {2: cat2, 3: cat3}[which]
     keep = int(premise == "j_lines")
-    doctored = dataclasses.replace(cat)
+    doctored = replace_fields(cat)
     doctored.traces = {m: (t[keep], t[keep]) for m, t in cat.traces.items()}
     negative = _negative(doctored)
     assert negative["ok"] is False
@@ -401,7 +401,7 @@ def test_adjacency_reads_the_stored_alpha_lines(cat3):
     m = cat3.g_x[0]
     j_line, alpha_line = cat3.traces[m]
     other = next(p for p in cat3.g_alpha if p != alpha_line)
-    doctored = dataclasses.replace(cat3)
+    doctored = replace_fields(cat3)
     doctored.traces = {**cat3.traces, m: (j_line, other)}
     ctx = VerifyContext(field=cat3.field, seed=0)
     ctx.catalog = doctored
@@ -638,19 +638,41 @@ def _wrong_off_normal_forms(right, wrong):
     return lambda v: wrong if v[0].z and v[0].y else right(v)
 
 
-def test_classifier_walk_catches_orbit_dependence(f2, monkeypatch):
+def test_classifier_walk_catches_orbit_dependence(cat2, monkeypatch):
     # the walk sees an error that only the unit images expose
     import ternions.suites as suites
     from ternions.model import SubmoduleType
 
-    assert suites._classifier_walk(f2)[:2] == (0, 0)
+    assert suites._classifier_walk(cat2)[:2] == (0, 0)
     wrong = _wrong_off_normal_forms(suites.classify, SubmoduleType.BETA)
     monkeypatch.setattr(suites, "classify", wrong)
-    assert suites._classifier_walk(f2)[0] > 0
+    assert suites._classifier_walk(cat2)[0] > 0
     monkeypatch.undo()
     wrong = _wrong_off_normal_forms(suites.is_unimodular, False)
     monkeypatch.setattr(suites, "is_unimodular", wrong)
-    assert suites._classifier_walk(f2)[1] > 0
+    assert suites._classifier_walk(cat2)[1] > 0
+
+
+def test_classifier_walk_catches_a_span_wrong_off_normal_forms(cat2, monkeypatch):
+    # the unit images are checked by their spans: a cyclic_span that is
+    # right on every normal form, so on every witness, but wrong on their
+    # images is a mismatch
+    import ternions.suites as suites
+
+    wrong = _wrong_off_normal_forms(suites.cyclic_span, Subspace(cat2.field, 6, ()))
+    monkeypatch.setattr(suites, "cyclic_span", wrong)
+    mismatches, unimod_bad, _ = suites._classifier_walk(cat2)
+    assert mismatches > 0 and unimod_bad == 0
+
+
+def test_classifier_walk_reads_one_witness_per_normal_form(cat2):
+    from ternions.suites import _classifier_walk
+
+    walked = _classifier_walk(cat2)[2]
+    assert walked == {"method": "unit-orbit normal forms", "normal_forms": 15 + 3 * 8}
+    short = replace_fields(cat2, witness=dict(list(cat2.witness.items())[1:]))
+    with pytest.raises(AssertionError, match="one witness per normal form"):
+        _classifier_walk(short)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -662,8 +684,10 @@ def test_classifier_walk_covers_whole_orbits(q):
     from ternions.model import (
         SubmoduleType,
         _unit_orbit_normal_forms,
+        build_catalog,
         classify,
         classify_by_rank,
+        cyclic_span,
         is_unimodular,
     )
     from ternions.suites import _classifier_walk
@@ -687,11 +711,11 @@ def test_classifier_walk_covers_whole_orbits(q):
         assert seen.isdisjoint(orbit)
         seen |= orbit
         for v in orbit:
-            assert classify(v) is t and classify_by_rank(v) is t
+            assert classify(v) is t and classify_by_rank(cyclic_span(v)) is t
             assert is_unimodular(v) is (t is SubmoduleType.X)
     zero = Ternion(f, 0, 0, 0)
     assert seen == set(enumerate_pairs(f)) - {(zero, zero)}
-    assert _classifier_walk(f)[:2] == (0, 0)
+    assert _classifier_walk(build_catalog(f))[:2] == (0, 0)
 
 
 

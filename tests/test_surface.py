@@ -1,11 +1,15 @@
 """Library surface: every top-level function and class of the package, and
 every method and property of its classes, is named by the package itself
 or by the benchmark's tracer, not only by tests (a name only tests use
-belongs in the tests)."""
+belongs in the tests); and importing the package loads only what it uses."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+from conftest import cli_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,3 +81,18 @@ def test_guard_flags_a_member_only_its_definition_uses(tmp_path):
     tracer.write_text('OPS = ("traced",)\n')
     assert unused_definitions([lib], [tracer]) == ["lib.py:11 Box.lonely"]
     assert unused_definitions([lib], []) == ["lib.py:11 Box.lonely", "lib.py:14 Box.traced"]
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, which
+    # cost every run about 10 ms of start-up; -S keeps site hooks from
+    # loading either first
+    code = (
+        "import sys, ternions.cli, ternions.gf; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=cli_env(), capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
