@@ -196,13 +196,15 @@ def test_closed_stdout_exits_without_traceback():
 
 def test_budget_guard_exit_2():
     # the edge guard lives where the edges are listed, in the graph export:
-    # (q+1) C(q^2+q+1, 2) + C(q+1, 2) at q = 13, with nothing written
-    r = run_cli("graph", "--q", "13", "--format", "json")
-    assert r.returncode == 2
-    assert r.stdout == ""
-    assert "budget" in r.stderr.lower()
-    assert "233233 adjacency edges" in r.stderr
-    assert "--allow-large lifts the budget" in r.stderr
+    # (q+1) C(q^2+q+1, 2) + C(q+1, 2) at q = 13, with nothing written, in
+    # either format
+    for fmt in ("dot", "json"):
+        r = run_cli("graph", "--q", "13", "--format", fmt)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "budget" in r.stderr.lower()
+        assert "233233 adjacency edges" in r.stderr
+        assert "--allow-large lifts the budget" in r.stderr
 
 
 @pytest.mark.parametrize("q,suite", [(13, "adjacency"), (13, "remark"), (19, "incidence")])
@@ -323,6 +325,27 @@ def test_graph_q7_json_matches_pinned_hash():
     r = run_cli("graph", "--q", "7", "--format", "json")
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == GRAPH_Q7_JSON_SHA256
+
+
+# sha256 of `graph --q 8 --format json` (over GF(8), where most vertices lie
+# in two trace groups) and of `graph --q 7 --format dot`; see
+# tests/golden/README.md for the commands
+GRAPH_Q8_JSON_SHA256 = "539bd178c4c504e7a10c9e7f84ebcfdbe0146835ee0d1771afa8e9c56e801b27"
+GRAPH_Q7_DOT_SHA256 = "ef3d466738329658f1e4c396789e5409c69c6d491966abebd5de01feb52e0707"
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (("--q", "8", "--format", "json"), GRAPH_Q8_JSON_SHA256),
+        (("--q", "7", "--format", "dot"), GRAPH_Q7_DOT_SHA256),
+    ],
+    ids=["q8-json", "q7-dot"],
+)
+def test_graph_export_matches_pinned_hash(argv, digest):
+    r = run_cli("graph", *argv)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
 # sha256 of `verify --q 5 --seed 0` (the first q the golden files do not
