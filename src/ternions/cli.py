@@ -175,7 +175,7 @@ def _json_pieces(x, nl: str, depth: int):
         return
     lead = "[" + inner
     for i in range(0, len(x), JSON_ROWS):
-        yield lead + sep.join(_json_members(x[i : i + JSON_ROWS], inner))
+        yield lead + _json_members(x[i : i + JSON_ROWS], inner)
         lead = sep
     yield nl + "]"
 
@@ -183,13 +183,15 @@ def _json_pieces(x, nl: str, depth: int):
 def _json_text(x, nl: str) -> str:
     """x as json.dumps(x, sort_keys=True, indent=2) spells it, on a line
     that starts with `nl`."""
+    if type(x) is int:
+        return int.__repr__(x)
     if isinstance(x, str):
         return _json_str(x)
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
         inner = nl + "  "
-        return "[" + inner + ("," + inner).join(_json_members(x, inner)) + nl + "]"
+        return "[" + inner + _json_members(x, inner) + nl + "]"
     if isinstance(x, dict):
         if not x:
             return "{}"
@@ -197,23 +199,39 @@ def _json_text(x, nl: str) -> str:
         return "{" + inner + ("," + inner).join(
             _json_str(k) + ": " + _json_text(v, inner) for k, v in _json_items(x)
         ) + nl + "}"
-    if type(x) is int:
-        return int.__repr__(x)
     return _json_scalar(x)
 
 
-def _json_members(x, nl: str):
+def _json_members(x, nl: str) -> str:
     """The texts of the members of the list x, each on a line that starts
-    with `nl`: ints, and lists or tuples of ints (the rows that are the
-    bulk of every report), by one join over int.__repr__."""
+    with `nl`, joined by commas.  The bulk of every report takes one of
+    three block paths: ints by one join over int.__repr__; rows of exact
+    ints of one width by one `%` over a row template repeated once per row
+    (bools and int subclasses, which json spells otherwise, are not exact
+    ints); plain dicts of one key set with the keys sorted and spelled
+    once.  Anything else, rows of mixed widths too, goes member by member."""
+    sep = "," + nl
     types = set(map(type, x))
     if types == {int}:
-        return map(int.__repr__, x)
-    if types <= {list, tuple} and {type(v) for row in x for v in row} <= {int}:
-        inner = nl + "  "
-        lead, sep, close = "[" + inner, "," + inner, nl + "]"
-        return [lead + sep.join(map(int.__repr__, row)) + close if row else "[]" for row in x]
-    return [_json_text(v, nl) for v in x]
+        return sep.join(map(int.__repr__, x))
+    if types <= {list, tuple} and len(widths := set(map(len, x))) == 1:
+        flat = tuple(chain.from_iterable(x))
+        if set(map(type, flat)) <= {int}:
+            inner = nl + "  "
+            width = widths.pop()
+            row = "[" + inner + ("%d," + inner) * (width - 1) + "%d" + nl + "]" if width else "[]"
+            return sep.join([row] * len(x)) % flat
+    if types == {dict}:
+        keys = x[0].keys()
+        if keys and all(map(keys.__eq__, map(dict.keys, x))):
+            inner = nl + "  "
+            spelled = [(k, _json_str(k) + ": ") for k, _ in _json_items(x[0])]
+            lead, close = "{" + inner, nl + "}"
+            return sep.join(
+                [lead + ("," + inner).join([s + _json_text(d[k], inner) for k, s in spelled])
+                 + close for d in x]
+            )
+    return sep.join([_json_text(v, nl) for v in x])
 
 
 def _json_items(d: dict) -> list:

@@ -14,8 +14,9 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .gf import Field, FieldAutomorphism, automorphisms, primitive_element
@@ -189,12 +190,17 @@ class AdjacencyGraph:
         """Whether i and j are distinct and share a group."""
         return i != j and any(g in self.vertex_groups[j] for g in self.vertex_groups[i])
 
+    def check_edge_budget(self):
+        """Raise BudgetError when the edges, C(size, 2) a group, exceed the
+        catalog's budget: the guard of every path that lists them."""
+        edges = sum(len(g) * (len(g) - 1) // 2 for g in self.groups)
+        check_budget(edges, f"adjacency edges (q={self.catalog.field.q})", self.catalog.budget)
+
     @cached_property
     def neighbours(self) -> Tuple[FrozenSet[int], ...]:
         """Per vertex, the frozenset of the other members of its groups,
-        after the catalog's budget guards the edges, C(size, 2) a group."""
-        edges = sum(len(g) * (len(g) - 1) // 2 for g in self.groups)
-        check_budget(edges, f"adjacency edges (q={self.catalog.field.q})", self.catalog.budget)
+        after the edge budget is checked."""
+        self.check_edge_budget()
         nbrs = [set() for _ in self.vertices]
         for g in self.groups:
             for i in g:
@@ -806,15 +812,32 @@ def _vertex_classes(graph: AdjacencyGraph) -> List[int]:
     return [alpha_index[cat.traces[v][1]] for v in graph.vertices]
 
 
+def graph_edges(graph: AdjacencyGraph) -> List[Tuple[int, int]]:
+    """The edges (i, j), i < j, in ascending order, after the edge budget is
+    checked.  Every edge lies in exactly one group and two groups share at
+    most one vertex (see `build_graph`), and each group is ascending, so the
+    j > i adjacent to i are the members after i of its groups, in disjoint
+    slices merged by one sort.  On the catalog a vertex lies in one group,
+    or in two if it is a Y plane."""
+    graph.check_edge_budget()
+    groups = graph.groups
+    edges: List[Tuple[int, int]] = []
+    for i, gids in enumerate(graph.vertex_groups):
+        later: List[int] = []
+        for gid in gids:
+            g = groups[gid]
+            later += g[bisect_right(g, i) :]
+        later.sort()
+        edges += zip(repeat(i), later)
+    return edges
+
+
 def graph_to_dot(graph: AdjacencyGraph) -> str:
     """Deterministic DOT text with orbit type and clique-class labels."""
     lines = ["graph adjacency {"]
     for i, cls in enumerate(_vertex_classes(graph)):
         lines.append(f'  v{i} [type="{graph.types[i].value}" class="{cls}"];')
-    for i in range(graph.n):
-        for j in sorted(graph.neighbours[i]):
-            if j > i:
-                lines.append(f"  v{i} -- v{j};")
+    lines += [f"  v{i} -- v{j};" for i, j in graph_edges(graph)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -831,10 +854,5 @@ def graph_to_json(graph: AdjacencyGraph) -> Dict[str, object]:
             }
             for i, (v, cls) in enumerate(zip(graph.vertices, _vertex_classes(graph)))
         ],
-        "edges": [
-            [i, j]
-            for i in range(graph.n)
-            for j in sorted(graph.neighbours[i])
-            if j > i
-        ],
+        "edges": graph_edges(graph),
     }

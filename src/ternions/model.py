@@ -131,20 +131,14 @@ def classify_by_rank(span: Subspace) -> SubmoduleType:
 
 
 def is_unimodular(v: TernionPair) -> bool:
-    """Whether a x + b y = 1 is solvable: 1 = (1, 0, 1) lies in the row
-    space of a e11 = (a11, 0, 0), a e12 = (0, a11, 0), a e22 = (0, a12, a22)
-    and the same for b, the matrix of (x, y) -> a x + b y over F.  A vector
-    of the row space of a reduced echelon basis is the sum of its rows
-    weighted by the vector's entries at their pivots, which for (1, 0, 1)
-    are 1 in the first and third columns and 0 in the second."""
+    """Whether a x + b y = 1 is solvable.  The values a x + b y form the
+    right ideal a T + b T, the row space of a e11 = (a11, 0, 0),
+    a e12 = (0, a11, 0), a e22 = (0, a12, a22) and the same for b; a right
+    ideal holds 1 exactly when it is all of T, so exactly when these six
+    rows have rank 3."""
     a, b = v
-    field = a.field
     rows = ((a.x, 0, 0), (0, a.x, 0), (0, a.y, a.z), (b.x, 0, 0), (0, b.x, 0), (0, b.y, b.z))
-    acc = (0, 0, 0)
-    for row in field.kernel.rref(rows):
-        if row.index(1) != 1:  # the pivot, the first nonzero entry, is a 1
-            acc = tuple(field.add(x, y) for x, y in zip(acc, row))
-    return acc == (1, 0, 1)
+    return a.field.kernel.rank(rows) == 3
 
 
 @lru_cache(maxsize=None)

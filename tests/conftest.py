@@ -182,6 +182,12 @@ def edge_count(graph):
     return sum(len(s) for s in graph.neighbours) // 2
 
 
+def edges_by_neighbours(graph):
+    """The edges (i, j), i < j, in ascending order, listed vertex by vertex
+    off the sorted `neighbours`."""
+    return [(i, j) for i in range(graph.n) for j in sorted(graph.neighbours[i]) if j > i]
+
+
 def run_suites(ctx, names):
     """The claims of the named suites in alphabetical order, as
     `ternions verify` assembles them."""

@@ -327,9 +327,9 @@ def test_graph_q7_json_matches_pinned_hash():
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == GRAPH_Q7_JSON_SHA256
 
 
-# sha256 of `graph --q 8 --format json` (over GF(8), where most vertices lie
-# in two trace groups) and of `graph --q 7 --format dot`; see
-# tests/golden/README.md for the commands
+# sha256 of `graph --q 8 --format json` (1,052,328 bytes over GF(8), the
+# first extension field of odd degree) and of `graph --q 7 --format dot`;
+# see tests/golden/README.md for the commands
 GRAPH_Q8_JSON_SHA256 = "539bd178c4c504e7a10c9e7f84ebcfdbe0146835ee0d1771afa8e9c56e801b27"
 GRAPH_Q7_DOT_SHA256 = "ef3d466738329658f1e4c396789e5409c69c6d491966abebd5de01feb52e0707"
 

@@ -11,6 +11,7 @@ from conftest import (
     block6_pattern_by_table,
     companion_y,
     edge_count,
+    edges_by_neighbours,
     expected_cliques,
     geodesics_by_neighbours,
     incidence_counts,
@@ -63,6 +64,7 @@ from ternions.geometry import (
     first_failed_condition,
     g0_generators,
     geodesics_from,
+    graph_edges,
     graph_to_dot,
     graph_to_json,
     incidence_table,
@@ -1513,6 +1515,29 @@ def test_graph_to_dot(graph2):
     assert len(elines) == 66
     assert vlines[0].startswith("  v0 ")
     assert graph_to_dot(graph2) == text  # deterministic
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_graph_edges_match_neighbours_reference(q, request):
+    # the slices of the trace groups, merged, list the edges that the
+    # neighbour sets do, in the same order; the budget is checked first
+    cat = request.getfixturevalue(f"cat{q}") if q <= 5 else build_catalog(field_of_order(q))
+    graph = build_graph(cat)
+    edges = graph_edges(graph)
+    assert edges == edges_by_neighbours(graph)
+    assert len(edges) == expected_edges(q)
+    assert [len(gs) == 2 for gs in graph.vertex_groups] == [
+        t is SubmoduleType.Y for t in graph.types
+    ]
+    small = build_graph(replace_fields(cat, budget=len(edges) - 1))
+    with pytest.raises(BudgetError, match=f"enumerating {len(edges)} adjacency edges"):
+        graph_edges(small)
+    # groups cut into pairs put vertex 0 in many groups whose slices
+    # interleave, which only the sort puts in order
+    mate = min(graph.neighbours[0])
+    far = min(set(range(graph.n)) - graph.neighbours[0] - {0})
+    for cut in (regrouped(graph, remove=[(0, mate)]), regrouped(graph, add=[(0, far)])):
+        assert graph_edges(cut) == edges_by_neighbours(cut)
 
 
 def test_graph_to_json(graph3):

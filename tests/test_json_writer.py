@@ -12,6 +12,7 @@ import io
 import json
 from collections import Counter, OrderedDict, namedtuple
 from contextlib import redirect_stdout
+from enum import IntEnum
 
 import pytest
 
@@ -119,10 +120,60 @@ def test_writer_matches_dumps_across_blocks(x):
     assert written(x) == reference(x)
 
 
+class Level(IntEnum):
+    LOW = 1
+
+
 @pytest.mark.parametrize(
     "x",
-    [{1: 2}, {"a": {None: 1}}, [{"a": 1}, {(1, 2): 3}], {1.5: "x"}],
-    ids=["int key", "None key", "tuple key", "float key"],
+    [
+        [[i, i + 1, -i] for i in range(cli.JSON_ROWS + 5)],
+        {"edges": [(i, i + 1) for i in range(2 * cli.JSON_ROWS + 7)]},
+        [[1, 2], [3], (4, 5, 6), [7, 8]],
+        [[1, 2], [], [3, 4], (5, 6)],
+        [[], [], ()],
+        [[1, 2], [True, 3], [4, 5]],
+        [[1, 2], [3, Level.LOW], (4, 5)],
+        [[1, 2], [3, 2**70], (-(2**70), 0)],
+        [{"b": 1, "a": [2, 3]}, {"a": [4], "b": 5}, {"b": {"c": 6}, "a": None}],
+        [{"a": 1, "b": 2}, Counter(b=3, a=4), {"b": 5, "a": 6}],
+        [{"a": 1, "b": 2}, OrderedDict([("b", 3), ("a", 4)]), {"a": 5, "b": 6}],
+        [{"a": 1}, {"a": 2, "b": 3}, {"b": 4}],
+        [{}, {}],
+    ],
+    ids=[
+        "rows past a block",
+        "tuples past a block",
+        "mixed widths",
+        "empty row",
+        "empty rows only",
+        "bool in a row",
+        "IntEnum in a row",
+        "big ints in rows",
+        "one key set, orders differ",
+        "dicts and a Counter",
+        "dicts and an OrderedDict",
+        "key sets differ",
+        "empty dicts",
+    ],
+)
+def test_writer_block_paths_match_dumps(x):
+    # the equal-width row template, the shared key set and the cases each
+    # one must leave to the general path
+    assert written(x) == reference(x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        {1: 2},
+        {"a": {None: 1}},
+        [{"a": 1}, {(1, 2): 3}],
+        {1.5: "x"},
+        [{1: "a"}, {1: "b"}],
+        [{"a": 1, 2: 3}, {2: 4, "a": 5}],
+    ],
+    ids=["int key", "None key", "tuple key", "float key", "shared int key", "shared mixed keys"],
 )
 def test_non_str_key_raises(x):
     with pytest.raises(TypeError, match="keys must be str"):
