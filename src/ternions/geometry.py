@@ -585,80 +585,52 @@ def verify_decomposition(f: SemilinearMap, g: ModuleMap) -> bool:
 # -- adjacency preservers -----------------------------------------------------------
 
 
-class PreserverRecipe:
-    """The data of an adjacency preserver, on vertex indices: a permutation
-    mu of the positions of the alpha regulus lines in `g_alpha` and, per
-    line P, a bijection psi_P of the clique [P, P+J]_3 onto
-    [mu(P), mu(P)+J]_3 sending P+L to mu(P)+L."""
-
-    def __init__(self, mu: Tuple[int, ...], psi: Tuple[Dict[int, int], ...]):
-        self.mu = mu
-        self.psi = psi
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.mu, self.psi) == (other.mu, other.psi)
-
-
-def make_recipe(
-    graph: AdjacencyGraph, mu: Sequence[int], psi: Sequence[Dict[int, int]]
-) -> PreserverRecipe:
-    """Validate recipe data: mu permutes the regulus, each psi_P is a clique
-    bijection with the marked Y plane matched."""
+def recipe_generators(graph: AdjacencyGraph) -> Dict[str, Tuple[int, ...]]:
+    """Four vertex permutations that generate every recipe permutation (see
+    `is_recipe`; the argument is in `suites.suite_adjacency`): a clique
+    transposition and a clique (q+1)-cycle, which send the non-marked
+    members of clique a onto those of its image in sorted order and marked
+    to marked, and a transposition and a (q^2+q)-cycle of the non-marked
+    members of clique 0, which fix every other plane."""
     members, marked = graph.cliques
     n = len(members)
-    if len(mu) != n or set(mu) != set(range(n)):
-        raise ValueError("mu must permute the alpha regulus lines")
-    if len(psi) != n or any(pp.keys() != c for pp, c in zip(psi, members)):
-        raise ValueError("psi_P must be defined on the clique of P")
-    for a, pp in enumerate(psi):
-        if set(pp.values()) != members[mu[a]] or len(set(pp.values())) != len(pp):
-            raise ValueError("psi_P must biject onto the clique of mu(P)")
-        if pp[marked[a]] != marked[mu[a]]:
-            raise ValueError("psi_P must send P+L to mu(P)+L")
-    return PreserverRecipe(mu=tuple(mu), psi=tuple(dict(d) for d in psi))
+    order = [sorted(c - {y}) + [y] for c, y in zip(members, marked)]
 
+    def permutation(pairs) -> Tuple[int, ...]:
+        perm = list(range(graph.n))
+        for z, w in pairs:
+            perm[z] = w
+        return tuple(perm)
 
-def recipe_generators(graph: AdjacencyGraph) -> Dict[str, PreserverRecipe]:
-    """Four recipes that generate every recipe permutation (the argument is
-    in `suites.suite_adjacency`): a clique transposition and a clique
-    (q+1)-cycle, which send the non-marked members of clique a onto those
-    of clique mu(a) in sorted order and marked to marked, and a
-    transposition and a (q^2+q)-cycle of the non-marked members of
-    clique 0, which fix every other plane."""
-    members, marked = graph.cliques
-    n = len(members)
-    rest = [sorted(c - {y}) for c, y in zip(members, marked)]
+    def blocks(mu: List[int]) -> Tuple[int, ...]:
+        return permutation(pair for a, b in enumerate(mu) for pair in zip(order[a], order[b]))
 
-    def blocks(mu: List[int]) -> PreserverRecipe:
-        return make_recipe(
-            graph,
-            mu,
-            [dict(zip(rest[a] + [marked[a]], rest[b] + [marked[b]])) for a, b in enumerate(mu)],
-        )
-
-    def in_clique_0(images: List[int]) -> PreserverRecipe:
-        psi = [{z: z for z in c} for c in members]
-        psi[0].update(zip(rest[0], images))
-        return make_recipe(graph, range(n), psi)
-
-    x = rest[0]
+    x = order[0][:-1]
     return {
         "clique transposition": blocks([1, 0] + list(range(2, n))),
         "clique cycle": blocks(list(range(1, n)) + [0]),
-        "plane transposition": in_clique_0([x[1], x[0]] + x[2:]),
-        "plane cycle": in_clique_0(x[1:] + x[:1]),
+        "plane transposition": permutation(zip(x, [x[1], x[0]] + x[2:])),
+        "plane cycle": permutation(zip(x, x[1:] + x[:1])),
     }
 
 
-def build_preserver(recipe: PreserverRecipe, graph: AdjacencyGraph) -> Tuple[int, ...]:
-    """The vertex permutation defined by a recipe: an X plane moves inside
-    the clique of its K-trace, the Y plane P+L follows mu."""
-    perm = {src: dst for table in recipe.psi for src, dst in table.items()}
-    if perm.keys() != set(range(graph.n)):
-        raise AssertionError("recipe does not cover the planes exactly once")
-    return tuple(perm[i] for i in range(graph.n))
+def is_recipe(perm: Sequence[int], graph: AdjacencyGraph) -> bool:
+    """Whether perm is a recipe permutation: the cliques [P, P+J]_3 of
+    `graph.cliques` cover the vertices exactly once, perm permutes their
+    marked planes P+L, and it maps each clique onto the clique of its
+    marked plane's image.  Such a perm is a bijection: it permutes the
+    cliques, so their images cover the vertices, and a map of a finite set
+    onto itself is one to one."""
+    members, marked = graph.cliques
+    n = graph.n
+    if len(perm) != n or sorted(v for c in members for v in c) != list(range(n)):
+        return False
+    if sorted(perm[y] for y in marked) != sorted(marked):
+        return False
+    position = {y: a for a, y in enumerate(marked)}
+    return all(
+        {perm[z] for z in c} == members[position[perm[y]]] for c, y in zip(members, marked)
+    )
 
 
 def verify_preserver(perm: Sequence[int], graph: AdjacencyGraph) -> bool:
@@ -681,20 +653,6 @@ def preserver_from_collineation(f: SemilinearMap, graph: AdjacencyGraph) -> Tupl
     if -1 in perm:
         raise ValueError("collineation does not preserve the plane set")
     return perm
-
-
-def extract_recipe(perm: Sequence[int], graph: AdjacencyGraph) -> PreserverRecipe:
-    """Read (mu, psi) off a preserver: mu from the Y planes P+L, psi from the
-    restriction to each clique."""
-    members, marked = graph.cliques
-    position = {y: a for a, y in enumerate(marked)}
-    mu = []
-    for y in marked:
-        b = position.get(perm[y])
-        if b is None:
-            raise ValueError("mapping does not permute the Y planes")
-        mu.append(b)
-    return make_recipe(graph, mu, [{z: perm[z] for z in c} for c in members])
 
 
 # -- the correlation-based bijection xi ----------------------------------------------
@@ -724,16 +682,14 @@ def delta_j(u: Subspace) -> Subspace:
     return Subspace(u.field, 6, kern.nullspace(rows, 6))
 
 
-def xi_map(m: Subspace, cat: Catalog) -> Subspace:
+def xi_map(m: Subspace, cat: Catalog) -> Optional[Subspace]:
     """The X plane whose J-line is delta_J(M ^ J), from `cat.x_by_j_line`:
     delta_J fixes L, so it permutes the lines of J meeting L in a point,
-    which are the J-lines of the X planes."""
+    which are the J-lines of the X planes.  None when the catalog holds no
+    X plane on that line, which `xi_report` counts as a failure."""
     if cat.type_of(m) is not SubmoduleType.X:
         raise ValueError("xi is defined on X planes")
-    plane = cat.x_by_j_line.get(delta_j(cat.traces[m][0]))
-    if plane is None:
-        raise AssertionError("the correlated trace is not the J-line of an X plane")
-    return plane
+    return cat.x_by_j_line.get(delta_j(cat.traces[m][0]))
 
 
 def xi_report(graph: AdjacencyGraph) -> Dict[str, object]:

@@ -233,10 +233,10 @@ def suite_incidence(ctx: VerifyContext) -> List[Dict[str, object]]:
 def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
     """The adjacency claims.
 
-    A recipe (mu, psi) permutes the q+1 alpha cliques [P, P+J]_3 by mu and
-    maps each clique onto its image by psi_P, marked plane P+L to marked
-    plane.  The recipe permutations form the wreath product
-    R = Sym(q^2+q) wr Sym(q+1), which the four recipes of
+    A recipe permutation permutes the q+1 alpha cliques [P, P+J]_3 and maps
+    each clique onto its image, marked plane P+L to marked plane
+    (`geometry.is_recipe`).  The recipe permutations form the wreath
+    product R = Sym(q^2+q) wr Sym(q+1), which the four permutations of
     `geometry.recipe_generators` generate.  A full cycle and a transposition
     of two elements adjacent on it generate a symmetric group.  So the two
     clique generators give a copy of Sym(q+1) (sorted-order bijections
@@ -245,9 +245,10 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
     carries it to every clique.  The graph automorphisms that fix the X and
     Y planes setwise form a group, so it contains R once it contains the
     four generators.  Hence `two_way_preservation` and
-    `orbits_fixed_setwise` of `adj:preservers` are exact, while
-    `extraction_round_trip` (on the generators) and
-    `collineation_round_trip` (on one seeded collineation) are spot checks.
+    `orbits_fixed_setwise` of `adj:preservers` are exact.
+    `extraction_round_trip` checks `is_recipe` on each generator, and
+    `collineation_round_trip` checks `verify_preserver` and `is_recipe` on
+    one seeded collineation, a spot check.
 
     R is transitive on the X planes, fixes the Y planes setwise and commutes
     with the companion map, which sends an X plane to the marked plane of
@@ -324,12 +325,11 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
     ok = all(v for key, v in detail.items() if key != "unique_geodesic_checked")
     claims.append(_claim("adjacency", "adj:distance", ok, detail))
 
-    # one collineation-induced preserver round-trips through a recipe
+    # one collineation-induced preserver is a recipe permutation
     s = random_invertible(ctx.field, rng)
     sigma = rng.choice(automorphisms(ctx.field))
     fperm = geo.preserver_from_collineation(geo.induced_collineation(s, sigma), graph)
-    rec = geo.extract_recipe(fperm, graph)
-    coll_ok = geo.verify_preserver(fperm, graph) and geo.build_preserver(rec, graph) == fperm
+    coll_ok = geo.verify_preserver(fperm, graph) and geo.is_recipe(fperm, graph)
     preservers["collineation_round_trip"] = coll_ok
     ok = preservers["first_failure"] is None and coll_ok
     claims.append(_claim("adjacency", "adj:preservers", ok, preservers))
@@ -340,28 +340,25 @@ def _generator_detail(graph: geo.AdjacencyGraph) -> Tuple[Dict[str, object], boo
     """The `adj:preservers` detail for the recipe generators, without the
     collineation round trip, and whether the generators are verified
     preservers whose group carries X plane 0 to every X plane.  Each
-    generator goes through `build_preserver`, `verify_preserver`, the
-    check that it fixes the X and the Y planes setwise, and
-    `extract_recipe`; `first_failure` names the first that fails one."""
+    generator goes through `verify_preserver`, the check that it fixes the
+    X and the Y planes setwise, and `is_recipe`; `first_failure` names the
+    first that fails one."""
     n_x = len(graph.catalog.g_x)
     xs, ys = set(range(n_x)), set(range(n_x, graph.n))
     gens = geo.recipe_generators(graph)
-    perms = []
     checks = {}
-    for name, rec in gens.items():
-        perm = geo.build_preserver(rec, graph)
-        perms.append(perm)
+    for name, perm in gens.items():
         checks[name] = (
             geo.verify_preserver(perm, graph),
             set(perm[:n_x]) == xs and set(perm[n_x:]) == ys,
-            geo.extract_recipe(perm, graph) == rec,
+            geo.is_recipe(perm, graph),
         )
-    two_way, fixes, back = (all(flags) for flags in zip(*checks.values()))
+    two_way, fixes, recipes = (all(flags) for flags in zip(*checks.values()))
     failed = [name for name, flags in checks.items() if not all(flags)]
     orbit, todo = {0}, [0]
     while todo:
         v = todo.pop()
-        for perm in perms:
+        for perm in gens.values():
             if perm[v] not in orbit:
                 orbit.add(perm[v])
                 todo.append(perm[v])
@@ -371,7 +368,7 @@ def _generator_detail(graph: geo.AdjacencyGraph) -> Tuple[Dict[str, object], boo
         "first_failure": failed[0] if failed else None,
         "two_way_preservation": two_way,
         "orbits_fixed_setwise": fixes,
-        "extraction_round_trip": back,
+        "extraction_round_trip": recipes,
     }
     return detail, two_way and fixes and orbit == xs
 

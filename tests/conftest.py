@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ternions.geometry import _fixes_j_and_h, make_recipe
+from ternions.geometry import _fixes_j_and_h
 from ternions.gf import DEFAULT_MODULI, make_field
 from ternions.linalg import (
     Subspace,
@@ -693,9 +693,21 @@ def point_index_incidence_counts(cat):
     return counts
 
 
+def recipe_permutation(graph, psi):
+    """The vertex permutation of a recipe (mu, psi), the reference for
+    `geometry.recipe_generators` and `geometry.is_recipe`: psi[a] maps the
+    clique [P, P+J]_3 of the a-th alpha line P onto the clique of mu(P),
+    P+L to mu(P)+L, so an X plane moves inside the clique of its K-trace
+    and the Y plane P+L follows mu."""
+    perm = {src: dst for table in psi for src, dst in table.items()}
+    assert perm.keys() == set(range(graph.n)), "recipe does not cover the planes exactly once"
+    return tuple(perm[i] for i in range(graph.n))
+
+
 def random_recipe(graph, rng):
-    """A uniformly scrambled valid recipe: a random mu, and per clique a
-    random bijection of its non-marked members onto those of its image."""
+    """The permutation of a uniformly scrambled recipe: a random mu, and
+    per clique a random bijection of its non-marked members onto those of
+    its image."""
     members, marked = graph.cliques
     mu = list(range(len(members)))
     rng.shuffle(mu)
@@ -707,7 +719,7 @@ def random_recipe(graph, rng):
         table = dict(zip(dom, cod))
         table[marked[a]] = marked[b]
         psi.append(table)
-    return make_recipe(graph, mu, psi)
+    return recipe_permutation(graph, psi)
 
 
 # acceptance tests append (criterion, verdict, note) rows here; the hook

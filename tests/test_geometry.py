@@ -30,6 +30,7 @@ from conftest import (
     preserves_by_neighbours,
     random_nonblock_invertible,
     random_recipe,
+    recipe_permutation,
     regrouped,
     replace_fields,
     verify_decomposition_sampled,
@@ -60,7 +61,6 @@ from ternions.geometry import (
     decompose_semilinear,
     delta_j,
     expected_incidence_row,
-    extract_recipe,
     first_failed_condition,
     g0_generators,
     geodesics_from,
@@ -69,7 +69,7 @@ from ternions.geometry import (
     graph_to_json,
     incidence_table,
     induced_collineation,
-    make_recipe,
+    is_recipe,
     maximal_cliques,
     no_duality_certificate,
     preserver_from_collineation,
@@ -78,7 +78,7 @@ from ternions.geometry import (
     standard_triple,
     verify_decomposition,
     verify_preserver,
-    build_preserver,
+    recipe_generators,
     xi_map,
     xi_report,
     _fixes_j,
@@ -1097,12 +1097,9 @@ def test_cliques_table(which, graph2, graph3):
 def test_random_recipe_builds_preserver(graph2):
     rng = random.Random(17)
     for _ in range(10):
-        recipe = random_recipe(graph2, rng)
-        perm = build_preserver(recipe, graph2)
+        perm = random_recipe(graph2, rng)
         assert verify_preserver(perm, graph2)
-        back = extract_recipe(perm, graph2)
-        assert back.mu == recipe.mu
-        assert back.psi == recipe.psi
+        assert is_recipe(perm, graph2)
 
 
 def _subspace_recipe(cat, rng):
@@ -1133,67 +1130,104 @@ def test_random_recipe_matches_subspace_recipe(which, graph2, graph3, cat4):
     # as the Subspace version mapped through vindex
     graph = {2: graph2, 3: graph3}[which] if which < 4 else build_graph(cat4)
     cat = graph.catalog
+    marked = graph.cliques[1]
     position = {p: a for a, p in enumerate(cat.g_alpha)}
     vindex = graph.vindex
     for seed in range(3):
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        recipe = random_recipe(graph, rng)
+        perm = random_recipe(graph, rng)
         mu, psi = _subspace_recipe(cat, ref_rng)
-        assert recipe.mu == tuple(position[mu[p]] for p in cat.g_alpha)
-        assert recipe.psi == tuple(
-            {vindex[z]: vindex[w] for z, w in psi[p].items()} for p in cat.g_alpha
+        assert [perm[y] for y in marked] == [marked[position[mu[p]]] for p in cat.g_alpha]
+        assert perm == recipe_permutation(
+            graph, [{vindex[z]: vindex[w] for z, w in psi[p].items()} for p in cat.g_alpha]
         )
         assert rng.random() == ref_rng.random()
 
 
-def test_make_recipe_rejects_bad_marked_element(cat2, graph2):
-    rng = random.Random(19)
-    recipe = random_recipe(graph2, rng)
-    marked = graph2.vindex[join(cat2.g_alpha[0], cat2.l_line)]
-    table = dict(recipe.psi[0])
-    # divert the marked Y plane to an X plane of the target clique
-    other = next(z for z in table if z != marked)
-    table[marked], table[other] = table[other], table[marked]
-    bad_psi = list(recipe.psi)
-    bad_psi[0] = table
-    with pytest.raises(ValueError, match="P\\+L"):
-        make_recipe(graph2, recipe.mu, bad_psi)
+@pytest.mark.parametrize("which", [2, 3, 4, 5])
+def test_recipe_generators_match_the_recipe_reference(which, cat2, cat3, cat4, cat5):
+    # the four generators as recipes (mu, psi): the clique generators send
+    # the non-marked members of clique a onto those of clique mu(a) in
+    # sorted order and marked to marked; the plane generators move the
+    # non-marked members of clique 0 and fix every other plane
+    graph = build_graph({2: cat2, 3: cat3, 4: cat4, 5: cat5}[which])
+    members, marked = graph.cliques
+    n = len(members)
+    rest = [sorted(c - {y}) for c, y in zip(members, marked)]
+
+    def blocks(mu):
+        return [dict(zip(rest[a] + [marked[a]], rest[b] + [marked[b]])) for a, b in enumerate(mu)]
+
+    def in_clique_0(images):
+        psi = [{z: z for z in c} for c in members]
+        psi[0].update(zip(rest[0], images))
+        return psi
+
+    x = rest[0]
+    want = {
+        "clique transposition": blocks([1, 0] + list(range(2, n))),
+        "clique cycle": blocks(list(range(1, n)) + [0]),
+        "plane transposition": in_clique_0([x[1], x[0]] + x[2:]),
+        "plane cycle": in_clique_0(x[1:] + x[:1]),
+    }
+    gens = recipe_generators(graph)
+    assert list(gens) == list(want)
+    for name, psi in want.items():
+        assert gens[name] == recipe_permutation(graph, psi)
+        assert is_recipe(gens[name], graph)
 
 
-def test_make_recipe_rejects_non_permutation(graph2):
-    rng = random.Random(23)
-    recipe = random_recipe(graph2, rng)
-    mu = list(recipe.mu)
-    mu[0] = mu[1]
-    with pytest.raises(ValueError, match="permute"):
-        make_recipe(graph2, mu, recipe.psi)
-    with pytest.raises(ValueError, match="permute"):
-        make_recipe(graph2, recipe.mu[:-1], recipe.psi)
-
-
-def test_make_recipe_rejects_bad_psi(graph2):
-    recipe = random_recipe(graph2, random.Random(27))
+def test_is_recipe_rejects_a_diverted_marked_plane(cat2, graph2):
+    perm = list(random_recipe(graph2, random.Random(19)))
     members, marked = graph2.cliques
-    with pytest.raises(ValueError, match="defined on"):
-        make_recipe(graph2, recipe.mu, recipe.psi[:-1])
-    short = dict(recipe.psi[0])
-    short.pop(marked[0])
-    with pytest.raises(ValueError, match="defined on"):
-        make_recipe(graph2, recipe.mu, (short,) + recipe.psi[1:])
+    assert marked[0] == graph2.vindex[join(cat2.g_alpha[0], cat2.l_line)]
+    assert is_recipe(perm, graph2)
+    # divert the marked Y plane to an X plane of the target clique
+    other = min(members[0] - {marked[0]})
+    perm[marked[0]], perm[other] = perm[other], perm[marked[0]]
+    assert not is_recipe(perm, graph2)
+
+
+def test_is_recipe_rejects_two_cliques_onto_one(graph2):
+    perm = random_recipe(graph2, random.Random(23))
+    members, marked = graph2.cliques
+    order = [sorted(c - {y}) + [y] for c, y in zip(members, marked)]
+    bad = list(perm)
+    for z, z0 in zip(order[1], order[0]):
+        bad[z] = perm[z0]
+    assert not is_recipe(bad, graph2)
+    assert not is_recipe(perm[:-1], graph2)
+
+
+def test_is_recipe_rejects_bad_clique_images(graph2):
+    perm = random_recipe(graph2, random.Random(27))
+    members, marked = graph2.cliques
+    b = marked.index(perm[marked[1]])  # the target of clique 1, not of clique 0
     # an X plane sent outside the target clique, or two onto one
-    x = next(z for z in members[0] if z != marked[0])
-    outside = next(iter(members[recipe.mu[1]] - {marked[recipe.mu[1]]}))
-    twice = next(w for z, w in recipe.psi[0].items() if z not in (x, marked[0]))
+    x = min(members[0] - {marked[0]})
+    outside = min(members[b] - {marked[b]})
+    twice = next(perm[z] for z in sorted(members[0]) if z not in (x, marked[0]))
     for bad in (outside, twice):
-        table = dict(recipe.psi[0])
+        table = list(perm)
         table[x] = bad
-        with pytest.raises(ValueError, match="biject"):
-            make_recipe(graph2, recipe.mu, (table,) + recipe.psi[1:])
+        assert not is_recipe(table, graph2)
+
+
+def test_is_recipe_needs_cliques_that_cover_the_vertices_once(graph2):
+    ident = tuple(range(graph2.n))
+    assert is_recipe(ident, graph2)
+    members, marked = graph2.cliques
+    short = replace_fields(graph2)
+    short.cliques = ((members[0] - {min(members[0])},) + members[1:], marked)
+    assert not is_recipe(ident, short)
+    twice = replace_fields(graph2)
+    twice.cliques = ((members[0] | {min(members[1])},) + members[1:], marked)
+    assert not is_recipe(ident, twice)
 
 
 def test_swapping_across_cliques_breaks_preservation(cat2, graph2):
     rng = random.Random(29)
-    perm = list(build_preserver(random_recipe(graph2, rng), graph2))
+    perm = list(random_recipe(graph2, rng))
     classes = k_trace_classes(cat2)
     i1, i2 = (graph2.vindex[members[0]] for members in list(classes.values())[:2])
     perm[i1], perm[i2] = perm[i2], perm[i1]
@@ -1206,8 +1240,7 @@ def test_preserver_from_collineation(cat2, graph2):
     f = induced_collineation(s, automorphisms(cat2.field)[0])
     perm = preserver_from_collineation(f, graph2)
     assert verify_preserver(perm, graph2)
-    recipe = extract_recipe(perm, graph2)
-    assert build_preserver(recipe, graph2) == perm
+    assert is_recipe(perm, graph2)
 
 
 @pytest.mark.parametrize("which", [2, 3, 4, 5])
@@ -1227,7 +1260,7 @@ def test_preserver_from_collineation_matches_reference(which, cat2, cat3, cat4, 
 
 
 def test_verify_preserver_rejects_non_bijections(graph2):
-    perm = build_preserver(random_recipe(graph2, random.Random(43)), graph2)
+    perm = random_recipe(graph2, random.Random(43))
     assert verify_preserver(perm, graph2)
     assert not verify_preserver(perm[1:], graph2)  # one vertex unmapped
     assert not verify_preserver(perm[:-1] + (graph2.n,), graph2)  # off the vertices
@@ -1242,7 +1275,7 @@ def test_verify_preserver_reads_no_neighbour_sets(graph3, monkeypatch):
     monkeypatch.setattr(
         geometry.AdjacencyGraph, "neighbours", property(lambda g: pytest.fail("read"))
     )
-    perm = build_preserver(random_recipe(fresh, random.Random(47)), fresh)
+    perm = random_recipe(fresh, random.Random(47))
     assert verify_preserver(perm, fresh)
 
 
@@ -1255,7 +1288,7 @@ def test_verify_preserver_matches_neighbour_reference(which, cat2, cat3, cat4, c
     graph = build_graph(cat)
     nbrs = graph.neighbours
     rng = random.Random(53 + which)
-    perms = [build_preserver(random_recipe(graph, rng), graph) for _ in range(5)]
+    perms = [random_recipe(graph, rng) for _ in range(5)]
     perms += [preserver_from_collineation(_random_positive(cat, rng), graph) for _ in range(3)]
     members, marked = graph.cliques
     a = min(members[0] - {marked[0]})

@@ -460,25 +460,26 @@ def test_recipe_generators_generate_the_recipe_group(which, graph2, graph3):
         "plane transposition",
         "plane cycle",
     ]
-    on_cliques = [gens[k].mu for k in ("clique transposition", "clique cycle")]
+    assert all(geo.is_recipe(perm, graph) for perm in gens.values())
+    on_cliques = [
+        tuple(marked.index(gens[k][y]) for y in marked)
+        for k in ("clique transposition", "clique cycle")
+    ]
     assert len(_closure(on_cliques)) == math.factorial(q + 1)
     x = sorted(members[0] - {marked[0]})
     assert len(x) == q * q + q
-    ident = tuple(range(len(members)))
     on_x = []
     for k in ("plane transposition", "plane cycle"):
-        rec = gens[k]
-        assert rec.mu == ident
-        assert all(z == w for table in rec.psi[1:] for z, w in table.items())
-        assert rec.psi[0][marked[0]] == marked[0]
-        on_x.append(tuple(x.index(rec.psi[0][z]) for z in x))
+        perm = gens[k]
+        assert all(perm[z] == z for c in members[1:] for z in c)
+        assert perm[marked[0]] == marked[0]
+        on_x.append(tuple(x.index(perm[z]) for z in x))
     if q == 2:
         assert len(_closure(on_x)) == 720
-    perms = [geo.build_preserver(rec, graph) for rec in gens.values()]
     orbit, todo = {0}, [0]
     while todo:
         v = todo.pop()
-        new = {perm[v] for perm in perms} - orbit
+        new = {perm[v] for perm in gens.values()} - orbit
         orbit |= new
         todo.extend(new)
     assert orbit == set(range(len(graph.catalog.g_x)))
@@ -527,6 +528,48 @@ def test_distance_fails_without_transitive_generators(cat3, graph3, monkeypatch)
     assert detail["transitive_on_x"] is False
     others = ("connected", "xx_distances_in_1_3", "companion_path_geodesic", "noncompanion_y_at_2")
     assert all(detail[k] for k in others)
+
+
+def test_collineation_preserver_off_recipe_form_fails_without_raising(graph2, monkeypatch, capsys):
+    # a collineation preserver with an X plane of clique 0 swapped with one
+    # of clique 1 is no recipe permutation: `adj:preservers` fails and
+    # verify exits 1, not 2 as on a usage error
+    members, marked = graph2.cliques
+    a, b = min(members[0] - {marked[0]}), min(members[1] - {marked[1]})
+    real = geo.preserver_from_collineation
+
+    def swapped(f, graph):
+        perm = list(real(f, graph))
+        perm[a], perm[b] = perm[b], perm[a]
+        return tuple(perm)
+
+    monkeypatch.setattr(geo, "preserver_from_collineation", swapped)
+    ctx = VerifyContext(field=graph2.catalog.field, seed=0)
+    ctx.catalog, ctx.graph = graph2.catalog, graph2  # reuse the session catalog and graph
+    claims = {c["id"]: c for c in run_suites(ctx, ["adjacency"])}
+    detail = claims["adj:preservers"]["detail"]
+    assert claims["adj:preservers"]["ok"] is False
+    assert detail["collineation_round_trip"] is False
+    assert detail["first_failure"] is None and detail["extraction_round_trip"] is True
+    assert main(["verify", "--q", "2", "--seed", "0", "--suite", "adjacency"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_xi_fails_without_raising_when_an_x_plane_is_missing(which, cat2, cat3):
+    # with the last X plane dropped from the catalog, some X plane has no
+    # image under xi: xi is no permutation and the skew check fails, while
+    # the other two remark claims still pass
+    cat = {2: cat2, 3: cat3}[which]
+    ctx = VerifyContext(field=cat.field, seed=0)
+    ctx.catalog = replace_fields(cat, g_x=cat.g_x[:-1])
+    claims = {c["id"]: c["ok"] for c in run_suites(ctx, ["remark"])}
+    assert claims == {
+        "remark:antiauto": True,
+        "remark:xi-bijection": False,
+        "remark:xi-breaks-adjacency": True,
+        "remark:xi-skew-pairs": False,
+    }
 
 
 # Each stage guard at q = 2, just below and at its count: 15 + 3 x 8 = 39

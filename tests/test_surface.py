@@ -1,7 +1,8 @@
 """Library surface: every top-level function and class of the package, and
 every method and property of its classes, is named by the package itself
 or by the benchmark's tracer, not only by tests (a name only tests use
-belongs in the tests); and importing the package loads only what it uses."""
+belongs in the tests); importing the package loads only what it uses; and
+the README's examples run."""
 
 import ast
 import re
@@ -81,6 +82,19 @@ def test_guard_flags_a_member_only_its_definition_uses(tmp_path):
     tracer.write_text('OPS = ("traced",)\n')
     assert unused_definitions([lib], [tracer]) == ["lib.py:11 Box.lonely"]
     assert unused_definitions([lib], []) == ["lib.py:11 Box.lonely", "lib.py:14 Box.traced"]
+
+
+def test_readme_python_blocks_run(capsys):
+    # every python block of README.md, in order and in one namespace; the
+    # Library example ends with one "True True" line per recipe generator
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" ", 2)[1:] for line in lines[-4:]] == [["True", "True"]] * 4
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

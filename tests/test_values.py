@@ -10,7 +10,7 @@ import inspect
 
 import pytest
 
-from ternions.geometry import AdjacencyGraph, ModuleMap, PreserverRecipe
+from ternions.geometry import AdjacencyGraph, ModuleMap
 from ternions.gf import FieldAutomorphism, automorphisms, make_field
 from ternions.linalg import SemilinearMap, Subspace
 from ternions.model import Catalog, QuadricGeometry
@@ -29,7 +29,6 @@ CONSTRUCTORS = {
     "budget=None",
     AdjacencyGraph: "catalog vertices types vindex groups vertex_groups",
     ModuleMap: "sigma unit matrix",
-    PreserverRecipe: "mu psi",
     VerifyContext: "field seed=0 budget=None",
 }
 
@@ -57,7 +56,6 @@ def _value_cases():
         "Subspace": (Subspace, (f4, 2, ((1, 2),)), (make_field(5, 1), 3, ((1, 3),))),
         "Ternion": (Ternion, (f4, 1, 2, 3), (make_field(5, 1), 0, 3, 2)),
         "TernionMatrix": (TernionMatrix, tuple(t), (t[1], t[2], t[3], t[0])),
-        "PreserverRecipe": (PreserverRecipe, ((0, 1), ({0: 0}, {1: 1})), ((1, 0), ({0: 1},))),
     }
 
 
