@@ -27,8 +27,10 @@ from .linalg import (
     enumerate_subspaces,
     full_space,
     gaussian_binomial,
+    join,
     meet,
     meet_dim,
+    pencil,
     point_vectors,
 )
 from .model import (
@@ -164,23 +166,19 @@ def _incidence_counts(cat: Catalog) -> Dict[Subspace, List[int]]:
 
 class AdjacencyGraph:
     """The graph on the X and Y planes, with vertex indices fixed by the
-    catalog order (X planes first, then Y planes), as its trace groups."""
+    catalog order (X planes first, then Y planes), as its trace groups:
+    tuples of vertex indices, each ascending."""
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        vertices: tuple,
-        types: tuple,
-        vindex: Dict[Subspace, int],
-        groups: tuple,
-        vertex_groups: tuple,
-    ):
+    def __init__(self, catalog: Catalog, groups: tuple):
         self.catalog = catalog
-        self.vertices = vertices
-        self.types = types
-        self.vindex = vindex
-        self.groups = groups  # tuple of tuples of vertex indices, each ascending
-        self.vertex_groups = vertex_groups  # per vertex, the ids of its groups (at most two)
+        self.groups = groups
+        self.vertices = catalog.planes
+        self.vindex = {s: i for i, s in enumerate(self.vertices)}
+        vertex_groups = [[] for _ in self.vertices]
+        for gid, g in enumerate(groups):
+            for i in g:
+                vertex_groups[i].append(gid)
+        self.vertex_groups = tuple(map(tuple, vertex_groups))  # per vertex, its group ids
 
     @property
     def n(self) -> int:
@@ -208,16 +206,18 @@ class AdjacencyGraph:
         return tuple(frozenset(s - {i}) for i, s in enumerate(nbrs))
 
     @cached_property
-    def cliques(self) -> Tuple[Tuple[FrozenSet[int], ...], Tuple[int, ...]]:
+    def cliques(self) -> Tuple[Tuple[FrozenSet[Optional[int]], ...], Tuple[Optional[int], ...]]:
         """(members, marked): per alpha regulus line P, in `g_alpha` order,
-        the vertices of the clique [P, P+J]_3 and of its marked Y plane P+L.
-        Built on first use, so `build_graph` does not pay for the pencils."""
+        the vertices of the clique [P, P+J]_3 and of its marked Y plane P+L,
+        with None for a plane the catalog lacks (`suite_adjacency` fails
+        its clique claims then).  Built on first use, so `build_graph` does
+        not pay for the pencils."""
         cat = self.catalog
-        vindex = self.vindex
+        get = self.vindex.get
         members = tuple(
-            frozenset(vindex[z] for z in cat.clique_intervals[p]) for p in cat.g_alpha
+            frozenset(map(get, pencil(p, join(p, cat.j_solid), 3))) for p in cat.g_alpha
         )
-        return members, tuple(vindex[cat.marked_planes[p]] for p in cat.g_alpha)
+        return members, tuple(get(join(p, cat.l_line)) for p in cat.g_alpha)
 
 
 def build_graph(cat: Catalog) -> AdjacencyGraph:
@@ -228,28 +228,11 @@ def build_graph(cat: Catalog) -> AdjacencyGraph:
     group of planes on a common trace, and two groups share at most one
     plane.  The groups of two planes or more are kept: on the catalog, the
     q+1 alpha cliques [P, P+J]_3 and the Y clique [L, K]_3."""
-    verts = cat.planes
-    types = tuple(
-        SubmoduleType.X if i < len(cat.g_x) else SubmoduleType.Y
-        for i in range(len(verts))
-    )
     on: Dict[Subspace, List[int]] = {}
-    for i, m in enumerate(verts):
+    for i, m in enumerate(cat.planes):
         for line in cat.traces[m]:
             on.setdefault(line, []).append(i)
-    groups = tuple(tuple(g) for g in on.values() if len(g) > 1)
-    vertex_groups = [[] for _ in verts]
-    for gid, g in enumerate(groups):
-        for i in g:
-            vertex_groups[i].append(gid)
-    return AdjacencyGraph(
-        catalog=cat,
-        vertices=verts,
-        types=types,
-        vindex={s: i for i, s in enumerate(verts)},
-        groups=groups,
-        vertex_groups=tuple(map(tuple, vertex_groups)),
-    )
+    return AdjacencyGraph(cat, tuple(tuple(g) for g in on.values() if len(g) > 1))
 
 
 def maximal_cliques(graph: AdjacencyGraph) -> List[FrozenSet[int]]:
@@ -790,21 +773,23 @@ def graph_edges(graph: AdjacencyGraph) -> List[Tuple[int, int]]:
 
 def graph_to_dot(graph: AdjacencyGraph) -> str:
     """Deterministic DOT text with orbit type and clique-class labels."""
+    n_x = len(graph.catalog.g_x)
     lines = ["graph adjacency {"]
     for i, cls in enumerate(_vertex_classes(graph)):
-        lines.append(f'  v{i} [type="{graph.types[i].value}" class="{cls}"];')
+        lines.append(f'  v{i} [type="{"X" if i < n_x else "Y"}" class="{cls}"];')
     lines += [f"  v{i} -- v{j};" for i, j in graph_edges(graph)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_json(graph: AdjacencyGraph) -> Dict[str, object]:
+    n_x = len(graph.catalog.g_x)
     return {
         "q": graph.catalog.field.q,
         "vertices": [
             {
                 "index": i,
-                "type": graph.types[i].value,
+                "type": "X" if i < n_x else "Y",
                 "class": cls,
                 "basis": [list(r) for r in v.basis],
             }

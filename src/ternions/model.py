@@ -35,7 +35,6 @@ from .linalg import (
     check_budget,
     contains,
     coordinate_subspace,
-    join,
     meet,
     meet_dim,
     pencil,
@@ -286,7 +285,8 @@ LINE_MODEL_AXIS_COORDS = (1, 3)  # span{(0,1,0,0), (0,0,0,1)} in F^4
 
 class Catalog:
     """Everything the geometry suite needs for one field: the five orbit
-    lists (canonically sorted), witnesses, flats, and the quadric data."""
+    lists (canonically sorted) and their witnesses, given; the flats J, K
+    and L and the quadric H, which the field fixes, derived."""
 
     def __init__(
         self,
@@ -297,10 +297,6 @@ class Catalog:
         g_beta: tuple,
         g_gamma: tuple,
         witness: Dict[Subspace, TernionPair],
-        j_solid: Subspace,
-        k_solid: Subspace,
-        l_line: Subspace,
-        quadric: QuadricGeometry,
         budget: Optional[int] = None,
     ):
         self.field = field
@@ -310,10 +306,8 @@ class Catalog:
         self.g_beta = g_beta
         self.g_gamma = g_gamma
         self.witness = witness
-        self.j_solid = j_solid
-        self.k_solid = k_solid
-        self.l_line = l_line
-        self.quadric = quadric
+        self.j_solid, self.k_solid, self.l_line = distinguished_flats(field)
+        self.quadric = quadric(field)
         self.budget = budget  # guards the traces, the graph and the scans
 
     def members(self, t: SubmoduleType) -> tuple:
@@ -328,11 +322,6 @@ class Catalog:
     @cached_property
     def index(self) -> Dict[Subspace, Tuple[SubmoduleType, int]]:
         return {s: (t, i) for t in TYPE_ORDER for i, s in enumerate(self.members(t))}
-
-    @cached_property
-    def clique_intervals(self) -> Dict[Subspace, Tuple[Subspace, ...]]:
-        """Per alpha regulus line P, the planes between P and P + J."""
-        return {p: tuple(pencil(p, join(p, self.j_solid), 3)) for p in self.g_alpha}
 
     @cached_property
     def traces(self) -> Dict[Subspace, Tuple[Subspace, Subspace]]:
@@ -359,11 +348,6 @@ class Catalog:
         """Per J-line of an X plane M, M: the join of M ^ J and the alpha
         line through (M ^ J) ^ L."""
         return {self.traces[m][0]: m for m in self.g_x}
-
-    @cached_property
-    def marked_planes(self) -> Dict[Subspace, Subspace]:
-        """Per alpha regulus line P, its marked Y plane P + L."""
-        return {p: join(p, self.l_line) for p in self.g_alpha}
 
     def type_of(self, s: Subspace) -> Optional[SubmoduleType]:
         hit = self.index.get(s)
@@ -448,8 +432,6 @@ def build_catalog(field: Field, budget: Optional[int] = None) -> Catalog:
         if span in bucket:
             raise AssertionError("two unit orbits generate one submodule")
         bucket[span] = v
-    j, k, l = distinguished_flats(field)
-    quad = quadric(field)
     witness: Dict[Subspace, TernionPair] = {}
     for t, d in buckets.items():
         witness.update(d)
@@ -461,10 +443,6 @@ def build_catalog(field: Field, budget: Optional[int] = None) -> Catalog:
         g_beta=tuple(sorted(buckets[SubmoduleType.BETA], key=Subspace.key)),
         g_gamma=tuple(sorted(buckets[SubmoduleType.GAMMA], key=Subspace.key)),
         witness=witness,
-        j_solid=j,
-        k_solid=k,
-        l_line=l,
-        quadric=quad,
         budget=budget,
     )
 

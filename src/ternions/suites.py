@@ -279,18 +279,23 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
         )
     )
 
-    # each class is the clique interval of its regulus line minus P+L
-    classes_ok = True
-    for p, members in groups.items():
-        interval = set(cat.clique_intervals.get(p, ()))
-        if set(members) != interval - {cat.marked_planes.get(p)}:
-            classes_ok = False
+    # each class is the clique [P, P+J]_3 of its regulus line minus P+L, on
+    # vertex indices.  A plane the catalog lacks is None in its clique, and
+    # the clique's size, q^2+q+1, keeps two such planes from passing as one.
+    cliques, marked = graph.cliques
+    alpha = {p: a for a, p in enumerate(cat.g_alpha)}
+    classes_ok = all(
+        p in alpha
+        and len(cliques[alpha[p]]) == q * q + q + 1
+        and {graph.vindex[m] for m in members} == cliques[alpha[p]] - {marked[alpha[p]]}
+        for p, members in groups.items()
+    )
     claims.append(_claim("adjacency", "adj:classes", classes_ok, {}))
 
     # companion: the unique Y neighbour (Y member of a group) of an X plane
     # M is (M ^ K) + L, constant on classes; one join per class
     n_x = len(cat.g_x)
-    companion = {p: graph.vindex[join(p, cat.l_line)] for p in groups}
+    companion = {p: graph.vindex.get(join(p, cat.l_line)) for p in groups}
     comp = [companion[cat.traces[m][1]] for m in cat.g_x]
     ys = [[j for j in g if j >= n_x] for g in graph.groups]
     y_nbrs = [tuple(j for g in graph.vertex_groups[i] for j in ys[g]) for i in range(n_x)]
@@ -303,9 +308,15 @@ def suite_adjacency(ctx: VerifyContext) -> List[Dict[str, object]]:
     )
 
     # cliques: expected ones are present, and via common-neighbour closure
-    # they are the only maximal ones; Bron-Kerbosch cross-check at q <= 3
-    y_clique = frozenset(graph.vindex[s] for s in pencil(cat.l_line, cat.k_solid, 3))
-    exp_idx = [y_clique, *graph.cliques[0]]
+    # they are the only maximal ones; Bron-Kerbosch cross-check at q <= 3.
+    # A clique plane the catalog lacks fails the claims that read cliques.
+    y_clique = frozenset(map(graph.vindex.get, pencil(cat.l_line, cat.k_solid, 3)))
+    exp_idx = [y_clique, *cliques]
+    if None in set(marked).union(*exp_idx):
+        return claims + [
+            _claim("adjacency", cid, False, {"missing_plane": True})
+            for cid in ("adj:cliques", "adj:distance", "adj:preservers")
+        ]
     all_cliques, coverage, closure = _clique_flags(graph, exp_idx)
     detail = {
         "clique_sizes": sorted(len(c) for c in exp_idx),

@@ -59,17 +59,6 @@ class Ternion:
         f = self.field
         return Ternion(f, f.add(self.x, o.x), f.add(self.y, o.y), f.add(self.z, o.z))
 
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        f = self.field
-        return Ternion(f, f.sub(self.x, o.x), f.sub(self.y, o.y), f.sub(self.z, o.z))
-
-    def __neg__(self):
-        f = self.field
-        return Ternion(f, f.neg(self.x), f.neg(self.y), f.neg(self.z))
-
     def __mul__(self, other):
         o = self._check(other)
         if o is None:
@@ -168,17 +157,6 @@ class TernionMatrix:
     @property
     def field(self) -> Field:
         return self.a.field
-
-    def __mul__(self, other):
-        if not isinstance(other, TernionMatrix):
-            return NotImplemented
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return TernionMatrix(
-            a * other.a + b * other.c,
-            a * other.b + b * other.d,
-            c * other.a + d * other.c,
-            c * other.b + d * other.d,
-        )
 
     def det_factors(self) -> Tuple[int, int]:
         """The two determinant factors of the induced 4x4 matrix:

@@ -141,6 +141,17 @@ def matrix_identity(field):
     return TernionMatrix(t_one(field), t_zero(field), t_zero(field), t_one(field))
 
 
+def matrix_product(s, t):
+    """The product of two 2x2 ternion matrices, entry by entry: the
+    reference the lift and the right action are checked to respect."""
+    return TernionMatrix(
+        s.a * t.a + s.b * t.c,
+        s.a * t.b + s.b * t.d,
+        s.c * t.a + s.d * t.c,
+        s.c * t.b + s.d * t.d,
+    )
+
+
 def random_nonblock_invertible(field, rng):
     """A random invertible 6x6 matrix that is not a lift, by rejection on
     36 `rng.randrange(q)` codes a candidate, read row by row."""
@@ -560,14 +571,7 @@ def regrouped(graph, remove=(), add=()):
         groups += [{v, x} for v in sorted(touched) for x in sorted(rest)]
         groups += [set(e) for e in combinations(sorted(touched), 2) if frozenset(e) not in lost]
     groups += [set(e) for e in add]
-    groups = tuple(tuple(sorted(g)) for g in groups if len(g) > 1)
-    vertex_groups = [[] for _ in range(graph.n)]
-    for gid, g in enumerate(groups):
-        for v in g:
-            vertex_groups[v].append(gid)
-    return replace_fields(
-        graph, groups=groups, vertex_groups=tuple(map(tuple, vertex_groups))
-    )
+    return replace_fields(graph, groups=tuple(tuple(sorted(g)) for g in groups if len(g) > 1))
 
 
 # -- the point index: the reference for the traces --------------------------

@@ -280,13 +280,18 @@ def test_graph_guards_count_edges_and_j_line_points(which, cat2, cat3, cat4):
 
 
 def test_vertex_order_and_types(graph2):
+    # the vertices, their index and their group ids are derived from the
+    # catalog and the groups; the export spells X for the first len(g_x)
     cat = graph2.catalog
     assert graph2.vertices == cat.planes
     nx = len(cat.g_x)
-    assert all(t is SubmoduleType.X for t in graph2.types[:nx])
-    assert all(t is SubmoduleType.Y for t in graph2.types[nx:])
-    for v, i in graph2.vindex.items():
-        assert graph2.vertices[i] == v
+    types = [cat.type_of(v) for v in graph2.vertices]
+    assert types == [SubmoduleType.X] * nx + [SubmoduleType.Y] * (graph2.n - nx)
+    assert [v["type"] for v in graph_to_json(graph2)["vertices"]] == [t.value for t in types]
+    assert graph2.vindex == {v: i for i, v in enumerate(graph2.vertices)}
+    assert graph2.vertex_groups == tuple(
+        tuple(gid for gid, g in enumerate(graph2.groups) if i in g) for i in range(graph2.n)
+    )
 
 
 def test_y_planes_pairwise_adjacent(graph3):
@@ -305,7 +310,9 @@ def test_companion(cat2, graph2):
         # the unique Y neighbour
         i = graph2.vindex[m]
         y_nbrs = [
-            j for j in graph2.neighbours[i] if graph2.types[j] is SubmoduleType.Y
+            j
+            for j in graph2.neighbours[i]
+            if cat2.type_of(graph2.vertices[j]) is SubmoduleType.Y
         ]
         assert [graph2.vertices[j] for j in y_nbrs] == [y]
     with pytest.raises(ValueError):
@@ -364,11 +371,12 @@ def test_maximal_cliques_match(which, graph2, graph3):
     assert got == want
 
 
-def test_clique_interval_content(cat2):
-    for p in cat2.g_alpha:
-        members = cat2.clique_intervals[p]
-        assert len(members) == 7
-        for z in members:
+def test_clique_interval_content(cat2, graph2):
+    # each clique [P, P+J]_3 holds 7 planes through P, all X or Y planes
+    for p, members in zip(cat2.g_alpha, graph2.cliques[0]):
+        assert len(members) == 7 and None not in members
+        for i in members:
+            z = graph2.vertices[i]
             assert contains(z, p)
             t = cat2.type_of(z)
             assert t in (SubmoduleType.X, SubmoduleType.Y)
@@ -1109,12 +1117,13 @@ def _subspace_recipe(cat, rng):
     shuffled = alpha[:]
     rng.shuffle(shuffled)
     mu = dict(zip(alpha, shuffled))
+    interval = dict(zip(alpha, expected_cliques(cat)[1:]))
     psi = {}
     for p in alpha:
-        dom = sorted(cat.clique_intervals[p], key=Subspace.key)
-        cod = sorted(cat.clique_intervals[mu[p]], key=Subspace.key)
-        marked_src = cat.marked_planes[p]
-        marked_dst = cat.marked_planes[mu[p]]
+        dom = sorted(interval[p], key=Subspace.key)
+        cod = sorted(interval[mu[p]], key=Subspace.key)
+        marked_src = join(p, cat.l_line)
+        marked_dst = join(mu[p], cat.l_line)
         dom.remove(marked_src)
         cod.remove(marked_dst)
         rng.shuffle(cod)
@@ -1560,7 +1569,7 @@ def test_graph_edges_match_neighbours_reference(q, request):
     assert edges == edges_by_neighbours(graph)
     assert len(edges) == expected_edges(q)
     assert [len(gs) == 2 for gs in graph.vertex_groups] == [
-        t is SubmoduleType.Y for t in graph.types
+        cat.type_of(v) is SubmoduleType.Y for v in graph.vertices
     ]
     small = build_graph(replace_fields(cat, budget=len(edges) - 1))
     with pytest.raises(BudgetError, match=f"enumerating {len(edges)} adjacency edges"):

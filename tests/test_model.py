@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     block6_pattern_by_table,
     is_unimodular_by_products,
+    matrix_product,
     random_ternion,
     replace_fields,
     subspaces_within,
@@ -205,7 +206,7 @@ def test_block6_homomorphism(f2):
     for _ in range(40):
         s = random_invertible(f2, rng)
         t = random_invertible(f2, rng)
-        assert block6_rows(s * t) == k.matmul(block6_rows(s), block6_rows(t))
+        assert block6_rows(matrix_product(s, t)) == k.matmul(block6_rows(s), block6_rows(t))
 
 
 def test_block6_equivariance(f3):
@@ -356,8 +357,8 @@ def test_traces(which, cat2, cat3, cat4, cat5):
     for m in cat.g_x:
         assert cat.traces[m] == (meet(m, cat.j_solid), meet(m, cat.k_solid))
     for p in cat.g_alpha:
-        assert cat.traces[cat.marked_planes[p]] == (cat.l_line, p)
-    assert {cat.marked_planes[p] for p in cat.g_alpha} == set(cat.g_y)
+        assert cat.traces[join(p, cat.l_line)] == (cat.l_line, p)
+    assert {join(p, cat.l_line) for p in cat.g_alpha} == set(cat.g_y)
 
 
 def test_traces_budget_counts_row_reductions(cat2):
@@ -377,11 +378,10 @@ def test_doctored_catalog_gets_fresh_traces(cat2):
 
 @pytest.mark.parametrize("which", [2, 3])
 def test_marked_planes(which, cat2, cat3):
+    # the marked planes P + L, one per alpha regulus line, are the Y planes
     cat = {2: cat2, 3: cat3}[which]
-    assert list(cat.marked_planes) == list(cat.g_alpha)
-    for p in cat.g_alpha:
-        assert cat.marked_planes[p] == join(p, cat.l_line)
-        assert cat.marked_planes[p] in cat.g_y
+    marked = [join(p, cat.l_line) for p in cat.g_alpha]
+    assert sorted(marked, key=Subspace.key) == list(cat.g_y)
 
 
 def test_validate_catalog_report(cat3):

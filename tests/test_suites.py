@@ -572,6 +572,55 @@ def test_xi_fails_without_raising_when_an_x_plane_is_missing(which, cat2, cat3):
     }
 
 
+# Per orbit list, the member dropped and the adjacency claims that fail
+# without it.  The last X plane (the first is in the standard triple that
+# anchors the scans) leaves its clique [P, P+J]_3 short; the first Y plane
+# is the marked plane of a clique, a companion and a member of [L, K]_3.
+DROPPED = {
+    "g_x": (slice(None, -1), {"k-trace", "classes", "cliques", "distance", "preservers"}),
+    "g_y": (slice(1, None), {"companion", "cliques", "distance", "preservers"}),
+    "g_alpha": (slice(1, None), {"k-trace", "classes", "cliques", "distance", "preservers"}),
+    "g_beta": (slice(1, None), set()),
+    "g_gamma": (slice(1, None), set()),
+}
+
+
+@pytest.mark.parametrize("orbit", list(DROPPED))
+@pytest.mark.parametrize("which", [2, 3])
+def test_every_suite_fails_without_raising_on_a_catalog_short_of_a_member(
+    which, orbit, cat2, cat3
+):
+    cat = {2: cat2, 3: cat3}[which]
+    kept, adjacency_failures = DROPPED[orbit]
+    ctx = VerifyContext(field=cat.field, seed=0)
+    ctx.catalog = replace_fields(cat, **{orbit: getattr(cat, orbit)[kept]})
+    claims = {c["id"]: c for c in run_suites(ctx, SUITE_NAMES)}
+    assert claims["counts:orbit-sizes"]["ok"] is False
+    failed = {cid[4:] for cid, c in claims.items() if cid.startswith("adj:") and not c["ok"]}
+    assert failed == adjacency_failures
+    assert len(claims) == 26
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_classes_fail_when_a_clique_lacks_its_marked_plane_and_an_x_plane(which, cat2, cat3):
+    # both missing planes are None in the clique's vertex set, so without
+    # its size the clique minus its marked plane would match the short class
+    cat = {2: cat2, 3: cat3}[which]
+    y = cat.g_y[0]
+    x = next(m for m in reversed(cat.g_x) if cat.traces[m][1] == cat.traces[y][1])
+    ctx = VerifyContext(field=cat.field, seed=0)
+    ctx.catalog = replace_fields(cat, g_x=tuple(m for m in cat.g_x if m != x), g_y=cat.g_y[1:])
+    claims = {c["id"]: c["ok"] for c in run_suites(ctx, ["adjacency"])}
+    assert claims == {
+        "adj:k-trace": False,
+        "adj:classes": False,
+        "adj:companion": False,
+        "adj:cliques": False,
+        "adj:distance": False,
+        "adj:preservers": False,
+    }
+
+
 # Each stage guard at q = 2, just below and at its count: 15 + 3 x 8 = 39
 # normal forms for the catalog, 3 x C(7, 2) + C(3, 2) = 66 adjacency edges
 # where the graph's neighbour sets are built, and 2 x 21 plane traces, the

@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from conftest import FIELD_ORDERS, matrix_identity, random_ternion
+from conftest import FIELD_ORDERS, matrix_identity, matrix_product, random_ternion
 
 from ternions.gf import field_of_order, make_field
 from ternions.model import block6_rows, cyclic_span
@@ -52,7 +52,7 @@ def test_ring_laws_exhaustive_q2(f2):
         assert a + zero == a
         assert a * one == a
         assert one * a == a
-        assert a - a == zero
+        assert sum(a + b == zero for b in ts) == 1  # one additive inverse
         for b in ts:
             assert a + b == b + a
             for c in ts:
@@ -71,7 +71,6 @@ def test_ring_laws_sampled_q3(f3):
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert (a + b) * c == a * c + b * c
-        assert a - b == a + (-b)
 
 
 def test_mul_matches_matrix_mul(f3):
@@ -184,7 +183,7 @@ def test_act_right_is_action(f3):
         v = (random_ternion(f3, rng), random_ternion(f3, rng))
         s = random_invertible(f3, rng)
         t = random_invertible(f3, rng)
-        assert act_right(act_right(v, s), t) == act_right(v, s * t)
+        assert act_right(act_right(v, s), t) == act_right(v, matrix_product(s, t))
         assert act_right(v, matrix_identity(f3)) == v
 
 

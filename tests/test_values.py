@@ -1,5 +1,7 @@
-"""The package's value classes: their constructors, the checks those run,
-and which of them compare by value.
+"""The package's value classes: their constructors, which take only what
+they cannot derive (a catalog's flats and quadric follow from its field, a
+graph's vertices and their index and group ids from its catalog and
+groups), the checks those run, and which of them compare by value.
 
 A class that `src` or the tests compare or hash compares field-wise: two
 instances are equal exactly when they have the same class and the same
@@ -25,9 +27,8 @@ CONSTRUCTORS = {
     Ternion: "field x y z",
     TernionMatrix: "a b c d",
     QuadricGeometry: "regulus_alpha regulus_opposite point_vectors",
-    Catalog: "field g_x g_y g_alpha g_beta g_gamma witness j_solid k_solid l_line quadric "
-    "budget=None",
-    AdjacencyGraph: "catalog vertices types vindex groups vertex_groups",
+    Catalog: "field g_x g_y g_alpha g_beta g_gamma witness budget=None",
+    AdjacencyGraph: "catalog groups",
     ModuleMap: "sigma unit matrix",
     VerifyContext: "field seed=0 budget=None",
 }
