@@ -1,5 +1,6 @@
 """Field layer: table correctness, ring laws, automorphisms, conventions."""
 
+import hashlib
 import re
 from itertools import product
 
@@ -7,6 +8,7 @@ import pytest
 
 from ternions.gf import (
     DEFAULT_MODULI,
+    MAX_ORDER,
     Field,
     automorphisms,
     field_of_order,
@@ -19,6 +21,41 @@ def test_is_prime_small():
     primes = [n for n in range(2, 30) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
+
+
+# sha256 of `table_digest()`, computed before the tables came to be built
+# on one path for prime and extension fields (see tests/golden/README.md)
+TABLES_SHA256 = "c2dae0465052450ea2ddeb2221a788bdf8cf63b87e2c368692092b94e6bb0971"
+
+
+def table_digest():
+    """The sha256 over every (p, k, monic modulus) with q = p^k <= MAX_ORDER
+    (98 cases) of the field's add, mul, neg and inv tables, read through the
+    public arithmetic, or of the ValueError text where the modulus is
+    reducible.  A prime field (k = 1) takes no modulus."""
+    h = hashlib.sha256()
+    for p in filter(is_prime, range(2, MAX_ORDER + 1)):
+        k = 1
+        while p**k <= MAX_ORDER:
+            moduli = [None] if k == 1 else [c + (1,) for c in product(range(p), repeat=k)]
+            for m in moduli:
+                try:
+                    f = make_field(p, k, m)
+                except ValueError as e:
+                    h.update(f"{p} {k} {m} ValueError: {e}\n".encode())
+                    continue
+                els = f.codes()
+                add = [f.add(a, b) for a in els for b in els]
+                mul = [f.mul(a, b) for a in els for b in els]
+                neg = [f.neg(a) for a in els]
+                inv = [f.inv(a) for a in els if a]
+                h.update(f"{p} {k} {m} {add} {mul} {neg} {inv}\n".encode())
+            k += 1
+    return h.hexdigest()
+
+
+def test_tables_of_every_modulus_are_pinned():
+    assert table_digest() == TABLES_SHA256
 
 
 def test_irreducibility():
