@@ -1,11 +1,12 @@
 """Exact arithmetic in small finite fields GF(p^k), q = p^k <= 27.
 
-Every element is encoded as an integer code in [0, q).  For prime fields
-the code is the residue itself; for extensions the base-p digits of the
-code, least significant first, are the coefficients of 1, x, x^2, ... in
-the chosen modulus basis.  Hence code 0 is zero and code 1 is one in every
-field, and enumeration by ascending code is the fixed element order
-(lexicographic on the coefficient tuple written highest degree first).
+Every element is encoded as an integer code in [0, q) whose k base-p
+digits, least significant first, are the coefficients of 1, x, x^2, ...
+modulo the chosen monic modulus of degree k; for a prime field (k = 1) the
+code is the residue itself.  Hence code 0 is zero and code 1 is one in
+every field, code p is x when k > 1, and enumeration by ascending code is
+the fixed element order (lexicographic on the coefficient tuple written
+highest degree first).  One builder makes the tables of every field.
 
 All operations are table lookups after construction, which keeps the rest
 of the package representation-free: matrices over the field are plain
@@ -14,6 +15,7 @@ tuples of codes fed to the kernel in ``_pycore``.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -56,38 +58,6 @@ def check_codes(values, q: int, what: str) -> None:
             )
 
 
-# -- polynomial helpers over GF(p), coefficient lists low degree first ----
-
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a, m, p):
-    """Remainder of a modulo the monic polynomial m, both low-first lists."""
-    r = list(a)
-    _poly_trim(r)
-    dm = len(m) - 1
-    while len(r) - 1 >= dm and r:
-        lead = r[-1]
-        shift = len(r) - 1 - dm
-        for i, cm in enumerate(m):
-            r[shift + i] = (r[shift + i] - lead * cm) % p
-        _poly_trim(r)
-    return r
-
-
 class Field:
     """GF(p^k) with table-driven arithmetic on integer element codes."""
 
@@ -122,37 +92,36 @@ class Field:
 
     # -- construction ------------------------------------------------------
 
-    def _code_coeffs(self, n: int) -> list:
-        p = self.p
-        return [(n // p**i) % p for i in range(self.k)]
-
-    def _coeffs_code(self, cs) -> int:
-        return sum((c % self.p) * self.p**i for i, c in enumerate(cs))
-
     def _build_tables(self):
-        """The arithmetic tables.  The inverse search is also the
-        irreducibility test: modulo m = f g with f, g of positive degree, f
-        is a nonzero zero divisor and has no inverse, while modulo an
-        irreducible m every nonzero element has one."""
-        p, k, q = self.p, self.k, self.q
-        if k == 1:
-            add = [(a + b) % p for a in range(q) for b in range(q)]
-            mul = [(a * b) % p for a in range(q) for b in range(q)]
-            neg = [(-a) % p for a in range(q)]
-        else:
-            mod = list(self.modulus)
-            polys = [self._code_coeffs(n) for n in range(q)]
-            add = [0] * (q * q)
-            mul = [0] * (q * q)
-            for a in range(q):
-                pa = polys[a]
-                for b in range(q):
-                    pb = polys[b]
-                    s = [(x + y) % p for x, y in zip(pa, pb)]
-                    add[a * q + b] = self._coeffs_code(s)
-                    pr = _poly_mod(_poly_mul(_poly_trim(list(pa)), _poly_trim(list(pb)), p), mod, p)
-                    mul[a * q + b] = self._coeffs_code(pr + [0] * (k - len(pr)))
-            neg = [self._coeffs_code([(-c) % p for c in polys[a]]) for a in range(q)]
+        """The arithmetic tables, built on one path for every p and k.
+
+        A code is its k base-p digits, low degree first.  Addition and
+        negation are digit-wise mod p.  The product a b is the sum over i of
+        b_i (a x^i), where a x^(i+1) is a x^i with its digits shifted up and
+        the carried top digit times the monic modulus subtracted.  With
+        k = 1 there is no shift, and this is arithmetic mod p.
+
+        The inverse search is also the irreducibility test: modulo m = f g
+        with f, g of positive degree, f is a nonzero zero divisor and has no
+        inverse, while modulo an irreducible m every nonzero element has
+        one."""
+        p, k, q, m = self.p, self.k, self.q, self.modulus
+        weights = [p**i for i in range(k)]
+        digits = [[n // w % p for w in weights] for n in range(q)]
+
+        def code(ds):
+            return sum([d % p * w for d, w in zip(ds, weights)])
+
+        add = [code([x + y for x, y in zip(da, db)]) for da in digits for db in digits]
+        neg = [code([-x for x in da]) for da in digits]
+        mul = []
+        for da in digits:
+            shifts = [da]  # the digits of a x^i, i = 0 .. k-1
+            for _ in range(1, k):
+                s = shifts[-1]
+                shifts.append([(y - s[-1] * c) % p for y, c in zip([0] + s[:-1], m)])
+            cols = list(zip(*shifts))
+            mul += [code([sum(map(operator.mul, db, col)) for col in cols]) for db in digits]
         inv = [0] * q
         for a in range(1, q):
             for b in range(1, q):
@@ -160,7 +129,7 @@ class Field:
                     inv[a] = b
                     break
             else:
-                raise ValueError(f"modulus {self.modulus} is reducible over GF({p})")
+                raise ValueError(f"modulus {m} is reducible over GF({p})")
         self._add_t = tuple(add)
         self._mul_t = tuple(mul)
         self._neg_t = tuple(neg)
@@ -242,22 +211,24 @@ def primitive_element(field: Field) -> int:
 
 
 class FieldAutomorphism:
-    """A power of the Frobenius map x -> x^p, stored as a code permutation."""
+    """The power-th power of the Frobenius map x -> x^p, stored as the code
+    permutation c -> c^(p^power)."""
 
     __slots__ = ("field", "power", "table")
 
-    def __init__(self, field: Field, power: int, table: tuple):
+    def __init__(self, field: Field, power: int):
         self.field = field
         self.power = power
-        self.table = table
+        e = field.p**power
+        self.table = tuple([field.pow(c, e) for c in field.codes()])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.field, self.power, self.table) == (other.field, other.power, other.table)
+        return (self.field, self.power) == (other.field, other.power)
 
     def __hash__(self):
-        return hash((self.field, self.power, self.table))
+        return hash((self.field, self.power))
 
     @property
     def is_identity(self) -> bool:
@@ -276,19 +247,9 @@ class FieldAutomorphism:
 
 
 @lru_cache(maxsize=None)
-def _automorphism_tuple(field: Field):
-    q, p, k = field.q, field.p, field.k
-    out = []
-    table = tuple(range(q))
-    for e in range(k):
-        out.append(FieldAutomorphism(field, e, table))
-        table = tuple(field.pow(c, p) for c in table)
-    return tuple(out)
-
-
-def automorphisms(field: Field) -> list:
+def automorphisms(field: Field) -> tuple:
     """All field automorphisms, identity first, then ascending Frobenius powers."""
-    return list(_automorphism_tuple(field))
+    return tuple(FieldAutomorphism(field, e) for e in range(field.k))
 
 
 @lru_cache(maxsize=None)

@@ -79,10 +79,14 @@ class VerifyContext:
         return geo.build_graph(self.catalog)
 
     @cached_property
-    def scans(self) -> Tuple[List[Subspace], List[Subspace]]:
-        lines = geo.scan_lines(self.catalog)
-        solids = geo.scan_solids(self.catalog)
-        return lines, solids
+    def scans(self) -> Optional[Tuple[List[Subspace], List[Subspace]]]:
+        """The transversal lines and solids, or None when the standard
+        triple they anchor on is not three pairwise skew X planes of the
+        catalog, as when the catalog lacks one of them."""
+        cat = self.catalog
+        if not geo.is_skew_x_triple(cat, geo.standard_triple(self.field)):
+            return None
+        return geo.scan_lines(cat), geo.scan_solids(cat)
 
 
 def _claim(suite: str, cid: str, ok: bool, detail: Dict[str, object]) -> Dict[str, object]:
@@ -443,6 +447,11 @@ def _distance_detail(
 def suite_lemmas(ctx: VerifyContext) -> List[Dict[str, object]]:
     cat = ctx.catalog
     q = ctx.field.q
+    if ctx.scans is None:
+        return [
+            _claim("lemmas", cid, False, {"standard_triple_skew_x": False})
+            for cid in ("lem:transversal-lines", "lem:transversal-solids")
+        ]
     lines, solids = ctx.scans
     lines_ok = set(lines) == set(cat.quadric.regulus_opposite) and len(lines) == q + 1
     solids_ok = set(solids) == {cat.j_solid, cat.k_solid} and len(solids) == 2
@@ -618,6 +627,8 @@ def _converse_detail(cat: Catalog) -> Dict[str, object]:
 
 def suite_thm2(ctx: VerifyContext) -> List[Dict[str, object]]:
     cat = ctx.catalog
+    if ctx.scans is None:
+        return [_claim("thm2", "thm2:no-duality", False, {"standard_triple_skew_x": False})]
     lines, solids = ctx.scans
     cert = geo.no_duality_certificate(cat, lines, solids)
     detail = dict(cert)
@@ -648,7 +659,8 @@ def suite_remark(ctx: VerifyContext) -> List[Dict[str, object]]:
 
     # the reversing ring involution, exact for all q^6 pairs by bilinearity
     anti_ok = is_linear_involutive_antiautomorphism(field, iota)
-    center_ok = all(iota(t) == t for t in enumerate_ternions(field) if t.x == t.z and t.y == 0)
+    center = [Ternion(field, c, 0, c) for c in field.codes()]  # the q elements (x, 0, x)
+    center_ok = all(iota(t) == t for t in center)
     claims.append(
         _claim(
             "remark",

@@ -23,20 +23,21 @@ def test_is_prime_small():
     assert not is_prime(1)
 
 
-# sha256 of `table_digest()`, computed before the tables came to be built
-# on one path for prime and extension fields (see tests/golden/README.md)
+# sha256 of `table_digest()`, which pins the code-to-element encoding of
+# every field; see tests/golden/README.md for the command
 TABLES_SHA256 = "c2dae0465052450ea2ddeb2221a788bdf8cf63b87e2c368692092b94e6bb0971"
 
 
 def table_digest():
-    """The sha256 over every (p, k, monic modulus) with q = p^k <= MAX_ORDER
-    (98 cases) of the field's add, mul, neg and inv tables, read through the
+    """The sha256 over every (p, k, monic modulus) with q = p^k <= 27 (98
+    cases) of the field's add, mul, neg and inv tables, read through the
     public arithmetic, or of the ValueError text where the modulus is
     reducible.  A prime field (k = 1) takes no modulus."""
+    top = 27  # not MAX_ORDER: the digest stays put when the cap moves
     h = hashlib.sha256()
-    for p in filter(is_prime, range(2, MAX_ORDER + 1)):
+    for p in filter(is_prime, range(2, top + 1)):
         k = 1
-        while p**k <= MAX_ORDER:
+        while p**k <= top:
             moduli = [None] if k == 1 else [c + (1,) for c in product(range(p), repeat=k)]
             for m in moduli:
                 try:
@@ -108,21 +109,44 @@ def test_gf9_table():
     assert f.mul(3, x_cubed) == f.pow(3, 4)
 
 
+# every field the package builds, with its default modulus
+ORDERS = [q for q in range(2, MAX_ORDER + 1) if q in DEFAULT_MODULI or is_prime(q)]
+
+
+def _digits(f, c):
+    """The k base-p digits of code c, least significant first."""
+    return [c // f.p**i % f.p for i in range(f.k)]
+
+
 def test_scalar_rep_and_order():
-    f9 = make_field(3, 2)
-    reps = [tuple(reversed(f9._code_coeffs(c))) for c in f9.codes()]
-    # ascending code order is lexicographic on the high-first coefficients
-    assert reps == sorted(reps)
-    assert reps[0] == (0, 0)
-    assert reps[1] == (0, 1)
-    assert reps[3] == (1, 0)
-    assert make_field(5, 1)._code_coeffs(4) == [4]
+    # code p is x, and the digits of a code, low first, are its coefficients
+    # of 1, x, ..., x^(k-1); the codes below p are the prime field, on which
+    # the arithmetic is mod p (for k = 1 the code is the residue itself)
+    for q in ORDERS:
+        f = field_of_order(q)
+        p = f.p
+        for i in range(1, f.k):
+            assert f.pow(p, i) == p**i
+        for c in f.codes():
+            total = 0
+            for i, d in enumerate(_digits(f, c)):
+                total = f.add(total, f.mul(d, f.pow(p, i)))
+            assert total == c
+        for a, b in product(range(p), repeat=2):
+            assert f.mul(a, b) == a * b % p
 
 
 def test_coeff_round_trip():
-    f = make_field(2, 4)
-    for c in f.codes():
-        assert f._coeffs_code(f._code_coeffs(c)) == c
+    # addition and negation are digit-wise mod p on every code
+    for q in ORDERS:
+        f = field_of_order(q)
+        for a in f.codes():
+            da = _digits(f, a)
+            assert _digits(f, f.neg(a)) == [-x % f.p for x in da]
+            for b in f.codes():
+                assert _digits(f, f.add(a, b)) == [
+                    (x + y) % f.p for x, y in zip(da, _digits(f, b))
+                ]
 
 
 def test_automorphism_group():

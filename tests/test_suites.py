@@ -572,32 +572,46 @@ def test_xi_fails_without_raising_when_an_x_plane_is_missing(which, cat2, cat3):
     }
 
 
-# Per orbit list, the member dropped and the adjacency claims that fail
-# without it.  The last X plane (the first is in the standard triple that
-# anchors the scans) leaves its clique [P, P+J]_3 short; the first Y plane
-# is the marked plane of a clique, a companion and a member of [L, K]_3.
+# Per case, the orbit list short of one member, the member dropped and the
+# adjacency claims that fail without it.  The last X plane leaves its
+# clique [P, P+J]_3 short; the first Y plane is the marked plane of a
+# clique, a companion and a member of [L, K]_3.  m0, m1 and m2 are the X
+# planes of the standard triple that anchors the scans: without one of
+# them the scan claims and thm1:negative, which rests on the triple, fail
+# as well.
+SHORT_CLIQUE = {"k-trace", "classes", "cliques", "distance", "preservers"}
 DROPPED = {
-    "g_x": (slice(None, -1), {"k-trace", "classes", "cliques", "distance", "preservers"}),
-    "g_y": (slice(1, None), {"companion", "cliques", "distance", "preservers"}),
-    "g_alpha": (slice(1, None), {"k-trace", "classes", "cliques", "distance", "preservers"}),
-    "g_beta": (slice(1, None), set()),
-    "g_gamma": (slice(1, None), set()),
+    "g_x": ("g_x", lambda cat: cat.g_x[-1], SHORT_CLIQUE),
+    "g_y": ("g_y", lambda cat: cat.g_y[0], {"companion", "cliques", "distance", "preservers"}),
+    "g_alpha": ("g_alpha", lambda cat: cat.g_alpha[0], SHORT_CLIQUE),
+    "g_beta": ("g_beta", lambda cat: cat.g_beta[0], set()),
+    "g_gamma": ("g_gamma", lambda cat: cat.g_gamma[0], set()),
+    **{
+        f"m{i}": ("g_x", lambda cat, i=i: geo.standard_triple(cat.field)[i], SHORT_CLIQUE)
+        for i in range(3)
+    },
 }
+TRIPLE_CLAIMS = {"lem:transversal-lines", "lem:transversal-solids", "thm1:negative", "thm2:no-duality"}
 
 
-@pytest.mark.parametrize("orbit", list(DROPPED))
+@pytest.mark.parametrize("dropped", list(DROPPED))
 @pytest.mark.parametrize("which", [2, 3])
 def test_every_suite_fails_without_raising_on_a_catalog_short_of_a_member(
-    which, orbit, cat2, cat3
+    which, dropped, cat2, cat3
 ):
     cat = {2: cat2, 3: cat3}[which]
-    kept, adjacency_failures = DROPPED[orbit]
+    orbit, member, adjacency_failures = DROPPED[dropped]
+    m = member(cat)
     ctx = VerifyContext(field=cat.field, seed=0)
-    ctx.catalog = replace_fields(cat, **{orbit: getattr(cat, orbit)[kept]})
+    ctx.catalog = replace_fields(cat, **{orbit: tuple(p for p in getattr(cat, orbit) if p != m)})
     claims = {c["id"]: c for c in run_suites(ctx, SUITE_NAMES)}
     assert claims["counts:orbit-sizes"]["ok"] is False
     failed = {cid[4:] for cid, c in claims.items() if cid.startswith("adj:") and not c["ok"]}
     assert failed == adjacency_failures
+    triple_short = dropped.startswith("m")
+    for cid in TRIPLE_CLAIMS:
+        assert claims[cid]["ok"] is not triple_short
+        assert claims[cid]["detail"].get("standard_triple_skew_x", True) is not triple_short
     assert len(claims) == 26
 
 
