@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 from itertools import chain
 from json import JSONEncoder
 from json.encoder import encode_basestring_ascii as _json_str
@@ -34,8 +34,8 @@ EXIT_STDOUT_CLOSED = 141
 # Lines of output joined into one write: about 40 KB a write at q = 7.
 JSON_BLOCK = 4096
 
-# Members of a top-level list, or of a list under a top-level key, formatted
-# by one join: the text is held a block at a time, never whole.
+# Members of a list formatted by one join: the text is held a block at a
+# time, never whole.
 JSON_ROWS = 256
 
 # json's own spelling of every scalar but str and int: floats, inf and nan,
@@ -68,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ternions",
         description="Exact verification of the ternion plane model over GF(q).",
     )
+    ap.set_defaults(seed=0)  # only verify draws random samples
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run verification suites and emit a claim report")
@@ -107,15 +108,6 @@ def _check_out(out: Optional[str]):
         raise ValueError(f"cannot write {out}: {e.strerror or e}") from e
 
 
-@contextmanager
-def _output(out: Optional[str]):
-    if out is None:
-        yield sys.stdout
-    else:
-        with open(out, "w") as fh:
-            yield fh
-
-
 def _write(pieces: Iterable[str], out: Optional[str]):
     """Write the pieces to `out` (stdout when None), joined into writes of
     at least JSON_BLOCK lines each but the last, and say on stderr how many
@@ -125,7 +117,7 @@ def _write(pieces: Iterable[str], out: Optional[str]):
     start = time.perf_counter()
     size = 0
     try:
-        with _output(out) as fh:
+        with nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
             block, lines = [], 0
             for piece in pieces:
                 block.append(piece)
@@ -149,57 +141,39 @@ def _emit_json(payload, out: Optional[str]):
     """The bytes of json.dumps(payload, sort_keys=True, indent=2) plus a
     newline, built a row at a time instead of a token at a time (on
     Python 3.11 the stdlib encoder runs in pure Python when it indents and
-    yields one chunk per token).  The top level and the values under its
-    keys stream in blocks, so the whole text is never held, and a
-    write-through stdout (PYTHONUNBUFFERED) makes one write(2) per
-    JSON_BLOCK lines."""
-    _write(chain(_json_pieces(payload, "\n", 2), ("\n",)), out)
+    yields one chunk per token).  Every level streams in blocks, so the
+    whole text is never held, and a write-through stdout (PYTHONUNBUFFERED)
+    makes one write(2) per JSON_BLOCK lines."""
+    _write(chain(_json_pieces(payload, "\n"), ("\n",)), out)
 
 
-def _json_pieces(x, nl: str, depth: int):
-    """The text of x in pieces: down `depth` levels, a dict key by key and a
-    list in blocks of JSON_ROWS members; everything below whole.  `nl` is a
-    newline and the indent of the line x starts on."""
-    if not depth or not isinstance(x, (dict, list, tuple)) or not x:
-        yield _json_text(x, nl)
-        return
-    inner = nl + "  "
-    sep = "," + inner
-    if isinstance(x, dict):
+def _json_pieces(x, nl: str):
+    """x as json.dumps(x, sort_keys=True, indent=2) spells it, in pieces, on
+    a line that starts with `nl` (a newline and the indent): at every
+    level, a dict key by key and a list in blocks of JSON_ROWS members."""
+    if type(x) is int:
+        yield int.__repr__(x)
+    elif isinstance(x, str):
+        yield _json_str(x)
+    elif not isinstance(x, (dict, list, tuple)):
+        yield _json_scalar(x)
+    elif not x:
+        yield "{}" if isinstance(x, dict) else "[]"
+    elif isinstance(x, dict):
+        inner = nl + "  "
         lead = "{" + inner
         for k, v in _json_items(x):
             yield lead + _json_str(k) + ": "
-            yield from _json_pieces(v, inner, depth - 1)
-            lead = sep
+            yield from _json_pieces(v, inner)
+            lead = "," + inner
         yield nl + "}"
-        return
-    lead = "[" + inner
-    for i in range(0, len(x), JSON_ROWS):
-        yield lead + _json_members(x[i : i + JSON_ROWS], inner)
-        lead = sep
-    yield nl + "]"
-
-
-def _json_text(x, nl: str) -> str:
-    """x as json.dumps(x, sort_keys=True, indent=2) spells it, on a line
-    that starts with `nl`."""
-    if type(x) is int:
-        return int.__repr__(x)
-    if isinstance(x, str):
-        return _json_str(x)
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
+    else:
         inner = nl + "  "
-        return "[" + inner + _json_members(x, inner) + nl + "]"
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = nl + "  "
-        return "{" + inner + ("," + inner).join(
-            _json_str(k) + ": " + _json_text(v, inner) for k, v in _json_items(x)
-        ) + nl + "}"
-    return _json_scalar(x)
+        lead = "[" + inner
+        for i in range(0, len(x), JSON_ROWS):
+            yield lead + _json_members(x[i : i + JSON_ROWS], inner)
+            lead = "," + inner
+        yield nl + "]"
 
 
 def _json_members(x, nl: str) -> str:
@@ -209,7 +183,9 @@ def _json_members(x, nl: str) -> str:
     ints of one width by one `%` over a row template repeated once per row
     (bools and int subclasses, which json spells otherwise, are not exact
     ints); plain dicts of one key set with the keys sorted and spelled
-    once.  Anything else, rows of mixed widths too, goes member by member."""
+    once.  Anything else, rows of mixed widths too, goes member by member;
+    the values in the dicts and the members taken one by one are joined
+    from their `_json_pieces`."""
     sep = "," + nl
     types = set(map(type, x))
     if types == {int}:
@@ -226,12 +202,12 @@ def _json_members(x, nl: str) -> str:
         if keys and all(map(keys.__eq__, map(dict.keys, x))):
             inner = nl + "  "
             spelled = [(k, _json_str(k) + ": ") for k, _ in _json_items(x[0])]
-            lead, close = "{" + inner, nl + "}"
+            lead, comma, close = "{" + inner, "," + inner, nl + "}"
             return sep.join(
-                [lead + ("," + inner).join([s + _json_text(d[k], inner) for k, s in spelled])
+                [lead + comma.join([s + "".join(_json_pieces(d[k], inner)) for k, s in spelled])
                  + close for d in x]
             )
-    return sep.join([_json_text(v, nl) for v in x])
+    return sep.join(["".join(_json_pieces(v, nl)) for v in x])
 
 
 def _json_items(d: dict) -> list:
@@ -243,31 +219,19 @@ def _json_items(d: dict) -> list:
     return sorted(d.items())
 
 
-def _field(args):
-    return field_of_order(args.q, args.modulus)
-
-
-def _budget(args) -> Optional[int]:
-    return LARGE_BUDGET if args.allow_large else None
-
-
-def _config(args, field, extra=None) -> dict:
-    cfg = {
+def _config(args, field, extra: dict) -> dict:
+    return {
         "q": field.q,
         "p": field.p,
         "k": field.k,
         "modulus": list(field.modulus) if field.modulus else None,
         "allow_large": bool(args.allow_large),
+        **extra,
     }
-    if extra:
-        cfg.update(extra)
-    return cfg
 
 
-def cmd_verify(args) -> int:
-    field = _field(args)
+def cmd_verify(args, ctx: VerifyContext) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    ctx = VerifyContext(field, seed=args.seed, budget=_budget(args))
     claims = []
     t_all = time.perf_counter()
     for name in sorted(names):
@@ -289,7 +253,7 @@ def cmd_verify(args) -> int:
     )
     report = {
         "claims": claims,
-        "config": _config(args, field, {"seed": args.seed, "suites": sorted(names)}),
+        "config": _config(args, ctx.field, {"seed": args.seed, "suites": sorted(names)}),
         "summary": summary,
     }
     if args.format == "json":
@@ -312,13 +276,7 @@ def _incidence_csv(claims) -> str:
     return "\n".join(out) + "\n"
 
 
-def _gen_triples(pair) -> list:
-    return [[t.x, t.y, t.z] for t in pair]
-
-
-def cmd_enumerate(args) -> int:
-    field = _field(args)
-    ctx = VerifyContext(field, budget=_budget(args))
+def cmd_enumerate(args, ctx: VerifyContext) -> int:
     cat = ctx.catalog
     members = []
     for name, t in zip(SET_CHOICES, TYPE_ORDER):
@@ -331,12 +289,12 @@ def cmd_enumerate(args) -> int:
                     "type": t.value,
                     "dim": s.dim,
                     "basis": [list(r) for r in s.basis],
-                    "generator": _gen_triples(cat.witness[s]),
+                    "generator": [list(g.triple()) for g in cat.witness[s]],
                 }
             )
     if args.format == "json":
         payload = {
-            "config": _config(args, field, {"set": args.which}),
+            "config": _config(args, ctx.field, {"set": args.which}),
             "count": len(members),
             "members": members,
         }
@@ -351,9 +309,7 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_graph(args) -> int:
-    field = _field(args)
-    ctx = VerifyContext(field, budget=_budget(args))
+def cmd_graph(args, ctx: VerifyContext) -> int:
     graph = ctx.graph
     if args.format == "dot":
         _write([geo.graph_to_dot(graph)], args.out)
@@ -367,7 +323,10 @@ def main(argv=None) -> int:
     commands = {"verify": cmd_verify, "enumerate": cmd_enumerate, "graph": cmd_graph}
     try:
         _check_out(args.out)
-        code = commands[args.command](args)
+        field = field_of_order(args.q, args.modulus)
+        budget = LARGE_BUDGET if args.allow_large else None
+        ctx = VerifyContext(field, seed=args.seed, budget=budget)
+        code = commands[args.command](args, ctx)
         sys.stdout.flush()  # a closed stdout raises here, not in the flush at exit
         return code
     except BrokenPipeError:

@@ -444,7 +444,7 @@ class ModuleMap:
         return act_right((self.unit * a, self.unit * b), self.matrix)
 
 
-def _homothety_rows(field: Field, a: int, b: int) -> tuple:
+def _homothety_rows(a: int, b: int) -> tuple:
     """The matrix fixing J pointwise with parameters (a, b): identity except
     e3 -> a e2 + b e3 and e6 -> a e5 + b e6."""
     rows = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
@@ -489,7 +489,7 @@ def g0_generators(field: Field) -> Dict[str, List[SemilinearMap]]:
         "diagonal": [induced_collineation(s, ident) for s in diagonals],
         "frobenius": [SemilinearMap(field, 6, full_space(field, 6).basis, f) for f in frob[:1]],
         "homothety": [
-            SemilinearMap(field, 6, _homothety_rows(field, a, b), ident)
+            SemilinearMap(field, 6, _homothety_rows(a, b), ident)
             for a, b in ((0, g), (1, 1))
         ],
     }
@@ -513,7 +513,7 @@ def stabilizer_factorisation(field: Field) -> Tuple[int, bool]:
             u = Ternion(field, a, b, c)
             lift = block6_rows(TernionMatrix(u, zero, zero, u))
             for d, e in basis:
-                h = _homothety_rows(field, field.mul(d, c_inv), field.mul(e, c_inv))
+                h = _homothety_rows(field.mul(d, c_inv), field.mul(e, c_inv))
                 block = ((a, b, 0), (0, c, 0), (0, d, e))
                 want = tuple(r + (0, 0, 0) for r in block) + tuple((0, 0, 0) + r for r in block)
                 ok = ok and matmul(lift, h) == want
@@ -541,7 +541,7 @@ def decompose_semilinear(f: SemilinearMap, cat: Catalog) -> ModuleMap:
     if not b:
         raise ValueError("the homothety read off the matrix has b = 0")
     b_inv = field.inv(b)
-    h_inv = _homothety_rows(field, field.neg(field.mul(a, b_inv)), b_inv)
+    h_inv = _homothety_rows(field.neg(field.mul(a, b_inv)), b_inv)
     s = matrix2_from_block6(field, field.kernel.matmul(h_inv, m))  # raises when not a lift
     return ModuleMap(f.sigma, Ternion(field, 1, a, b), s)
 

@@ -212,14 +212,15 @@ def primitive_element(field: Field) -> int:
 
 class FieldAutomorphism:
     """The power-th power of the Frobenius map x -> x^p, stored as the code
-    permutation c -> c^(p^power)."""
+    permutation c -> c^(p^power).  The Frobenius has order k, so the power
+    is kept mod k."""
 
     __slots__ = ("field", "power", "table")
 
     def __init__(self, field: Field, power: int):
         self.field = field
-        self.power = power
-        e = field.p**power
+        self.power = power % field.k
+        e = field.p**self.power
         self.table = tuple([field.pow(c, e) for c in field.codes()])
 
     def __eq__(self, other):
@@ -270,6 +271,8 @@ def field_of_order(q: int, modulus: Optional[Sequence[int]] = None) -> Field:
     """Resolve q = p^k and construct the field."""
     if q < 2:
         raise ValueError("field order must be at least 2")
+    if q > MAX_ORDER:
+        raise ValueError(f"order {q} exceeds the supported maximum {MAX_ORDER}")
     for p in range(2, q + 1):
         if is_prime(p):
             k, m = 0, 1

@@ -552,7 +552,7 @@ def suite_thm1(ctx: VerifyContext) -> List[Dict[str, object]]:
         a = rng.randrange(field.q)
         b = rng.randrange(1, field.q)
         # sigma, then the homothety (a, b), then the lift of S
-        matrix = field.kernel.matmul(geo._homothety_rows(field, a, b), block6_rows(s))
+        matrix = field.kernel.matmul(geo._homothety_rows(a, b), block6_rows(s))
         f = SemilinearMap(field, 6, matrix, sigma)
         try:
             g = geo.decompose_semilinear(f, cat)

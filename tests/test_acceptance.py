@@ -229,7 +229,7 @@ def test_criterion_07_lemma_scans(cat2, cat3, cat4):
 def _canonical_composite(cat, s, a, b, sigma):
     """sigma entrywise, then the homothety (a, b), then the lift of S."""
     field = cat.field
-    matrix = field.kernel.matmul(_homothety_rows(field, a, b), block6_rows(s))
+    matrix = field.kernel.matmul(_homothety_rows(a, b), block6_rows(s))
     return SemilinearMap(field, 6, matrix, sigma)
 
 

@@ -495,6 +495,7 @@ EMIT_PAYLOADS = {
     "one block exactly": lambda: _list_of_chunk_count(JSON_BLOCK),
     "three blocks exactly": lambda: _list_of_chunk_count(3 * JSON_BLOCK),
     "one chunk past a block": lambda: _list_of_chunk_count(JSON_BLOCK + 1),
+    "three levels deep": lambda: {"a": {"b": {"c": list(range(3 * JSON_BLOCK))}}},
     "empty dict": lambda: {},
     "empty list": lambda: [],
     "scalars": lambda: [None, True, False, 0, "", "ü"],
@@ -514,6 +515,8 @@ def test_emit_json_matches_dumps_in_few_writes(name, monkeypatch, tmp_path):
     assert len(writer.writes) <= math.ceil(n_chunks / 4096) + 1
     if n_chunks > JSON_BLOCK:  # the whole text is never one write
         assert max(len(w) for w in writer.writes) < len(want)
+    # every level streams: a write holds about a block of lines, at any depth
+    assert max(w.count("\n") for w in writer.writes) < 2 * JSON_BLOCK
     out = tmp_path / "out.json"
     _emit_json(payload, str(out))
     assert out.read_text() == want

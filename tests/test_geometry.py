@@ -777,7 +777,7 @@ def test_g0_homotheties_generate_all(q):
     got = _closure(
         [f.matrix for f in gens], field.kernel.matmul, full_space(field, 6).basis
     )
-    want = {_homothety_rows(field, a, b) for a in range(q) for b in range(1, q)}
+    want = {_homothety_rows(a, b) for a in range(q) for b in range(1, q)}
     assert len(want) == q * (q - 1)
     assert got == want
 
@@ -920,7 +920,7 @@ def test_random_nonblock_is_invertible_nonpattern(f3):
 def canonical_composite(cat, s, a, b, sigma):
     """sigma entrywise, then the homothety (a, b), then the lift of S."""
     field = cat.field
-    matrix = field.kernel.matmul(_homothety_rows(field, a, b), block6_rows(s))
+    matrix = field.kernel.matmul(_homothety_rows(a, b), block6_rows(s))
     return SemilinearMap(field, 6, matrix, sigma)
 
 

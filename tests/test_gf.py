@@ -6,10 +6,12 @@ from itertools import product
 
 import pytest
 
+from ternions import gf
 from ternions.gf import (
     DEFAULT_MODULI,
     MAX_ORDER,
     Field,
+    FieldAutomorphism,
     automorphisms,
     field_of_order,
     is_prime,
@@ -173,6 +175,15 @@ def test_automorphism_compose_order():
         assert all(autos[e].table[c] == f.pow(c, 2**e) for e in range(4))
 
 
+def test_automorphism_power_is_taken_mod_k():
+    # the Frobenius of GF(p^k) has order k
+    f4, f8 = make_field(2, 2), make_field(2, 3)
+    square = FieldAutomorphism(f4, 2)
+    assert square == automorphisms(f4)[0]
+    assert square.is_identity
+    assert FieldAutomorphism(f8, -1) == automorphisms(f8)[2]
+
+
 @pytest.mark.parametrize("q", [2, 4, 8, 9, 27])
 def test_automorphism_apply_is_entrywise(q):
     f = field_of_order(q)
@@ -188,6 +199,21 @@ def test_field_identity_and_cache():
     assert field_of_order(4) == make_field(2, 2)
     assert field_of_order(9).p == 3
     assert make_field(7) != make_field(5)
+
+
+def test_order_beyond_the_maximum_is_refused_before_factoring(monkeypatch):
+    # a large prime would take trial division up to q to factor
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        if len(calls) > 5:
+            raise AssertionError("field_of_order factored an order beyond MAX_ORDER")
+        return is_prime(n)
+
+    monkeypatch.setattr(gf, "is_prime", counted)
+    with pytest.raises(ValueError, match=f"exceeds the supported maximum {MAX_ORDER}"):
+        field_of_order(10**9 + 7)
 
 
 def test_default_moduli_are_irreducible():

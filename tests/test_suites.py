@@ -144,8 +144,8 @@ def test_negative_names_a_factor_that_swaps_j_and_k(which, cat2, cat3, monkeypat
     assert swap.apply(cat.j_solid) == cat.k_solid and swap.apply(cat.k_solid) == cat.j_solid
     real = geo._homothety_rows
 
-    def doctored(f, a, b):
-        return f.kernel.matmul(real(f, a, b), J_K_SWAP)
+    def doctored(a, b):
+        return field.kernel.matmul(real(a, b), J_K_SWAP)
 
     monkeypatch.setattr(geo, "_homothety_rows", doctored)
     negative = _negative(cat)
