@@ -47,12 +47,14 @@ def is_prime(n: int) -> bool:
 
 def check_codes(values, q: int, what: str) -> None:
     """Raise ValueError naming the first value that is not an element code
-    of GF(q), an int in [0, q).  Codes from outside the package pass this
-    once, at the public boundaries (`make_field`, `linalg.canonicalize`,
-    `linalg.SemilinearMap`, `ternion.Ternion`, `model.phi_inverse`); the
-    kernel checks none."""
+    of GF(q), an int in [0, q) (a bool is not one).  Codes from outside the
+    package pass this once, at the public boundaries (`make_field`,
+    `linalg.canonicalize`, `linalg.SemilinearMap`, `ternion.Ternion`,
+    `model.phi_inverse`); the kernel checks none, and neither do sums and
+    products of ternions or the unit-orbit normal forms, whose codes come
+    from the field's tables or from `linalg.projective_vectors`."""
     for v in values:
-        if not (isinstance(v, int) and 0 <= v < q):
+        if not (type(v) is int and 0 <= v < q):
             raise ValueError(
                 f"{what} {v!r} is not among the element codes 0..{q - 1} of GF({q})"
             )

@@ -42,7 +42,7 @@ from .linalg import (
     projective_points,
     projective_vectors,
 )
-from .ternion import Ternion, TernionMatrix, TernionPair
+from .ternion import Ternion, TernionMatrix, TernionPair, _ternion
 
 
 class SubmoduleType(Enum):
@@ -74,7 +74,12 @@ def phi_inverse(field: Field, vec) -> TernionPair:
     if len(vec) != 6:
         raise ValueError("expected a 6-vector")
     check_codes(vec, field.q, "coordinate")
-    return (Ternion(field, vec[0], vec[1], vec[2]), Ternion(field, vec[3], vec[4], vec[5]))
+    return _pair(field, vec)
+
+
+def _pair(field: Field, vec) -> TernionPair:
+    """The pair with coordinates vec, codes the package made or checked."""
+    return (_ternion(field, vec[0], vec[1], vec[2]), _ternion(field, vec[3], vec[4], vec[5]))
 
 
 def _span_rows(v: TernionPair) -> tuple:
@@ -286,7 +291,9 @@ LINE_MODEL_AXIS_COORDS = (1, 3)  # span{(0,1,0,0), (0,0,0,1)} in F^4
 class Catalog:
     """Everything the geometry suite needs for one field: the five orbit
     lists (canonically sorted) and their witnesses, given; the flats J, K
-    and L and the quadric H, which the field fixes, derived."""
+    and L, which the field fixes, derived; and the quadric H, derived on
+    first read, since only the claims on the reguli and condition iv read
+    it."""
 
     def __init__(
         self,
@@ -307,7 +314,6 @@ class Catalog:
         self.g_gamma = g_gamma
         self.witness = witness
         self.j_solid, self.k_solid, self.l_line = distinguished_flats(field)
-        self.quadric = quadric(field)
         self.budget = budget  # guards the traces, the graph and the scans
 
     def members(self, t: SubmoduleType) -> tuple:
@@ -318,6 +324,10 @@ class Catalog:
             SubmoduleType.BETA: self.g_beta,
             SubmoduleType.GAMMA: self.g_gamma,
         }[t]
+
+    @cached_property
+    def quadric(self) -> QuadricGeometry:
+        return quadric(self.field)
 
     @cached_property
     def index(self) -> Dict[Subspace, Tuple[SubmoduleType, int]]:
@@ -400,14 +410,14 @@ def _unit_orbit_normal_forms(field: Field) -> Iterator[TernionPair]:
     order that generates the same submodule."""
     heads = [(0, 0, 0)] + list(projective_vectors(field, 3))
     for a11, a12, b11, b12 in projective_vectors(field, 4):
-        yield phi_inverse(field, (a11, a12, 0, b11, b12, 0))
+        yield _pair(field, (a11, a12, 0, b11, b12, 0))
     for a22, b22 in projective_vectors(field, 2):
         for x, y, z in heads:
             if a22:  # (a11, 0, b11, b12)
                 vec = (x, 0, a22, y, z, b22)
             else:  # (a11, a12, b11, 0)
                 vec = (x, y, a22, z, 0, b22)
-            yield phi_inverse(field, vec)
+            yield _pair(field, vec)
 
 
 def normal_form_count(q: int) -> int:

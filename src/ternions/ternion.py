@@ -57,14 +57,14 @@ class Ternion:
         if o is None:
             return NotImplemented
         f = self.field
-        return Ternion(f, f.add(self.x, o.x), f.add(self.y, o.y), f.add(self.z, o.z))
+        return _ternion(f, f.add(self.x, o.x), f.add(self.y, o.y), f.add(self.z, o.z))
 
     def __mul__(self, other):
         o = self._check(other)
         if o is None:
             return NotImplemented
         f = self.field
-        return Ternion(
+        return _ternion(
             f,
             f.mul(self.x, o.x),
             f.add(f.mul(self.x, o.y), f.mul(self.y, o.z)),
@@ -76,6 +76,17 @@ class Ternion:
 
     def __repr__(self):
         return f"T{(self.x, self.y, self.z)}"
+
+
+def _ternion(field: Field, x: int, y: int, z: int) -> Ternion:
+    """A Ternion whose codes the package made (read off the field's tables,
+    or already checked), built without `check_codes`."""
+    t = object.__new__(Ternion)
+    t.field = field
+    t.x = x
+    t.y = y
+    t.z = z
+    return t
 
 
 def t_zero(field: Field) -> Ternion:

@@ -26,7 +26,13 @@ from ternions.linalg import (
     projective_vectors,
     zero_subspace,
 )
-from ternions.model import SubmoduleType, classify, cyclic_span, distinguished_flats
+from ternions.model import (
+    SubmoduleType,
+    classify,
+    cyclic_span,
+    distinguished_flats,
+    phi_inverse,
+)
 from ternions.ternion import Ternion
 
 
@@ -62,6 +68,22 @@ def test_boundaries_reject_non_integer_codes(f2, f3, bad):
     for m in (((bad, 0), (0, 1)), ((1, 0), (0, bad))):
         with pytest.raises(ValueError, match="element codes"):
             SemilinearMap(f2, 2, m, ident)
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_boundaries_reject_bool_codes(f2, f3, bad):
+    # a bool is an int, so an isinstance check let it in: it stayed in a
+    # basis row or a pair, and the JSON writer spelled it true or false
+    cases = (
+        lambda: canonicalize(f3, 3, [(bad, 0, 2)]),
+        lambda: Ternion(f3, 1, bad, 1),
+        lambda: phi_inverse(f3, (bad, 0, 0, 0, 0, 0)),
+        lambda: SemilinearMap(f2, 2, ((1, 0), (0, bad)), automorphisms(f2)[0]),
+        lambda: make_field(2, 2, (1, bad, 1)),
+    )
+    for build in cases:
+        with pytest.raises(ValueError, match=f"{bad!r} is not among the element codes"):
+            build()
 
 
 def test_gaussian_binomial_known_values():

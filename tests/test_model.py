@@ -14,6 +14,8 @@ from conftest import (
     x_plane_sweep,
     x_scan_by_quotient,
 )
+from ternions import model
+from ternions.cli import main
 from ternions.geometry import induced_collineation
 from ternions.gf import automorphisms, field_of_order, make_field
 from ternions.linalg import (
@@ -60,6 +62,7 @@ from ternions.ternion import (
     e12,
     e22,
     enumerate_pairs,
+    enumerate_ternions,
     random_invertible,
     scale_left,
     unit_generators,
@@ -100,6 +103,25 @@ def test_phi_inverse_rejects_outside_codes(f3, bad):
     msg = f"coordinate {bad!r} is not among the element codes 0..2 of GF(3)"
     with pytest.raises(ValueError, match=re.escape(msg)):
         phi_inverse(f3, (1, 0, 1, 0, bad, 1))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_table_codes_build_what_the_checked_constructors_build(q):
+    # sums, products and normal forms skip check_codes; every one of them
+    # passes it
+    f = field_of_order(q)
+    ts = list(enumerate_ternions(f))
+    for a, b in product(ts, repeat=2):
+        for t in (a + b, a * b):
+            assert t == Ternion(f, *t.triple())
+    forms = list(_unit_orbit_normal_forms(f))
+    assert len(forms) == normal_form_count(q)
+    for v in forms:
+        assert v == phi_inverse(f, phi(v))
+    with pytest.raises(ValueError, match=f"ternion entry {q} is not among"):
+        Ternion(f, q, 0, 0)
+    with pytest.raises(ValueError, match=f"coordinate {q} is not among"):
+        phi_inverse(f, (q, 0, 0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("a,b,want,dim", REPRESENTATIVES)
@@ -495,6 +517,17 @@ def test_quadric_lines_match_k_line_sweep(q):
 def test_quadric_alpha_matches_catalog(cat2, cat3):
     for cat in (cat2, cat3):
         assert set(cat.g_alpha) == set(cat.quadric.regulus_alpha)
+
+
+def test_quadric_is_built_only_where_it_is_read(f3):
+    # graph and enumerate read no claim on the reguli or condition iv
+    model.quadric.cache_clear()
+    assert main(["graph", "--q", "3", "--format", "json"]) == 0
+    assert main(["enumerate", "--q", "3"]) == 0
+    assert model.quadric.cache_info().currsize == 0
+    assert "quadric" not in build_catalog(f3).__dict__
+    assert main(["verify", "--q", "3", "--suite", "counts"]) == 0
+    assert model.quadric.cache_info().misses == 1
 
 
 def test_expected_counts_closed_form():
