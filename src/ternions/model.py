@@ -42,7 +42,15 @@ from .linalg import (
     projective_points,
     projective_vectors,
 )
-from .ternion import Ternion, TernionMatrix, TernionPair, _ternion
+from .ternion import (
+    Ternion,
+    TernionMatrix,
+    TernionPair,
+    _ternion,
+    scale_left,
+    t_one,
+    unit_generators,
+)
 
 
 class SubmoduleType(Enum):
@@ -99,24 +107,34 @@ def cyclic_span(v: TernionPair) -> Subspace:
     return Subspace(field, 6, field.kernel.rref(_span_rows(v)))
 
 
+def _readings(v: TernionPair) -> tuple:
+    """The coordinate pairs classify reads: head (a11, b11), mid (a12, b12)
+    and tail (a22, b22)."""
+    a, b = v
+    return (a.x, b.x), (a.y, b.y), (a.z, b.z)
+
+
+def _det(v: TernionPair) -> int:
+    """a22 b12 - b22 a12, which classify reads to tell Y from alpha."""
+    a, b = v
+    f = a.field
+    return f.sub(f.mul(a.z, b.y), f.mul(b.z, a.y))
+
+
 def classify(v: TernionPair) -> SubmoduleType:
     """Orbit type of the cyclic submodule from the generator coordinates.
 
-    Decision tree on (a11, b11), (a12, b12), (a22, b22); cross-checked
-    against classify_by_rank, which inspects the span itself."""
-    a, b = v
-    head = a.x or b.x
-    mid = a.y or b.y
-    tail = a.z or b.z
-    if not (head or mid or tail):
-        return SubmoduleType.ZERO
-    if not tail:
-        return SubmoduleType.BETA if head else SubmoduleType.GAMMA
-    if head:
+    Decision tree on whether the readings (`_readings`, `_det`) vanish;
+    cross-checked against classify_by_rank, which inspects the span
+    itself."""
+    head, mid, tail = _readings(v)
+    if not any(tail):
+        if any(head):
+            return SubmoduleType.BETA
+        return SubmoduleType.GAMMA if any(mid) else SubmoduleType.ZERO
+    if any(head):
         return SubmoduleType.X
-    f = a.field
-    det = f.sub(f.mul(a.z, b.y), f.mul(b.z, a.y))
-    return SubmoduleType.Y if det else SubmoduleType.ALPHA
+    return SubmoduleType.Y if _det(v) else SubmoduleType.ALPHA
 
 
 def classify_by_rank(span: Subspace) -> SubmoduleType:
@@ -134,15 +152,80 @@ def classify_by_rank(span: Subspace) -> SubmoduleType:
     return SubmoduleType.GAMMA if contains(l, span) else SubmoduleType.BETA
 
 
+def _unimodular_rows(v: TernionPair) -> tuple:
+    """a e11, a e12, a e22, b e11, b e12 and b e22 as coordinate triples."""
+    a, b = v
+    return ((a.x, 0, 0), (0, a.x, 0), (0, a.y, a.z), (b.x, 0, 0), (0, b.x, 0), (0, b.y, b.z))
+
+
 def is_unimodular(v: TernionPair) -> bool:
     """Whether a x + b y = 1 is solvable.  The values a x + b y form the
     right ideal a T + b T, the row space of a e11 = (a11, 0, 0),
     a e12 = (0, a11, 0), a e22 = (0, a12, a22) and the same for b; a right
     ideal holds 1 exactly when it is all of T, so exactly when these six
-    rows have rank 3."""
-    a, b = v
-    rows = ((a.x, 0, 0), (0, a.x, 0), (0, a.y, a.z), (b.x, 0, 0), (0, b.x, 0), (0, b.y, b.z))
-    return a.field.kernel.rank(rows) == 3
+    rows (`_unimodular_rows`) have rank 3."""
+    return v[0].field.kernel.rank(_unimodular_rows(v)) == 3
+
+
+def unit_invariance(field: Field) -> Tuple[int, int]:
+    """How many of the identities fail that make classify and cyclic_span,
+    and is_unimodular, constant on the orbits of the left unit group T*:
+    (classifier failures, unimodular failures).
+
+    A unit u = (x, y, z) acts by scale_left.  e_ij (u v) = (e_ij u) v with
+    e11 u = x e11 + y e12, e12 u = z e12 and e22 u = z e22, so
+    _span_rows(u v) = R(u) _span_rows(v), R(u) = [[x, y, 0], [0, z, 0],
+    [0, 0, z]]; R(u) has rank 3, so T u v = T v.  The rows is_unimodular
+    ranks are a e_ij and b e_ij, and u (a e_ij) = (u a) e_ij, so they change
+    by the left multiplication (p, r, s) -> (x p, x r + y s, z s), of rank
+    3.  classify reads whether head, tail, mid (when the tail is 0) and det
+    vanish, and u sends them to x head, z tail, x mid + y tail and x z det.
+    Each side of each identity is linear in v, and det is a quadratic form,
+    so they hold for all q^6 pairs once they hold on the six basis vectors
+    e_i of F^6 and, for det, on the e_i + e_j.  They are checked for each
+    of the `unit_generators`, so they hold for every unit once these
+    generate T*: their closure under products is a group of units with
+    (q-1)^2 q elements, the order of T*."""
+    kern = field.kernel
+    mul, add = field.mul, field.add
+
+    def comb(c, p, d=0, s=(0, 0)):  # c p + d s on coordinate pairs
+        return tuple(add(mul(c, pi), mul(d, si)) for pi, si in zip(p, s))
+
+    # e_j + e_k for j <= k, where e_j + e_j stands for e_j
+    pairs = {
+        (j, k): _pair(field, tuple(int(i in (j, k)) for i in range(6)))
+        for j in range(6)
+        for k in range(j, 6)
+    }
+    basis = [pairs[j, j] for j in range(6)]
+    units = unit_generators(field)
+    cls_bad = unimod_bad = 0
+    for u in units:
+        x, y, z = u.triple()
+        r = ((x, y, 0), (0, z, 0), (0, 0, z))
+        left = ((x, 0, 0), (0, x, 0), (0, y, z))  # rows: u e11, u e12, u e22
+        cls_bad += kern.rank(r) != 3
+        unimod_bad += kern.rank(left) != 3
+        for v in basis:
+            w = scale_left(u, v)
+            head, mid, tail = _readings(v)
+            cls_bad += _span_rows(w) != kern.matmul(r, _span_rows(v))
+            cls_bad += _readings(w) != (comb(x, head), comb(x, mid, y, tail), comb(z, tail))
+            unimod_bad += _unimodular_rows(w) != kern.matmul(_unimodular_rows(v), left)
+        xz = mul(x, z)
+        cls_bad += sum(_det(scale_left(u, v)) != mul(xz, _det(v)) for v in pairs.values())
+    one = t_one(field)
+    group, todo = {one}, [one]
+    while todo:
+        t = todo.pop()
+        for u in units:
+            s = t * u
+            if s not in group:
+                group.add(s)
+                todo.append(s)
+    generated = len(group) == (field.q - 1) ** 2 * field.q
+    return cls_bad + (not generated), unimod_bad + (not generated)
 
 
 @lru_cache(maxsize=None)

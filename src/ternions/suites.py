@@ -23,7 +23,6 @@ from .linalg import (
     full_space,
     identity_map,
     join,
-    meet,
     pencil,
     projective_points,
 )
@@ -34,12 +33,12 @@ from .model import (
     build_catalog,
     classify,
     classify_by_rank,
-    cyclic_span,
     expected_counts,
     is_unimodular,
     line_model,
     LINE_MODEL_AXIS_COORDS,
     normal_form_count,
+    unit_invariance,
     validate_catalog,
 )
 from .ternion import (
@@ -50,8 +49,6 @@ from .ternion import (
     enumerate_ternions,
     iota,
     random_invertible,
-    scale_left,
-    unit_generators,
 )
 
 
@@ -141,21 +138,24 @@ def _line_model_check(cat: Catalog) -> Tuple[bool, Dict[str, object]]:
     e11 w and e12 w are independent vectors of J (x3 = x6 = 0), so they span
     M ^ J, and line_model(w) is their projection onto (x1, x2, x4, x5),
     which is injective on J; so line_model(w) is the projection of M ^ J,
-    checked per X plane on its witness.  A line other than the axis meets
-    it in at most one point, so the complex lines are the q^2+q other lines
-    through each of its q+1 points, each found once."""
+    checked per X plane on its witness, with M ^ J taken as the
+    combinations of M's rows that vanish in x3 and x6.  A line other than
+    the axis meets it in at most one point, so the complex lines are the
+    q^2+q other lines through each of its q+1 points, each found once."""
     field = cat.field
     axis = coordinate_subspace(field, 4, LINE_MODEL_AXIS_COORDS)
     space = full_space(field, 4)
     complex_lines = {
         ln for a in projective_points(axis) for ln in pencil(a, space, 2) if ln != axis
     }
+    kern = field.kernel
     well_defined = True
     image = set()
     for m in cat.g_x:
         ln = line_model(cat.witness[m])
-        # the rows of M ^ J are zero in x3 and x6, so they stay reduced
-        projected = tuple(r[:2] + r[3:5] for r in meet(m, cat.j_solid).basis)
+        rows = m.basis
+        coeffs = kern.nullspace((tuple(r[2] for r in rows), tuple(r[5] for r in rows)), len(rows))
+        projected = kern.rref(tuple(r[:2] + r[3:5] for r in kern.matmul(coeffs, rows)))
         well_defined = well_defined and ln.basis == projected
         image.add(ln)
     injective = len(image) == len(cat.g_x)
@@ -175,38 +175,22 @@ def _classifier_walk(cat: Catalog) -> Tuple[int, int, Dict[str, object]]:
 
     The walk covers one pair per left-unit orbit: the catalog's witnesses,
     one normal form per span.  That covers every pair because the three
-    functions are constant on these orbits, which the following argument
-    proves.  A unit u = (x, y, z) sends (a11, a12, a22) to
-    (x a11, x a12 + y a22, z a22) in both halves.  classify reads whether
-    (a11, b11), (a22, b22) and, when (a22, b22) = 0, (a12, b12) vanish, and
-    whether a22 b12 - b22 a12 vanishes, which u multiplies by x z != 0.
-    classify_by_rank reads only the span, and T u v = T v.  And u v is
-    unimodular exactly when v is: u (a s + b t) = 1 gives
-    a (s u) + b (t u) = 1.  Each normal form is also checked against its
-    images under (g, 0, 1), (1, 0, g) and (1, 1, 1), g a primitive element,
-    which generate the unit group: classify and is_unimodular agree on the
-    image, and its span is the normal form's, which implies that
-    classify_by_rank agrees too.  One step per generator is a spot check of
-    the invariance, not a proof of it."""
+    functions are constant on these orbits, which `model.unit_invariance`
+    proves once per field: it checks, on a basis of F^6, the identities
+    that carry the readings of classify, the rows of cyclic_span and the
+    rows of is_unimodular through the three `unit_generators`, and that
+    these generate the unit group.  classify_by_rank reads only the span.
+    A failed identity counts as one mismatch of the claim it proves."""
     field = cat.field
     if len(cat.witness) != normal_form_count(field.q):
         raise AssertionError("the catalog does not hold one witness per normal form")
-    units = unit_generators(field)
-    mismatches = 0
-    unimod_bad = 0
+    mismatches, unimod_bad = unit_invariance(field)
     for span, v in cat.witness.items():
         t = classify(v)
-        u_ok = is_unimodular(v)
         if t is not classify_by_rank(span):
             mismatches += 1
-        if u_ok != (t is SubmoduleType.X):
+        if is_unimodular(v) != (t is SubmoduleType.X):
             unimod_bad += 1
-        for u in units:
-            w = scale_left(u, v)
-            if classify(w) is not t or cyclic_span(w) != span:
-                mismatches += 1
-            if is_unimodular(w) != u_ok:
-                unimod_bad += 1
     walked = {"method": "unit-orbit normal forms", "normal_forms": normal_form_count(field.q)}
     return mismatches, unimod_bad, walked
 

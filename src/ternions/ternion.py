@@ -120,7 +120,9 @@ def unit_generators(field: Field) -> Tuple[Ternion, Ternion, Ternion]:
     generate the unit group: the first two give the diagonal units, and
     conjugating (1, 1, 1) by powers of (g, 0, 1) gives every (1, g^i, 1),
     whose products are all (1, y, 1), since the powers of g span GF(q)
-    over GF(p)."""
+    over GF(p).  `model.unit_invariance` checks this per field: their
+    closure under products has (q-1)^2 q elements, the order of the unit
+    group."""
     g = primitive_element(field)
     return (Ternion(field, g, 0, 1), Ternion(field, 1, 0, g), Ternion(field, 1, 1, 1))
 

@@ -155,8 +155,9 @@ def test_unimodular_matches_products_exhaustive_q2(f2):
 
 @pytest.mark.parametrize("q", [4, 5])
 def test_unimodular_matches_products_on_normal_forms(q):
-    # the normal forms and their images under the unit generators, as the
-    # classifier walk of `model:unimodular` visits them
+    # the normal forms, on which the walk of `model:unimodular` ranks the
+    # rows, and their images under the unit generators, on which
+    # `unit_invariance` proves the rank constant
     f = field_of_order(q)
     units = unit_generators(f)
     for v in _unit_orbit_normal_forms(f):

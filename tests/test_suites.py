@@ -1,10 +1,11 @@
 import json
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from conftest import (
+    FIELD_ORDERS,
     J_K_SWAP,
     clique_flags_by_neighbours,
     companion_y,
@@ -19,7 +20,7 @@ from conftest import (
 
 import ternions.geometry as geo
 from ternions.cli import main
-from ternions.gf import automorphisms, make_field, primitive_element
+from ternions.gf import DEFAULT_MODULI, automorphisms, make_field, primitive_element
 from ternions.linalg import BudgetError, SemilinearMap, Subspace
 from ternions.suites import (
     SUITE_NAMES,
@@ -31,7 +32,14 @@ from ternions.suites import (
     is_linear_involutive_antiautomorphism,
     summarize,
 )
-from ternions.ternion import Ternion, enumerate_ternions, iota, random_invertible
+from ternions.ternion import (
+    Ternion,
+    enumerate_pairs,
+    enumerate_ternions,
+    iota,
+    random_invertible,
+    scale_left,
+)
 
 
 @pytest.fixture(scope="module")
@@ -738,37 +746,162 @@ def test_antiauto_by_bilinearity_matches_all_pairs(q):
     assert got["iota, y scaled by 2"] is (q == 3)
 
 
-def _wrong_off_normal_forms(right, wrong):
-    """A stand-in that is right on every unit-orbit normal form but answers
-    `wrong` where a22 and a12 are both nonzero, which no normal form has."""
-    return lambda v: wrong if v[0].z and v[0].y else right(v)
+# mutations of the code `model.unit_invariance` reads, each a linear (the
+# determinants: quadratic) stand-in for a function of `ternions.model`
+
+
+def _det_without_b22_a12(v):
+    a, b = v
+    return a.field.mul(a.z, b.y)
+
+
+def _det_plus_a22_a12(v):
+    a, b = v
+    f = a.field
+    return f.add(f.sub(f.mul(a.z, b.y), f.mul(b.z, a.y)), f.mul(a.z, a.y))
+
+
+def _unimodular_rows_with_a22_in_a_e12(v):
+    a, b = v
+    return ((a.x, 0, 0), (0, a.x, a.z), (0, a.y, a.z), (b.x, 0, 0), (0, b.x, 0), (0, b.y, b.z))
+
+
+def _span_rows_with_b12_in_e12_w(v):
+    a, b = v
+    return ((a.x, a.y, 0, b.x, b.y, 0), (0, a.z, 0, 0, b.y, 0), (0, 0, a.z, 0, 0, b.z))
+
+
+def _scale_left_without_y(t, v):
+    return scale_left(Ternion(t.field, t.x, 0, t.z), v)
 
 
 def test_classifier_walk_catches_orbit_dependence(cat2, monkeypatch):
-    # the walk sees an error that only the unit images expose
-    import ternions.suites as suites
-    from ternions.model import SubmoduleType
+    # a classify and an is_unimodular that are right on every normal form,
+    # so on every witness, but not constant on unit orbits: the determinant
+    # plus a22 a12 (zero on every normal form), and unimodular rows with
+    # a22 in the last slot of a e12.  Only the identities of
+    # `unit_invariance` see them
+    import ternions.model as model
+    from ternions.suites import _classifier_walk
 
-    assert suites._classifier_walk(cat2)[:2] == (0, 0)
-    wrong = _wrong_off_normal_forms(suites.classify, SubmoduleType.BETA)
-    monkeypatch.setattr(suites, "classify", wrong)
-    assert suites._classifier_walk(cat2)[0] > 0
-    monkeypatch.undo()
-    wrong = _wrong_off_normal_forms(suites.is_unimodular, False)
-    monkeypatch.setattr(suites, "is_unimodular", wrong)
-    assert suites._classifier_walk(cat2)[1] > 0
+    f = cat2.field
+    normal_forms = list(model._unit_orbit_normal_forms(f))
+    pairs = list(enumerate_pairs(f))
+    assert _classifier_walk(cat2)[:2] == (0, 0)
+    for name, wrong, reader, counter in (
+        ("_det", _det_plus_a22_a12, model.classify, 0),
+        ("_unimodular_rows", _unimodular_rows_with_a22_in_a_e12, model.is_unimodular, 1),
+    ):
+        right = {v: reader(v) for v in pairs}
+        with monkeypatch.context() as m:
+            m.setattr(model, name, wrong)
+            assert all(reader(v) == right[v] for v in normal_forms)
+            assert any(reader(v) != right[v] for v in pairs)
+            counts = _classifier_walk(cat2)[:2]
+        assert counts[counter] > 0 and counts[1 - counter] == 0, name
 
 
 def test_classifier_walk_catches_a_span_wrong_off_normal_forms(cat2, monkeypatch):
-    # the unit images are checked by their spans: a cyclic_span that is
-    # right on every normal form, so on every witness, but wrong on their
-    # images is a mismatch
-    import ternions.suites as suites
+    # the walk reads the catalog's spans and builds no span of its own: a
+    # span builder that reads b12 where e12 w has b22 reaches the walk only
+    # through the identity _span_rows(u v) = R(u) _span_rows(v), and fails
+    # it.  No edit of one or two entries of the rows keeps every normal
+    # form's span and changes another's, so the stand-in is wrong on normal
+    # forms too, but the walk never builds their spans
+    import ternions.model as model
+    from ternions.suites import _classifier_walk
 
-    wrong = _wrong_off_normal_forms(suites.cyclic_span, Subspace(cat2.field, 6, ()))
-    monkeypatch.setattr(suites, "cyclic_span", wrong)
-    mismatches, unimod_bad, _ = suites._classifier_walk(cat2)
+    f = cat2.field
+    assert any(
+        f.kernel.rref(_span_rows_with_b12_in_e12_w(v)) != model.cyclic_span(v).basis
+        for v in enumerate_pairs(f)
+    )
+    monkeypatch.setattr(model, "_span_rows", _span_rows_with_b12_in_e12_w)
+    mismatches, unimod_bad, _ = _classifier_walk(cat2)
     assert mismatches > 0 and unimod_bad == 0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize(
+    "name, wrong, classifier_fails, unimodular_fails",
+    [
+        ("scale_left", _scale_left_without_y, True, True),
+        ("_det", _det_without_b22_a12, True, False),
+        ("_unimodular_rows", _unimodular_rows_with_a22_in_a_e12, False, True),
+    ],
+    ids=["scale_left drops y", "det drops b22 a12", "unimodular rows read a22"],
+)
+def test_unit_invariance_catches_a_mutation(
+    q, name, wrong, classifier_fails, unimodular_fails, monkeypatch
+):
+    # each mutation fails an identity on its own, and so the claims.  The
+    # determinant without b22 a12 is also wrong on the normal form
+    # (0, 1, 0, 0, 0, 1), a Y pair it calls alpha, so the per-witness check
+    # sees it too
+    import ternions.model as model
+    from ternions.suites import _classifier_walk
+
+    f = make_field(q, 1)
+    cat = model.build_catalog(f)
+    assert model.unit_invariance(f) == (0, 0)
+    monkeypatch.setattr(model, name, wrong)
+    expected = (classifier_fails, unimodular_fails)
+    assert tuple(bad > 0 for bad in model.unit_invariance(f)) == expected
+    assert tuple(bad > 0 for bad in _classifier_walk(cat)[:2]) == expected
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_unit_invariance_fails_without_a_generating_set(q, monkeypatch):
+    # without (1, 1, 1) every identity holds, but the closure is the
+    # (q-1)^2 diagonal units only, so both claims lose their proof
+    import ternions.model as model
+
+    right = model.unit_generators
+    monkeypatch.setattr(model, "unit_generators", lambda field: right(field)[:2])
+    assert model.unit_invariance(make_field(q, 1)) == (1, 1)
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_unit_invariance_holds_on_every_field(q):
+    from ternions.gf import field_of_order
+    from ternions.model import unit_invariance
+
+    assert unit_invariance(field_of_order(q)) == (0, 0)
+
+
+def _non_default_moduli(top):
+    """(q, modulus) for each monic irreducible modulus of a field of order
+    p^k <= top, k > 1, other than the built-in one."""
+    for p in (2, 3, 5):
+        k = 2
+        while p**k <= top:
+            for c in product(range(p), repeat=k):
+                m = c + (1,)
+                try:
+                    make_field(p, k, m)
+                except ValueError:
+                    continue
+                if m != DEFAULT_MODULI[p**k]:
+                    yield p**k, m
+            k += 1
+
+
+NON_DEFAULT_MODULI = list(_non_default_moduli(9))
+
+
+def test_non_default_moduli_up_to_9():
+    assert NON_DEFAULT_MODULI == [(8, (1, 0, 1, 1)), (9, (1, 0, 1)), (9, (2, 1, 1))]
+
+
+@pytest.mark.parametrize("q, modulus", NON_DEFAULT_MODULI)
+def test_counts_pass_on_every_encoding(q, modulus, capsys):
+    # the identities of the unit invariance read the primitive element, so
+    # they depend on the field's encoding; so do the normal forms
+    args = ["verify", "--q", str(q), "--suite", "counts", "--seed", "0", "--modulus"]
+    assert main([*args, *map(str, modulus)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["modulus"] == list(modulus)
+    assert report["summary"] == {"claims": 9, "passed": 9, "failed": 0, "ok": True}
 
 
 def test_classifier_walk_reads_one_witness_per_normal_form(cat2):
