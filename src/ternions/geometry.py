@@ -39,6 +39,7 @@ from .model import (
     SubmoduleType,
     block6_rows,
     cyclic_span,
+    embed_j,
     matrix2_from_block6,
     phi,
     phi_inverse,
@@ -641,28 +642,23 @@ def preserver_from_collineation(f: SemilinearMap, graph: AdjacencyGraph) -> Tupl
 # -- the correlation-based bijection xi ----------------------------------------------
 
 
-# The symmetric form u DELTA_J w^T = u1 w2 + u2 w1 + u4 w5 + u5 w4 of the
-# correlation delta_J of J; x3 and x6 do not enter it.
-DELTA_J = (
-    (0, 1, 0, 0, 0, 0),
-    (1, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 1, 0),
-    (0, 0, 0, 1, 0, 0),
-    (0, 0, 0, 0, 0, 0),
-)
-_X3_X6 = ((0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1))
+def j_form(field: Field, u, w) -> int:
+    """u1 w2 + u2 w1 + u4 w5 + u5 w4, the symmetric form of the correlation
+    delta_J of J; x3 and x6 do not enter it."""
+    add, mul = field.add, field.mul
+    return add(add(mul(u[0], w[1]), mul(u[1], w[0])), add(mul(u[3], w[4]), mul(u[4], w[3])))
 
 
 def delta_j(u: Subspace) -> Subspace:
-    """The image under delta_J of a subspace u of J: the w in J with
-    u DELTA_J w^T = 0, which sends the point (a, b, 0, c, d, 0) to the plane
-    b x1 + a x2 + d x4 + c x5 = 0 of J.  The form is nondegenerate and
+    """The image under delta_J of a subspace U of J: the w in J with
+    j_form(u, w) = 0 for every u in U, which sends the point
+    (a, b, 0, c, d, 0) to the plane b x1 + a x2 + d x4 + c x5 = 0 of J.
+    It is the null space, on J's coordinates (x1, x2, x4, x5), of U's
+    rows with x1, x2 and x4, x5 swapped.  The form is nondegenerate and
     symmetric on J, so delta_J reverses inclusion and is an involution; it
     fixes L."""
-    kern = u.field.kernel
-    rows = kern.matmul(u.basis, DELTA_J) + _X3_X6
-    return Subspace(u.field, 6, kern.nullspace(rows, 6))
+    rows = tuple((r[1], r[0], r[4], r[3]) for r in u.basis)
+    return Subspace(u.field, 6, embed_j(u.field.kernel.nullspace(rows, 4)))
 
 
 def xi_map(m: Subspace, cat: Catalog) -> Optional[Subspace]:
@@ -686,8 +682,9 @@ def xi_report(graph: AdjacencyGraph) -> Dict[str, object]:
     J are skew exactly when l + m = J, and delta_J(l) ^ delta_J(m) =
     delta_J(l + m) is zero exactly then.  So a permutation xi keeps
     skewness both ways once xi(M) ^ J = delta_J(M ^ J) for each X plane M.
-    Both sides are lines, so it is enough that u DELTA_J w^T = 0 for the
-    rows u of M ^ J and w of xi(M) ^ J: n_x checks on the stored traces.
+    Both sides are lines, so it is enough that `j_form` vanishes on the
+    rows u of M ^ J and w of xi(M) ^ J: n_x checks on the stored trace
+    rows, with no product of matrices.
     The witness is the first adjacent pair (i < j, in catalog order) whose
     images share a point but not a line, and that point is a beta point.
     An image outside the X planes fails the first and the last check."""
@@ -695,13 +692,12 @@ def xi_report(graph: AdjacencyGraph) -> Dict[str, object]:
     xs = cat.g_x
     n = len(xs)
     traces = cat.traces
-    matmul = cat.field.kernel.matmul
+    field = cat.field
     images = [graph.vindex.get(xi_map(m, cat)) for m in xs]
     is_permutation = set(images) == set(range(n))
 
     def polar(line: Subspace, image: Subspace) -> bool:
-        cols = tuple(zip(*image.basis))
-        return not any(map(any, matmul(matmul(line.basis, DELTA_J), cols)))
+        return not any(j_form(field, u, w) for u in line.basis for w in image.basis)
 
     skew_ok = is_permutation and all(
         polar(traces[m][0], traces[graph.vertices[a]][0]) for m, a in zip(xs, images)

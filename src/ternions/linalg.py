@@ -186,14 +186,11 @@ def projective_vectors(field: Field, n: int) -> Iterator[tuple]:
 
 
 def point_vectors(u: Subspace) -> List[tuple]:
-    """The normalized vectors of the points of u, in a fixed order
-    (normalized coefficient rows)."""
+    """The normalized vectors of the points of u, in a fixed order: the
+    normalized coefficient rows, lifted through u's basis by one product."""
     field = u.field
-    vec_apply = field.kernel.vec_apply
-    return [
-        field.normalize(vec_apply(coeff, u.basis))
-        for coeff in projective_vectors(field, u.dim)
-    ]
+    coeffs = tuple(projective_vectors(field, u.dim))
+    return [field.normalize(v) for v in field.kernel.matmul(coeffs, u.basis)]
 
 
 def projective_points(u: Subspace) -> List[Subspace]:
@@ -205,22 +202,24 @@ def pencil(v: Subspace, w: Subspace, k: int) -> List[Subspace]:
     """The interval [v, w]_k: all k-subspaces between v and w.
 
     The proper pencil case is dim v = k-1, dim w = k+1; the general
-    interval is allowed whenever v <= w."""
+    interval is allowed whenever v <= w.  Each member is v plus the lift of
+    a (k - dim v)-subspace of the complement coordinates: the rows of all
+    of them are lifted by one product, and each member is one reduction."""
     _same_space(v, w)
     if not contains(w, v):
         raise ValueError("pencil requires v <= w")
     if not v.dim <= k <= w.dim:
         return []
-    field, n = v.field, v.n
+    field = v.field
     kern = field.kernel
-    comp = complement_in(v, w)
-    c = len(comp)
+    comp = tuple(complement_in(v, w))
     kk = k - v.dim
-    out = []
-    for s in enumerate_subspaces(field, c, kk):
-        lifted = kern.matmul(s.basis, tuple(comp)) if s.basis else ()
-        out.append(Subspace(field, n, kern.rref(v.basis + lifted)))
-    return out
+    subs = list(enumerate_subspaces(field, len(comp), kk))
+    lifted = kern.matmul(tuple(chain.from_iterable(s.basis for s in subs)), comp)
+    return [
+        Subspace(field, v.n, kern.rref(v.basis + lifted[i * kk : (i + 1) * kk]))
+        for i in range(len(subs))
+    ]
 
 
 # -- semilinear actions -------------------------------------------------------

@@ -33,9 +33,8 @@ from .linalg import (
     Subspace,
     canonicalize,
     check_budget,
-    contains,
+    complement_in,
     coordinate_subspace,
-    meet,
     meet_dim,
     pencil,
     point_vectors,
@@ -139,17 +138,20 @@ def classify(v: TernionPair) -> SubmoduleType:
 
 def classify_by_rank(span: Subspace) -> SubmoduleType:
     """Independent classifier of a cyclic span (`cyclic_span`): its
-    dimension plus containment in K and L."""
-    field = span.field
+    dimension plus containment in K and L.  Both are coordinate flats, so
+    the span lies in one exactly when the coordinates the flat lacks vanish
+    on every row of the span's basis."""
     d = span.dim
     if d == 0:
         return SubmoduleType.ZERO
-    j, k, l = distinguished_flats(field)
-    if d == 3:
-        return SubmoduleType.Y if contains(k, span) else SubmoduleType.X
+    rows = span.basis
+    if d == 3:  # K = {x1 = x4 = 0}
+        return SubmoduleType.X if any(r[0] or r[3] for r in rows) else SubmoduleType.Y
     if d == 2:
         return SubmoduleType.ALPHA
-    return SubmoduleType.GAMMA if contains(l, span) else SubmoduleType.BETA
+    if any(r[0] or r[2] or r[3] or r[5] for r in rows):  # L = <e2, e5>
+        return SubmoduleType.BETA
+    return SubmoduleType.GAMMA
 
 
 def _unimodular_rows(v: TernionPair) -> tuple:
@@ -235,6 +237,21 @@ def distinguished_flats(field: Field) -> Tuple[Subspace, Subspace, Subspace]:
     k = coordinate_subspace(field, 6, (1, 2, 4, 5))  # x1 = x4 = 0
     l = coordinate_subspace(field, 6, (1, 4))
     return (j, k, l)
+
+
+def meet_j(u: Subspace) -> tuple:
+    """The canonical basis of u ^ J on J's coordinates (x1, x2, x4, x5),
+    from one reduction of u's rows with x3 and x6 moved first: the reduced
+    rows that vanish there span u ^ J, and they are already reduced in the
+    other four coordinates."""
+    red = u.field.kernel.rref(tuple((r[2], r[5], r[0], r[1], r[3], r[4]) for r in u.basis))
+    return tuple(r[2:] for r in red if not (r[0] or r[1]))
+
+
+def embed_j(rows) -> tuple:
+    """Rows on J's coordinates (x1, x2, x4, x5) written out in F^6; a
+    reduced basis stays reduced."""
+    return tuple((a, b, 0, c, d, 0) for a, b, c, d in rows)
 
 
 def quadric_value(field: Field, vec) -> int:
@@ -546,22 +563,24 @@ def scan_planes_for_x(cat: Catalog) -> FrozenSet[Subspace]:
 
     An alpha line P lies in K and meets J in a point p of L.  A plane M
     through P and outside K has M ^ K = P; if M ^ J is a line l, then l
-    passes through p, M = P + l, and l is not L, as P + L lies in K.  So
-    the P + l, l over the q^2+q lines of J through p other than L, are an
-    exhaustive list of n_x candidates, guarded by the catalog's budget; the
-    scan keeps those outside K with dim(M ^ J) = 2.  Such an M does not
-    contain L, which would make M ^ K = P + L a plane."""
+    passes through p, M = P + l, and l is not L, as P + L lies in K.  The
+    lines of J through p are the p + y, y over the q^2+q+1 points of a
+    complement of p in J, so the P + y are an exhaustive list of
+    (q+1)(q^2+q+1) candidates, guarded by the catalog's budget.  One y lies
+    on L, and its plane P + L lies in K; the scan keeps the candidates
+    outside K with dim(M ^ J) = 2.  Such an M does not contain L, which
+    would make M ^ K = P + L a plane."""
     field = cat.field
     q = field.q
     kern = field.kernel
-    j, l = cat.j_solid, cat.l_line
-    check_budget(len(cat.g_alpha) * (q * q + q), f"X-scan candidates (q={q})", cat.budget)
+    j = cat.j_solid
+    check_budget(len(cat.g_alpha) * (q * q + q + 1), f"X-scan candidates (q={q})", cat.budget)
     found = set()
     for p in cat.g_alpha:
-        for line in pencil(meet(p, j), j, 2):
-            if line == l:
-                continue
-            m = kern.rref(p.basis + line.basis)
+        on_j = Subspace(field, 6, embed_j(meet_j(p)))
+        complement = Subspace(field, 6, tuple(complement_in(on_j, j)))
+        for y in point_vectors(complement):
+            m = kern.rref(p.basis + (y,))
             outside_k = any(r[0] or r[3] for r in m)  # K = {x1 = x4 = 0}
             if outside_k and kern.stack_rank(m, j.basis) == 5:  # dim(M ^ J) == 2
                 found.add(Subspace(field, 6, m))

@@ -37,12 +37,14 @@ from .model import (
     is_unimodular,
     line_model,
     LINE_MODEL_AXIS_COORDS,
+    meet_j,
     normal_form_count,
     unit_invariance,
     validate_catalog,
 )
 from .ternion import (
     Ternion,
+    _ternion,
     e11,
     e12,
     e22,
@@ -138,25 +140,21 @@ def _line_model_check(cat: Catalog) -> Tuple[bool, Dict[str, object]]:
     e11 w and e12 w are independent vectors of J (x3 = x6 = 0), so they span
     M ^ J, and line_model(w) is their projection onto (x1, x2, x4, x5),
     which is injective on J; so line_model(w) is the projection of M ^ J,
-    checked per X plane on its witness, with M ^ J taken as the
-    combinations of M's rows that vanish in x3 and x6.  A line other than
-    the axis meets it in at most one point, so the complex lines are the
-    q^2+q other lines through each of its q+1 points, each found once."""
+    checked per X plane on its witness, with M ^ J taken from one reduction
+    of M's rows (`model.meet_j`).  A line other than the axis meets it in
+    at most one point, so the complex lines are the q^2+q other lines
+    through each of its q+1 points, each found once."""
     field = cat.field
     axis = coordinate_subspace(field, 4, LINE_MODEL_AXIS_COORDS)
     space = full_space(field, 4)
     complex_lines = {
         ln for a in projective_points(axis) for ln in pencil(a, space, 2) if ln != axis
     }
-    kern = field.kernel
     well_defined = True
     image = set()
     for m in cat.g_x:
         ln = line_model(cat.witness[m])
-        rows = m.basis
-        coeffs = kern.nullspace((tuple(r[2] for r in rows), tuple(r[5] for r in rows)), len(rows))
-        projected = kern.rref(tuple(r[:2] + r[3:5] for r in kern.matmul(coeffs, rows)))
-        well_defined = well_defined and ln.basis == projected
+        well_defined = well_defined and ln.basis == meet_j(m)
         image.add(ln)
     injective = len(image) == len(cat.g_x)
     detail = {
@@ -704,7 +702,7 @@ def is_linear_involutive_antiautomorphism(field: Field, anti) -> bool:
         x = y = z = 0
         for c, img in zip(t.triple(), images):
             x, y, z = add(x, mul(c, img.x)), add(y, mul(c, img.y)), add(z, mul(c, img.z))
-        if anti(t) != Ternion(field, x, y, z):
+        if anti(t) != _ternion(field, x, y, z):
             return False
     return all(anti(anti(e)) == e for e in basis) and all(
         anti(s * t) == anti(t) * anti(s) for s in basis for t in basis

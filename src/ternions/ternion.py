@@ -110,9 +110,9 @@ def e22(field: Field) -> Ternion:
 
 
 def enumerate_ternions(field: Field) -> Iterator[Ternion]:
-    """All q^3 elements in lexicographic (x, y, z) code order."""
+    """All q^3 elements in lexicographic (x, y, z) code order, unchecked."""
     for x, y, z in product(field.codes(), repeat=3):
-        yield Ternion(field, x, y, z)
+        yield _ternion(field, x, y, z)
 
 
 def unit_generators(field: Field) -> Tuple[Ternion, Ternion, Ternion]:
@@ -128,8 +128,8 @@ def unit_generators(field: Field) -> Tuple[Ternion, Ternion, Ternion]:
 
 
 def iota(t: Ternion) -> Ternion:
-    """The coordinate-swap antiautomorphism (x, y, z) -> (z, y, x)."""
-    return Ternion(t.field, t.z, t.y, t.x)
+    """The coordinate-swap antiautomorphism (x, y, z) -> (z, y, x), unchecked."""
+    return _ternion(t.field, t.z, t.y, t.x)
 
 
 # -- pairs and 2x2 matrices ------------------------------------------------------

@@ -9,6 +9,7 @@ from ternions.geometry import _fixes_j_and_h
 from ternions.gf import DEFAULT_MODULI, make_field
 from ternions.linalg import (
     Subspace,
+    complement_in,
     coordinate_subspace,
     contains,
     enumerate_subspaces,
@@ -25,6 +26,7 @@ from ternions.model import (
     SubmoduleType,
     build_catalog,
     cyclic_span,
+    distinguished_flats,
     is_block6_patterned,
     is_unimodular,
     line_model,
@@ -724,6 +726,93 @@ def random_recipe(graph, rng):
         table[marked[a]] = marked[b]
         psi.append(table)
     return recipe_permutation(graph, psi)
+
+
+# -- the per-call paths the batched lifts and coordinate reads replaced -------
+#
+# `point_vectors` once lifted each point by its own product and `pencil` each
+# member; `classify_by_rank` tested containment in K and L by ranks; the
+# `model:line` check took M ^ J as a left kernel of M's rows; delta_J was a
+# product by the 6x6 matrix of its form and a null space in F^6, and the
+# skew-pair check of `xi_report` evaluated that form by two products.
+
+
+# The symmetric form u DELTA_J w^T = u1 w2 + u2 w1 + u4 w5 + u5 w4 of the
+# correlation delta_J of J; x3 and x6 do not enter it.
+DELTA_J = (
+    (0, 1, 0, 0, 0, 0),
+    (1, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 1, 0),
+    (0, 0, 0, 1, 0, 0),
+    (0, 0, 0, 0, 0, 0),
+)
+X3_X6 = ((0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1))
+
+
+def point_vectors_per_point(u):
+    """`point_vectors` by one vector product per point."""
+    field = u.field
+    return [
+        field.normalize(field.kernel.vec_apply(coeff, u.basis))
+        for coeff in projective_vectors(field, u.dim)
+    ]
+
+
+def pencil_per_member(v, w, k):
+    """`pencil` by one product per member, and none for a member that is v."""
+    if not contains(w, v):
+        raise ValueError("pencil requires v <= w")
+    if not v.dim <= k <= w.dim:
+        return []
+    field, kern = v.field, v.field.kernel
+    comp = tuple(complement_in(v, w))
+    out = []
+    for s in enumerate_subspaces(field, len(comp), k - v.dim):
+        lifted = kern.matmul(s.basis, comp) if s.basis else ()
+        out.append(Subspace(field, v.n, kern.rref(v.basis + lifted)))
+    return out
+
+
+def classify_by_containment(span):
+    """`classify_by_rank` with containment in K and L tested by ranks."""
+    _, k, l = distinguished_flats(span.field)
+    if span.dim == 0:
+        return SubmoduleType.ZERO
+    if span.dim == 3:
+        return SubmoduleType.Y if contains(k, span) else SubmoduleType.X
+    if span.dim == 2:
+        return SubmoduleType.ALPHA
+    return SubmoduleType.GAMMA if contains(l, span) else SubmoduleType.BETA
+
+
+def meet_j_by_kernel(m):
+    """M ^ J on (x1, x2, x4, x5) as the combinations of M's rows that
+    vanish in x3 and x6: a null space, a product and a reduction."""
+    kern = m.field.kernel
+    rows = m.basis
+    coeffs = kern.nullspace((tuple(r[2] for r in rows), tuple(r[5] for r in rows)), len(rows))
+    return kern.rref(tuple(r[:2] + r[3:5] for r in kern.matmul(coeffs, rows)))
+
+
+def meet_j_by_meet(m):
+    """M ^ J by the Zassenhaus meet with J, projected onto (x1, x2, x4, x5)."""
+    j = distinguished_flats(m.field)[0]
+    return tuple(r[:2] + r[3:5] for r in meet(m, j).basis)
+
+
+def delta_j_by_matrix(u):
+    """delta_J(u) as the null space in F^6 of u DELTA_J and x3, x6."""
+    kern = u.field.kernel
+    return Subspace(u.field, 6, kern.nullspace(kern.matmul(u.basis, DELTA_J) + X3_X6, 6))
+
+
+def polar_by_matrix(line, image):
+    """Whether u DELTA_J w^T = 0 for the rows u of line and w of image, by
+    two products."""
+    matmul = line.field.kernel.matmul
+    cols = tuple(zip(*image.basis))
+    return not any(map(any, matmul(matmul(line.basis, DELTA_J), cols)))
 
 
 # acceptance tests append (criterion, verdict, note) rows here; the hook

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 from conftest import (
+    DELTA_J,
     FIELD_ORDERS,
     J_K_SWAP,
     _bit_indices,
@@ -10,6 +11,7 @@ from conftest import (
     anchored_join_scan,
     block6_pattern_by_table,
     companion_y,
+    delta_j_by_matrix,
     edge_count,
     edges_by_neighbours,
     expected_cliques,
@@ -27,6 +29,7 @@ from conftest import (
     point_index_preserver,
     point_listing_incidence_counts,
     point_planes,
+    polar_by_matrix,
     preserves_by_neighbours,
     random_nonblock_invertible,
     random_recipe,
@@ -56,7 +59,6 @@ from ternions.linalg import (
     projective_vectors,
 )
 from ternions.geometry import (
-    DELTA_J,
     build_graph,
     decompose_semilinear,
     delta_j,
@@ -70,6 +72,7 @@ from ternions.geometry import (
     incidence_table,
     induced_collineation,
     is_recipe,
+    j_form,
     maximal_cliques,
     no_duality_certificate,
     preserver_from_collineation,
@@ -92,6 +95,7 @@ from ternions.model import (
     cyclic_span,
     block6_rows,
     distinguished_flats,
+    embed_j,
     is_block6_patterned,
     matrix2_from_block6,
     validate_catalog,
@@ -1486,11 +1490,75 @@ def _subspaces_of_j(field):
 
 
 def test_delta_j_form(f3):
-    # symmetric, zero on x3 and x6, and nondegenerate on J
+    # symmetric, zero on x3 and x6, and nondegenerate on J; j_form is
+    # u DELTA_J w^T on the basis vectors, so everywhere by bilinearity
     assert DELTA_J == tuple(zip(*DELTA_J))
     assert not any(DELTA_J[i][j] for i in (2, 5) for j in range(6))
     j_rows = distinguished_flats(f3)[0].basis
     assert f3.kernel.rank(f3.kernel.matmul(j_rows, DELTA_J)) == 4
+    basis = full_space(f3, 6).basis
+    for i, u in enumerate(basis):
+        assert [j_form(f3, u, w) for w in basis] == list(DELTA_J[i])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_delta_j_matches_the_matrix_null_space(q):
+    # on every line of J, and at q <= 3 on every subspace of J
+    f = field_of_order(q)
+    subs = _subspaces_of_j(f) if q <= 3 else [u for u in _subspaces_of_j(f) if u.dim == 2]
+    for u in subs:
+        assert delta_j(u) == delta_j_by_matrix(u)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_polar_check_matches_the_matrix_form(q):
+    # on every pair of J-lines of the X planes at q <= 3, on each X plane's
+    # J-line against every J-line of a seeded sample above
+    cat = build_catalog(field_of_order(q))
+    lines = [cat.traces[m][0] for m in cat.g_x]
+    rng = random.Random(61)
+    others = lines if q <= 3 else rng.sample(lines, 20)
+    hits = 0
+    for line in lines:
+        for image in others:
+            want = polar_by_matrix(line, image)
+            hits += want
+            forms = [j_form(cat.field, u, w) for u in line.basis for w in image.basis]
+            assert want is not any(forms)
+    assert hits
+
+
+def test_xi_report_makes_no_product(graph3, monkeypatch):
+    # delta_J works on J's coordinates, and the polar check reads the form
+    # off the trace rows
+    xi_report(graph3)  # the traces and the J-line index are built
+    calls = []
+    real = Kernel.matmul
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(Kernel, "matmul", counted)
+    assert xi_report(graph3)["skew_preserved_both_ways"] is True
+    assert calls == []
+
+
+@pytest.mark.parametrize("swap", ["x1 x2", "x4 x5"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_delta_j_without_one_swap_fails_xi(q, swap, monkeypatch):
+    from ternions.suites import VerifyContext, suite_remark
+
+    def dropped(u):
+        if swap == "x1 x2":
+            rows = tuple((r[0], r[1], r[4], r[3]) for r in u.basis)
+        else:
+            rows = tuple((r[1], r[0], r[3], r[4]) for r in u.basis)
+        return Subspace(u.field, 6, embed_j(u.field.kernel.nullspace(rows, 4)))
+
+    monkeypatch.setattr(geometry, "delta_j", dropped)
+    claims = {c["id"]: c["ok"] for c in suite_remark(VerifyContext(field_of_order(q)))}
+    assert not (claims["remark:xi-bijection"] and claims["remark:xi-skew-pairs"])
 
 
 def test_delta_j_reverses_inclusion(f2, f3):

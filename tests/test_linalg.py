@@ -3,9 +3,21 @@ import random
 from itertools import product
 
 import pytest
-from conftest import incident, replace_fields, subspaces_within
+from conftest import (
+    incident,
+    pencil_per_member,
+    point_vectors_per_point,
+    replace_fields,
+    run_suites,
+    subspaces_within,
+)
 
-from ternions.gf import automorphisms, make_field
+import ternions.geometry as geometry
+import ternions.linalg as linalg
+import ternions.model as model
+import ternions.suites as suites
+from ternions._pycore import Kernel
+from ternions.gf import automorphisms, field_of_order, make_field
 from ternions.linalg import (
     BudgetError,
     SemilinearMap,
@@ -22,6 +34,7 @@ from ternions.linalg import (
     meet,
     meet_dim,
     pencil,
+    point_vectors,
     projective_points,
     projective_vectors,
     zero_subspace,
@@ -195,6 +208,76 @@ def test_pencil(f3):
     assert pencil(v, line, 4) == []
     with pytest.raises(ValueError):
         pencil(coordinate_subspace(f3, 4, [3]), line, 2)
+
+
+def _subspaces(field, n):
+    return [u for k in range(n + 1) for u in enumerate_subspaces(field, n, k)]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_point_vectors_match_one_product_per_point(q):
+    for u in _subspaces(field_of_order(q), 4):
+        assert point_vectors(u) == point_vectors_per_point(u)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_pencil_matches_one_product_per_member(q):
+    # every interval [v, w]_k of subspaces v <= w of F^4, k from dim v - 1
+    # to dim w + 1
+    subs = _subspaces(field_of_order(q), 4)
+    pairs = 0
+    for w in subs:
+        for v in subs:
+            if v.dim <= w.dim and contains(w, v):
+                pairs += 1
+                for k in range(v.dim - 1, w.dim + 2):
+                    assert pencil(v, w, k) == pencil_per_member(v, w, k)
+    # the d-subspaces w of F^4, times the subspaces of each
+    gb = gaussian_binomial
+    assert pairs == sum(gb(4, d, q) * sum(gb(d, k, q) for k in range(d + 1)) for d in range(5))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_pencils_and_points_of_a_verify_run_match_the_per_call_paths(q, monkeypatch):
+    # every pencil and point list `verify` builds, H's included
+    calls = []
+
+    def recorded(real, reference):
+        def call(*args):
+            out = real(*args)
+            calls.append(real.__name__)
+            assert out == reference(*args)
+            return out
+
+        return call
+
+    references = {"pencil": pencil_per_member, "point_vectors": point_vectors_per_point}
+    for name, reference in references.items():
+        real = getattr(linalg, name)
+        for mod in (linalg, model, geometry, suites):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, recorded(real, reference))
+    model.quadric.cache_clear()
+    claims = run_suites(suites.VerifyContext(field_of_order(q)), suites.SUITE_NAMES)
+    model.quadric.cache_clear()
+    assert all(c["ok"] for c in claims)
+    assert {"pencil", "point_vectors"} <= set(calls)
+
+
+def test_point_vectors_and_pencil_make_one_product(f3, monkeypatch):
+    calls = []
+    real = Kernel.matmul
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(Kernel, "matmul", counted)
+    space = full_space(f3, 4)
+    assert len(point_vectors(space)) == 40 and len(calls) == 1
+    point = coordinate_subspace(f3, 4, [0])
+    assert len(pencil(point, space, 2)) == 13 and len(calls) == 2
+    assert len(pencil(zero_subspace(f3, 4), space, 3)) == 40 and len(calls) == 3
 
 
 def test_budget(f2):

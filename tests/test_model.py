@@ -6,8 +6,11 @@ import pytest
 
 from conftest import (
     block6_pattern_by_table,
+    classify_by_containment,
     is_unimodular_by_products,
     matrix_product,
+    meet_j_by_kernel,
+    meet_j_by_meet,
     random_ternion,
     replace_fields,
     subspaces_within,
@@ -15,6 +18,7 @@ from conftest import (
     x_scan_by_quotient,
 )
 from ternions import model
+from ternions._pycore import Kernel
 from ternions.cli import main
 from ternions.geometry import induced_collineation
 from ternions.gf import automorphisms, field_of_order, make_field
@@ -45,6 +49,7 @@ from ternions.model import (
     is_unimodular,
     line_model,
     matrix2_from_block6,
+    meet_j,
     normal_form_count,
     phi,
     phi_inverse,
@@ -138,6 +143,53 @@ def test_zero_pair(f2):
     assert classify(v) is SubmoduleType.ZERO
     assert classify_by_rank(cyclic_span(v)) is SubmoduleType.ZERO
     assert cyclic_span(v).dim == 0
+
+
+def test_classify_by_rank_matches_containment_on_points_and_planes(f2):
+    # every 1- and 3-subspace of F^6 at q = 2, cyclic span or not
+    for k in (1, 3):
+        for s in enumerate_subspaces(f2, 6, k):
+            assert classify_by_rank(s) is classify_by_containment(s)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_classify_by_rank_matches_containment_on_the_catalog(q):
+    cat = build_catalog(field_of_order(q))
+    for s in cat.witness:
+        assert classify_by_rank(s) is classify_by_containment(s) is cat.type_of(s)
+
+
+def test_classify_by_rank_makes_no_kernel_call(cat3, monkeypatch):
+    calls = []
+    for name in ("rref", "rank", "stack_rank", "meet", "matmul", "nullspace", "vec_apply"):
+        real = getattr(Kernel, name)
+
+        def counted(self, *args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(Kernel, name, counted)
+    assert [classify_by_rank(s) for s in cat3.witness] == [cat3.type_of(s) for s in cat3.witness]
+    assert calls == []
+
+
+def test_meet_j_matches_the_meet_on_every_plane_at_q2(f2):
+    # every 3-subspace of F^6: M ^ J may be a point, a line or a plane
+    dims = set()
+    for m in enumerate_subspaces(f2, 6, 3):
+        got = meet_j(m)
+        assert got == meet_j_by_meet(m)
+        dims.add(len(got))
+    assert dims == {1, 2, 3}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_meet_j_matches_the_meet_on_every_x_plane(q):
+    cat = build_catalog(field_of_order(q))
+    for m in cat.g_x:
+        got = meet_j(m)
+        assert got == meet_j_by_meet(m) == meet_j_by_kernel(m)
+        assert got == line_model(cat.witness[m]).basis
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -426,10 +478,11 @@ def test_x_scan_matches_catalog(q):
 
 
 def test_x_scan_budget_counts_candidates(cat2):
-    # 3 alpha lines x the 6 lines of J through its L-point other than L
-    assert len(scan_planes_for_x(replace_fields(cat2, budget=18))) == 18
-    with pytest.raises(BudgetError, match="18 X-scan candidates"):
-        scan_planes_for_x(replace_fields(cat2, budget=17))
+    # 3 alpha lines x the 7 points of a complement of its L-point in J, one
+    # of which gives P + L; 18 planes are found
+    assert len(scan_planes_for_x(replace_fields(cat2, budget=21))) == 18
+    with pytest.raises(BudgetError, match="21 X-scan candidates"):
+        scan_planes_for_x(replace_fields(cat2, budget=20))
 
 
 def _pair_walk_catalog(field):

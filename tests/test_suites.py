@@ -904,6 +904,35 @@ def test_counts_pass_on_every_encoding(q, modulus, capsys):
     assert report["summary"] == {"claims": 9, "passed": 9, "failed": 0, "ok": True}
 
 
+@pytest.mark.parametrize("q, modulus", NON_DEFAULT_MODULI)
+@pytest.mark.parametrize("suite, claims", [("lemmas", 2), ("remark", 4)])
+def test_remark_and_lemmas_pass_on_every_encoding(q, modulus, suite, claims, capsys):
+    # xi's form, the batched lifts of the pencils and the point lists run
+    # on the field's tables, so they depend on its encoding
+    args = ["verify", "--q", str(q), "--suite", suite, "--seed", "0", "--modulus"]
+    assert main([*args, *map(str, modulus)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["modulus"] == list(modulus)
+    assert report["summary"] == {"claims": claims, "passed": claims, "failed": 0, "ok": True}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_classify_by_rank_reading_x2_for_x1_fails_agreement(q, monkeypatch):
+    import ternions.suites as suites
+
+    real = suites.classify_by_rank
+
+    def misread(span):
+        rows = tuple((r[1], r[0], *r[2:]) for r in span.basis)
+        return real(Subspace(span.field, 6, rows))
+
+    monkeypatch.setattr(suites, "classify_by_rank", misread)
+    claims = {c["id"]: c for c in suites.suite_counts(VerifyContext(make_field(q, 1)))}
+    assert claims["model:classifier-agreement"]["ok"] is False
+    assert claims["model:classifier-agreement"]["detail"]["mismatches"] > 0
+    assert claims["model:unimodular"]["ok"] is True
+
+
 def test_classifier_walk_reads_one_witness_per_normal_form(cat2):
     from ternions.suites import _classifier_walk
 
