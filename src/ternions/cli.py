@@ -176,38 +176,55 @@ def _json_pieces(x, nl: str):
         yield nl + "]"
 
 
-def _json_members(x, nl: str) -> str:
+def _json_members(x, nl: str, sep: str = "") -> str:
     """The texts of the members of the list x, each on a line that starts
-    with `nl`, joined by commas.  The bulk of every report takes one of
-    three block paths: ints by one join over int.__repr__; rows of exact
-    ints of one width by one `%` over a row template repeated once per row
-    (bools and int subclasses, which json spells otherwise, are not exact
-    ints); plain dicts of one key set with the keys sorted and spelled
-    once.  Anything else, rows of mixed widths too, goes member by member;
-    the values in the dicts and the members taken one by one are joined
-    from their `_json_pieces`."""
-    sep = "," + nl
+    with `nl`, joined by `sep` (a comma and `nl` when empty; it holds no
+    "%").  The bulk of every report takes one of three block paths: ints
+    by one join over int.__repr__; members of one shape, rows or matrices,
+    of exact ints by one `%` over a member template repeated once per
+    member (bools and int subclasses, which json spells otherwise, are not
+    exact ints); plain dicts of one key set by column, the keys sorted and
+    spelled once and each key's values formatted as one list by this
+    function, so that a column of ints or of int matrices is one block too.
+    Anything else, members of mixed shapes too, goes member by member,
+    each joined from its `_json_pieces`."""
+    sep = sep or "," + nl
     types = set(map(type, x))
     if types == {int}:
         return sep.join(map(int.__repr__, x))
-    if types <= {list, tuple} and len(widths := set(map(len, x))) == 1:
-        flat = tuple(chain.from_iterable(x))
-        if set(map(type, flat)) <= {int}:
-            inner = nl + "  "
-            width = widths.pop()
-            row = "[" + inner + ("%d," + inner) * (width - 1) + "%d" + nl + "]" if width else "[]"
-            return sep.join([row] * len(x)) % flat
+    shape, flat, level = [], x, types  # level: the types at the depth of flat
+    while level <= {list, tuple} and len(widths := set(map(len, flat))) == 1:
+        shape.append(widths.pop())
+        flat = tuple(chain.from_iterable(flat))
+        level = set(map(type, flat))
+    if shape and level <= {int}:
+        return sep.join([_int_template(shape, nl)] * len(x)) % flat
     if types == {dict}:
         keys = x[0].keys()
         if keys and all(map(keys.__eq__, map(dict.keys, x))):
             inner = nl + "  "
-            spelled = [(k, _json_str(k) + ": ") for k, _ in _json_items(x[0])]
+            items = _json_items(x[0])
+            # json escapes every control character in a str, so no text it
+            # writes holds a NUL: a column joined by NULs splits back into
+            # its cells
+            columns = [_json_members([d[k] for d in x], inner, "\0").split("\0") for k, _ in items]
+            spelled = [_json_str(k) + ": " for k, _ in items]
             lead, comma, close = "{" + inner, "," + inner, nl + "}"
-            return sep.join(
-                [lead + comma.join([s + "".join(_json_pieces(d[k], inner)) for k, s in spelled])
-                 + close for d in x]
-            )
+            rows = zip(*columns)
+            return sep.join([lead + comma.join(map(str.__add__, spelled, r)) + close for r in rows])
     return sep.join(["".join(_json_pieces(v, nl)) for v in x])
+
+
+def _int_template(shape, nl: str) -> str:
+    """json's spelling, on a line that starts with `nl`, of a nested list
+    of exact ints whose levels have the widths in `shape`, with %d for each
+    int."""
+    if not shape:
+        return "%d"
+    if not shape[0]:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join([_int_template(shape[1:], inner)] * shape[0]) + nl + "]"
 
 
 def _json_items(d: dict) -> list:
@@ -289,7 +306,7 @@ def cmd_enumerate(args, ctx: VerifyContext) -> int:
                     "type": t.value,
                     "dim": s.dim,
                     "basis": [list(r) for r in s.basis],
-                    "generator": [list(g.triple()) for g in cat.witness[s]],
+                    "generator": [list(g.triple()) for g in cat.witness_of(s)],
                 }
             )
     if args.format == "json":

@@ -187,7 +187,10 @@ def projective_vectors(field: Field, n: int) -> Iterator[tuple]:
 
 def point_vectors(u: Subspace) -> List[tuple]:
     """The normalized vectors of the points of u, in a fixed order: the
-    normalized coefficient rows, lifted through u's basis by one product."""
+    normalized coefficient rows, lifted through u's basis by one product.
+    A point needs no product: its reduced basis row is already normalized."""
+    if u.dim == 1:
+        return [u.basis[0]]
     field = u.field
     coeffs = tuple(projective_vectors(field, u.dim))
     return [field.normalize(v) for v in field.kernel.matmul(coeffs, u.basis)]

@@ -389,11 +389,14 @@ LINE_MODEL_AXIS_COORDS = (1, 3)  # span{(0,1,0,0), (0,0,0,1)} in F^4
 
 
 class Catalog:
-    """Everything the geometry suite needs for one field: the five orbit
-    lists (canonically sorted) and their witnesses, given; the flats J, K
-    and L, which the field fixes, derived; and the quadric H, derived on
-    first read, since only the claims on the reguli and condition iv read
-    it."""
+    """Everything the geometry suite needs for one field: the X planes, Y
+    planes and alpha lines (canonically sorted) and their witnesses, given;
+    the flats J, K and L, which the field fixes, derived; and, derived on
+    first read, the beta and gamma points with their witnesses, which the
+    graph export never reads, and the quadric H, which only the claims on
+    the reguli and condition iv read.  `witness` is the given map completed
+    by the points' witnesses; `witness_of` builds the points only for a
+    point.  An assigned g_beta or g_gamma stands in for the built one."""
 
     def __init__(
         self,
@@ -401,8 +404,6 @@ class Catalog:
         g_x: tuple,
         g_y: tuple,
         g_alpha: tuple,
-        g_beta: tuple,
-        g_gamma: tuple,
         witness: Dict[Subspace, TernionPair],
         budget: Optional[int] = None,
     ):
@@ -410,20 +411,36 @@ class Catalog:
         self.g_x = g_x
         self.g_y = g_y
         self.g_alpha = g_alpha
-        self.g_beta = g_beta
-        self.g_gamma = g_gamma
-        self.witness = witness
+        self._given_witness = witness  # at least the X, Y and alpha members
         self.j_solid, self.k_solid, self.l_line = distinguished_flats(field)
         self.budget = budget  # guards the traces, the graph and the scans
 
+    @cached_property
+    def _points(self) -> Tuple[Tuple[tuple, tuple], Dict[Subspace, TernionPair]]:
+        """((beta points, gamma points), their witnesses), from the
+        normal forms with a zero tail (`_zero_tail_normal_forms`)."""
+        return _orbit_lists(
+            _zero_tail_normal_forms(self.field), (SubmoduleType.BETA, SubmoduleType.GAMMA)
+        )
+
+    @cached_property
+    def g_beta(self) -> tuple:
+        return self._points[0][0]
+
+    @cached_property
+    def g_gamma(self) -> tuple:
+        return self._points[0][1]
+
+    @cached_property
+    def witness(self) -> Dict[Subspace, TernionPair]:
+        return {**self._given_witness, **self._points[1]}
+
+    def witness_of(self, s: Subspace) -> TernionPair:
+        """The witness of the member s; only a point reads the points."""
+        return self.witness[s] if s.dim == 1 else self._given_witness[s]
+
     def members(self, t: SubmoduleType) -> tuple:
-        return {
-            SubmoduleType.X: self.g_x,
-            SubmoduleType.Y: self.g_y,
-            SubmoduleType.ALPHA: self.g_alpha,
-            SubmoduleType.BETA: self.g_beta,
-            SubmoduleType.GAMMA: self.g_gamma,
-        }[t]
+        return getattr(self, _MEMBER_LISTS[t])
 
     @cached_property
     def quadric(self) -> QuadricGeometry:
@@ -440,16 +457,22 @@ class Catalog:
         witness w.  The plane is T w, free of rank one, and T has exactly two
         2-dim left ideals, {(x, y, 0)} and T e22, so it has no other such
         line.  The J-line is M ^ J (L for a Y plane); the alpha line is M ^ K
-        for an X plane and P for a Y plane P + L.  The budget guards the 2V
-        row reductions."""
+        for an X plane and P for a Y plane P + L.
+
+        The rows e12 w = (0, a22, 0, 0, b22, 0) and e22 w = (0, 0, a22, 0,
+        0, b22) are already the reduced basis of the alpha line: the witness
+        is a normal form, whose tail (a22, b22) has a leading 1, so the rows
+        are (0, 1, 0, 0, b22, 0) and (0, 0, 1, 0, 0, b22) when a22 = 1, and
+        e5 and e6 when a22 = 0.  So only the J-line is reduced.  The budget
+        guards the 2V traces."""
         check_budget(2 * len(self.planes), f"plane traces (q={self.field.q})", self.budget)
         rref = self.field.kernel.rref
         out = {}
         for m in self.planes:
-            rows = _span_rows(self.witness[m])
+            rows = _span_rows(self.witness_of(m))
             out[m] = (
                 Subspace(self.field, 6, rref(rows[:2])),
-                Subspace(self.field, 6, rref(rows[1:])),
+                Subspace(self.field, 6, rows[1:]),
             )
         return out
 
@@ -478,6 +501,15 @@ class Catalog:
         }
 
 
+_MEMBER_LISTS = {
+    SubmoduleType.X: "g_x",
+    SubmoduleType.Y: "g_y",
+    SubmoduleType.ALPHA: "g_alpha",
+    SubmoduleType.BETA: "g_beta",
+    SubmoduleType.GAMMA: "g_gamma",
+}
+
+
 def expected_counts(q: int) -> Dict[str, int]:
     """Closed forms for the five orbit sizes."""
     return {
@@ -489,28 +521,18 @@ def expected_counts(q: int) -> Dict[str, int]:
     }
 
 
-def _unit_orbit_normal_forms(field: Field) -> Iterator[TernionPair]:
-    """One generator pair per orbit of the left unit group on nonzero pairs.
-
-    A unit u = (ux, uy, uz) sends (a11, a12, a22, b11, b12, b22) to
-    (ux a11, ux a12 + uy a22, uz a22, ux b11, ux b12 + uy b22, uz b22).  So
-    uz scales the tail (a22, b22) to a first nonzero entry 1; uy then clears
-    a12 if a22 != 0, else b12; ux scales the head (a11, a12, b11, b12) to a
-    first nonzero entry 1.  The forms are the zero tail with a normalised
-    head, and each normalised tail with a zero or normalised head:
-    (q^3+q^2+q+1) + (q+1)(q^2+q+2) pairs.  Each step puts the least code the
-    orbit allows at the first coordinate it moves, so a normal form is the
-    first pair of its orbit in enumerate_pairs order.
-
-    The pairs that generate one submodule form exactly one unit orbit.  For
-    a free T v, T w = T v gives w = s v and v = t w, so t s v = v forces
-    t s = 1 and s is a unit.  For alpha, beta and gamma, writing out s v
-    shows that every generator of T v is a unit multiple of v.  Hence the
-    witness kept here is the first pair of the q^6 walk in enumerate_pairs
-    order that generates the same submodule."""
-    heads = [(0, 0, 0)] + list(projective_vectors(field, 3))
+def _zero_tail_normal_forms(field: Field) -> Iterator[TernionPair]:
+    """The unit-orbit normal forms (see `normal_form_count`) with a zero
+    tail: a normalised head.  classify reads them as beta and gamma."""
     for a11, a12, b11, b12 in projective_vectors(field, 4):
         yield _pair(field, (a11, a12, 0, b11, b12, 0))
+
+
+def _nonzero_tail_normal_forms(field: Field) -> Iterator[TernionPair]:
+    """The unit-orbit normal forms (see `normal_form_count`) with a
+    normalised tail: a zero or normalised head.  classify reads them as X,
+    Y and alpha."""
+    heads = [(0, 0, 0)] + list(projective_vectors(field, 3))
     for a22, b22 in projective_vectors(field, 2):
         for x, y, z in heads:
             if a22:  # (a11, 0, b11, b12)
@@ -521,40 +543,60 @@ def _unit_orbit_normal_forms(field: Field) -> Iterator[TernionPair]:
 
 
 def normal_form_count(q: int) -> int:
-    """How many pairs _unit_orbit_normal_forms yields."""
+    """How many unit-orbit normal forms there are: one generator pair per
+    orbit of the left unit group on nonzero pairs.
+
+    A unit u = (ux, uy, uz) sends (a11, a12, a22, b11, b12, b22) to
+    (ux a11, ux a12 + uy a22, uz a22, ux b11, ux b12 + uy b22, uz b22).  So
+    uz scales the tail (a22, b22) to a first nonzero entry 1; uy then clears
+    a12 if a22 != 0, else b12; ux scales the head (a11, a12, b11, b12) to a
+    first nonzero entry 1.  The forms are the zero tail with a normalised
+    head (`_zero_tail_normal_forms`), and each normalised tail with a zero
+    or normalised head (`_nonzero_tail_normal_forms`): (q^3+q^2+q+1) +
+    (q+1)(q^2+q+2) pairs.  Each step puts the least code the orbit allows
+    at the first coordinate it moves, so a normal form is the first pair of
+    its orbit in enumerate_pairs order.
+
+    The pairs that generate one submodule form exactly one unit orbit.  For
+    a free T v, T w = T v gives w = s v and v = t w, so t s v = v forces
+    t s = 1 and s is a unit.  For alpha, beta and gamma, writing out s v
+    shows that every generator of T v is a unit multiple of v.  Hence the
+    witness a catalog keeps is the first pair of the q^6 walk in
+    enumerate_pairs order that generates the same submodule."""
     return (q**3 + q**2 + q + 1) + (q + 1) * (q**2 + q + 2)
 
 
-def build_catalog(field: Field, budget: Optional[int] = None) -> Catalog:
-    """Classify one generator pair per left-unit orbit and keep its span
-    with the pair as witness; `validate_catalog` checks every orbit list
-    against its independent geometric description.  The budget guards the
-    normal forms here and is kept on the catalog for its traces, graph and
-    scans."""
-    q = field.q
-    check_budget(normal_form_count(q), f"unit-orbit normal forms (q={q})", budget)
-    buckets: Dict[SubmoduleType, Dict[Subspace, TernionPair]] = {
-        t: {} for t in SubmoduleType if t is not SubmoduleType.ZERO
-    }
-    for v in _unit_orbit_normal_forms(field):
+def _orbit_lists(forms, types) -> Tuple[Tuple[tuple, ...], Dict[Subspace, TernionPair]]:
+    """Classify normal forms whose types are among `types`: per type, its
+    spans sorted by Subspace.key, and the witness of each span."""
+    buckets: Dict[SubmoduleType, Dict[Subspace, TernionPair]] = {t: {} for t in types}
+    for v in forms:
         span = cyclic_span(v)
         bucket = buckets[classify(v)]
         if span in bucket:
             raise AssertionError("two unit orbits generate one submodule")
         bucket[span] = v
     witness: Dict[Subspace, TernionPair] = {}
-    for t, d in buckets.items():
+    for d in buckets.values():
         witness.update(d)
-    return Catalog(
-        field=field,
-        g_x=tuple(sorted(buckets[SubmoduleType.X], key=Subspace.key)),
-        g_y=tuple(sorted(buckets[SubmoduleType.Y], key=Subspace.key)),
-        g_alpha=tuple(sorted(buckets[SubmoduleType.ALPHA], key=Subspace.key)),
-        g_beta=tuple(sorted(buckets[SubmoduleType.BETA], key=Subspace.key)),
-        g_gamma=tuple(sorted(buckets[SubmoduleType.GAMMA], key=Subspace.key)),
-        witness=witness,
-        budget=budget,
+    return tuple(tuple(sorted(d, key=Subspace.key)) for d in buckets.values()), witness
+
+
+def build_catalog(field: Field, budget: Optional[int] = None) -> Catalog:
+    """Classify one generator pair per left-unit orbit and keep its span
+    with the pair as witness; `validate_catalog` checks every orbit list
+    against its independent geometric description.  Only the forms with a
+    nonzero tail are classified here; the catalog classifies the others,
+    its beta and gamma points, when they are first read.  The budget guards
+    all the normal forms here and is kept on the catalog for its traces,
+    graph and scans."""
+    q = field.q
+    check_budget(normal_form_count(q), f"unit-orbit normal forms (q={q})", budget)
+    (g_x, g_y, g_alpha), witness = _orbit_lists(
+        _nonzero_tail_normal_forms(field),
+        (SubmoduleType.X, SubmoduleType.Y, SubmoduleType.ALPHA),
     )
+    return Catalog(field, g_x, g_y, g_alpha, witness, budget)
 
 
 def scan_planes_for_x(cat: Catalog) -> FrozenSet[Subspace]:

@@ -1,12 +1,12 @@
 import inspect
 import os
-from itertools import combinations
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import pytest
 
 from ternions.geometry import _fixes_j_and_h
-from ternions.gf import DEFAULT_MODULI, make_field
+from ternions.gf import DEFAULT_MODULI, is_prime, make_field
 from ternions.linalg import (
     Subspace,
     complement_in,
@@ -24,7 +24,10 @@ from ternions.model import (
     LINE_MODEL_AXIS_COORDS,
     TYPE_ORDER,
     SubmoduleType,
+    _nonzero_tail_normal_forms,
+    _zero_tail_normal_forms,
     build_catalog,
+    classify,
     cyclic_span,
     distinguished_flats,
     is_block6_patterned,
@@ -50,6 +53,25 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 # every field of order <= 27: the primes up to 23 and each built-in extension
 FIELD_ORDERS = sorted([2, 3, 5, 7, 11, 13, 17, 19, 23, *DEFAULT_MODULI])
 
+
+def every_field(top):
+    """Every field of order <= top, by order: GF(p), and GF(p^k) once per
+    monic irreducible modulus (those `make_field` accepts), by
+    coefficients."""
+    fields = []
+    for p in filter(is_prime, range(2, top + 1)):
+        fields.append(make_field(p, 1))
+        k = 2
+        while p**k <= top:
+            for c in product(range(p), repeat=k):
+                try:
+                    fields.append(make_field(p, k, c + (1,)))
+                except ValueError:  # a reducible modulus
+                    pass
+            k += 1
+    return sorted(fields, key=lambda f: f.q)
+
+
 # diag(P, P), P swapping the first and third coordinates: it fixes M0, M1
 # and M2 and sends J = {x3 = x6 = 0} onto K = {x1 = x4 = 0}
 J_K_SWAP = tuple(tuple(int(j == p) for j in range(6)) for p in (2, 1, 0, 5, 4, 3))
@@ -66,6 +88,39 @@ def replace_fields(obj, **changes):
     if unknown:
         raise TypeError(f"{type(obj).__name__} has no fields {sorted(unknown)}")
     return type(obj)(**{name: changes.get(name, getattr(obj, name)) for name in names})
+
+
+def with_orbit_lists(cat, **lists):
+    """A copy of the catalog with the given orbit lists: the X, Y and alpha
+    lists through the constructor (`replace_fields`), and the beta and gamma
+    lists, which a catalog builds on first read, by assignment in place of
+    the built ones."""
+    points = {name: lists.pop(name) for name in ("g_beta", "g_gamma") if name in lists}
+    out = replace_fields(cat, **lists)
+    for name, members in points.items():
+        setattr(out, name, members)
+    return out
+
+
+def unit_orbit_normal_forms(field):
+    """Every unit-orbit normal form (see `model.normal_form_count`): those
+    with a zero tail, then the others."""
+    return chain(_zero_tail_normal_forms(field), _nonzero_tail_normal_forms(field))
+
+
+def eager_catalog(field):
+    """The orbit lists and witnesses of `build_catalog` as built before
+    the points were built on first read: every unit-orbit normal form
+    classified in one pass.  Per type, its spans sorted by Subspace.key;
+    and per span, its witness, X planes first and gamma points last."""
+    buckets = {t: {} for t in TYPE_ORDER}
+    for v in unit_orbit_normal_forms(field):
+        span = cyclic_span(v)
+        bucket = buckets[classify(v)]
+        assert span not in bucket, "two unit orbits generate one submodule"
+        bucket[span] = v
+    lists = {t: tuple(sorted(d, key=Subspace.key)) for t, d in buckets.items()}
+    return lists, {s: v for d in buckets.values() for s, v in d.items()}
 
 
 def cli_env():

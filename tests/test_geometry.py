@@ -37,6 +37,7 @@ from conftest import (
     regrouped,
     replace_fields,
     verify_decomposition_sampled,
+    with_orbit_lists,
     xi_report_by_meeting_masks,
 )
 
@@ -141,9 +142,9 @@ def _first_mismatch_reference(cat):
 
 def _doctored(cat, how):
     if how == "drop a beta point":
-        return replace_fields(cat, g_beta=cat.g_beta[1:])
+        return with_orbit_lists(cat, g_beta=cat.g_beta[1:])
     if how == "move a beta point into g_gamma":
-        return replace_fields(cat, g_beta=cat.g_beta[1:], g_gamma=cat.g_gamma + cat.g_beta[:1])
+        return with_orbit_lists(cat, g_beta=cat.g_beta[1:], g_gamma=cat.g_gamma + cat.g_beta[:1])
     if how == "move an X plane into g_y":
         return replace_fields(cat, g_x=cat.g_x[1:], g_y=cat.g_y + cat.g_x[:1])
     return replace_fields(cat, g_alpha=cat.g_alpha[1:])  # drop an alpha line

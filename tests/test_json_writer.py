@@ -58,6 +58,15 @@ scalars = st.none() | st.booleans() | ints | floats | texts
 rows = st.lists(st.lists(ints, max_size=6) | st.tuples(ints, ints)) | st.lists(
     st.lists(ints | st.booleans(), max_size=4)
 )
+# dict rows of one key set are formatted by column, and a column of int
+# matrices by one template; a bool in a matrix must leave it
+records = st.lists(
+    st.fixed_dictionaries(
+        {"m": st.lists(st.tuples(ints, ints | st.booleans()), max_size=2), "s": texts}
+    ),
+    min_size=1,
+    max_size=4,
+)
 
 
 def _containers(children):
@@ -72,7 +81,7 @@ def _containers(children):
     )
 
 
-values = st.recursive(scalars | rows, _containers, max_leaves=40)
+values = st.recursive(scalars | rows | records, _containers, max_leaves=40)
 
 
 @PROPERTY
@@ -160,6 +169,76 @@ class Level(IntEnum):
 def test_writer_block_paths_match_dumps(x):
     # the equal-width row template, the shared key set and the cases each
     # one must leave to the general path
+    assert written(x) == reference(x)
+
+
+def _record(i):
+    """A dict row with a column of each kind the writer meets."""
+    return {
+        "basis": [[i, i + 1, 0], [0, 1, -i]],
+        "index": i,
+        "flag": i % 3 == 0,
+        "none": None,
+        "ratio": i / 7,
+        "type": "X\x00" if i % 2 else "Y",
+        "sub": {"a": i, "m": ((i, 2), (3, i))},
+        "pair": (i, -i),
+        "\x00%d": [i],
+    }
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [_record(i) for i in range(cli.JSON_ROWS + 9)],
+        {"vertices": [_record(i) for i in range(2 * cli.JSON_ROWS + 1)]},
+        [[[1, 2], [3, 4]], ([5, 6], (7, 8))],
+        [[[1, 2], [3, 4]], [[5, True], [7, 8]]],
+        [[[1, 2], [3, Level.LOW]], [[5, 6], [7, 8]]],
+        [[[1, 2]], [[3], [4]]],
+        [[[1, 2], [3]], [[4, 5], [6]]],
+        [[[]], [[]]],
+        [[[], []], [[], []]],
+        [[[[1]]], [[[2 ** 70]]]],
+        [{"m": [[1, 2], [3, 4]]}, {"m": [[5, 6], [7, 8]]}],
+        [{"m": [[1, 2], [3, 4]]}, {"m": [[5, True], [7, 8]]}],
+        [{"m": [[1, Level.LOW]]}, {"m": [[2, 3]]}],
+        [{"m": [[1, 2]]}, {"m": [[1], [2]]}],
+        [{"m": [[]]}, {"m": []}],
+        [{"a": 1, "m": [[1]]}, {"a": 2}],
+        [{"d": {"a": 1, "b": [2]}}, {"d": {"a": 3}}, {"d": {}}],
+        [{"d": {"a": {"b": [[1, 2]]}}}, {"d": {"a": {"b": [[3, 4]]}}}],
+        [{"f": 1.5, "n": None, "b": False}, {"f": float("nan"), "n": 0, "b": True}],
+        [{"s": "\x00\n\"", "t": (1, "\x00")}, {"s": "é€", "t": (2, "")}],
+        [{"e": Level.LOW}, {"e": 2}],
+    ],
+    ids=[
+        "records past a block",
+        "records in a dict, two blocks",
+        "matrices",
+        "bool in a matrix",
+        "IntEnum in a matrix",
+        "matrices of two shapes",
+        "rows of two widths in a matrix",
+        "matrices of an empty row",
+        "matrices of empty rows",
+        "big ints in cubes",
+        "matrix column",
+        "bool in a matrix column",
+        "IntEnum in a matrix column",
+        "matrix column of two shapes",
+        "empty matrix column",
+        "key sets differ, matrix column",
+        "nested dicts, key sets differ",
+        "nested dicts of matrices",
+        "float, None and bool columns",
+        "str columns with NULs",
+        "IntEnum column",
+    ],
+)
+def test_writer_dict_columns_and_matrices_match_dumps(x):
+    # dict rows by column and equal-shape int matrices by one template,
+    # and the members each must leave to the general path
     assert written(x) == reference(x)
 
 

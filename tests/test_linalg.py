@@ -276,6 +276,7 @@ def test_point_vectors_and_pencil_make_one_product(f3, monkeypatch):
     space = full_space(f3, 4)
     assert len(point_vectors(space)) == 40 and len(calls) == 1
     point = coordinate_subspace(f3, 4, [0])
+    assert point_vectors(point) == [(1, 0, 0, 0)] and len(calls) == 1  # a point makes none
     assert len(pencil(point, space, 2)) == 13 and len(calls) == 2
     assert len(pencil(zero_subspace(f3, 4), space, 3)) == 40 and len(calls) == 3
 

@@ -5,8 +5,11 @@ from itertools import product
 import pytest
 
 from conftest import (
+    FIELD_ORDERS,
     block6_pattern_by_table,
     classify_by_containment,
+    eager_catalog,
+    every_field,
     is_unimodular_by_products,
     matrix_product,
     meet_j_by_kernel,
@@ -14,6 +17,8 @@ from conftest import (
     random_ternion,
     replace_fields,
     subspaces_within,
+    unit_orbit_normal_forms,
+    with_orbit_lists,
     x_plane_sweep,
     x_scan_by_quotient,
 )
@@ -37,6 +42,7 @@ from ternions.linalg import (
 )
 from ternions.model import (
     LINE_MODEL_AXIS_COORDS,
+    TYPE_ORDER,
     SubmoduleType,
     block6_rows,
     build_catalog,
@@ -57,7 +63,6 @@ from ternions.model import (
     quadric_value,
     scan_planes_for_x,
     validate_catalog,
-    _unit_orbit_normal_forms,
 )
 from ternions.ternion import (
     Ternion,
@@ -119,7 +124,7 @@ def test_table_codes_build_what_the_checked_constructors_build(q):
     for a, b in product(ts, repeat=2):
         for t in (a + b, a * b):
             assert t == Ternion(f, *t.triple())
-    forms = list(_unit_orbit_normal_forms(f))
+    forms = list(unit_orbit_normal_forms(f))
     assert len(forms) == normal_form_count(q)
     for v in forms:
         assert v == phi_inverse(f, phi(v))
@@ -212,7 +217,7 @@ def test_unimodular_matches_products_on_normal_forms(q):
     # `unit_invariance` proves the rank constant
     f = field_of_order(q)
     units = unit_generators(f)
-    for v in _unit_orbit_normal_forms(f):
+    for v in unit_orbit_normal_forms(f):
         for w in [v] + [scale_left(u, v) for u in units]:
             assert is_unimodular(w) == is_unimodular_by_products(w)
 
@@ -507,7 +512,7 @@ def test_catalog_matches_pair_walk(which, cat2, cat3, cat4, cat5):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_normal_form_count(q):
-    forms = list(_unit_orbit_normal_forms(field_of_order(q)))
+    forms = list(unit_orbit_normal_forms(field_of_order(q)))
     assert len(forms) == (q**3 + q**2 + q + 1) + (q + 1) * (q**2 + q + 2)
     assert len(forms) == sum(expected_counts(q).values())
     assert len(set(map(phi, forms))) == len(forms)
@@ -518,7 +523,7 @@ def test_normal_forms_are_orbit_minima(q):
     # enumerate_pairs order is the lexicographic order of phi
     f = field_of_order(q)
     units = [Ternion(f, x, y, z) for x, y, z in product(f.codes(), repeat=3) if x and z]
-    for v in _unit_orbit_normal_forms(f):
+    for v in unit_orbit_normal_forms(f):
         assert min(phi(scale_left(u, v)) for u in units) == phi(v)
 
 
@@ -582,6 +587,49 @@ def test_quadric_is_built_only_where_it_is_read(f3):
     assert "quadric" not in build_catalog(f3).__dict__
     assert main(["verify", "--q", "3", "--suite", "counts"]) == 0
     assert model.quadric.cache_info().misses == 1
+
+
+def test_points_are_built_only_where_they_are_read(f3, monkeypatch):
+    # the export of the graph and the listing of a set of planes read no
+    # beta or gamma point: no normal form with a zero tail is spanned
+    dims = []
+    real = model.cyclic_span
+    monkeypatch.setattr(model, "cyclic_span", lambda v: dims.append(real(v).dim) or real(v))
+    assert main(["graph", "--q", "7", "--format", "json"]) == 0
+    assert main(["enumerate", "--q", "7", "--set", "gx"]) == 0
+    assert dims and 1 not in dims
+    assert not {"_points", "g_beta", "g_gamma", "witness"} & build_catalog(f3).__dict__.keys()
+    assert main(["enumerate", "--q", "2", "--set", "gbeta"]) == 0
+    assert dims.count(1) == 12 + 3  # the beta points and, built with them, the gamma points
+
+
+@pytest.mark.parametrize("f", every_field(9), ids=lambda f: f"q{f.q}-{f.modulus}")
+def test_points_built_on_first_read_match_the_eager_catalog(f):
+    lists, witness = eager_catalog(f)
+    cat = build_catalog(f)
+    assert [cat.members(t) for t in TYPE_ORDER] == [lists[t] for t in TYPE_ORDER]
+    assert list(cat.witness.items()) == list(witness.items())
+    assert all(cat.witness_of(s) == v for s, v in witness.items())
+
+
+def test_assigned_point_lists_stand_in_for_the_built_ones(cat2):
+    short = with_orbit_lists(cat2, g_beta=cat2.g_beta[1:])
+    assert short.members(SubmoduleType.BETA) == cat2.g_beta[1:]
+    assert short.g_gamma == cat2.g_gamma
+    assert short.counts() == dict(expected_counts(2), beta=11)
+    assert cat2.g_beta[0] not in short.index
+    assert validate_catalog(short)["beta_is_j_minus_l"] is False
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_alpha_trace_rows_are_reduced(q):
+    # e12 w and e22 w, read by `Catalog.traces` as the reduced basis of the
+    # alpha line, for every normal form with a nonzero tail, so for every
+    # plane witness
+    f = field_of_order(q)
+    for v in model._nonzero_tail_normal_forms(f):
+        rows = model._span_rows(v)[1:]
+        assert rows == f.kernel.rref(rows)
 
 
 def test_expected_counts_closed_form():

@@ -1,7 +1,7 @@
 import json
 import math
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from conftest import (
@@ -9,6 +9,7 @@ from conftest import (
     J_K_SWAP,
     clique_flags_by_neighbours,
     companion_y,
+    every_field,
     expected_cliques,
     geodesics_by_neighbours,
     line_model_walk,
@@ -16,6 +17,8 @@ from conftest import (
     regrouped,
     replace_fields,
     run_suites,
+    unit_orbit_normal_forms,
+    with_orbit_lists,
 )
 
 import ternions.geometry as geo
@@ -611,7 +614,7 @@ def test_every_suite_fails_without_raising_on_a_catalog_short_of_a_member(
     orbit, member, adjacency_failures = DROPPED[dropped]
     m = member(cat)
     ctx = VerifyContext(field=cat.field, seed=0)
-    ctx.catalog = replace_fields(cat, **{orbit: tuple(p for p in getattr(cat, orbit) if p != m)})
+    ctx.catalog = with_orbit_lists(cat, **{orbit: tuple(p for p in getattr(cat, orbit) if p != m)})
     claims = {c["id"]: c for c in run_suites(ctx, SUITE_NAMES)}
     assert claims["counts:orbit-sizes"]["ok"] is False
     failed = {cid[4:] for cid, c in claims.items() if cid.startswith("adj:") and not c["ok"]}
@@ -785,7 +788,7 @@ def test_classifier_walk_catches_orbit_dependence(cat2, monkeypatch):
     from ternions.suites import _classifier_walk
 
     f = cat2.field
-    normal_forms = list(model._unit_orbit_normal_forms(f))
+    normal_forms = list(unit_orbit_normal_forms(f))
     pairs = list(enumerate_pairs(f))
     assert _classifier_walk(cat2)[:2] == (0, 0)
     for name, wrong, reader, counter in (
@@ -872,18 +875,9 @@ def test_unit_invariance_holds_on_every_field(q):
 def _non_default_moduli(top):
     """(q, modulus) for each monic irreducible modulus of a field of order
     p^k <= top, k > 1, other than the built-in one."""
-    for p in (2, 3, 5):
-        k = 2
-        while p**k <= top:
-            for c in product(range(p), repeat=k):
-                m = c + (1,)
-                try:
-                    make_field(p, k, m)
-                except ValueError:
-                    continue
-                if m != DEFAULT_MODULI[p**k]:
-                    yield p**k, m
-            k += 1
+    for f in every_field(top):
+        if f.k > 1 and f.modulus != DEFAULT_MODULI[f.q]:
+            yield f.q, f.modulus
 
 
 NON_DEFAULT_MODULI = list(_non_default_moduli(9))
@@ -914,6 +908,18 @@ def test_remark_and_lemmas_pass_on_every_encoding(q, modulus, suite, claims, cap
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["modulus"] == list(modulus)
     assert report["summary"] == {"claims": claims, "passed": claims, "failed": 0, "ok": True}
+
+
+@pytest.mark.parametrize("q, modulus", NON_DEFAULT_MODULI)
+def test_every_suite_passes_on_every_encoding(q, modulus, tmp_path):
+    # all 26 claims in one run, as `verify` makes it by default
+    out = tmp_path / "report.json"
+    args = ["verify", "--q", str(q), "--seed", "0", "--out", str(out), "--modulus"]
+    assert main([*args, *map(str, modulus)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["modulus"] == list(modulus)
+    assert report["config"]["suites"] == list(SUITE_NAMES)
+    assert report["summary"] == {"claims": 26, "passed": 26, "failed": 0, "ok": True}
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -951,7 +957,6 @@ def test_classifier_walk_covers_whole_orbits(q):
     # every pair of its orbit
     from ternions.model import (
         SubmoduleType,
-        _unit_orbit_normal_forms,
         build_catalog,
         classify,
         classify_by_rank,
@@ -966,7 +971,7 @@ def test_classifier_walk_covers_whole_orbits(q):
     units = unit_generators(f)
     assert units == (Ternion(f, g, 0, 1), Ternion(f, 1, 0, g), Ternion(f, 1, 1, 1))
     seen = set()
-    for nf in _unit_orbit_normal_forms(f):
+    for nf in unit_orbit_normal_forms(f):
         t = classify(nf)
         orbit, todo = {nf}, [nf]
         while todo:

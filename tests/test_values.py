@@ -27,7 +27,7 @@ CONSTRUCTORS = {
     Ternion: "field x y z",
     TernionMatrix: "a b c d",
     QuadricGeometry: "regulus_alpha regulus_opposite point_vectors",
-    Catalog: "field g_x g_y g_alpha g_beta g_gamma witness budget=None",
+    Catalog: "field g_x g_y g_alpha witness budget=None",
     AdjacencyGraph: "catalog groups",
     ModuleMap: "sigma unit matrix",
     VerifyContext: "field seed=0 budget=None",
