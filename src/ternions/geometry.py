@@ -299,9 +299,11 @@ def standard_triple(field: Field) -> Tuple[Subspace, Subspace, Subspace]:
     return tuple(cyclic_span(v) for v in ((one, zero), (zero, one), (one, one)))
 
 
-def is_skew_x_triple(cat: Catalog, planes: Sequence[Subspace]) -> bool:
-    """Whether the planes are X planes of the catalog and pairwise skew."""
-    return all(cat.type_of(m) is SubmoduleType.X for m in planes) and all(
+def is_skew_x_triple(cat: Catalog) -> bool:
+    """Whether the standard triple is three pairwise skew X planes of the
+    catalog, read off `cat.g_x` alone: no beta or gamma point is built."""
+    planes = standard_triple(cat.field)
+    return set(cat.g_x).issuperset(planes) and all(
         meet_dim(a, b) == 0 for a, b in combinations(planes, 2)
     )
 
@@ -327,7 +329,7 @@ def _anchored_scan(cat: Catalog, k: int) -> List[Subspace]:
     other candidate is tested against the X planes themselves, stopping at
     the first plane it fails."""
     field = cat.field
-    if not is_skew_x_triple(cat, standard_triple(field)):
+    if not is_skew_x_triple(cat):
         raise AssertionError("the standard triple is not three pairwise skew X planes")
     what = f"anchored scan candidates (k={k}, q={field.q})"
     check_budget(gaussian_binomial(3, k // 2, field.q), what, cat.budget)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import chain, combinations, product
 from typing import Iterator, List, Optional, Sequence
 
-from .gf import Field, FieldAutomorphism, automorphisms, check_codes
+from .gf import Field, FieldAutomorphism, check_codes
 
 DEFAULT_BUDGET = 150_000
 
@@ -254,7 +254,3 @@ class SemilinearMap:
             raise ValueError("subspace of a different ambient space")
         rows = self.field.kernel.apply_rows(self.sigma.apply(u.basis), self.matrix)
         return Subspace(self.field, self.n, rows)
-
-
-def identity_map(field: Field, n: int) -> SemilinearMap:
-    return SemilinearMap(field, n, full_space(field, n).basis, automorphisms(field)[0])

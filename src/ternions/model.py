@@ -492,13 +492,7 @@ class Catalog:
         return self.g_x + self.g_y
 
     def counts(self) -> Dict[str, int]:
-        return {
-            "X": len(self.g_x),
-            "Y": len(self.g_y),
-            "alpha": len(self.g_alpha),
-            "beta": len(self.g_beta),
-            "gamma": len(self.g_gamma),
-        }
+        return {t.value: len(self.members(t)) for t in TYPE_ORDER}
 
 
 _MEMBER_LISTS = {
@@ -610,21 +604,25 @@ def scan_planes_for_x(cat: Catalog) -> FrozenSet[Subspace]:
     complement of p in J, so the P + y are an exhaustive list of
     (q+1)(q^2+q+1) candidates, guarded by the catalog's budget.  One y lies
     on L, and its plane P + L lies in K; the scan keeps the candidates
-    outside K with dim(M ^ J) = 2.  Such an M does not contain L, which
-    would make M ^ K = P + L a plane."""
+    outside K.  Such an M does not contain L, which would make
+    M ^ K = P + L a plane.  As y lies in J off P, M + J = P + J and
+    M ^ J = (P ^ J) + y, a line for every candidate exactly when
+    dim P - dim(P ^ J) = 1 (for an alpha line, when P meets J in a point),
+    so this is tested once per P, and a P that fails it gives no plane."""
     field = cat.field
     q = field.q
-    kern = field.kernel
+    rref = field.kernel.rref
     j = cat.j_solid
     check_budget(len(cat.g_alpha) * (q * q + q + 1), f"X-scan candidates (q={q})", cat.budget)
     found = set()
     for p in cat.g_alpha:
-        on_j = Subspace(field, 6, embed_j(meet_j(p)))
-        complement = Subspace(field, 6, tuple(complement_in(on_j, j)))
-        for y in point_vectors(complement):
-            m = kern.rref(p.basis + (y,))
-            outside_k = any(r[0] or r[3] for r in m)  # K = {x1 = x4 = 0}
-            if outside_k and kern.stack_rank(m, j.basis) == 5:  # dim(M ^ J) == 2
+        on_j = meet_j(p)
+        if p.dim - len(on_j) != 1:
+            continue
+        complement = complement_in(Subspace(field, 6, embed_j(on_j)), j)
+        for y in point_vectors(Subspace(field, 6, tuple(complement))):
+            m = rref(p.basis + (y,))
+            if any(r[0] or r[3] for r in m):  # outside K = {x1 = x4 = 0}
                 found.add(Subspace(field, 6, m))
     return frozenset(found)
 

@@ -30,9 +30,11 @@ from ternions.model import (
     classify,
     cyclic_span,
     distinguished_flats,
+    embed_j,
     is_block6_patterned,
     is_unimodular,
     line_model,
+    meet_j,
     phi,
     phi_inverse,
 )
@@ -346,6 +348,25 @@ def x_scan_by_quotient(cat):
                 continue
             m = kern.rref(p.basis + (tuple(vec),))
             if kern.stack_rank(m, cat.j_solid.basis) == 5:  # dim(M ^ J) == 2
+                found.add(Subspace(field, 6, m))
+    return frozenset(found)
+
+
+def per_candidate_x_scan(cat):
+    """`model.scan_planes_for_x` before it decided the J test once per
+    alpha line: each candidate P + y outside K is kept by its own rank
+    against J."""
+    field = cat.field
+    kern = field.kernel
+    j = cat.j_solid
+    found = set()
+    for p in cat.g_alpha:
+        on_j = Subspace(field, 6, embed_j(meet_j(p)))
+        complement = Subspace(field, 6, tuple(complement_in(on_j, j)))
+        for y in point_vectors(complement):
+            m = kern.rref(p.basis + (y,))
+            outside_k = any(r[0] or r[3] for r in m)  # K = {x1 = x4 = 0}
+            if outside_k and kern.stack_rank(m, j.basis) == 5:  # dim(M ^ J) == 2
                 found.add(Subspace(field, 6, m))
     return frozenset(found)
 

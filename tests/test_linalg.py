@@ -29,7 +29,6 @@ from ternions.linalg import (
     enumerate_subspaces,
     full_space,
     gaussian_binomial,
-    identity_map,
     join,
     meet,
     meet_dim,
@@ -348,7 +347,7 @@ def test_semilinear_rejects_codes_out_of_range(f2, bad):
 
 
 def test_identity_map(f5):
-    ident = identity_map(f5, 4)
+    ident = SemilinearMap(f5, 4, full_space(f5, 4).basis, automorphisms(f5)[0])
     assert ident.sigma.is_identity
     u = canonicalize(f5, 4, [(1, 2, 3, 4)])
     assert ident.apply(u) == u

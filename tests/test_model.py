@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     matrix_product,
     meet_j_by_kernel,
     meet_j_by_meet,
+    per_candidate_x_scan,
     random_ternion,
     replace_fields,
     subspaces_within,
@@ -480,6 +482,50 @@ def test_x_scan_matches_grassmannian_sweep(q, cat2, cat3):
 def test_x_scan_matches_catalog(q):
     cat = build_catalog(field_of_order(q))
     assert scan_planes_for_x(cat) == frozenset(cat.g_x) == x_scan_by_quotient(cat)
+    assert scan_planes_for_x(cat) == per_candidate_x_scan(cat)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_x_scan_matches_the_per_candidate_scan_on_doctored_alpha_lists(q):
+    # members no alpha list holds: L and another line inside J, a line skew
+    # to J, a point off J and one on it, an X plane and a Y plane; each
+    # alone and in place of the last alpha line
+    cat = build_catalog(field_of_order(q))
+    f = cat.field
+    strays = [
+        cat.l_line,
+        cat.traces[cat.g_x[0]][0],
+        coordinate_subspace(f, 6, (2, 5)),
+        coordinate_subspace(f, 6, (2,)),
+        coordinate_subspace(f, 6, (0,)),
+        cat.g_x[0],
+        cat.g_y[0],
+    ]
+    sizes = []
+    for stray in strays:
+        for alpha in ((stray,), cat.g_alpha[:-1] + (stray,)):
+            doctored = replace_fields(cat, g_alpha=alpha)
+            found = scan_planes_for_x(doctored)
+            assert found == per_candidate_x_scan(doctored)
+            sizes.append(len(found))
+    assert 0 in sizes and max(sizes) > 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_x_scan_ranks_only_to_build_the_complements(q, monkeypatch):
+    # M ^ J is decided once per alpha line, so the scan's only ranks are
+    # the four of `complement_in` per alpha line: 4(q+1)
+    cat = build_catalog(field_of_order(q))
+    callers = []
+    real = Kernel.stack_rank
+
+    def counted(self, rows_a, rows_b):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(self, rows_a, rows_b)
+
+    monkeypatch.setattr(Kernel, "stack_rank", counted)
+    assert scan_planes_for_x(cat) == frozenset(cat.g_x)
+    assert callers == ["complement_in"] * (4 * (q + 1))
 
 
 def test_x_scan_budget_counts_candidates(cat2):

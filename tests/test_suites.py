@@ -27,6 +27,7 @@ from ternions.gf import DEFAULT_MODULI, automorphisms, make_field, primitive_ele
 from ternions.linalg import BudgetError, SemilinearMap, Subspace
 from ternions.suites import (
     SUITE_NAMES,
+    SUITES,
     VerifyContext,
     _clique_flags,
     _distance_detail,
@@ -37,6 +38,7 @@ from ternions.suites import (
 )
 from ternions.ternion import (
     Ternion,
+    TernionMatrix,
     enumerate_pairs,
     enumerate_ternions,
     iota,
@@ -137,6 +139,53 @@ def test_thm1_runs_no_scan_and_builds_no_graph(cat3, monkeypatch):
     ctx = VerifyContext(field=cat3.field, seed=0)
     ctx.catalog = cat3  # reuse the session catalog
     assert all(c["ok"] for c in run_suites(ctx, ["thm1"]))
+
+
+def test_decompose_checks_the_parameters_of_the_identity(cat3, monkeypatch):
+    # a read-off that returns the identity as the scalar unit 2 and the
+    # matrix 2^-1: the same module map, so its round trip holds, but not
+    # the parameters (1, 0, 1) the identity was built from
+    field = cat3.field
+    identity = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+    real = geo.decompose_semilinear
+
+    def misread(f, cat):
+        if f.matrix != identity:
+            return real(f, cat)
+        half, zero = Ternion(field, 2, 0, 2), Ternion(field, 0, 0, 0)  # 2 * 2 = 1 at q = 3
+        return geo.ModuleMap(f.sigma, half, TernionMatrix(half, zero, zero, half))
+
+    monkeypatch.setattr(geo, "decompose_semilinear", misread)
+    ctx = VerifyContext(field=field, seed=0)
+    ctx.catalog = cat3  # reuse the session catalog
+    decompose = run_suites(ctx, ["thm1"])[1]
+    assert decompose["id"] == "thm1:decompose" and decompose["ok"] is False
+    assert decompose["detail"] == {
+        "maps_decomposed": 12,
+        "exhaustive": False,
+        "round_trip_failures": 0,
+        "parameter_mismatches": 1,
+    }
+
+
+@pytest.mark.parametrize(
+    "name, points, h",
+    [
+        ("adjacency", False, False),
+        ("counts", True, True),
+        ("incidence", True, False),
+        ("lemmas", False, True),
+        ("remark", True, False),
+        ("thm1", False, True),
+        ("thm2", False, True),
+    ],
+)
+def test_each_suite_builds_the_points_and_h_only_if_it_reads_them(name, points, h, f3):
+    # the beta and gamma points, and the quadric H, are built on first read
+    ctx = VerifyContext(field=f3, seed=0)
+    SUITES[name](ctx)
+    built = ctx.catalog.__dict__
+    assert ("_points" in built, "quadric" in built) == (points, h)
 
 
 def _negative(cat):

@@ -1,8 +1,8 @@
 """Library surface: every top-level function and class of the package, and
-every method and property of its classes, is named by the package itself
-or by the benchmark's tracer, not only by tests (a name only tests use
-belongs in the tests); importing the package loads only what it uses; and
-the README's examples run."""
+every method and property of its classes, is referred to by the package's
+code or named by the benchmark's tracer, not only by tests (a name only
+tests use belongs in the tests); importing the package loads only what it
+uses; and the README's examples run."""
 
 import ast
 import re
@@ -32,20 +32,36 @@ def definitions(tree):
                     yield f"{node.name}.{member.name}", member
 
 
+def references(tree):
+    """(name, line) of each name the code refers to: a `Name`, an
+    attribute, or an imported name.  Docstrings and comments refer to
+    nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.end_lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+
+
 def unused_definitions(sources, others):
-    """`file:line label` of each definition in `sources` whose name, as a
-    whole word, occurs in no line of `sources` or `others` outside its own
-    definition."""
-    texts = {path: path.read_text().splitlines() for path in [*sources, *others]}
+    """`file:line label` of each definition in `sources` that no code of
+    `sources` refers to outside its own definition, and whose name, as a
+    whole word, occurs in no line of `others` (the tracer names functions
+    as strings)."""
+    trees = {path: ast.parse(path.read_text()) for path in sources}
+    uses = {}
+    for path, tree in trees.items():
+        for name, line in references(tree):
+            uses.setdefault(name, []).append((path, line))
+    words = "\n".join(path.read_text() for path in others)
     unused = []
-    for path in sources:
-        for label, node in definitions(ast.parse(path.read_text())):
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
-            if not any(
-                word.search(line)
-                for other, lines in texts.items()
-                for n, line in enumerate(lines, 1)
-                if not (other == path and node.lineno <= n <= node.end_lineno)
+    for path, tree in trees.items():
+        for label, node in definitions(tree):
+            if not re.search(rf"\b{re.escape(node.name)}\b", words) and all(
+                other == path and node.lineno <= line <= node.end_lineno
+                for other, line in uses.get(node.name, ())
             ):
                 unused.append(f"{path.name}:{node.lineno} {label}")
     return unused
@@ -66,6 +82,16 @@ def test_guard_flags_a_name_only_its_definition_uses(tmp_path):
     tracer.write_text('NAMES = ("Traced",)\n')
     assert unused_definitions([lib], [tracer]) == ["lib.py:5 lonely"]
     assert unused_definitions([lib], []) == ["lib.py:5 lonely", "lib.py:10 Traced"]
+
+
+def test_guard_flags_a_name_only_prose_mentions(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "def named():\n    return 1\n\n\n"
+        'def user():\n    """Not a use of named."""\n    # nor is this: named()\n    return 2\n\n\n'
+        "print(user())\n"
+    )
+    assert unused_definitions([lib], []) == ["lib.py:1 named"]
 
 
 def test_guard_flags_a_member_only_its_definition_uses(tmp_path):
