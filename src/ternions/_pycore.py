@@ -5,12 +5,10 @@ codes in [0, q).  All arithmetic is table driven: ``add`` and ``mul`` are
 flat row-major tables of length q*q, ``neg`` and ``inv`` have length q.
 Code 0 is the additive identity and code 1 the multiplicative identity.
 
-Two eliminations run underneath.  Outputs that name a row space come from
-Gauss-Jordan elimination and are canonical: the reduced row echelon form
-(RREF) with zero rows dropped, so equal spaces give equal tuples.  A rank
-needs only the count of pivots, so ``rank`` and ``stack_rank`` run forward
-elimination: they clear below each pivot, and neither scale pivot rows nor
-clear above them.
+One elimination runs underneath: Gauss-Jordan elimination, ``_eliminate``.
+Outputs that name a row space are canonical: the reduced row echelon form
+(RREF) with zero rows dropped, so equal spaces give equal tuples.
+``rank`` and ``stack_rank`` return its count of pivots.
 
 The kernel is linear algebra only: a semilinear map's field automorphism
 is applied by ``gf.FieldAutomorphism.apply`` before ``vec_apply`` and
@@ -75,35 +73,6 @@ class Kernel:
                 break
         return r
 
-    def _rank(self, m, ncols):
-        """Rank of a list of row lists by forward elimination, in place."""
-        q, add, mul, neg, inv = self.q, self.add, self.mul, self.neg, self.inv
-        nrows = len(m)
-        r = 0
-        for c in range(ncols):
-            pr = -1
-            for i in range(r, nrows):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr < 0:
-                continue
-            if pr != r:
-                m[r], m[pr] = m[pr], m[r]
-            row = m[r]
-            pinv = inv[row[c]]
-            for i in range(r + 1, nrows):
-                v = m[i][c]
-                if v:
-                    f = neg[mul[v * q + pinv]] * q
-                    ri = m[i]
-                    for j in range(c + 1, ncols):
-                        ri[j] = add[ri[j] * q + mul[f + row[j]]]
-            r += 1
-            if r == nrows:
-                break
-        return r
-
     # -- public operations -------------------------------------------------
 
     def rref(self, rows):
@@ -119,7 +88,7 @@ class Kernel:
         if not rows:
             return 0
         m = [list(r) for r in rows]
-        return self._rank(m, len(rows[0]))
+        return self._eliminate(m, len(rows[0]))
 
     def stack_rank(self, rows_a, rows_b):
         """Rank of the two row sets stacked; the hot path of the scans."""

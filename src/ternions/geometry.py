@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
-from itertools import combinations, repeat
+from itertools import repeat
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .gf import Field, FieldAutomorphism, automorphisms, primitive_element
@@ -38,7 +38,6 @@ from .model import (
     Catalog,
     SubmoduleType,
     block6_rows,
-    cyclic_span,
     embed_j,
     matrix2_from_block6,
     phi,
@@ -292,22 +291,6 @@ def geodesics_from(graph: AdjacencyGraph, start: int) -> Tuple[List[int], List[i
 # -- transversal scans ------------------------------------------------------------
 
 
-def standard_triple(field: Field) -> Tuple[Subspace, Subspace, Subspace]:
-    """M0 = T(1, 0), M1 = T(0, 1) and M2 = T(1, 1): in coordinates F^3 + 0,
-    0 + F^3 and the diagonal {(v, v)}."""
-    one, zero = t_one(field), t_zero(field)
-    return tuple(cyclic_span(v) for v in ((one, zero), (zero, one), (one, one)))
-
-
-def is_skew_x_triple(cat: Catalog) -> bool:
-    """Whether the standard triple is three pairwise skew X planes of the
-    catalog, read off `cat.g_x` alone: no beta or gamma point is built."""
-    planes = standard_triple(cat.field)
-    return set(cat.g_x).issuperset(planes) and all(
-        meet_dim(a, b) == 0 for a, b in combinations(planes, 2)
-    )
-
-
 def _anchored_scan(cat: Catalog, k: int) -> List[Subspace]:
     """All k-flats (k = 2 or 4) meeting every X plane in dimension k/2,
     sorted by key.
@@ -329,7 +312,7 @@ def _anchored_scan(cat: Catalog, k: int) -> List[Subspace]:
     other candidate is tested against the X planes themselves, stopping at
     the first plane it fails."""
     field = cat.field
-    if not is_skew_x_triple(cat):
+    if not cat.standard_triple_skew_x:
         raise AssertionError("the standard triple is not three pairwise skew X planes")
     what = f"anchored scan candidates (k={k}, q={field.q})"
     check_budget(gaussian_binomial(3, k // 2, field.q), what, cat.budget)

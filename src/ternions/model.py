@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from .gf import Field, check_codes
@@ -48,6 +49,7 @@ from .ternion import (
     _ternion,
     scale_left,
     t_one,
+    t_zero,
     unit_generators,
 )
 
@@ -237,6 +239,13 @@ def distinguished_flats(field: Field) -> Tuple[Subspace, Subspace, Subspace]:
     k = coordinate_subspace(field, 6, (1, 2, 4, 5))  # x1 = x4 = 0
     l = coordinate_subspace(field, 6, (1, 4))
     return (j, k, l)
+
+
+def standard_triple(field: Field) -> Tuple[Subspace, Subspace, Subspace]:
+    """M0 = T(1, 0), M1 = T(0, 1) and M2 = T(1, 1): in coordinates F^3 + 0,
+    0 + F^3 and the diagonal {(v, v)}."""
+    one, zero = t_one(field), t_zero(field)
+    return tuple(cyclic_span(v) for v in ((one, zero), (zero, one), (one, one)))
 
 
 def meet_j(u: Subspace) -> tuple:
@@ -475,6 +484,17 @@ class Catalog:
                 Subspace(self.field, 6, rows[1:]),
             )
         return out
+
+    @cached_property
+    def standard_triple_skew_x(self) -> bool:
+        """Whether the standard triple is three pairwise skew X planes of
+        the catalog, read off `g_x` alone: no beta or gamma point is built.
+        The transversal scans anchor on the triple and `thm1:negative`
+        rests on it; all of them read this one verdict."""
+        planes = standard_triple(self.field)
+        return set(self.g_x).issuperset(planes) and all(
+            meet_dim(a, b) == 0 for a, b in combinations(planes, 2)
+        )
 
     @cached_property
     def x_by_j_line(self) -> Dict[Subspace, Subspace]:

@@ -83,7 +83,7 @@ class VerifyContext:
         triple they anchor on is not three pairwise skew X planes of the
         catalog, as when the catalog lacks one of them."""
         cat = self.catalog
-        if not geo.is_skew_x_triple(cat):
+        if not cat.standard_triple_skew_x:
             return None
         return geo.scan_lines(cat), geo.scan_solids(cat)
 
@@ -576,7 +576,7 @@ def _converse_detail(cat: Catalog) -> Dict[str, object]:
     q = cat.field.q
     traces = cat.traces
     n_x = len(cat.g_x)
-    triple_ok = geo.is_skew_x_triple(cat)
+    triple_ok = cat.standard_triple_skew_x
     j_lines = len({traces[m][0] for m in cat.g_x})
     k_lines = len({traces[m][1] for m in cat.g_x})
     products, factor_ok = geo.stabilizer_factorisation(cat.field)

@@ -79,7 +79,6 @@ from ternions.geometry import (
     preserver_from_collineation,
     scan_lines,
     scan_solids,
-    standard_triple,
     verify_decomposition,
     verify_preserver,
     recipe_generators,
@@ -99,6 +98,7 @@ from ternions.model import (
     embed_j,
     is_block6_patterned,
     matrix2_from_block6,
+    standard_triple,
     validate_catalog,
 )
 from ternions.ternion import (

@@ -25,6 +25,7 @@ import ternions.geometry as geo
 from ternions.cli import main
 from ternions.gf import DEFAULT_MODULI, automorphisms, make_field, primitive_element
 from ternions.linalg import BudgetError, SemilinearMap, Subspace
+from ternions.model import standard_triple
 from ternions.suites import (
     SUITE_NAMES,
     SUITES,
@@ -186,6 +187,26 @@ def test_each_suite_builds_the_points_and_h_only_if_it_reads_them(name, points, 
     SUITES[name](ctx)
     built = ctx.catalog.__dict__
     assert ("_points" in built, "quadric" in built) == (points, h)
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_one_verify_tests_the_standard_triple_once(which, f2, f3, monkeypatch):
+    # the scans, the scans' guard and thm1:negative read one verdict; each
+    # test of the triple builds it once
+    import ternions.model as model
+
+    field = {2: f2, 3: f3}[which]
+    real = model.standard_triple
+    calls = []
+
+    def spy(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(model, "standard_triple", spy)
+    claims = run_suites(VerifyContext(field=field, seed=0), SUITE_NAMES)
+    assert all(c["ok"] for c in claims) and len(claims) == 26
+    assert calls == [field]
 
 
 def _negative(cat):
@@ -647,7 +668,7 @@ DROPPED = {
     "g_beta": ("g_beta", lambda cat: cat.g_beta[0], set()),
     "g_gamma": ("g_gamma", lambda cat: cat.g_gamma[0], set()),
     **{
-        f"m{i}": ("g_x", lambda cat, i=i: geo.standard_triple(cat.field)[i], SHORT_CLIQUE)
+        f"m{i}": ("g_x", lambda cat, i=i: standard_triple(cat.field)[i], SHORT_CLIQUE)
         for i in range(3)
     },
 }
