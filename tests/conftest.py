@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from ternions.geometry import _fixes_j_and_h
 from ternions.gf import DEFAULT_MODULI, is_prime, make_field
 from ternions.linalg import (
     Subspace,
@@ -17,7 +16,6 @@ from ternions.linalg import (
     meet,
     meet_dim,
     pencil,
-    point_vectors,
     projective_vectors,
 )
 from ternions.model import (
@@ -30,11 +28,9 @@ from ternions.model import (
     classify,
     cyclic_span,
     distinguished_flats,
-    embed_j,
     is_block6_patterned,
     is_unimodular,
     line_model,
-    meet_j,
     phi,
     phi_inverse,
 )
@@ -264,23 +260,6 @@ def run_suites(ctx, names):
     return [c for name in sorted(names) for c in SUITES[name](ctx)]
 
 
-def x_plane_sweep(cat):
-    """Reference X scan over all of G(6,3): the planes whose J-trace is a
-    line other than L and whose K-trace is an alpha regulus line."""
-    kern = cat.field.kernel
-    j, k, l = cat.j_solid, cat.k_solid, cat.l_line
-    alpha = set(cat.g_alpha)
-    found = set()
-    for m in enumerate_subspaces(cat.field, 6, 3, budget=10**6):
-        if kern.stack_rank(m.basis, j.basis) != 5:  # dim(M ^ J) == 2
-            continue
-        if kern.stack_rank(m.basis, l.basis) == 3:  # L <= M, so M ^ J = L
-            continue
-        if meet(m, k) in alpha:
-            found.add(m)
-    return frozenset(found)
-
-
 def subspaces_within(u, k, budget=None):
     """All k-subspaces of u, mapped from coordinates w.r.t. its basis."""
     kern = u.field.kernel
@@ -290,85 +269,11 @@ def subspaces_within(u, k, budget=None):
     ]
 
 
-# -- the scans before they went by structure ---------------------------------
+# -- algebra-level references ------------------------------------------------
 #
-# The references for `geometry._anchored_scan`, `model.scan_planes_for_x`
-# and the `model:line` claim, each by the larger enumeration it replaced.
-
-
-def anchored_join_scan(cat, k):
-    """The transversal k-flats (k = 2 or 4) by the (q^2+q+1)^2 join loop:
-    anchor at the first X plane and the first X plane skew to it, and keep
-    each join of a (k/2)-flat of one with a (k/2)-flat of the other that
-    meets every X plane in dimension k/2; sorted by key."""
-    m0 = cat.g_x[0]
-    m1 = next(m for m in cat.g_x[1:] if meet_dim(m0, m) == 0)
-    kern = cat.field.kernel
-    rank = k + 3 - k // 2  # dim(flat + M) when dim(flat ^ M) = k/2
-    out = []
-    for a in subspaces_within(m0, k // 2):
-        for b in subspaces_within(m1, k // 2):
-            rows = a.basis + b.basis
-            if all(kern.stack_rank(rows, m.basis) == rank for m in cat.g_x):
-                out.append(Subspace(cat.field, 6, kern.rref(rows)))
-    return sorted(out, key=Subspace.key)
-
-
-def per_plane_anchored_scan(cat, k):
-    """`geometry._anchored_scan` before it confirmed hits on the traces:
-    each candidate A + A, A a (k/2)-subspace of F^3, tested against every
-    X plane; sorted by key."""
-    field = cat.field
-    kern = field.kernel
-    rank = k + 3 - k // 2  # dim(flat + M) when dim(flat ^ M) = k/2
-    zero = (0, 0, 0)
-    out = []
-    for a in enumerate_subspaces(field, 3, k // 2):
-        rows = tuple(r + zero for r in a.basis) + tuple(zero + r for r in a.basis)
-        if all(kern.stack_rank(rows, m.basis) == rank for m in cat.g_x):
-            out.append(Subspace(field, 6, rows))
-    return sorted(out, key=Subspace.key)
-
-
-def x_scan_by_quotient(cat):
-    """The X scan over the (q+1)(q^3+q^2+q+1) planes through the alpha
-    lines: each is P + <w> for one normalised w that is zero on the pivot
-    columns of P, kept when it lies outside K and meets J in a line."""
-    field = cat.field
-    kern = field.kernel
-    found = set()
-    for p in cat.g_alpha:
-        pivots = {row.index(1) for row in p.basis}
-        free = [c for c in range(6) if c not in pivots]
-        for w in projective_vectors(field, 4):
-            vec = [0] * 6
-            for c, x in zip(free, w):
-                vec[c] = x
-            if not (vec[0] or vec[3]):
-                continue
-            m = kern.rref(p.basis + (tuple(vec),))
-            if kern.stack_rank(m, cat.j_solid.basis) == 5:  # dim(M ^ J) == 2
-                found.add(Subspace(field, 6, m))
-    return frozenset(found)
-
-
-def per_candidate_x_scan(cat):
-    """`model.scan_planes_for_x` before it decided the J test once per
-    alpha line: each candidate P + y outside K is kept by its own rank
-    against J."""
-    field = cat.field
-    kern = field.kernel
-    j = cat.j_solid
-    found = set()
-    for p in cat.g_alpha:
-        on_j = Subspace(field, 6, embed_j(meet_j(p)))
-        complement = Subspace(field, 6, tuple(complement_in(on_j, j)))
-        for y in point_vectors(complement):
-            m = kern.rref(p.basis + (y,))
-            outside_k = any(r[0] or r[3] for r in m)  # K = {x1 = x4 = 0}
-            if outside_k and kern.stack_rank(m, j.basis) == 5:  # dim(M ^ J) == 2
-                found.add(Subspace(field, 6, m))
-    return frozenset(found)
+# The geometry facts are checked against the point-set oracle (`oracle.py`);
+# these check the `model:line` claim, the unimodularity test and the
+# decomposition round trip, each by the larger computation it replaced.
 
 
 def line_model_walk(field):
@@ -427,29 +332,10 @@ def incident(u, v):
     return contains(u, v)
 
 
-def incidence_counts(p0, cat):
-    """Reference for `incidence_table`, by O(N^2) containment tests: how
-    many members of each orbit list are incident with p0, ordered
-    (X, Y, alpha, beta, gamma)."""
-    return tuple(sum(1 for s in cat.members(t) if incident(p0, s)) for t in TYPE_ORDER)
-
-
-# -- the paths the trace groups and the J-lines replaced --------------------
+# -- the paths the trace groups replaced -------------------------------------
 #
-# The adjacency checks once walked neighbour sets, `xi_report` compared the
-# meeting masks of the planes' J-line points, and the incidence counts
-# listed the J-line points.  They are the references for the group and
-# J-line paths of `geometry` and `suites`.
-
-
-def _bit_indices(mask):
-    """The positions of the set bits of a non-negative int."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
+# The adjacency checks once walked neighbour sets.  These are the
+# references for the group paths of `geometry` and `suites`.
 
 
 def preserves_by_neighbours(perm, nbrs):
@@ -500,98 +386,6 @@ def clique_flags_by_neighbours(nbrs, cliques):
                 closure = False
         coverage = coverage and nv <= covered
     return all_cliques, coverage, closure
-
-
-def meeting_masks(graph):
-    """Per vertex, the int mask of the other planes sharing a point with
-    it, from the points of the J-lines: two planes share a point exactly
-    when their J-lines do."""
-    cat = graph.catalog
-    on = {}
-    for i, v in enumerate(graph.vertices):
-        for p in point_vectors(cat.traces[v][0]):
-            on[p] = on.get(p, 0) | 1 << i
-    once = [0] * graph.n
-    for mask in on.values():
-        if mask & (mask - 1):  # on two J-lines or more
-            for i in _bit_indices(mask):
-                once[i] |= mask
-    return tuple(mask & ~(1 << i) for i, mask in enumerate(once))
-
-
-def xi_report_by_meeting_masks(graph, xi):
-    """`xi_report` for the map xi(m, cat), by meeting masks: xi keeps
-    skewness both ways when it permutes the X planes and maps the meeting
-    set of each X plane onto the meeting set of its image; the witness
-    reads the neighbour sets and the masks."""
-    cat = graph.catalog
-    xs = cat.g_x
-    n = len(xs)
-    x_bits = (1 << n) - 1
-    meets = meeting_masks(graph)
-    nbrs = graph.neighbours
-    images = [graph.vindex.get(xi(m, cat)) for m in xs]
-    is_permutation = set(images) == set(range(n))
-
-    def image_of(mask):
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << images[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    skew_ok = is_permutation and all(
-        image_of(meets[i] & x_bits) == meets[images[i]] & x_bits for i in range(n)
-    )
-    beta = set(cat.g_beta)
-
-    def first_witness():
-        for i in range(n):
-            for j in sorted(nbrs[i]):
-                if not i < j < n:
-                    continue
-                a, b = images[i], images[j]
-                if a is None or b is None or b in nbrs[a] or not meets[a] >> b & 1:
-                    continue
-                cut = meet(graph.vertices[a], graph.vertices[b])
-                if cut in beta:
-                    return {"m1": xs[i], "m2": xs[j], "images_meet": cut}
-        return None
-
-    witness = first_witness()
-    return {
-        "is_permutation": is_permutation,
-        "adjacency_witness": witness,
-        "breaks_adjacency": witness is not None,
-        "skew_preserved_both_ways": skew_ok,
-        "pairs_checked": n * (n - 1) // 2,
-    }
-
-
-def point_listing_incidence_counts(cat):
-    """`_incidence_counts` by listing the points of every plane's J-line."""
-    counts = {}
-    column = {}
-    for c, t in enumerate(TYPE_ORDER):
-        for s in cat.members(t):
-            counts.setdefault(s, [0] * 5)[c] += 1
-            column[s] = c
-    points = {s.basis[0]: s for s in column if s.dim == 1}
-    for s, c in column.items():
-        if s.dim == 1:
-            continue
-        on = []
-        line = s
-        if s.dim == 3:
-            line, alpha_line = cat.traces[s]
-            if alpha_line in column:
-                on.append(alpha_line)
-        on += [points[v] for v in point_vectors(line) if v in points]
-        for z in on:
-            counts[z][c] += 1
-            counts[s][column[z]] += 1
-    return counts
 
 
 # -- the per-plane lines the stored traces replaced ------------------------
@@ -652,129 +446,6 @@ def regrouped(graph, remove=(), add=()):
     return replace_fields(graph, groups=tuple(tuple(sorted(g)) for g in groups if len(g) > 1))
 
 
-# -- the point index: the reference for the traces --------------------------
-#
-# Every plane as the set of its q^2+q+1 points.  The graph, the incidence
-# counts and the collineation conditions were once read off this index;
-# they now read the planes' two submodule lines (`Catalog.traces`).
-
-
-def point_planes(cat):
-    """Per normalised point vector, the bitmask over `cat.planes` of the
-    planes through that point."""
-    masks = {}
-    for i, m in enumerate(cat.planes):
-        for v in point_vectors(m):
-            masks[v] = masks.get(v, 0) | 1 << i
-    return masks
-
-
-def point_index_graph(cat):
-    """(neighbours, meets) from the point index.  Two distinct planes that
-    share two points share the line through them, so plane i is adjacent
-    to the planes that occur with it in the masks of at least two points,
-    and meets those that occur with it in at least one."""
-    once = [0] * len(cat.planes)
-    twice = [0] * len(cat.planes)
-    for mask in point_planes(cat).values():
-        for i in _bit_indices(mask):
-            others = mask & ~(1 << i)
-            twice[i] |= once[i] & others
-            once[i] |= others
-    return tuple(_bit_indices(t) for t in twice), tuple(once)
-
-
-def planes_through_images(f, cat):
-    """Per plane of `cat.planes`, the mask of the catalog planes through the
-    images of its three basis rows.  f is invertible, so the images are
-    independent points, and the only plane through all three is f(M): the
-    mask has one bit when f(M) is a catalog plane and none otherwise."""
-    masks = point_planes(cat)
-    norm = cat.field.normalize
-    out = []
-    for m in cat.planes:
-        bits = -1
-        for r in m.basis:
-            bits &= masks.get(norm(f.apply_vector(r)), 0)
-        out.append(bits)
-    return out
-
-
-def plane_loop_failure(f, cat):
-    """Conditions iii and ii of Theorem 1 by imaging every plane with
-    `f.apply` and looking it up in the catalog: "iii" when some X plane is
-    not sent to an X plane, "ii" when some Y plane is sent outside the X
-    and Y planes, None otherwise (f is a bijection on planes, so it then
-    permutes the finite sets it maps into themselves)."""
-    if any(cat.type_of(f.apply(m)) is not SubmoduleType.X for m in cat.g_x):
-        return "iii"
-    planes = (SubmoduleType.X, SubmoduleType.Y)
-    if any(cat.type_of(f.apply(m)) not in planes for m in cat.g_y):
-        return "ii"
-    return None
-
-
-def plane_loop_first_failed(f, cat):
-    """`geometry.first_failed_condition` before it read condition iv alone:
-    iv, then the plane loop for iii and ii."""
-    return "iv" if not _fixes_j_and_h(f, cat) else plane_loop_failure(f, cat)
-
-
-def point_index_first_failed(f, cat):
-    """`first_failed_condition` with iii and ii read off the point index."""
-    if not _fixes_j_and_h(f, cat):
-        return "iv"
-    through = planes_through_images(f, cat)
-    n_x = len(cat.g_x)
-    if any(not bits & ((1 << n_x) - 1) for bits in through[:n_x]):
-        return "iii"
-    if not all(through[n_x:]):
-        return "ii"
-    return None
-
-
-def point_index_preserver(f, cat):
-    """`preserver_from_collineation` read off the point index."""
-    perm = tuple(bits.bit_length() - 1 for bits in planes_through_images(f, cat))
-    if -1 in perm:
-        raise ValueError("collineation does not preserve the plane set")
-    return perm
-
-
-def point_index_incidence_counts(cat):
-    """Per catalog member, its incidence counts (X, Y, alpha, beta, gamma)
-    from the point index: a line or point lies on the planes whose bits
-    survive ANDing the masks of its basis rows, and a point lies on a line
-    when it is one of the line's points."""
-    masks = point_planes(cat)
-    planes = cat.planes
-    n_x = len(cat.g_x)
-    counts = {}
-    points = {}
-    for c, t in enumerate(TYPE_ORDER):
-        for s in cat.members(t):
-            counts.setdefault(s, [0] * 5)[c] += 1
-            if s.dim == 1:
-                points.setdefault(s.basis[0], []).append((s, c))
-    for c, t in enumerate(TYPE_ORDER):
-        for s in cat.members(t):
-            if s.dim == 3:
-                continue
-            bits = -1
-            for r in s.basis:
-                bits &= masks.get(r, 0)
-            counts[s][0] += (bits & ((1 << n_x) - 1)).bit_count()
-            counts[s][1] += (bits >> n_x).bit_count()
-            for i in _bit_indices(bits):
-                counts[planes[i]][c] += 1
-            if s.dim == 2:
-                for v in point_vectors(s):
-                    for p, cp in points.get(v, ()):
-                        counts[s][cp] += 1
-                        counts[p][c] += 1
-    return counts
-
-
 def recipe_permutation(graph, psi):
     """The vertex permutation of a recipe (mu, psi), the reference for
     `geometry.recipe_generators` and `geometry.is_recipe`: psi[a] maps the
@@ -807,10 +478,10 @@ def random_recipe(graph, rng):
 # -- the per-call paths the batched lifts and coordinate reads replaced -------
 #
 # `point_vectors` once lifted each point by its own product and `pencil` each
-# member; `classify_by_rank` tested containment in K and L by ranks; the
-# `model:line` check took M ^ J as a left kernel of M's rows; delta_J was a
-# product by the 6x6 matrix of its form and a null space in F^6, and the
-# skew-pair check of `xi_report` evaluated that form by two products.
+# member; `classify_by_rank` tested containment in K and L by ranks; delta_J
+# was a product by the 6x6 matrix of its form and a null space in F^6, and
+# the skew-pair check of `xi_report` evaluated that form by two products.
+# `delta_j_by_matrix` checks delta_J at q = 4 and 5, past the oracle.
 
 
 # The symmetric form u DELTA_J w^T = u1 w2 + u2 w1 + u4 w5 + u5 w4 of the
@@ -860,21 +531,6 @@ def classify_by_containment(span):
     if span.dim == 2:
         return SubmoduleType.ALPHA
     return SubmoduleType.GAMMA if contains(l, span) else SubmoduleType.BETA
-
-
-def meet_j_by_kernel(m):
-    """M ^ J on (x1, x2, x4, x5) as the combinations of M's rows that
-    vanish in x3 and x6: a null space, a product and a reduction."""
-    kern = m.field.kernel
-    rows = m.basis
-    coeffs = kern.nullspace((tuple(r[2] for r in rows), tuple(r[5] for r in rows)), len(rows))
-    return kern.rref(tuple(r[:2] + r[3:5] for r in kern.matmul(coeffs, rows)))
-
-
-def meet_j_by_meet(m):
-    """M ^ J by the Zassenhaus meet with J, projected onto (x1, x2, x4, x5)."""
-    j = distinguished_flats(m.field)[0]
-    return tuple(r[:2] + r[3:5] for r in meet(m, j).basis)
 
 
 def delta_j_by_matrix(u):

@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import cli_env
+from conftest import cli_env, every_field
 
 from ternions.cli import EXIT_STDOUT_CLOSED, JSON_BLOCK, _emit_json
+from ternions.gf import field_of_order
 
 CLI = [sys.executable, "-m", "ternions.cli"]
 
@@ -380,6 +381,29 @@ def test_enumerate_q4_matches_pinned_hash():
     r = run_cli("enumerate", "--q", "4", "--set", "all")
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == ENUMERATE_Q4_SHA256
+
+
+def test_verify_hash_table_is_whole_and_agrees_with_the_pins():
+    # tests/golden/verify_hashes.json, which tests/golden/check_hashes.py
+    # recomputes: seed 0 once per field of order <= 27, seeds 1 and 7 once
+    # per field of order <= 9, each digest 64 hex digits; its rows for the
+    # reports pinned here match those pins, and q = 13 and 27 the digests
+    # quoted since they were first measured
+    rows = json.loads((GOLDEN / "verify_hashes.json").read_text())
+    digest = {(r["q"], tuple(r["modulus"] or ()), r["seed"]): r["sha256"] for r in rows}
+    fields = every_field(27)
+    want = [(f.q, f.modulus or (), s) for s in (0, 1, 7) for f in fields if s == 0 or f.q <= 9]
+    assert len(rows) == len(digest) == len(set(want)) == len(want)
+    assert digest.keys() == set(want)
+    assert all(re.fullmatch("[0-9a-f]{64}", r["sha256"]) for r in rows)
+
+    def pinned(q):
+        return digest[q, field_of_order(q).modulus or (), 0]
+
+    for q in (2, 3, 4):
+        assert pinned(q) == hashlib.sha256((GOLDEN / f"verify_q{q}.json").read_bytes()).hexdigest()
+    assert (pinned(5), pinned(7)) == (VERIFY_Q5_SHA256, VERIFY_Q7_SHA256)
+    assert pinned(13).startswith("091e00a6") and pinned(27).startswith("08e31940")
 
 
 def _rests_on(x):

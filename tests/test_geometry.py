@@ -1,14 +1,13 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+import oracle
 from conftest import (
     DELTA_J,
     FIELD_ORDERS,
     J_K_SWAP,
-    _bit_indices,
     adjacent,
-    anchored_join_scan,
     block6_pattern_by_table,
     companion_y,
     delta_j_by_matrix,
@@ -16,19 +15,8 @@ from conftest import (
     edges_by_neighbours,
     expected_cliques,
     geodesics_by_neighbours,
-    incidence_counts,
     k_trace_classes,
     matrix_identity,
-    meeting_masks,
-    per_plane_anchored_scan,
-    plane_loop_failure,
-    plane_loop_first_failed,
-    point_index_first_failed,
-    point_index_graph,
-    point_index_incidence_counts,
-    point_index_preserver,
-    point_listing_incidence_counts,
-    point_planes,
     polar_by_matrix,
     preserves_by_neighbours,
     random_nonblock_invertible,
@@ -38,7 +26,6 @@ from conftest import (
     replace_fields,
     verify_decomposition_sampled,
     with_orbit_lists,
-    xi_report_by_meeting_masks,
 )
 
 import ternions.geometry as geometry
@@ -48,7 +35,6 @@ from ternions.linalg import (
     BudgetError,
     SemilinearMap,
     Subspace,
-    canonicalize,
     contains,
     enumerate_subspaces,
     full_space,
@@ -113,12 +99,13 @@ from ternions.ternion import (
 
 
 def test_incidence_rows_match_closed_forms(cat2, cat3):
+    # the closed forms, against the point-set oracle's counts
     for cat in (cat2, cat3):
-        q = cat.field.q
+        counts = oracle.incidence_counts(cat)
         for t in TYPE_ORDER:
-            expect = expected_incidence_row(t, q)
+            expect = expected_incidence_row(t, cat.field.q)
             for p0 in cat.members(t):
-                assert incidence_counts(p0, cat) == expect
+                assert tuple(counts[p0]) == expect
 
 
 def test_incidence_table_verdict(cat2):
@@ -128,16 +115,6 @@ def test_incidence_table_verdict(cat2):
     assert rep["column_order"] == ["X", "Y", "alpha", "beta", "gamma"]
     assert rep["rows"]["X"] == [1, 0, 1, 2, 1]
     assert rep["rows"]["gamma"] == [6, 3, 1, 0, 1]
-
-
-def _first_mismatch_reference(cat):
-    for t in TYPE_ORDER:
-        expect = expected_incidence_row(t, cat.field.q)
-        for p0 in cat.members(t):
-            got = incidence_counts(p0, cat)
-            if got != expect:
-                return {"type": t.value, "expected": expect, "got": got}
-    return None
 
 
 def _doctored(cat, how):
@@ -161,10 +138,10 @@ DOCTORINGS = [
 @pytest.mark.parametrize("how", DOCTORINGS)
 @pytest.mark.parametrize("which", [2, 3])
 def test_incidence_table_mismatch_matches_reference(which, how, cat2, cat3):
-    # the trace counts and the containment reference find the same first
-    # bad member on catalogs that break the closed forms
+    # the trace counts and the point-set oracle find the same first bad
+    # member on catalogs that break the closed forms
     bad = _doctored({2: cat2, 3: cat3}[which], how)
-    want = _first_mismatch_reference(bad)
+    want = oracle.first_mismatch(bad)
     assert want is not None
     rep = incidence_table(bad)
     assert rep["ok"] is False
@@ -198,13 +175,11 @@ def test_graph_counts(graph2, graph3):
 
 @pytest.mark.parametrize("which", [2, 3, 4, 5])
 def test_incidence_counts_match_point_index_reference(which, cat2, cat3, cat4, cat5):
-    # the counts through l ^ L equal those that list the J-line points and
-    # those of the point index, also where the bulk count does not apply
+    # the counts through l ^ L equal the point-set oracle's containment
+    # counts, also where the bulk count does not apply
     cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
     for c in (cat, *(_doctored(cat, how) for how in DOCTORINGS)):
-        got = _incidence_counts(c)
-        assert got == point_listing_incidence_counts(c)
-        assert got == point_index_incidence_counts(c)
+        assert _incidence_counts(c) == oracle.incidence_counts(c)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -256,9 +231,15 @@ def test_graph_matches_stack_rank_reference(which, cat2, cat3, cat4):
 
 @pytest.mark.parametrize("which", [2, 3, 4, 5])
 def test_graph_matches_point_index_reference(which, cat2, cat3, cat4, cat5):
+    # the trace groups give the planes sharing a line, as point sets; two
+    # planes share a point exactly when their J-lines meet (`xi_report`)
     cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
-    graph = build_graph(cat)
-    assert (graph.neighbours, meeting_masks(graph)) == point_index_graph(cat)
+    nbrs, meets = oracle.adjacency(cat)
+    assert build_graph(cat).neighbours == nbrs
+    lines = [oracle.flat(cat.traces[m][0]) for m in cat.planes]
+    assert meets == tuple(
+        frozenset(j for j, b in enumerate(lines) if j != i and a & b) for i, a in enumerate(lines)
+    )
 
 
 @pytest.mark.parametrize("which", [2, 3, 4])
@@ -459,37 +440,19 @@ def test_scans(which, cat2, cat3, cat5):
     assert cert["solids_are_j_and_k"] is True
 
 
-def _sweep(cat, k):
-    """Reference: every k-subspace of F^6 meeting each X plane in k/2
-    dimensions (lines in a point, solids in a line), in key order."""
-    return sorted(
-        (s for s in enumerate_subspaces(cat.field, 6, k, budget=10**6)
-         if all(meet_dim(s, m) == k // 2 for m in cat.g_x)),
-        key=lambda s: s.key(),
-    )
-
-
-@pytest.mark.parametrize("which", [2, 3])
-def test_anchored_scans_match_full_sweep(which, cat2, cat3):
-    cat = {2: cat2, 3: cat3}[which]
-    assert scan_lines(cat) == _sweep(cat, 2)
-    assert scan_solids(cat) == _sweep(cat, 4)
-
-
-@pytest.mark.parametrize("which", [2, 3, 4, 5])
-def test_scans_match_join_loop(which, cat2, cat3, cat4, cat5):
-    cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
-    assert scan_lines(cat) == anchored_join_scan(cat, 2)
-    assert scan_solids(cat) == anchored_join_scan(cat, 4)
-
-
 @pytest.mark.parametrize("q", [q for q in FIELD_ORDERS if q <= 9])
 def test_scans_match_per_plane_loop(q, request):
     # hits inside K or J are confirmed on the stored traces, every other
-    # candidate on the X planes; the reference tests each on every X plane
+    # candidate on the X planes; at q <= 3 the oracle tests every join of
+    # two skew X planes' points or lines on every X plane, and above, the
+    # scans give the opposite regulus and J, K, as Lemma 1 states
     cat = request.getfixturevalue(f"cat{q}") if q <= 5 else build_catalog(field_of_order(q))
-    assert scan_lines(cat) == per_plane_anchored_scan(cat, 2)
-    assert scan_solids(cat) == per_plane_anchored_scan(cat, 4)
+    if q <= 3:
+        want = oracle.transversals(cat, 2), oracle.transversals(cat, 4)
+    else:
+        want = cat.quadric.regulus_opposite, (cat.j_solid, cat.k_solid)
+    assert scan_lines(cat) == sorted(want[0], key=Subspace.key)
+    assert scan_solids(cat) == sorted(want[1], key=Subspace.key)
 
 
 @pytest.mark.parametrize("which", [2, 3])
@@ -572,23 +535,6 @@ def test_coordinate_swap_fails_iv(cat2):
     assert first_failed_condition(f, cat2) == "iv"
 
 
-def _reference_first_failed(f, cat):
-    """Reference: apply f to J, to each quadric point and to each plane,
-    row-reduce the image and look it up."""
-    if f.apply(cat.j_solid) != cat.j_solid:
-        return "iv"
-    hpts = {Subspace(cat.field, 6, (v,)) for v in cat.quadric.point_vectors}
-    if any(f.apply(p) not in hpts for p in hpts):
-        return "iv"
-    gx = set(cat.g_x)
-    if any(f.apply(m) not in gx for m in cat.g_x):
-        return "iii"
-    gxy = gx | set(cat.g_y)
-    if any(f.apply(m) not in gxy for m in cat.g_y):
-        return "ii"
-    return None
-
-
 def _random_positive(cat, rng):
     auts = automorphisms(cat.field)
     return induced_collineation(random_invertible(cat.field, rng), rng.choice(auts))
@@ -656,7 +602,7 @@ def test_first_failed_condition_matches_reference(which, cat2, cat3, cat4):
         for _ in range(200)
     ]
     got = [first_failed_condition(f, cat) for f in maps]
-    assert got == [_reference_first_failed(f, cat) for f in maps]
+    assert got == [oracle.first_failed(f, cat) for f in maps]
     assert got[:200] == [None] * 200
 
 
@@ -672,7 +618,7 @@ def _moving_positive(cat, rng, planes):
 @pytest.mark.parametrize("which", [2, 3, 4, 5])
 def test_doctored_catalogs_reach_iii_and_ii(which, cat2, cat3, cat4, cat5):
     # f sends a kept plane onto the dropped one, so the conditions on the
-    # planes fail in the references while iv, which reads only J and H,
+    # planes fail in the oracle while iv, which reads only J and H,
     # still holds; first_failed_condition reads iv alone and leaves such a
     # catalog to the claims iv rests on, chars:x and chars:y, which fail
     cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
@@ -682,31 +628,31 @@ def test_doctored_catalogs_reach_iii_and_ii(which, cat2, cat3, cat4, cat5):
     as_y = replace_fields(no_x, g_y=cat.g_y + (img,))
     for bad in (no_x, as_y):
         assert first_failed_condition(f, bad) is None
-        got = plane_loop_first_failed(f, bad)
-        assert got == _reference_first_failed(f, bad) == point_index_first_failed(f, bad) == "iii"
+        assert oracle.first_failed(f, bad) == "iii"
         assert validate_catalog(bad)["x_is_scan"] is False
     f, img = _moving_positive(cat, rng, cat.g_y)
     no_y = replace_fields(cat, g_y=tuple(m for m in cat.g_y if m != img))
     assert first_failed_condition(f, no_y) is None
-    got = plane_loop_first_failed(f, no_y)
-    assert got == _reference_first_failed(f, no_y) == point_index_first_failed(f, no_y) == "ii"
+    assert oracle.first_failed(f, no_y) == "ii"
     assert validate_catalog(no_y)["y_is_pencil"] is False
 
 
 @pytest.mark.parametrize("which", [2, 3])
 def test_point_planes_index(which, cat2, cat3):
-    # the reference point index itself, against containment
+    # the oracle's points and planes themselves, against the library's
+    # points and containment
     cat = {2: cat2, 3: cat3}[which]
     q = cat.field.q
-    masks = point_planes(cat)
-    for i, m in enumerate(cat.planes):
-        on = {v for v, bits in masks.items() if bits >> i & 1}
+    planes = [oracle.flat(m) for m in cat.planes]
+    for m, on in zip(cat.planes, planes):
         assert on == {p.basis[0] for p in projective_points(m)}
         assert len(on) == q * q + q + 1
+        assert oracle.subspace(cat.field, on) == m
+    assert oracle.points(cat.field) == set(projective_vectors(cat.field, 6))
     for v in projective_vectors(cat.field, 6):
         pt = Subspace(cat.field, 6, (v,))
         through = sum(1 for m in cat.planes if contains(m, pt))
-        assert masks.get(v, 0).bit_count() == through
+        assert sum(v in on for on in planes) == through
 
 
 def test_first_failed_condition_makes_no_elimination(cat3, monkeypatch):
@@ -833,23 +779,22 @@ def test_g0_generators_satisfy_conditions(which, cat2, cat3, cat4, cat5):
     for maps in gens.values():
         for f in maps:
             assert first_failed_condition(f, cat) is None
-            assert _reference_first_failed(f, cat) is None
-            assert point_index_first_failed(f, cat) is None
+            assert oracle.first_failed(f, cat) is None
 
 
 @pytest.mark.parametrize("which", [2, 3, 4])
 def test_plane_loop_reference_agrees_with_iv(which, cat2, cat3, cat4):
-    # the iii/ii plane loop that condition iv replaced: every generator of
-    # G0 passes it, and it agrees with first_failed_condition on random
-    # maps; the swap of J and K fixes the standard triple but fails iv,
-    # and fails the loop's own iii, so the reference can fail
+    # the iii/ii conditions that condition iv implies, read on points:
+    # every generator of G0 passes them, and the oracle agrees with
+    # first_failed_condition on random maps; the swap of J and K fixes the
+    # standard triple but fails iv, and fails iii, so the oracle can fail
     cat = {2: cat2, 3: cat3, 4: cat4}[which]
     field = cat.field
     auts = automorphisms(field)
     rng = random.Random(30 + which)
     gens = [f for maps in g0_generators(field).values() for f in maps]
     for f in gens:
-        assert plane_loop_first_failed(f, cat) is None
+        assert oracle.first_failed(f, cat) is None
         assert first_failed_condition(f, cat) is None
     maps = [_random_positive(cat, rng) for _ in range(20)]
     maps += [
@@ -857,12 +802,12 @@ def test_plane_loop_reference_agrees_with_iv(which, cat2, cat3, cat4):
         for _ in range(20)
     ]
     assert [first_failed_condition(f, cat) for f in maps] == [
-        plane_loop_first_failed(f, cat) for f in maps
+        oracle.first_failed(f, cat) for f in maps
     ]
     swap = SemilinearMap(field, 6, J_K_SWAP, auts[0])
     assert all(swap.apply(m) == m for m in standard_triple(field))
-    assert first_failed_condition(swap, cat) == plane_loop_first_failed(swap, cat) == "iv"
-    assert plane_loop_failure(swap, cat) == "iii"
+    assert first_failed_condition(swap, cat) == oracle.first_failed(swap, cat) == "iv"
+    assert oracle.plane_failure(swap, cat) == "iii"
 
 
 @pytest.mark.parametrize("which", [2, 3])
@@ -1264,13 +1209,12 @@ def test_preserver_from_collineation_matches_reference(which, cat2, cat3, cat4, 
     rng = random.Random(37 + which)
     for _ in range(10):
         f = _random_positive(cat, rng)
-        assert preserver_from_collineation(f, graph) == point_index_preserver(f, cat)
+        assert preserver_from_collineation(f, graph) == oracle.preserver(f, cat)
     f, img = _moving_positive(cat, rng, cat.g_x)
     doctored = replace_fields(cat, g_x=tuple(m for m in cat.g_x if m != img))
     with pytest.raises(ValueError):
         preserver_from_collineation(f, build_graph(doctored))
-    with pytest.raises(ValueError):
-        point_index_preserver(f, doctored)
+    assert oracle.preserver(f, doctored) is None
 
 
 def test_verify_preserver_rejects_non_bijections(graph2):
@@ -1364,33 +1308,17 @@ def test_xi_witness_images_not_adjacent(graph2):
     assert not adjacent(xi_map(w["m1"], cat2), xi_map(w["m2"], cat2))
 
 
-def _xi_pairs_reference(cat, xi):
-    """The pairwise loop xi_report replaced: whether skewness is kept both
-    ways over all pairs of X planes, and the first adjacent pair whose
-    images meet in a beta point."""
-    xs = cat.g_x
-    images = [xi(m, cat) for m in xs]
-    beta = set(cat.g_beta)
-    skew_ok = True
-    witness = None
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            d = meet_dim(xs[i], xs[j])
-            if witness is None and d == 2:
-                cut = meet(images[i], images[j])
-                if cut.dim == 1 and cut in beta:
-                    witness = {"m1": xs[i], "m2": xs[j], "images_meet": cut}
-            if (d == 0) != (meet_dim(images[i], images[j]) == 0):
-                skew_ok = False
-    return skew_ok, witness
-
-
 @pytest.mark.parametrize("which", [2, 3])
 def test_xi_report_matches_pairwise_reference(which, graph2, graph3):
+    # xi as the oracle finds it, delta_J(M ^ J) on points, and what it
+    # keeps over all pairs of X planes
     graph = {2: graph2, 3: graph3}[which]
+    cat = graph.catalog
+    images = oracle.xi_images(cat)
+    assert [graph.vindex[xi_map(m, cat)] for m in cat.g_x] == images
     rep = xi_report(graph)
-    want = _xi_pairs_reference(graph.catalog, xi_map)
-    assert (rep["skew_preserved_both_ways"], rep["adjacency_witness"]) == want
+    got = rep["is_permutation"], rep["skew_preserved_both_ways"], rep["adjacency_witness"]
+    assert got == oracle.xi_facts(cat, images)
 
 
 def test_xi_swapped_images_break_skewness(graph2, monkeypatch):
@@ -1401,84 +1329,64 @@ def test_xi_swapped_images_break_skewness(graph2, monkeypatch):
     def swapped(m, c):
         return real(swap.get(m, m), c)
 
-    assert _xi_pairs_reference(cat, swapped)[0] is False
+    images = oracle.xi_images(cat)
+    assert oracle.xi_facts(cat, [images[1], images[0], *images[2:]])[1] is False
     monkeypatch.setattr(geometry, "xi_map", swapped)
     rep = xi_report(graph2)
     assert rep["is_permutation"] is True
     assert rep["skew_preserved_both_ways"] is False
 
 
-def _xi_skew_sets_reference(graph, images):
-    """The check xi_report made before it compared meeting sets: each X
-    plane's skew set (the X planes sharing no point with it), imaged,
-    against the skew set of its image."""
-    n = len(graph.catalog.g_x)
-    x_bits = (1 << n) - 1
-    meets = meeting_masks(graph)
-
-    def skew(i):
-        return x_bits & ~meets[i] & ~(1 << i)
-
-    return all(
-        sum(1 << images[j] for j in _bit_indices(skew(i))) == skew(images[i])
-        for i in range(n)
-    )
-
-
-@pytest.mark.parametrize("doctored", [False, True])
+@pytest.mark.parametrize("doctored", [False, True, "J-lines on one point off L"])
 @pytest.mark.parametrize("which", [2, 3, 4, 5])
 def test_xi_meeting_sets_match_skew_set_reference(
     which, doctored, cat2, cat3, cat4, cat5, monkeypatch
 ):
-    # the J-line check, the meeting-mask check and the skew-set check give
-    # one verdict and one witness, for xi and for xi with two images swapped
+    # the J-line check and the oracle's pairwise check of skewness give one
+    # verdict and one witness, for xi and for xi with two images swapped:
+    # the first two, or two whose J-lines have the same first reduced row,
+    # a point off L, which a polar check reading that row alone would pass
     cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
     graph = build_graph(cat)
     xs, real = cat.g_x, xi_map
-    swap = {xs[0]: xs[1], xs[1]: xs[0]} if doctored else {}
+    pair = xs[:2]
+    if doctored == "J-lines on one point off L":
+        first = {m: cat.traces[m][0].basis[0] for m in xs}
+        same = [(a, b) for a, b in combinations(xs, 2) if first[a] == first[b]]
+        pair = next((a, b) for a, b in same if first[a][0] or first[a][3])  # off L
+    swap = dict(zip(pair, pair[::-1])) if doctored else {}
 
     def doctored_xi(m, c):
         return real(swap.get(m, m), c)
 
     images = [graph.vindex[doctored_xi(m, cat)] for m in xs]
     assert sorted(images) == list(range(len(xs)))
-    want = _xi_skew_sets_reference(graph, images)
-    assert want is not doctored
-    reference = xi_report_by_meeting_masks(graph, doctored_xi)
+    is_permutation, want, witness = oracle.xi_facts(cat, images)
+    assert is_permutation and want is not bool(doctored)
     monkeypatch.setattr(geometry, "xi_map", doctored_xi)
-    rep = xi_report(graph)
-    assert rep == reference
-    assert rep["is_permutation"] is True
-    assert rep["skew_preserved_both_ways"] is want
-
-
-def _delta_j_by_points(u):
-    """delta_J(u) for u <= J as the points w of J with u DELTA_J w^T = 0,
-    the pairing u1 w2 + u2 w1 + u4 w5 + u5 w4 written out."""
-    field = u.field
-    add, mul = field.add, field.mul
-
-    def pair(a, b):
-        acc = 0
-        for i, j in ((0, 1), (1, 0), (3, 4), (4, 3)):
-            acc = add(acc, mul(a[i], b[j]))
-        return acc
-
-    j_solid = distinguished_flats(field)[0]
-    rows = [w for w in point_vectors(j_solid) if not any(pair(r, w) for r in u.basis)]
-    return canonicalize(field, 6, rows) if rows else Subspace(field, 6, ())
+    assert xi_report(graph) == {
+        "is_permutation": True,
+        "adjacency_witness": witness,
+        "breaks_adjacency": witness is not None,
+        "skew_preserved_both_ways": want,
+        "pairs_checked": len(xs) * (len(xs) - 1) // 2,
+    }
 
 
 def test_xi_map_matches_join_construction(cat2, cat3, cat4, cat5):
     # the J-line lookup gives the plane that delta_J(M ^ J), found point by
     # point under the form, spans with the alpha line through its point on L
     for cat in (cat2, cat3, cat4, cat5):
+        field = cat.field
+        j, _, l, _ = oracle.flats_jklh(field)
+        alpha = [oracle.flat(p) for p in cat.g_alpha]
         for m in cat.g_x:
-            line = _delta_j_by_points(meet(m, cat.j_solid))
-            assert line == delta_j(meet(m, cat.j_solid)) and line.dim == 2
-            through = [p for p in cat.g_alpha if contains(p, meet(line, cat.l_line))]
+            line = oracle.delta_j(field, oracle.flat(m) & j)
+            assert oracle.flat(delta_j(meet(m, cat.j_solid))) == line
+            assert len(line) == field.q + 1
+            through = [p for p in alpha if line & l <= p]
             assert len(through) == 1
-            assert xi_map(m, cat) == join(line, through[0])
+            assert oracle.flat(xi_map(m, cat)) == oracle.join(field, line, through[0])
 
 
 def _subspaces_of_j(field):
@@ -1504,11 +1412,14 @@ def test_delta_j_form(f3):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_delta_j_matches_the_matrix_null_space(q):
-    # on every line of J, and at q <= 3 on every subspace of J
+    # at q <= 3 on every subspace of J, against the oracle's points of J
+    # under the form; above, on every line of J, against the null space
     f = field_of_order(q)
-    subs = _subspaces_of_j(f) if q <= 3 else [u for u in _subspaces_of_j(f) if u.dim == 2]
-    for u in subs:
-        assert delta_j(u) == delta_j_by_matrix(u)
+    for u in _subspaces_of_j(f):
+        if q <= 3:
+            assert delta_j(u) == oracle.subspace(f, oracle.delta_j(f, oracle.flat(u)))
+        elif u.dim == 2:
+            assert delta_j(u) == delta_j_by_matrix(u)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

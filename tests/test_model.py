@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import oracle
 from conftest import (
     FIELD_ORDERS,
     block6_pattern_by_table,
@@ -13,16 +14,11 @@ from conftest import (
     every_field,
     is_unimodular_by_products,
     matrix_product,
-    meet_j_by_kernel,
-    meet_j_by_meet,
-    per_candidate_x_scan,
     random_ternion,
     replace_fields,
     subspaces_within,
     unit_orbit_normal_forms,
     with_orbit_lists,
-    x_plane_sweep,
-    x_scan_by_quotient,
 )
 from ternions import model
 from ternions._pycore import Kernel
@@ -167,6 +163,7 @@ def test_classify_by_rank_matches_containment_on_the_catalog(q):
 
 
 def test_classify_by_rank_makes_no_kernel_call(cat3, monkeypatch):
+    spans = list(cat3.witness)  # the points are built, by reductions, before the count
     calls = []
     for name in ("rref", "rank", "stack_rank", "meet", "matmul", "nullspace", "vec_apply"):
         real = getattr(Kernel, name)
@@ -176,8 +173,14 @@ def test_classify_by_rank_makes_no_kernel_call(cat3, monkeypatch):
             return _real(self, *args)
 
         monkeypatch.setattr(Kernel, name, counted)
-    assert [classify_by_rank(s) for s in cat3.witness] == [cat3.type_of(s) for s in cat3.witness]
+    assert [classify_by_rank(s) for s in spans] == [cat3.type_of(s) for s in spans]
     assert calls == []
+
+
+def _meet_j_by_points(m):
+    """M ^ J as the points M and J share, on (x1, x2, x4, x5)."""
+    j = oracle.flats_jklh(m.field)[0]
+    return tuple(r[:2] + r[3:5] for r in oracle.subspace(m.field, oracle.flat(m) & j).basis)
 
 
 def test_meet_j_matches_the_meet_on_every_plane_at_q2(f2):
@@ -185,7 +188,7 @@ def test_meet_j_matches_the_meet_on_every_plane_at_q2(f2):
     dims = set()
     for m in enumerate_subspaces(f2, 6, 3):
         got = meet_j(m)
-        assert got == meet_j_by_meet(m)
+        assert got == _meet_j_by_points(m)
         dims.add(len(got))
     assert dims == {1, 2, 3}
 
@@ -195,7 +198,7 @@ def test_meet_j_matches_the_meet_on_every_x_plane(q):
     cat = build_catalog(field_of_order(q))
     for m in cat.g_x:
         got = meet_j(m)
-        assert got == meet_j_by_meet(m) == meet_j_by_kernel(m)
+        assert got == _meet_j_by_points(m)
         assert got == line_model(cat.witness[m]).basis
 
 
@@ -474,22 +477,25 @@ def test_validate_catalog_report(cat3):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_x_scan_matches_grassmannian_sweep(q, cat2, cat3):
+    # the sweep of G(6,3) for the planes whose K-trace is an alpha line and
+    # whose J-trace is a line other than L, on points: such a plane passes
+    # through its alpha line, so the oracle tries every point off each one
     cat = {2: cat2, 3: cat3}[q]
-    assert scan_planes_for_x(cat) == x_plane_sweep(cat) == frozenset(cat.g_x)
+    assert scan_planes_for_x(cat) == oracle.x_scan(cat) == frozenset(cat.g_x)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_x_scan_matches_catalog(q):
     cat = build_catalog(field_of_order(q))
-    assert scan_planes_for_x(cat) == frozenset(cat.g_x) == x_scan_by_quotient(cat)
-    assert scan_planes_for_x(cat) == per_candidate_x_scan(cat)
+    assert scan_planes_for_x(cat) == frozenset(cat.g_x)
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_x_scan_matches_the_per_candidate_scan_on_doctored_alpha_lists(q):
     # members no alpha list holds: L and another line inside J, a line skew
     # to J, a point off J and one on it, an X plane and a Y plane; each
-    # alone and in place of the last alpha line
+    # alone and in place of the last alpha line, against the oracle, which
+    # tries each candidate P + z on points
     cat = build_catalog(field_of_order(q))
     f = cat.field
     strays = [
@@ -506,7 +512,7 @@ def test_x_scan_matches_the_per_candidate_scan_on_doctored_alpha_lists(q):
         for alpha in ((stray,), cat.g_alpha[:-1] + (stray,)):
             doctored = replace_fields(cat, g_alpha=alpha)
             found = scan_planes_for_x(doctored)
-            assert found == per_candidate_x_scan(doctored)
+            assert found == oracle.x_scan(doctored)
             sizes.append(len(found))
     assert 0 in sizes and max(sizes) > 0
 

@@ -72,6 +72,14 @@ def test_every_library_name_has_a_user():
     assert unused_definitions(sources, [ROOT / "perfbench" / "child.py"]) == []
 
 
+def test_every_test_helper_has_a_user():
+    # a helper of conftest.py or oracle.py that no test names belongs
+    # nowhere; pytest calls its hooks by name, as pytest_terminal_summary
+    tests = ROOT / "tests"
+    helpers = [tests / "conftest.py", tests / "oracle.py"]
+    assert unused_definitions(helpers, sorted(tests.glob("test_*.py"))) == []
+
+
 def test_guard_flags_a_name_only_its_definition_uses(tmp_path):
     lib, tracer = tmp_path / "lib.py", tmp_path / "tracer.py"
     lib.write_text(
