@@ -141,6 +141,26 @@ def transversals(cat, k):
     return sorted(hits, key=Subspace.key)
 
 
+def sweep(cat, k):
+    """`transversals` without the join argument: every line of PG(5,q)
+    (k = 2), or every solid (k = 4) as the common zeros of two independent
+    linear forms, tested on every X plane; by key."""
+    field = cat.field
+    add, mul = field.add, field.mul
+    pts = sorted(points(field))
+    xs = [flat(m) for m in cat.g_x]
+    if k == 2:
+        found = lines_in(field, pts)
+    else:
+        zeros = {
+            f: frozenset(v for v in pts if not reduce(add, map(mul, f, v))) for f in pts
+        }
+        found = {zeros[f] & zeros[g] for f, g in combinations(pts, 2)}
+    size = 1 if k == 2 else field.q + 1
+    hits = [subspace(field, f) for f in found if all(len(f & m) == size for m in xs)]
+    return sorted(hits, key=Subspace.key)
+
+
 # -- incidence and adjacency -------------------------------------------------
 
 

@@ -440,19 +440,30 @@ def test_scans(which, cat2, cat3, cat5):
     assert cert["solids_are_j_and_k"] is True
 
 
+@pytest.mark.parametrize("which", [2, 3])
+def test_anchored_scans_match_full_sweep(which, cat2, cat3):
+    # every line, and every solid, of PG(5,q) tested on every X plane
+    cat = {2: cat2, 3: cat3}[which]
+    assert scan_lines(cat) == oracle.sweep(cat, 2)
+    assert scan_solids(cat) == oracle.sweep(cat, 4)
+
+
+@pytest.mark.parametrize("which", [2, 3, 4, 5])
+def test_scans_match_join_loop(which, cat2, cat3, cat4, cat5):
+    # every join of two skew X planes' points or lines, on point sets
+    cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
+    assert scan_lines(cat) == oracle.transversals(cat, 2)
+    assert scan_solids(cat) == oracle.transversals(cat, 4)
+
+
 @pytest.mark.parametrize("q", [q for q in FIELD_ORDERS if q <= 9])
 def test_scans_match_per_plane_loop(q, request):
     # hits inside K or J are confirmed on the stored traces, every other
-    # candidate on the X planes; at q <= 3 the oracle tests every join of
-    # two skew X planes' points or lines on every X plane, and above, the
-    # scans give the opposite regulus and J, K, as Lemma 1 states
+    # candidate on the X planes; the scans give the opposite regulus and
+    # J, K, as Lemma 1 states
     cat = request.getfixturevalue(f"cat{q}") if q <= 5 else build_catalog(field_of_order(q))
-    if q <= 3:
-        want = oracle.transversals(cat, 2), oracle.transversals(cat, 4)
-    else:
-        want = cat.quadric.regulus_opposite, (cat.j_solid, cat.k_solid)
-    assert scan_lines(cat) == sorted(want[0], key=Subspace.key)
-    assert scan_solids(cat) == sorted(want[1], key=Subspace.key)
+    assert scan_lines(cat) == sorted(cat.quadric.regulus_opposite, key=Subspace.key)
+    assert scan_solids(cat) == sorted((cat.j_solid, cat.k_solid), key=Subspace.key)
 
 
 @pytest.mark.parametrize("which", [2, 3])

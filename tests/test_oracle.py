@@ -75,3 +75,4 @@ def test_oracle_calls_no_kernel_and_no_lattice_operation(cat2, monkeypatch):
     )
     assert oracle.first_mismatch(cat2) is None and oracle.xi_facts(cat2, images)[1]
     assert oracle.plane_failure(maps[-1], cat2) == "iii"
+    assert [oracle.sweep(cat2, 2), oracle.sweep(cat2, 4)] == want[1]
