@@ -386,26 +386,23 @@ def _fixes_j(matrix: Sequence[tuple]) -> bool:
     return not any(matrix[i][c] for i in (0, 1, 3, 4) for c in (2, 5))
 
 
-def _point_images(f: SemilinearMap, rows: Sequence[tuple]) -> List[tuple]:
-    """The normalised images of nonzero row vectors under f: sigma applied
-    entrywise, then one matrix product (f is invertible, so no image is
-    zero)."""
-    norm = f.field.normalize
-    return [norm(img) for img in f.field.kernel.matmul(f.sigma.apply(rows), f.matrix)]
-
-
 def _fixes_j_and_h(f: SemilinearMap, cat: Catalog) -> bool:
-    """Condition iv: f fixes the solid J and the quadric H setwise."""
+    """Condition iv: f fixes the solid J and the quadric H setwise.  H is
+    x2 x6 = x3 x5, whose coefficients lie in the prime field, so sigma
+    permutes its points and f(H) = sigma(H) M = H M: f fixes H exactly when
+    the matrix M alone does, and sigma is not applied."""
     if not _fixes_j(f.matrix):
         return False
     hvecs = cat.quadric.point_vectors
-    return all(v in hvecs for v in _point_images(f, tuple(hvecs)))
+    norm = f.field.normalize
+    return all(norm(img) in hvecs for img in f.field.kernel.matmul(tuple(hvecs), f.matrix))
 
 
 def first_failed_condition(f: SemilinearMap, cat: Catalog) -> Optional[str]:
     """The first condition of Theorem 1 that f fails: "iv" when f does not
     fix the solid J and the quadric H setwise, None when it does, read off
-    the matrix and the images of the points of H; no plane is imaged.
+    the matrix and the images of the points of H under it; no plane is
+    imaged.
 
     iv implies the other two conditions of Theorem 1, iii (f permutes the
     X planes) and ii (f permutes the X and Y planes together): a map

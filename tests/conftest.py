@@ -323,15 +323,6 @@ def verify_decomposition_sampled(f, g, rng, samples=64):
     return all(phi(g.apply(phi_inverse(f.field, v))) == f.apply_vector(v) for v in vecs)
 
 
-def incident(u, v):
-    """Containment one way or the other (reflexive)."""
-    if u.dim == v.dim:
-        return u == v
-    if u.dim < v.dim:
-        return contains(v, u)
-    return contains(u, v)
-
-
 # -- the paths the trace groups replaced -------------------------------------
 #
 # The adjacency checks once walked neighbour sets.  These are the

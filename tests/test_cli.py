@@ -7,10 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import cli_env, every_field
+from conftest import cli_env
 
 from ternions.cli import EXIT_STDOUT_CLOSED, JSON_BLOCK, _emit_json
-from ternions.gf import field_of_order
+
+GOLDEN = Path(__file__).parent / "golden"
+sys.path.append(str(GOLDEN))
+import check_hashes  # noqa: E402
 
 CLI = [sys.executable, "-m", "ternions.cli"]
 
@@ -298,112 +301,43 @@ def test_seed_changes_report_but_not_verdict():
     assert json.loads(a.stdout)["summary"] == json.loads(b.stdout)["summary"]
 
 
-# Reports pinned byte for byte; tests/golden/README.md says how the files
-# were made.
-GOLDEN = Path(__file__).parent / "golden"
+# Reports pinned byte for byte: tests/golden/hashes.json holds the sha256 of
+# the stdout of every command tests/golden/check_hashes.py lists, and the
+# script keeps the stdout of some of them as files; tests/golden/README.md
+# says how to recompute both.
+#
+# The pinned commands tier-1 runs: those kept as files, and the graph,
+# enumerate and verify reports up to q = 8 that the files do not cover
+PINNED = [
+    *check_hashes.GOLDEN,
+    *check_hashes.OTHERS,
+    ("verify", "--q", "5", "--seed", "0"),
+    ("verify", "--q", "7", "--seed", "0"),
+]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_verify_matches_golden(q):
-    r = run_cli("verify", "--q", str(q), "--seed", "0")
-    assert r.returncode == 0
-    assert r.stdout == (GOLDEN / f"verify_q{q}.json").read_text()
+def _table():
+    return json.loads(check_hashes.TABLE.read_text())
 
 
-@pytest.mark.parametrize("fmt", ["dot", "json"])
-def test_graph_matches_golden(fmt):
-    r = run_cli("graph", "--q", "2", "--format", fmt)
-    assert r.returncode == 0
-    assert r.stdout == (GOLDEN / f"graph_q2.{fmt}").read_text()
+@pytest.mark.parametrize("argv", PINNED, ids=" ".join)
+def test_report_matches_its_table_row(argv):
+    out = check_hashes.run(argv)
+    got = hashlib.sha256(out).hexdigest()
+    want = {tuple(r["argv"]): r["sha256"] for r in _table()}.get(argv)
+    assert got == want, f"{' '.join(argv)}: stdout sha256 {got}, table row {want}"
+    if argv in check_hashes.GOLDEN:
+        assert out == (GOLDEN / check_hashes.GOLDEN[argv]).read_bytes()
 
 
-# sha256 of `graph --q 7 --format json` (605,772 bytes, too large to keep
-# as a golden file); see tests/golden/README.md for the command
-GRAPH_Q7_JSON_SHA256 = "2b6fb0bf895f94c070ffb9d8920c2d0321114f58143bbb5aea2274fa9fd0ef87"
-
-
-def test_graph_q7_json_matches_pinned_hash():
-    r = run_cli("graph", "--q", "7", "--format", "json")
-    assert r.returncode == 0
-    assert hashlib.sha256(r.stdout.encode()).hexdigest() == GRAPH_Q7_JSON_SHA256
-
-
-# sha256 of `graph --q 8 --format json` (1,052,328 bytes over GF(8), the
-# first extension field of odd degree) and of `graph --q 7 --format dot`;
-# see tests/golden/README.md for the commands
-GRAPH_Q8_JSON_SHA256 = "539bd178c4c504e7a10c9e7f84ebcfdbe0146835ee0d1771afa8e9c56e801b27"
-GRAPH_Q7_DOT_SHA256 = "ef3d466738329658f1e4c396789e5409c69c6d491966abebd5de01feb52e0707"
-
-
-@pytest.mark.parametrize(
-    "argv,digest",
-    [
-        (("--q", "8", "--format", "json"), GRAPH_Q8_JSON_SHA256),
-        (("--q", "7", "--format", "dot"), GRAPH_Q7_DOT_SHA256),
-    ],
-    ids=["q8-json", "q7-dot"],
-)
-def test_graph_export_matches_pinned_hash(argv, digest):
-    r = run_cli("graph", *argv)
-    assert r.returncode == 0
-    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
-
-
-# sha256 of `verify --q 5 --seed 0` (the first q the golden files do not
-# pin); see tests/golden/README.md for the command
-VERIFY_Q5_SHA256 = "83b120da4f6ca3ff60424f100b464e8c9fc23becaf593c940a3aa60f49a488ae"
-
-
-def test_verify_q5_matches_pinned_hash():
-    r = run_cli("verify", "--q", "5", "--seed", "0")
-    assert r.returncode == 0
-    assert hashlib.sha256(r.stdout.encode()).hexdigest() == VERIFY_Q5_SHA256
-
-
-# sha256 of `verify --q 7 --seed 0`, which pins the adjacency and xi
-# claims past the small fields; see tests/golden/README.md for the command
-VERIFY_Q7_SHA256 = "43660250ca4c036c16f27a4f0a05e55db3e5f2bfec787bfc1db6f765328d4b3d"
-
-
-def test_verify_q7_matches_pinned_hash():
-    r = run_cli("verify", "--q", "7", "--seed", "0")
-    assert r.returncode == 0
-    assert hashlib.sha256(r.stdout.encode()).hexdigest() == VERIFY_Q7_SHA256
-
-
-# sha256 of `enumerate --q 4 --set all` (87,336 bytes: the first catalog
-# over an extension field, with GF(4) codes in every basis and generator);
-# see tests/golden/README.md for the command
-ENUMERATE_Q4_SHA256 = "9003aa6357bb44202c3d557e17cb4c4a3491fd3cea10fef62a773595237a68a3"
-
-
-def test_enumerate_q4_matches_pinned_hash():
-    r = run_cli("enumerate", "--q", "4", "--set", "all")
-    assert r.returncode == 0
-    assert hashlib.sha256(r.stdout.encode()).hexdigest() == ENUMERATE_Q4_SHA256
-
-
-def test_verify_hash_table_is_whole_and_agrees_with_the_pins():
-    # tests/golden/verify_hashes.json, which tests/golden/check_hashes.py
-    # recomputes: seed 0 once per field of order <= 27, seeds 1 and 7 once
-    # per field of order <= 9, each digest 64 hex digits; its rows for the
-    # reports pinned here match those pins, and q = 13 and 27 the digests
-    # quoted since they were first measured
-    rows = json.loads((GOLDEN / "verify_hashes.json").read_text())
-    digest = {(r["q"], tuple(r["modulus"] or ()), r["seed"]): r["sha256"] for r in rows}
-    fields = every_field(27)
-    want = [(f.q, f.modulus or (), s) for s in (0, 1, 7) for f in fields if s == 0 or f.q <= 9]
-    assert len(rows) == len(digest) == len(set(want)) == len(want)
-    assert digest.keys() == set(want)
+def test_hash_table_rows_are_the_scripts_commands():
+    # one row per command, in the script's order: seed 0 once per field of
+    # order <= 27, seeds 1 and 7 once per field of order <= 9, then the
+    # graph and enumerate reports; each digest 64 hex digits
+    rows = _table()
+    assert [tuple(r["argv"]) for r in rows] == check_hashes.commands()
+    assert all(r.keys() == {"argv", "sha256"} for r in rows)
     assert all(re.fullmatch("[0-9a-f]{64}", r["sha256"]) for r in rows)
-
-    def pinned(q):
-        return digest[q, field_of_order(q).modulus or (), 0]
-
-    for q in (2, 3, 4):
-        assert pinned(q) == hashlib.sha256((GOLDEN / f"verify_q{q}.json").read_bytes()).hexdigest()
-    assert (pinned(5), pinned(7)) == (VERIFY_Q5_SHA256, VERIFY_Q7_SHA256)
-    assert pinned(13).startswith("091e00a6") and pinned(27).startswith("08e31940")
 
 
 def _rests_on(x):
@@ -418,18 +352,11 @@ def _rests_on(x):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_rests_on_names_claims_of_the_same_report(q):
-    # the golden files are the verify reports (test_verify_matches_golden)
+    # the golden files are the verify reports (test_report_matches_its_table_row)
     claims = json.loads((GOLDEN / f"verify_q{q}.json").read_text())["claims"]
     named = set(_rests_on(claims))
     assert {"chars:x", "chars:y", "thm1:positive"} <= named
     assert named <= {c["id"] for c in claims}
-
-
-def test_enumerate_matches_golden():
-    # pins the catalog order and the witness of every member
-    r = run_cli("enumerate", "--q", "3", "--set", "all")
-    assert r.returncode == 0
-    assert r.stdout == (GOLDEN / "enumerate_q3.json").read_text()
 
 
 WROTE = re.compile(r"^wrote (\d+) bytes in \d+\.\d{3}s$", re.M)

@@ -8,11 +8,11 @@ from conftest import (
     FIELD_ORDERS,
     J_K_SWAP,
     adjacent,
-    block6_pattern_by_table,
     companion_y,
     delta_j_by_matrix,
     edge_count,
     edges_by_neighbours,
+    every_field,
     expected_cliques,
     geodesics_by_neighbours,
     k_trace_classes,
@@ -84,6 +84,8 @@ from ternions.model import (
     embed_j,
     is_block6_patterned,
     matrix2_from_block6,
+    quadric,
+    quadric_value,
     standard_triple,
     validate_catalog,
 )
@@ -206,36 +208,17 @@ def test_incidence_counts_list_no_j_line_points(cat4, monkeypatch):
     assert sum(u.dim == 2 for u in listed) == len(cat4.g_y) + len(cat4.g_alpha)
 
 
-@pytest.mark.parametrize("which", [2, 3, 4])
-def test_graph_matches_stack_rank_reference(which, cat2, cat3, cat4):
-    # two planes meet in a line exactly when they span a solid
-    cat = {2: cat2, 3: cat3, 4: cat4}[which]
-    kern = cat.field.kernel
-    verts = cat.planes
-    nbrs = [set() for _ in verts]
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if kern.stack_rank(verts[i].basis, verts[j].basis) == 4:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
-    graph = build_graph(cat)
-    assert graph.neighbours == tuple(frozenset(s) for s in nbrs)
-    # and two planes share a point exactly when they span at most a
-    # hyperplane, which is when their J-lines meet
-    for i, v in enumerate(verts):
-        for j, w in enumerate(verts):
-            assert graph.are_adjacent(i, j) is (j in nbrs[i])
-            share = kern.stack_rank(v.basis, w.basis) <= 5
-            assert share is (meet_dim(cat.traces[v][0], cat.traces[w][0]) > 0)
-
-
 @pytest.mark.parametrize("which", [2, 3, 4, 5])
 def test_graph_matches_point_index_reference(which, cat2, cat3, cat4, cat5):
-    # the trace groups give the planes sharing a line, as point sets; two
-    # planes share a point exactly when their J-lines meet (`xi_report`)
+    # the trace groups give the planes sharing a line, as point sets, and
+    # so does `are_adjacent` on every pair; two planes share a point exactly
+    # when their J-lines meet (`xi_report`)
     cat = {2: cat2, 3: cat3, 4: cat4, 5: cat5}[which]
     nbrs, meets = oracle.adjacency(cat)
-    assert build_graph(cat).neighbours == nbrs
+    graph = build_graph(cat)
+    assert graph.neighbours == nbrs
+    n = len(cat.planes)
+    assert all(graph.are_adjacent(i, j) is (j in nbrs[i]) for i in range(n) for j in range(n))
     lines = [oracle.flat(cat.traces[m][0]) for m in cat.planes]
     assert meets == tuple(
         frozenset(j for j, b in enumerate(lines) if j != i and a & b) for i, a in enumerate(lines)
@@ -617,6 +600,24 @@ def test_first_failed_condition_matches_reference(which, cat2, cat3, cat4):
     assert got[:200] == [None] * 200
 
 
+def test_every_automorphism_permutes_the_points_of_h():
+    # H = {x2 x6 = x3 x5} in K = {x1 = x4 = 0} is defined over the prime
+    # field, so condition iv reads the matrix alone and applies no sigma
+    # (`_fixes_j_and_h`): every field of order <= 27, once per modulus, and
+    # each of its automorphisms; H is `quadric`'s where it is cheap to build
+    pairs = 0
+    for field in every_field(27):
+        k_points = ((0, a, b, 0, c, d) for a, b, c, d in projective_vectors(field, 4))
+        hvecs = {v for v in k_points if quadric_value(field, v) == 0}
+        assert len(hvecs) == (field.q + 1) ** 2
+        if field.q <= 9:
+            assert hvecs == quadric(field).point_vectors
+        for sigma in automorphisms(field):
+            assert set(sigma.apply(tuple(hvecs))) == hvecs
+            pairs += 1
+    assert pairs == 79
+
+
 def _moving_positive(cat, rng, planes):
     """A positive map and the image D != P of the first plane P it moves."""
     while True:
@@ -843,28 +844,6 @@ def test_g0_transitive_on_skew_x_triples(which, cat2, cat3):
     # has units a, b up to a unit factor: q (q-1)^2 choices
     q = field.q
     assert len(triples) == len(xs) * q**3 * q * (q - 1) ** 2
-
-
-def _reference_random_nonblock_invertible(field, rng):
-    """Rejection on 36 `rng.randrange(q)` codes a candidate, read row by
-    row, with the lift pattern tested by the zero/tie table."""
-    q = field.q
-    while True:
-        rows = tuple(tuple(rng.randrange(q) for _ in range(6)) for _ in range(6))
-        if block6_pattern_by_table(rows):
-            continue
-        if field.kernel.rank(rows) == 6:
-            return rows
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("q", FIELD_ORDERS)
-def test_random_nonblock_matches_reference_stream(q, seed):
-    field = field_of_order(q)
-    a, b = random.Random(seed), random.Random(seed)
-    got = [random_nonblock_invertible(field, a) for _ in range(200)]
-    assert got == [_reference_random_nonblock_invertible(field, b) for _ in range(200)]
-    assert a.random() == b.random()
 
 
 def test_random_nonblock_is_invertible_nonpattern(f3):

@@ -4,7 +4,6 @@ from itertools import product
 
 import pytest
 from conftest import (
-    incident,
     pencil_per_member,
     point_vectors_per_point,
     replace_fields,
@@ -161,15 +160,6 @@ def test_meet_join_dims(f2):
         assert meet_dim(u, v) == m.dim
         assert contains(u, m) and contains(v, m)
         assert contains(j, u) and contains(j, v)
-
-
-def test_incident(f2):
-    a = coordinate_subspace(f2, 4, [0])
-    b = coordinate_subspace(f2, 4, [0, 1])
-    c = coordinate_subspace(f2, 4, [2])
-    assert incident(a, b) and incident(b, a)
-    assert not incident(c, b)
-    assert incident(a, a)
 
 
 def test_complement_in(f2, f3):

@@ -958,31 +958,12 @@ def test_non_default_moduli_up_to_9():
 
 
 @pytest.mark.parametrize("q, modulus", NON_DEFAULT_MODULI)
-def test_counts_pass_on_every_encoding(q, modulus, capsys):
-    # the identities of the unit invariance read the primitive element, so
-    # they depend on the field's encoding; so do the normal forms
-    args = ["verify", "--q", str(q), "--suite", "counts", "--seed", "0", "--modulus"]
-    assert main([*args, *map(str, modulus)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["config"]["modulus"] == list(modulus)
-    assert report["summary"] == {"claims": 9, "passed": 9, "failed": 0, "ok": True}
-
-
-@pytest.mark.parametrize("q, modulus", NON_DEFAULT_MODULI)
-@pytest.mark.parametrize("suite, claims", [("lemmas", 2), ("remark", 4)])
-def test_remark_and_lemmas_pass_on_every_encoding(q, modulus, suite, claims, capsys):
-    # xi's form, the batched lifts of the pencils and the point lists run
-    # on the field's tables, so they depend on its encoding
-    args = ["verify", "--q", str(q), "--suite", suite, "--seed", "0", "--modulus"]
-    assert main([*args, *map(str, modulus)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["config"]["modulus"] == list(modulus)
-    assert report["summary"] == {"claims": claims, "passed": claims, "failed": 0, "ok": True}
-
-
-@pytest.mark.parametrize("q, modulus", NON_DEFAULT_MODULI)
 def test_every_suite_passes_on_every_encoding(q, modulus, tmp_path):
-    # all 26 claims in one run, as `verify` makes it by default
+    # all 26 claims in one run, as `verify` makes it by default: the
+    # identities of the unit invariance read the primitive element, so they
+    # depend on the field's encoding, and so do the normal forms; xi's form,
+    # the batched lifts of the pencils and the point lists run on the
+    # field's tables, so they depend on it too
     out = tmp_path / "report.json"
     args = ["verify", "--q", str(q), "--seed", "0", "--out", str(out), "--modulus"]
     assert main([*args, *map(str, modulus)]) == 0
