@@ -14,9 +14,9 @@ The kernel is linear algebra only: a semilinear map's field automorphism
 is applied by ``gf.FieldAutomorphism.apply`` before ``vec_apply`` and
 ``apply_rows`` see its rows.
 
-The kernel does not check element codes: codes and row shapes that arrive
-from outside the package are checked once, at the public boundaries that
-call ``gf.check_codes``.
+The kernel checks no input, not even its tables (``gf.Field`` builds
+them): codes and row shapes from outside the package are checked once, at
+the public boundaries that call ``gf.check_codes``.
 """
 
 
@@ -26,10 +26,6 @@ class Kernel:
     __slots__ = ("q", "add", "mul", "neg", "inv")
 
     def __init__(self, q, add, mul, neg, inv):
-        if len(add) != q * q or len(mul) != q * q:
-            raise ValueError("add/mul tables must have length q*q")
-        if len(neg) != q or len(inv) != q:
-            raise ValueError("neg/inv tables must have length q")
         self.q = q
         self.add = tuple(add)
         self.mul = tuple(mul)

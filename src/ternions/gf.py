@@ -48,7 +48,7 @@ def is_prime(n: int) -> bool:
 def check_codes(values, q: int, what: str) -> None:
     """Raise ValueError naming the first value that is not an element code
     of GF(q), an int in [0, q) (a bool is not one).  Codes from outside the
-    package pass this once, at the public boundaries (`make_field`,
+    package pass this at the public boundaries (`Field`, `make_field`,
     `linalg.canonicalize`, `linalg.SemilinearMap`, `ternion.Ternion`,
     `model.phi_inverse`); the kernel checks none, and neither do sums and
     products of ternions or the unit-orbit normal forms, whose codes come
@@ -81,6 +81,7 @@ class Field:
                     raise ValueError(f"no built-in modulus for q={q}; pass one")
                 modulus = DEFAULT_MODULI[q]
             mod_t = tuple(modulus)
+            check_codes(mod_t, p, "modulus coefficient")
             if len(mod_t) != k + 1:
                 raise ValueError(f"modulus must have degree {k}")
             if mod_t[-1] != 1:
@@ -172,8 +173,6 @@ class Field:
         return self._inv_t[a]
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
         r = 1
         while e:
             if e & 1:
@@ -262,7 +261,8 @@ def _field_cached(p, k, modulus):
 
 def make_field(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> Field:
     """Construct (or fetch the cached) GF(p^k); the modulus coefficients,
-    constant term first, must be element codes of GF(p)."""
+    constant term first, must be element codes of GF(p).  They are checked
+    before the cache lookup too, which takes 1.0 or True for 1."""
     if modulus is not None:
         modulus = tuple(modulus)
         check_codes(modulus, p, "modulus coefficient")

@@ -147,13 +147,11 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(
-    field: Field, n: int, k: int, budget: Optional[int] = None
-) -> Iterator[Subspace]:
+def enumerate_subspaces(field: Field, n: int, k: int) -> Iterator[Subspace]:
     """All k-subspaces of F^n in a fixed order (pivot patterns, then free
-    entries).  Raises BudgetError when the count exceeds the budget."""
+    entries).  Raises BudgetError when the count exceeds DEFAULT_BUDGET."""
     q = field.q
-    check_budget(gaussian_binomial(n, k, q), f"subspaces (n={n}, k={k}, q={q})", budget)
+    check_budget(gaussian_binomial(n, k, q), f"subspaces (n={n}, k={k}, q={q})")
     if k == 0:
         yield zero_subspace(field, n)
         return

@@ -32,7 +32,6 @@ from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 from .gf import Field, check_codes
 from .linalg import (
     Subspace,
-    canonicalize,
     check_budget,
     complement_in,
     coordinate_subspace,
@@ -281,61 +280,43 @@ class QuadricGeometry:
         self.point_vectors = point_vectors  # the normalised vector of each point
 
 
+def _regulus_lines(a: int, b: int) -> tuple:
+    """The rows of the lines with parameter (a : b) in the alpha and the
+    opposite family of H, reduced when (a : b) has a leading 1."""
+    return ((0, a, 0, 0, b, 0), (0, 0, a, 0, 0, b)), ((0, a, b, 0, 0, 0), (0, 0, 0, 0, a, b))
+
+
 @lru_cache(maxsize=None)
 def quadric(field: Field) -> QuadricGeometry:
-    """Compute H, split its lines into the two reguli, and cross-check the
-    alpha family against its parametric form.
+    """H read off its equation on K, and its two reguli from their closed
+    forms over (a : b) in PG(1, q) (`_regulus_lines`): the alpha family
+    span((0,a,0,0,b,0), (0,0,a,0,0,b)) and the opposite family
+    span((0,a,b,0,0,0), (0,0,0,0,a,b)).
 
-    The lines of H through a point r of H lie in its tangent plane
-    T_r = {y in K : B(r, y) = 0}, B being the polar form of x2 x6 - x3 x5,
-    and they are the two of the q+1 lines through r in T_r whose points all
-    lie on H.  Every point of the two lines through one point lies on one
-    line of each regulus, so the lines through those points are all of
-    them."""
-    j, k, l = distinguished_flats(field)
-    q = field.q
-    pts = [p for p in projective_points(k) if quadric_value(field, p.basis[0]) == 0]
-    if len(pts) != (q + 1) ** 2:
-        raise AssertionError("hyperbolic quadric has the wrong number of points")
-    vecs = frozenset(p.basis[0] for p in pts)
-    first = _lines_of_h_through(pts[0], vecs)
-    lines = set()
-    for r in {p for m in first for p in projective_points(m)}:
-        lines.update(_lines_of_h_through(r, vecs))
-    if len(lines) != 2 * (q + 1):
-        raise AssertionError("hyperbolic quadric has the wrong number of lines")
-    opposite = sorted(
-        (m for m in lines if m == l or meet_dim(m, l) == 0), key=Subspace.key
+    Each family must be q+1 lines whose points are the (q+1)^2 points of
+    H, each exactly once.  Its lines then lie on H and are pairwise skew,
+    so they are one regulus, as lines of different reguli meet.  L must
+    lie in the opposite family and not in the alpha family.  A failed
+    check raises AssertionError."""
+    _, k, l = distinguished_flats(field)
+    vecs = frozenset(v for v in point_vectors(k) if quadric_value(field, v) == 0)
+    alpha, opposite = (
+        _regulus(field, vecs, rows)
+        for rows in zip(*(_regulus_lines(a, b) for a, b in projective_vectors(field, 2)))
     )
-    alpha = sorted((m for m in lines if m not in set(opposite)), key=Subspace.key)
-    param = {
-        canonicalize(field, 6, ((0, a, 0, 0, b, 0), (0, 0, a, 0, 0, b)))
-        for (a, b) in _projective_parameters(field)
-    }
-    if param != set(alpha):
-        raise AssertionError("alpha regulus does not match its parametric form")
-    return QuadricGeometry(tuple(alpha), tuple(opposite), vecs)
+    if l not in opposite or l in alpha:
+        raise AssertionError("L is not a line of the opposite regulus alone")
+    return QuadricGeometry(alpha, opposite, vecs)
 
 
-def _lines_of_h_through(r: Subspace, vecs: FrozenSet[tuple]) -> list:
-    """The lines of H through its point r, found in the tangent plane T_r."""
-    field = r.field
-    x = r.basis[0]
-    polar = (0, x[5], field.neg(x[4]), 0, field.neg(x[2]), x[1])  # y -> B(x, y)
-    tangent = Subspace(
-        field, 6, field.kernel.nullspace(((1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), polar), 6)
-    )
-    return [
-        m for m in pencil(r, tangent, 2)
-        if all(v in vecs for v in point_vectors(m))
-    ]
-
-
-def _projective_parameters(field: Field):
-    """(a : b) over PG(1, q): (1, t) for all t, then (0, 1)."""
-    for t in field.codes():
-        yield (1, t)
-    yield (0, 1)
+def _regulus(field: Field, vecs: FrozenSet[tuple], rows) -> tuple:
+    """The lines with the given reduced rows, sorted by key, once they are
+    q+1 lines that cover the points vecs of H, each exactly once."""
+    lines = sorted((Subspace(field, 6, r) for r in rows), key=Subspace.key)
+    seen = [v for m in lines for v in point_vectors(m)]
+    if len(lines) != field.q + 1 or sorted(seen) != sorted(vecs):
+        raise AssertionError("a family of lines is not a regulus of H")
+    return tuple(lines)
 
 
 def _lift(a, b, c, d) -> tuple:

@@ -12,10 +12,7 @@ from ternions.linalg import (
     coordinate_subspace,
     contains,
     enumerate_subspaces,
-    join,
-    meet,
     meet_dim,
-    pencil,
     projective_vectors,
 )
 from ternions.model import (
@@ -260,12 +257,12 @@ def run_suites(ctx, names):
     return [c for name in sorted(names) for c in SUITES[name](ctx)]
 
 
-def subspaces_within(u, k, budget=None):
+def subspaces_within(u, k):
     """All k-subspaces of u, mapped from coordinates w.r.t. its basis."""
     kern = u.field.kernel
     return [
         Subspace(u.field, u.n, kern.rref(kern.matmul(s.basis, u.basis)))
-        for s in enumerate_subspaces(u.field, u.dim, k, budget)
+        for s in enumerate_subspaces(u.field, u.dim, k)
     ]
 
 
@@ -379,42 +376,7 @@ def clique_flags_by_neighbours(nbrs, cliques):
     return all_cliques, coverage, closure
 
 
-# -- the per-plane lines the stored traces replaced ------------------------
-#
-# The adjacency suite once met every X plane with K and joined it with L,
-# and built its expected cliques from pencils of its own.  These are the
-# references for the reads of `Catalog.traces` and `AdjacencyGraph.cliques`.
-
-
-def adjacent(z1, z2):
-    """Distinct flats of a common dimension d meeting in dimension d-1."""
-    if z1 == z2 or z1.dim != z2.dim:
-        return False
-    return meet_dim(z1, z2) == z1.dim - 1
-
-
-def companion_y(m, cat):
-    """The unique Y neighbour (M ^ K) + L of an X plane, by a meet and a
-    join."""
-    if cat.type_of(m) is not SubmoduleType.X:
-        raise ValueError("companion is defined for X planes")
-    return join(meet(m, cat.k_solid), cat.l_line)
-
-
-def k_trace_classes(cat):
-    """X planes grouped by their K-trace M ^ K (an alpha regulus line)."""
-    groups = {}
-    for m in cat.g_x:
-        groups.setdefault(meet(m, cat.k_solid), []).append(m)
-    return groups
-
-
-def expected_cliques(cat):
-    """[L, K]_3 and, per alpha regulus line P, the interval [P, P+J]_3."""
-    out = [frozenset(pencil(cat.l_line, cat.k_solid, 3))]
-    for p in cat.g_alpha:
-        out.append(frozenset(pencil(p, join(p, cat.j_solid), 3)))
-    return out
+# -- the edits of a graph and the recipes of its preservers ------------------
 
 
 def regrouped(graph, remove=(), add=()):

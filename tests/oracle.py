@@ -200,6 +200,53 @@ def adjacency(cat):
     )
 
 
+def adjacent(z1, z2):
+    """Distinct flats of a common dimension d sharing the points of a
+    (d-1)-flat, (q^(d-1) - 1)/(q - 1) of them."""
+    if z1 == z2 or z1.dim != z2.dim:
+        return False
+    q = z1.field.q
+    return len(flat(z1) & flat(z2)) == (q ** (z1.dim - 1) - 1) // (q - 1)
+
+
+def companion_y(m, cat):
+    """The unique Y neighbour (M ^ K) + L of an X plane M."""
+    if m not in cat.g_x:
+        raise ValueError("companion is defined for X planes")
+    field = cat.field
+    _, k, l, _ = flats_jklh(field)
+    return subspace(field, join(field, flat(m) & k, l))
+
+
+def k_trace_classes(cat):
+    """X planes grouped by their K-trace M ^ K (an alpha regulus line)."""
+    k = flats_jklh(cat.field)[1]
+    groups = {}
+    for m in cat.g_x:
+        groups.setdefault(subspace(cat.field, flat(m) & k), []).append(m)
+    return groups
+
+
+def expected_cliques(cat):
+    """[L, K]_3 and, per alpha regulus line P, the interval [P, P+J]_3: the
+    planes through L inside K, then those through P inside P + J."""
+    field = cat.field
+    j, k, l, _ = flats_jklh(field)
+    pairs = [(l, k)] + [(flat(p), join(field, flat(p), j)) for p in cat.g_alpha]
+    return [_planes_through(field, a, b) for a, b in pairs]
+
+
+def _planes_through(field, a, b):
+    """The planes through the line a inside the flat b, as subspaces: the
+    joins of a with the points of b off a, each plane joined once."""
+    planes, covered = [], set(a)
+    for z in sorted(b - a):
+        if z not in covered:
+            planes.append(join(field, a, {z}))
+            covered |= planes[-1]
+    return frozenset(subspace(field, m) for m in planes)
+
+
 # -- collineations -----------------------------------------------------------
 
 

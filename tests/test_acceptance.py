@@ -10,15 +10,8 @@ import time
 from itertools import product
 
 import oracle
-from conftest import (
-    ACCEPTANCE_LOG,
-    adjacent,
-    cli_env,
-    companion_y,
-    expected_cliques,
-    k_trace_classes,
-    random_recipe,
-)
+from conftest import ACCEPTANCE_LOG, cli_env, random_recipe
+from oracle import adjacent, companion_y, expected_cliques, k_trace_classes
 
 from ternions.gf import automorphisms, make_field
 from ternions.linalg import SemilinearMap, join, meet, meet_dim

@@ -7,15 +7,11 @@ from conftest import (
     DELTA_J,
     FIELD_ORDERS,
     J_K_SWAP,
-    adjacent,
-    companion_y,
     delta_j_by_matrix,
     edge_count,
     edges_by_neighbours,
     every_field,
-    expected_cliques,
     geodesics_by_neighbours,
-    k_trace_classes,
     matrix_identity,
     polar_by_matrix,
     preserves_by_neighbours,
@@ -27,6 +23,7 @@ from conftest import (
     verify_decomposition_sampled,
     with_orbit_lists,
 )
+from oracle import adjacent, companion_y, expected_cliques, k_trace_classes
 
 import ternions.geometry as geometry
 from ternions._pycore import Kernel

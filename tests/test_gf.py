@@ -239,14 +239,16 @@ def test_construction_errors():
         field_of_order(1)
 
 
-@pytest.mark.parametrize("bad", [1.5, 3, -1, 1.0])
+@pytest.mark.parametrize("bad", [1.5, 3, -1, 1.0, True])
 def test_modulus_coefficients_are_codes(bad):
     # int() or the reduction mod 2 reads each as x^2 + x + 1, and each was
-    # once built as that field
+    # once built as that field; `Field` refuses each itself, and make_field
+    # before its cache lookup, which takes 1.0 or True for 1
     make_field(2, 2, (1, 1, 1))
     msg = f"modulus coefficient {bad!r} is not among the element codes 0..1 of GF(2)"
-    with pytest.raises(ValueError, match=re.escape(msg)):
-        make_field(2, 2, (1, bad, 1))
+    for build in (make_field, Field):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            build(2, 2, (1, bad, 1))
 
 
 def test_custom_modulus_still_a_field():

@@ -271,10 +271,9 @@ def test_point_vectors_and_pencil_make_one_product(f3, monkeypatch):
 
 
 def test_budget(f2):
+    # the default guard refuses before the first subspace is yielded
     with pytest.raises(BudgetError):
-        list(enumerate_subspaces(f2, 16, 8, budget=1000))
-    # explicit budget overrides the default
-    assert sum(1 for _ in enumerate_subspaces(f2, 4, 2, budget=100)) == 35
+        next(enumerate_subspaces(f2, 16, 8))
 
 
 def test_semilinear_apply_and_compose(f4):

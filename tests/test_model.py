@@ -625,6 +625,31 @@ def test_quadric_lines_match_k_line_sweep(q):
     assert geo.regulus_alpha == tuple(sorted(lines - opposite, key=Subspace.key))
 
 
+@pytest.mark.parametrize("doctoring", ["dropped", "repeated", "off_h", "swapped"])
+def test_quadric_refuses_a_family_that_is_not_a_regulus(doctoring, f3, monkeypatch):
+    params = list(model.projective_vectors(f3, 2))
+    lines = model._regulus_lines
+    if doctoring == "dropped":  # q lines
+        monkeypatch.setattr(model, "projective_vectors", lambda field, n: iter(params[:-1]))
+    elif doctoring == "repeated":  # q+1 lines, one of them twice
+        doctored = params[:-1] + params[:1]
+        monkeypatch.setattr(model, "projective_vectors", lambda field, n: iter(doctored))
+    elif doctoring == "off_h":  # alpha's (0 : 1) line becomes <e2, e6>, off H
+        def off_h(a, b):
+            alpha, opposite = lines(a, b)
+            return ((0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)) if a == 0 else alpha, opposite
+
+        monkeypatch.setattr(model, "_regulus_lines", off_h)
+    else:  # two reguli, but L in the alpha family
+        monkeypatch.setattr(model, "_regulus_lines", lambda a, b: lines(a, b)[::-1])
+    model.quadric.cache_clear()
+    try:
+        with pytest.raises(AssertionError):
+            model.quadric(f3)
+    finally:
+        model.quadric.cache_clear()
+
+
 def test_quadric_alpha_matches_catalog(cat2, cat3):
     for cat in (cat2, cat3):
         assert set(cat.g_alpha) == set(cat.quadric.regulus_alpha)

@@ -34,6 +34,10 @@ def test_oracle_calls_no_kernel_and_no_lattice_operation(cat2, monkeypatch):
     maps = [f for fs in g0_generators(field).values() for f in fs]
     maps.append(SemilinearMap(field, 6, J_K_SWAP, automorphisms(field)[0]))
     graph = build_graph(cat2)
+    n_x = len(cat2.g_x)
+    k_traces = {}
+    for m in cat2.g_x:
+        k_traces.setdefault(cat2.traces[m][1], []).append(m)
     want = (
         scan_planes_for_x(cat2),
         [scan_lines(cat2), scan_solids(cat2)],
@@ -43,6 +47,10 @@ def test_oracle_calls_no_kernel_and_no_lattice_operation(cat2, monkeypatch):
         preserver_from_collineation(maps[0], graph),
         [graph.vindex[xi_map(m, cat2)] for m in cat2.g_x],
         delta_j(cat2.l_line),
+        k_traces,
+        [frozenset(range(n_x, graph.n)), *graph.cliques[0]],
+        [graph.vertices[j] for nbrs in graph.neighbours[:n_x] for j in nbrs if j >= n_x],
+        [[j in nbrs for j in range(graph.n)] for nbrs in graph.neighbours],
     )
 
     def refuse(*args):
@@ -72,6 +80,10 @@ def test_oracle_calls_no_kernel_and_no_lattice_operation(cat2, monkeypatch):
         oracle.preserver(maps[0], cat2),
         images,
         oracle.subspace(field, oracle.delta_j(field, l_line)),
+        oracle.k_trace_classes(cat2),
+        [frozenset(map(graph.vindex.get, c)) for c in oracle.expected_cliques(cat2)],
+        [oracle.companion_y(m, cat2) for m in cat2.g_x],
+        [[oracle.adjacent(a, b) for b in cat2.planes] for a in cat2.planes],
     )
     assert oracle.first_mismatch(cat2) is None and oracle.xi_facts(cat2, images)[1]
     assert oracle.plane_failure(maps[-1], cat2) == "iii"

@@ -8,9 +8,7 @@ from conftest import (
     FIELD_ORDERS,
     J_K_SWAP,
     clique_flags_by_neighbours,
-    companion_y,
     every_field,
-    expected_cliques,
     geodesics_by_neighbours,
     line_model_walk,
     random_nonblock_invertible,
@@ -20,6 +18,7 @@ from conftest import (
     unit_orbit_normal_forms,
     with_orbit_lists,
 )
+from oracle import companion_y, expected_cliques
 
 import ternions.geometry as geo
 from ternions.cli import main
